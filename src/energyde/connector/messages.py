@@ -7,6 +7,7 @@ import json
 import uuid
 from dataclasses import dataclass, field
 from datetime import datetime, timezone
+from typing import Optional
 
 MESSAGE_TYPES = {
     "CatalogRequest", "CatalogResponse", "QueryRequest", "QueryResult", "Rejection",
@@ -22,8 +23,11 @@ class MessageError(ValueError):
     pass
 
 
-def now_rfc3339() -> str:
-    return datetime.now(timezone.utc).isoformat().replace("+00:00", "Z")
+def format_rfc3339(moment: Optional[datetime] = None) -> str:
+    """``moment`` (default: now) as RFC 3339 with microseconds and a ``Z``
+    for UTC; ``parse_rfc3339`` reads it back."""
+    moment = moment or datetime.now(timezone.utc)
+    return moment.isoformat().replace("+00:00", "Z")
 
 
 def parse_rfc3339(text: str) -> datetime:
@@ -36,7 +40,7 @@ class Message:
     sender: str
     body: dict = field(default_factory=dict)
     correlation_id: str = field(default_factory=lambda: str(uuid.uuid4()))
-    issued: str = field(default_factory=now_rfc3339)
+    issued: str = field(default_factory=format_rfc3339)
 
     def to_dict(self) -> dict:
         return {"type": self.type, "sender": self.sender,

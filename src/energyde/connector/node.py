@@ -16,7 +16,8 @@ from ..sparql import evaluate, parse_query, solutions_to_json, QueryParseError
 from ..vocab import RDF_TYPE
 from .contracts import ContractStore, authorize, load_contracts
 from .framing import ConnectionClosed, FrameError, recv_frame, send_frame
-from .messages import Message, MessageError, digest, rejection
+from .messages import (Message, MessageError, digest, format_rfc3339,
+                       rejection)
 from .provenance import ProvenanceLog
 
 
@@ -114,7 +115,7 @@ def handle(state: NodeState, request: Message,
         now = datetime.now(timezone.utc)
     # the record carries the clock the decision was made against, so a later
     # replay of the log re-authorizes under the same conditions
-    timestamp = now.isoformat().replace("+00:00", "Z")
+    timestamp = format_rfc3339(now)
     request_digest = digest(request.body)
 
     def log_and_reject(reason: str, text: str) -> Message:

@@ -11,9 +11,10 @@ from typing import Optional
 import yaml
 
 from .rdf import IRI
-from .sparql import (Comparison, Query, SolutionSequence, TriplePattern,
-                     Variable, format_query, parse_query)
-from .vocab import PREFIXES, RDF_TYPE
+from .sparql import (Query, SolutionSequence, TriplePattern, Variable,
+                     apply_modifiers, format_pattern_term, format_query,
+                     parse_query)
+from .vocab import PREFIXES, RDF_TYPE, expand_iri
 
 
 class FederationError(RuntimeError):
@@ -22,7 +23,6 @@ class FederationError(RuntimeError):
 
 class UnanswerablePatternError(FederationError):
     def __init__(self, pattern: TriplePattern):
-        from .sparql import format_pattern_term
         text = " ".join(format_pattern_term(t) for t in pattern)
         super().__init__(f"no source in the catalog can answer pattern: {text}")
         self.pattern = pattern
@@ -34,7 +34,6 @@ class SourceDescription:
     endpoint: str
     classes: frozenset
     predicates: frozenset
-    counts: Optional[dict] = None       # per-predicate triple-count estimates
     contract: Optional[str] = None      # default contract for this source
 
     def __post_init__(self):
@@ -67,21 +66,18 @@ def parse_catalog(text: str) -> FederationCatalog:
         raise FederationError("catalog must have a top-level 'sources' list")
     prefixes = dict(PREFIXES)
     prefixes.update(doc.get("prefixes") or {})
-
-    def expand(v: str) -> str:
-        label, sep, local = str(v).partition(":")
-        if sep and label in prefixes:
-            return prefixes[label] + local
-        return str(v)
-
     sources = []
-    for entry in doc["sources"]:
+    for i, entry in enumerate(doc["sources"]):
+        where = f"sources[{i}]"
         sources.append(SourceDescription(
             id=str(entry["id"]),
             endpoint=str(entry["endpoint"]),
-            classes=frozenset(expand(c) for c in entry.get("classes") or []),
-            predicates=frozenset(expand(p) for p in entry.get("predicates") or []),
-            counts=entry.get("counts"),
+            classes=frozenset(
+                expand_iri(str(c), prefixes, f"{where}.classes", FederationError)
+                for c in entry.get("classes") or []),
+            predicates=frozenset(
+                expand_iri(str(p), prefixes, f"{where}.predicates", FederationError)
+                for p in entry.get("predicates") or []),
             contract=entry.get("contract")))
     return FederationCatalog(sources=sources,
                              client_id=str(doc.get("client_id", "federator")))
@@ -137,7 +133,6 @@ class DecomposedQuery:
     query: Query             # the federated query (projection/distinct/limit)
     subqueries: list
     join_edges: list
-    residual_filters: tuple = ()
 
     def to_dict(self) -> dict:
         return {
@@ -197,7 +192,10 @@ def decompose(query: Query, selection: dict[int, set[str]]) -> DecomposedQuery:
         patterns = tuple(query.patterns[i] for i in indexes)
         # a filter whose variable is bound here is pushed into the subquery
         pushed = tuple(f for f in query.filters if f.variable.name in vars_here)
-        projected = tuple(sorted(needed & vars_here)) or tuple(sorted(vars_here))
+        # without DISTINCT every variable is kept, so each subquery row is
+        # one BGP solution and only the final projection makes duplicates
+        kept = needed & vars_here if query.distinct else vars_here
+        projected = tuple(sorted(kept or vars_here))
         subqueries.append(Subquery(
             sources=sources,
             query=Query(projected=projected, distinct=True, patterns=patterns,
@@ -210,11 +208,8 @@ def decompose(query: Query, selection: dict[int, set[str]]) -> DecomposedQuery:
             join_edges.append(JoinEdge(
                 left=a, right=b,
                 shared=frozenset(group_vars[a] & group_vars[b])))
-    residual = tuple(
-        f for f in query.filters
-        if not any(f.variable.name in gv for gv in group_vars))
     return DecomposedQuery(query=query, subqueries=subqueries,
-                           join_edges=join_edges, residual_filters=residual)
+                           join_edges=join_edges)
 
 
 def hash_join(left: SolutionSequence, right: SolutionSequence,
@@ -239,20 +234,10 @@ def hash_join(left: SolutionSequence, right: SolutionSequence,
     return SolutionSequence(variables=variables, rows=rows)
 
 
-def _dedupe(rows: list[dict], variables: list[str]) -> list[dict]:
-    seen = set()
-    out = []
-    for row in rows:
-        key = tuple(row.get(v) for v in variables)
-        if key not in seen:
-            seen.add(key)
-            out.append(row)
-    return out
-
-
 def execute_federated(plan: DecomposedQuery, clients: dict) -> SolutionSequence:
-    """Dispatch subqueries concurrently, union multi-source results, then join
-    pairwise in ascending result-size order (hash join on shared variables)."""
+    """Dispatch subqueries concurrently, union multi-source results, join
+    pairwise in ascending result-size order (hash join on shared variables),
+    then apply the query's solution modifiers as local evaluation does."""
     for sq in plan.subqueries:
         for source_id in sq.sources:
             if source_id not in clients:
@@ -260,11 +245,12 @@ def execute_federated(plan: DecomposedQuery, clients: dict) -> SolutionSequence:
 
     def run_subquery(sq: Subquery) -> SolutionSequence:
         text = format_query(sq.query)
-        merged: list[dict] = []
-        for source_id in sq.sources:
-            merged.extend(clients[source_id].query(text).rows)
-        return SolutionSequence(variables=list(sq.query.projected),
-                                rows=_dedupe(merged, list(sq.query.projected)))
+        answers = [clients[source_id].query(text) for source_id in sq.sources]
+        if len(answers) == 1:
+            return answers[0]  # the source applied the subquery's modifiers
+        # the subquery's DISTINCT makes this a union of the sources' rows
+        return apply_modifiers([row for a in answers for row in a.rows],
+                               sq.query)
 
     if len(plan.subqueries) == 1:
         results = [run_subquery(plan.subqueries[0])]
@@ -285,18 +271,7 @@ def execute_federated(plan: DecomposedQuery, clients: dict) -> SolutionSequence:
                 break
         right = pending.pop(partner_index)
         pending.append(hash_join(left, right, left_vars & set(right.variables)))
-    joined = pending[0]
-
-    from .sparql import _filter_ok  # row predicates, same semantics as local eval
-    rows = joined.rows
-    for comparison in plan.query.filters:
-        rows = [r for r in rows if _filter_ok(r, comparison)]
-    projected_vars = list(plan.query.projected)
-    rows = [{v: r[v] for v in projected_vars if v in r} for r in rows]
-    rows = _dedupe(rows, projected_vars) if plan.query.distinct else rows
-    if plan.query.limit is not None:
-        rows = rows[:plan.query.limit]
-    return SolutionSequence(variables=projected_vars, rows=rows)
+    return apply_modifiers(pending[0].rows, plan.query)
 
 
 def build_clients(catalog: FederationCatalog, client_factory=None) -> dict:

@@ -30,7 +30,7 @@ from typing import Iterable, Optional
 import yaml
 
 from .rdf import Graph, IRI, Literal, RdfError, Term, Triple
-from .vocab import PREFIXES, RDF_TYPE
+from .vocab import PREFIXES, RDF_TYPE, expand_iri
 from urllib.parse import quote
 
 
@@ -94,18 +94,6 @@ class MappingResult:
         return len(self.errors)
 
 
-def _expand(value: str, prefixes: dict, where: str) -> str:
-    """Expand a prefixed name or pass through a full IRI."""
-    if value.startswith("http://") or value.startswith("https://") or value.startswith("urn:"):
-        return value
-    label, sep, local = value.partition(":")
-    if sep and label in prefixes:
-        return prefixes[label] + local
-    if sep:
-        raise MappingError(f"{where}: unknown prefix {label!r}")
-    raise MappingError(f"{where}: not an IRI or prefixed name: {value!r}")
-
-
 _MAP_KEYS = {"source", "filter", "subject", "po"}
 _PO_KEYS = {"predicate", "field", "constant", "template", "datatype"}
 
@@ -150,7 +138,8 @@ def parse_mapping(text: str, base_dir: Optional[Path] = None) -> MappingDocument
             raise MappingError(f"{where}.subject: needs a 'template'")
         subject_class = subject.get("class")
         if subject_class is not None:
-            subject_class = _expand(subject_class, prefixes, f"{where}.subject.class")
+            subject_class = expand_iri(subject_class, prefixes,
+                                       f"{where}.subject.class", MappingError)
         pos = []
         po_list = entry["po"]
         if not isinstance(po_list, list) or not po_list:
@@ -166,15 +155,17 @@ def parse_mapping(text: str, base_dir: Optional[Path] = None) -> MappingDocument
             if len(kinds) != 1:
                 raise MappingError(
                     f"{pwhere}: exactly one of field/constant/template required")
-            predicate = _expand(str(po["predicate"]), prefixes, pwhere)
+            predicate = expand_iri(str(po["predicate"]), prefixes, pwhere,
+                                   MappingError)
             datatype = po.get("datatype")
             if datatype is not None:
-                datatype = _expand(str(datatype), prefixes, f"{pwhere}.datatype")
+                datatype = expand_iri(str(datatype), prefixes,
+                                      f"{pwhere}.datatype", MappingError)
             constant: Optional[Term] = None
             if "constant" in po:
                 raw = str(po["constant"])
                 if ":" in raw and not raw.startswith('"'):
-                    constant = IRI(_expand(raw, prefixes, pwhere))
+                    constant = IRI(expand_iri(raw, prefixes, pwhere, MappingError))
                 else:
                     constant = Literal(raw.strip('"'), datatype) if datatype \
                         else Literal(raw.strip('"'))

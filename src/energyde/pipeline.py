@@ -7,13 +7,13 @@ import hashlib
 import json
 import shutil
 from dataclasses import dataclass
-from datetime import datetime, timezone
 from decimal import Decimal, InvalidOperation
 from pathlib import Path
 from typing import Iterable, Optional
 
 import yaml
 
+from .connector.messages import format_rfc3339
 from .mapping import RawRecord, load_mapping, read_records
 from .rdf import Graph, IRI, Literal, Triple, load_graph, save_graph, serialize_ntriples
 from .shapes import load_shapes, validate
@@ -239,10 +239,6 @@ class _ProvBuilder:
                                      IRI(f"{self.BASE}entity/{digest}")))
 
 
-def _now() -> str:
-    return datetime.now(timezone.utc).isoformat().replace("+00:00", "Z")
-
-
 def run_pipeline(config: PipelineConfig) -> dict:
     """Execute staging -> preprocessing -> mapping -> linking -> validation ->
     load.  Returns the run report (also written to ``report`` if configured)."""
@@ -253,7 +249,7 @@ def run_pipeline(config: PipelineConfig) -> dict:
     prov = _ProvBuilder(run_id)
 
     # staging: content-addressed copies of the raw inputs
-    started = _now()
+    started = format_rfc3339()
     config.staging_dir.mkdir(parents=True, exist_ok=True)
     staged = []
     for source in config.sources:
@@ -266,10 +262,10 @@ def run_pipeline(config: PipelineConfig) -> dict:
     report["stages"]["staging"] = {"files": staged}
     prov.activity("staging", used=[s["digest"] for s in staged],
                   generated=[s["digest"] for s in staged],
-                  started=started, ended=_now())
+                  started=started, ended=format_rfc3339())
 
     # preprocessing
-    started = _now()
+    started = format_rfc3339()
     records_by_path: dict[str, list] = {}
     total_in = total_out = 0
     from .mapping import LogicalSource
@@ -286,10 +282,10 @@ def run_pipeline(config: PipelineConfig) -> dict:
     report["stages"]["preprocess"] = {"records_in": total_in,
                                       "records_out": total_out}
     prov.activity("preprocess", used=[s["digest"] for s in staged], generated=[],
-                  started=started, ended=_now())
+                  started=started, ended=format_rfc3339())
 
     # mapping
-    started = _now()
+    started = format_rfc3339()
     try:
         doc = load_mapping(config.mapping_path)
     except Exception as exc:
@@ -313,22 +309,23 @@ def run_pipeline(config: PipelineConfig) -> dict:
     mapped_digest = hashlib.sha256(
         serialize_ntriples(graph).encode()).hexdigest()
     prov.activity("mapping", used=[s["digest"] for s in staged],
-                  generated=[mapped_digest], started=started, ended=_now())
+                  generated=[mapped_digest], started=started, ended=format_rfc3339())
 
     # linking / enrichment
-    started = _now()
+    started = format_rfc3339()
     link_count = 0
     ambiguous: list = []
     if config.linking is not None:
         reference = load_graph(config.linking.reference_path)
         link_count, ambiguous = link_entities(graph, reference, config.linking)
     report["stages"]["linking"] = {"links": link_count, "ambiguous": ambiguous}
-    linked_digest = hashlib.sha256(serialize_ntriples(graph).encode()).hexdigest()
+    linked_text = serialize_ntriples(graph)
+    linked_digest = hashlib.sha256(linked_text.encode()).hexdigest()
     prov.activity("linking", used=[mapped_digest], generated=[linked_digest],
-                  started=started, ended=_now())
+                  started=started, ended=format_rfc3339())
 
     # validation
-    started = _now()
+    started = format_rfc3339()
     try:
         shape_list = load_shapes(config.shapes_path)
     except Exception as exc:
@@ -341,23 +338,23 @@ def run_pipeline(config: PipelineConfig) -> dict:
         "conforms": validation.conforms,
         "violations": [v.to_dict() for v in validation.violations]}
     prov.activity("validation", used=[linked_digest], generated=[],
-                  started=started, ended=_now())
+                  started=started, ended=format_rfc3339())
 
     # load
-    started = _now()
+    started = format_rfc3339()
     if not validation.conforms and config.on_violation == "block":
         report["stages"]["load"] = {"skipped": True,
                                     "reason": "validation failed, policy=block"}
     else:
         config.output_path.parent.mkdir(parents=True, exist_ok=True)
-        save_graph(graph, config.output_path)
+        # the output file holds exactly the text linked_digest was taken over
+        config.output_path.write_text(linked_text, encoding="utf-8")
         report["loaded"] = True
         report["stages"]["load"] = {"skipped": False, "triples": len(graph),
                                     "output": str(config.output_path),
-                                    "digest": _sha256_file(config.output_path)}
-        prov.activity("load", used=[linked_digest],
-                      generated=[report["stages"]["load"]["digest"]],
-                      started=started, ended=_now())
+                                    "digest": linked_digest}
+        prov.activity("load", used=[linked_digest], generated=[linked_digest],
+                      started=started, ended=format_rfc3339())
     return _finish(report, config, prov)
 
 

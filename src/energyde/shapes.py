@@ -26,7 +26,7 @@ from typing import Optional
 import yaml
 
 from .rdf import Graph, IRI, Literal, Term, format_term
-from .vocab import PREFIXES, RDF_TYPE
+from .vocab import PREFIXES, RDF_TYPE, expand_iri
 
 
 class ShapesError(ValueError):
@@ -76,15 +76,6 @@ class ValidationReport:
         }, indent=2) + "\n"
 
 
-def _expand(value: str, prefixes: dict, where: str) -> str:
-    if value.startswith(("http://", "https://", "urn:")):
-        return value
-    label, sep, local = value.partition(":")
-    if sep and label in prefixes:
-        return prefixes[label] + local
-    raise ShapesError(f"{where}: not an IRI or known prefixed name: {value!r}")
-
-
 _PROP_KEYS = {"path", "min_count", "max_count", "datatype", "node_kind",
               "class", "in"}
 
@@ -103,7 +94,8 @@ def parse_shapes(text: str) -> list[Shape]:
         where = f"shapes[{i}]"
         if not isinstance(entry, dict) or "target_class" not in entry:
             raise ShapesError(f"{where}: missing 'target_class'")
-        target = _expand(str(entry["target_class"]), prefixes, where)
+        target = expand_iri(str(entry["target_class"]), prefixes, where,
+                            ShapesError)
         shape_id = str(entry.get("id") or target.rsplit("/", 1)[-1])
         constraints = []
         for j, prop in enumerate(entry.get("properties") or []):
@@ -123,10 +115,11 @@ def parse_shapes(text: str) -> list[Shape]:
                 raise ShapesError(f"{pwhere}: node_kind must be IRI or Literal")
             datatype = prop.get("datatype")
             if datatype is not None:
-                datatype = _expand(str(datatype), prefixes, pwhere)
+                datatype = expand_iri(str(datatype), prefixes, pwhere, ShapesError)
             value_class = prop.get("class")
             if value_class is not None:
-                value_class = _expand(str(value_class), prefixes, pwhere)
+                value_class = expand_iri(str(value_class), prefixes, pwhere,
+                                         ShapesError)
             in_values = None
             if "in" in prop:
                 raw = prop["in"]
@@ -138,12 +131,13 @@ def parse_shapes(text: str) -> list[Shape]:
                     is_iri = "://" in text_v or (
                         ":" in text_v and text_v.split(":", 1)[0] in prefixes)
                     if is_iri:
-                        terms.append(IRI(_expand(text_v, prefixes, pwhere)))
+                        terms.append(IRI(expand_iri(text_v, prefixes, pwhere,
+                                                    ShapesError)))
                     else:
                         terms.append(Literal(text_v))
                 in_values = tuple(terms)
             constraints.append(PropertyConstraint(
-                path=_expand(str(prop["path"]), prefixes, pwhere),
+                path=expand_iri(str(prop["path"]), prefixes, pwhere, ShapesError),
                 min_count=min_count, max_count=max_count, datatype=datatype,
                 node_kind=node_kind, value_class=value_class,
                 in_values=in_values))

@@ -8,8 +8,10 @@ Prefixed names are expanded at parse time; no prefixes survive into the algebra.
 from __future__ import annotations
 
 import json
+import operator
 import re
 from dataclasses import dataclass, field
+from decimal import Decimal, InvalidOperation
 from typing import Optional, Union
 
 from .rdf import Graph, IRI, Literal, BlankNode, RdfError, Term, format_term
@@ -36,7 +38,8 @@ class Variable:
 
 PatternTerm = Union[Term, Variable]
 
-_COMPARE_OPS = ("=", "!=", "<=", ">=", "<", ">")
+_COMPARE_OPS = {"=": operator.eq, "!=": operator.ne, "<=": operator.le,
+                ">=": operator.ge, "<": operator.lt, ">": operator.gt}
 
 
 @dataclass(frozen=True, slots=True)
@@ -286,8 +289,6 @@ class _Parser:
         if kind == "NAME" and value == "a" and position == "predicate":
             self.next()
             return IRI(RDF_TYPE)
-        if kind == "NAME" and value.startswith("_"):
-            pass
         if kind == "PNAME" and value.startswith("_:"):
             self.next()
             return BlankNode(value[2:])
@@ -361,29 +362,17 @@ def _lexical_value(term: Term) -> str:
 
 
 def _compare(value: Term, op: str, constant: Term) -> bool:
-    # numeric XSD datatypes compare in value space, everything else lexically
+    # numeric XSD datatypes compare exactly in value space, everything else
+    # lexically; an unparseable number, or an ordering against NaN, is False
+    compare = _COMPARE_OPS[op]
     if (isinstance(value, Literal) and isinstance(constant, Literal)
             and value.datatype in _NUMERIC_DATATYPES
             and constant.datatype in _NUMERIC_DATATYPES):
         try:
-            left, right = float(value.lexical), float(constant.lexical)
-        except ValueError:
+            return compare(Decimal(value.lexical), Decimal(constant.lexical))
+        except InvalidOperation:
             return False
-    else:
-        left, right = _lexical_value(value), _lexical_value(constant)
-    if op == "=":
-        return left == right
-    if op == "!=":
-        return left != right
-    if op == "<":
-        return left < right
-    if op == "<=":
-        return left <= right
-    if op == ">":
-        return left > right
-    if op == ">=":
-        return left >= right
-    raise ValueError(f"unknown operator {op!r}")
+    return compare(_lexical_value(value), _lexical_value(constant))
 
 
 def _filter_ok(row: dict[str, Term], comparison: Comparison) -> bool:
@@ -427,8 +416,7 @@ def _resolve(term: PatternTerm, row: dict[str, Term]) -> Optional[Term]:
 
 
 def evaluate(query: Query, graph: Graph) -> SolutionSequence:
-    """Standard BGP semantics over one graph, then filters, projection,
-    DISTINCT, and LIMIT."""
+    """Standard BGP semantics over one graph, then ``apply_modifiers``."""
     rows: list[dict[str, Term]] = [{}]
     for pattern in _order_patterns(query.patterns, graph):
         next_rows = []
@@ -451,6 +439,14 @@ def evaluate(query: Query, graph: Graph) -> SolutionSequence:
         rows = next_rows
         if not rows:
             break
+    return apply_modifiers(rows, query)
+
+
+def apply_modifiers(rows: list[dict[str, Term]], query: Query) -> SolutionSequence:
+    """The solution modifiers over a bag of solutions, shared by local and
+    federated evaluation: FILTER, projection, DISTINCT, then LIMIT.  A LIMIT
+    keeps the first rows in the order ``solutions_to_json`` sorts by, so the
+    answer does not depend on hash order."""
     for comparison in query.filters:
         rows = [r for r in rows if _filter_ok(r, comparison)]
     projected = [{v: r[v] for v in query.projected if v in r} for r in rows]
@@ -464,6 +460,7 @@ def evaluate(query: Query, graph: Graph) -> SolutionSequence:
                 deduped.append(r)
         projected = deduped
     if query.limit is not None:
+        projected.sort(key=_row_sort_key(query.projected))
         projected = projected[:query.limit]
     return SolutionSequence(variables=list(query.projected), rows=projected)
 

@@ -4,8 +4,9 @@ to cross-check the evaluator and the federation engine."""
 from __future__ import annotations
 
 import random
+from collections import Counter
 
-from energyde.rdf import Graph, IRI, Literal, Triple
+from energyde.rdf import Graph, IRI, Literal, Triple, format_term
 from energyde.sparql import (Comparison, Query, TriplePattern, Variable,
                              _filter_ok)
 from energyde.vocab import RDF_TYPE, XSD_INTEGER
@@ -64,13 +65,21 @@ def random_query(rng: random.Random, graph: Graph, max_patterns: int = 4,
         const = rng.choice([Literal(str(rng.randrange(8))),
                             Literal(str(rng.randrange(8)), XSD_INTEGER)])
         filters = (Comparison(Variable(var), op, const),)
-    return Query(projected=projected, distinct=True, patterns=tuple(patterns),
-                 filters=filters)
+    limit = rng.randrange(0, 6) if rng.random() < 0.3 else None
+    return Query(projected=projected, distinct=rng.random() < 0.5,
+                 patterns=tuple(patterns), filters=filters, limit=limit)
 
 
-def brute_force(query: Query, graph: Graph) -> set:
+def bag(solutions) -> Counter:
+    """Projected rows as a multiset of tuples (None for unbound)."""
+    return Counter(tuple(row.get(v) for v in solutions.variables)
+                   for row in solutions.rows)
+
+
+def brute_force(query: Query, graph: Graph) -> Counter:
     """Nested-loop evaluation by linear scan, no indexes, no reordering.
-    Returns the set of projected tuples."""
+    Returns the multiset of projected tuples; LIMIT keeps the tuples that
+    sort first by their terms' N-Triples text (unbound first)."""
     triples = list(graph)
 
     def extend(pattern: TriplePattern, binding: dict) -> list:
@@ -96,4 +105,11 @@ def brute_force(query: Query, graph: Graph) -> set:
         rows = [ext for row in rows for ext in extend(pattern, row)]
     rows = [r for r in rows
             if all(_filter_ok(r, f) for f in query.filters)]
-    return {tuple(r.get(v) for v in query.projected) for r in rows}
+    tuples = [tuple(r.get(v) for v in query.projected) for r in rows]
+    if query.distinct:
+        tuples = list(dict.fromkeys(tuples))
+    if query.limit is not None:
+        tuples.sort(key=lambda t: ["" if x is None else format_term(x)
+                                   for x in t])
+        tuples = tuples[:query.limit]
+    return Counter(tuples)

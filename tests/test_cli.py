@@ -1,5 +1,7 @@
 import json
+import shlex
 import shutil
+from pathlib import Path
 
 import pytest
 
@@ -169,3 +171,29 @@ class TestProvenance:
         assert code == 0
         records = [json.loads(l) for l in out.strip().splitlines()]
         assert [r["id"] for r in records] == list(range(1, len(records) + 1))
+
+
+class TestReadme:
+    README = Path(__file__).resolve().parents[1] / "README.md"
+
+    def walkthrough(self) -> list:
+        """The ``energyde`` commands of the README walkthrough, as argv lists."""
+        text = self.README.read_text(encoding="utf-8")
+        block = text.split("## Command line walkthrough", 1)[1]
+        block = block.split("```sh\n", 1)[1].split("```", 1)[0]
+        return [shlex.split(line, comments=True)[1:]
+                for line in block.splitlines() if line.startswith("energyde ")]
+
+    def test_offline_walkthrough_exits_zero(self, capsys, tmp_path,
+                                            monkeypatch):
+        # every step that needs no running node, exactly as written
+        monkeypatch.chdir(tmp_path)
+        ran = []
+        for argv in self.walkthrough():
+            if argv[0] in ("fixtures", "pipeline", "validate", "query",
+                           "rdfize") or "--plan" in argv:
+                code, _, err = run_cli(capsys, *argv)
+                assert code == 0, (argv, err)
+                ran.append(argv[0])
+        assert ran == ["fixtures", "pipeline", "validate", "query", "rdfize",
+                       "federate"]

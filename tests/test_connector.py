@@ -14,7 +14,7 @@ from energyde.connector.contracts import (Contract, ContractError,
 from energyde.connector.framing import (ConnectionClosed, FrameError,
                                         encode_frame, recv_frame, send_frame)
 from energyde.connector.messages import (Message, MessageError, digest,
-                                         now_rfc3339, rejection)
+                                         format_rfc3339, rejection)
 from energyde.connector.node import handle
 from energyde.connector.provenance import (ProvenanceLog, read_log,
                                            replay_audit)
@@ -238,17 +238,17 @@ class TestProvenance:
         for _ in range(5):
             log.append(kind="query-served", consumer="fed", contract="c",
                        request_digest="r", result_digest="s",
-                       timestamp=now_rfc3339())
+                       timestamp=format_rfc3339())
         assert [r.id for r in read_log(tmp_path / "p.jsonl")] == [1, 2, 3, 4, 5]
 
     def test_resume_continues_numbering(self, tmp_path):
         path = tmp_path / "p.jsonl"
         ProvenanceLog(path).append(kind="query-served", consumer="fed",
                                    contract="c", request_digest="r",
-                                   result_digest="s", timestamp=now_rfc3339())
+                                   result_digest="s", timestamp=format_rfc3339())
         record = ProvenanceLog(path).append(
             kind="query-rejected", consumer="fed", contract="c",
-            request_digest="r", result_digest="s", timestamp=now_rfc3339())
+            request_digest="r", result_digest="s", timestamp=format_rfc3339())
         assert record.id == 2
 
     def test_replay_audit_clean_log(self, tmp_path):
@@ -264,7 +264,7 @@ class TestProvenance:
         log = ProvenanceLog(tmp_path / "p.jsonl")
         log.append(kind="query-served", consumer="intruder", contract="c1",
                    request_digest="r", result_digest="s",
-                   timestamp=now_rfc3339())
+                   timestamp=format_rfc3339())
         contracts = ContractStore([open_contract("c1", "tso", "fed",
                                                  "tso-graph")])
         findings = replay_audit(read_log(tmp_path / "p.jsonl"), contracts,
@@ -275,7 +275,7 @@ class TestProvenance:
         path = tmp_path / "p.jsonl"
         rec = {"id": 1, "kind": "query-rejected", "consumer": "x",
                "contract": None, "requestDigest": "r", "resultDigest": "s",
-               "timestamp": now_rfc3339()}
+               "timestamp": format_rfc3339()}
         with open(path, "w") as fh:
             fh.write(json.dumps(rec) + "\n")
             fh.write(json.dumps(rec) + "\n")

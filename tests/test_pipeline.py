@@ -163,6 +163,9 @@ class TestRunPipeline:
         second = run_pipeline(config)
         assert first["stages"]["load"]["digest"] == \
             second["stages"]["load"]["digest"]
+        output = (workdir / "graphs" / "tso.nt").read_bytes()
+        assert second["stages"]["load"]["digest"] == \
+            hashlib.sha256(output).hexdigest()
 
     def test_output_equals_manual_stage_composition(self, workdir):
         from energyde.mapping import (LogicalSource, apply_triple_map,

@@ -1,8 +1,13 @@
 import json
+import os
 import random
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import energyde
 from energyde.rdf import Graph, IRI, Literal, parse_ntriples
 from energyde.sparql import (QueryParseError, SolutionSequence,
                              UndeclaredPrefixError, Variable, evaluate,
@@ -10,7 +15,7 @@ from energyde.sparql import (QueryParseError, SolutionSequence,
                              solutions_from_json, solutions_to_json)
 from energyde.vocab import (RDF_TYPE, RENEWABLE_ENERGY, SUBCLASS_OF,
                             WIND_POWER, XSD_INTEGER)
-from genutil import brute_force, random_graph, random_query
+from genutil import bag, brute_force, random_graph, random_query
 
 SQ2_TEXT = """\
 PREFIX wd:  <http://www.wikidata.org/entity/>
@@ -107,9 +112,7 @@ class TestParser:
         for _ in range(100):
             q1 = random_query(rng, g)
             q2 = parse_query(format_query(q1))
-            assert q1.patterns == q2.patterns
-            assert q1.projected == q2.projected
-            assert q1.filters == q2.filters
+            assert q1 == q2
 
 
 class TestEvaluate:
@@ -150,7 +153,7 @@ class TestEvaluate:
         g = random_graph(rng, 150)
         for _ in range(50):
             q = random_query(rng, g)
-            assert evaluate(q, g).tuples() == brute_force(q, g)
+            assert bag(evaluate(q, g)) == brute_force(q, g)
 
     def test_filter_never_introduces_bindings(self):
         rng = random.Random(9)
@@ -161,9 +164,8 @@ class TestEvaluate:
             if not q.filters:
                 continue
             unfiltered = type(q)(projected=q.projected, distinct=q.distinct,
-                                 patterns=q.patterns, filters=(),
-                                 limit=q.limit)
-            assert evaluate(q, g).tuples() <= evaluate(unfiltered, g).tuples()
+                                 patterns=q.patterns, filters=())
+            assert bag(evaluate(q, g)) <= bag(evaluate(unfiltered, g))
             checked += 1
         assert checked > 10
 
@@ -178,6 +180,45 @@ class TestEvaluate:
         rows = evaluate(q, g).rows
         assert [r["x"].value for r in rows] == ["http://example.org/a"]
 
+    def test_numeric_filter_exact_beyond_float_precision(self):
+        # 2**53 + 1 and 2**53 are the same float but different integers
+        g = parse_ntriples('<http://example.org/a> <http://example.org/v> '
+                           '"9007199254740993"^^<http://www.w3.org/2001/'
+                           'XMLSchema#integer> .\n')
+
+        def rows(op):
+            q = parse_query('SELECT ?x WHERE { ?x <http://example.org/v> ?v . '
+                            f'FILTER(?v {op} 9007199254740992) }}')
+            return len(evaluate(q, g))
+
+        assert rows("=") == 0
+        assert rows("!=") == 1
+        assert rows(">") == 1
+
+    def test_numeric_filter_nan_and_infinity(self):
+        xsd_double = "http://www.w3.org/2001/XMLSchema#double"
+        g = parse_ntriples(
+            f'<http://example.org/nan> <http://example.org/v> "NaN"^^<{xsd_double}> .\n'
+            f'<http://example.org/inf> <http://example.org/v> "INF"^^<{xsd_double}> .\n'
+            f'<http://example.org/bad> <http://example.org/v> "x1"^^<{xsd_double}> .\n')
+
+        def matches(op, constant):
+            q = parse_query('SELECT ?x WHERE { ?x <http://example.org/v> ?v . '
+                            f'FILTER(?v {op} {constant}) }}')
+            return sorted(r["x"].value.rsplit("/", 1)[1]
+                          for r in evaluate(q, g).rows)
+
+        # an ordered compare with NaN is false, never an error
+        for op in ("<", "<=", ">", ">="):
+            assert "nan" not in matches(op, 1)
+        assert matches(">", 1) == ["inf"]
+        assert matches("=", 1) == []
+        # NaN equals nothing, so it differs from everything
+        assert matches("!=", 1) == ["inf", "nan"]
+        assert matches("=", f'"NaN"^^<{xsd_double}>') == []
+        # an unparseable lexical form matches no numeric comparison
+        assert "bad" not in matches("!=", 1)
+
     def test_lexical_filter_for_strings(self):
         g = parse_ntriples('<http://example.org/a> <http://example.org/v> "9" .\n'
                            '<http://example.org/b> <http://example.org/v> "10" .\n')
@@ -190,6 +231,61 @@ class TestEvaluate:
         g = random_graph(random.Random(2), 100)
         q = parse_query('SELECT ?s WHERE { ?s ?p ?o . } LIMIT 3')
         assert len(evaluate(q, g)) == 3
+
+
+_LIMIT_SCRIPT = """
+import json, random
+from energyde.connector.client import LocalClient
+from energyde.connector.messages import digest
+from energyde.federation import federated_query, parse_catalog
+from energyde.rdf import Graph, format_term
+from energyde.sparql import evaluate, parse_query, solutions_to_json
+from genutil import random_graph
+
+graph = random_graph(random.Random(2), 300)
+parts = [Graph(), Graph()]
+for i, t in enumerate(sorted(graph, key=lambda t: tuple(map(format_term, t)))):
+    parts[i % 2].insert(t)
+predicates = ", ".join(sorted({t.predicate.value for t in graph}))
+catalog = parse_catalog("sources:\\n" + "".join(
+    f"  - {{id: s{i}, endpoint: none, predicates: [{predicates}]}}\\n"
+    for i in range(2)))
+clients = {f"s{i}": LocalClient(parts[i], source_id=f"s{i}") for i in range(2)}
+
+def answer(solutions):
+    return [[format_term(row[v]) if v in row else None
+             for v in solutions.variables] for row in solutions.rows]
+
+out = {}
+for text in ["SELECT ?s ?o WHERE { ?s ?p ?o . } LIMIT 3",
+             "SELECT ?s WHERE { ?s <http://example.org/p0> ?o . "
+             "?s <http://example.org/p1> ?x . } LIMIT 3"]:
+    central = evaluate(parse_query(text), graph)
+    federated = federated_query(text, catalog, clients=clients)
+    out[text] = {"central": answer(central), "federated": answer(federated),
+                 "digest": digest(solutions_to_json(central))}
+print(json.dumps(out))
+"""
+
+
+class TestDeterministicLimit:
+    def test_limit_rows_and_digest_independent_of_hash_seed(self):
+        paths = [str(Path(energyde.__file__).parents[1]),
+                 str(Path(__file__).parent)]
+        outputs = []
+        for seed in ("1", "2", "3", "4"):
+            env = dict(os.environ, PYTHONHASHSEED=seed,
+                       PYTHONPATH=os.pathsep.join(paths))
+            done = subprocess.run([sys.executable, "-c", _LIMIT_SCRIPT],
+                                  env=env, capture_output=True, text=True,
+                                  timeout=60)
+            assert done.returncode == 0, done.stderr
+            outputs.append(json.loads(done.stdout))
+        assert all(out == outputs[0] for out in outputs[1:])
+        for answer in outputs[0].values():
+            assert len(answer["central"]) == 3
+            # LIMIT keeps the same rows, in the same order, when federated
+            assert answer["federated"] == answer["central"]
 
 
 class TestResults:
@@ -223,7 +319,7 @@ class TestResults:
         q = random_query(rng, g)
         sols = evaluate(q, g)
         back = solutions_from_json(solutions_to_json(sols))
-        assert back.tuples() == sols.tuples()
+        assert bag(back) == bag(sols)
 
     def test_typed_and_lang_literals(self):
         sols = SolutionSequence(variables=["v"], rows=[
