@@ -90,7 +90,12 @@ def cmd_query(args) -> int:
 
 
 def cmd_federate(args) -> int:
-    catalog = federation.load_catalog(args.catalog)
+    try:
+        catalog = federation.load_catalog(args.catalog)
+    except federation.FederationError as exc:
+        # a catalog that does not parse is a configuration error
+        _err(f"{args.catalog}: {exc}")
+        return 2
     text = Path(args.query).read_text(encoding="utf-8")
     if args.plan:
         plan = federation.plan_query(text, catalog)

@@ -25,13 +25,16 @@ def send_frame(sock, obj) -> None:
     sock.sendall(encode_frame(obj))
 
 
-def _recvall(sock, n: int) -> bytes:
-    buf = b""
-    while len(buf) < n:
-        chunk = sock.recv(n - len(buf))
-        if not chunk:
-            raise ConnectionClosed("peer closed the connection")
-        buf += chunk
+def _recvall(sock, n: int) -> bytearray:
+    """Exactly ``n`` bytes, read into one preallocated buffer."""
+    buf = bytearray(n)
+    got = 0
+    with memoryview(buf) as view:
+        while got < n:
+            count = sock.recv_into(view[got:])
+            if not count:
+                raise ConnectionClosed("peer closed the connection")
+            got += count
     return buf
 
 

@@ -79,10 +79,11 @@ class NodeState:
 
     @classmethod
     def from_config(cls, config: NodeConfig) -> "NodeState":
-        graph = Graph()
-        for gp in config.graph_paths:
-            for triple in load_graph(gp):
-                graph.insert(triple)
+        # each file is parsed once; later ones merge into the first by id
+        loaded = (load_graph(gp) for gp in config.graph_paths)
+        graph = next(loaded, Graph())
+        for other in loaded:
+            graph.update(other)
         return cls(node_id=config.id, graph=graph,
                    contracts=load_contracts(config.contracts_path),
                    provenance=ProvenanceLog(config.provenance_path),
@@ -96,13 +97,12 @@ class NodeState:
         if self._predicates is not None:
             predicates = sorted(self._predicates)
         else:
-            predicates = sorted({t.predicate.value for t in self.graph})
+            predicates = sorted(p.value for p in self.graph.predicates())
         if self._classes is not None:
             classes = sorted(self._classes)
         else:
-            classes = sorted({t.object.value
-                              for t in self.graph.match(None, IRI(RDF_TYPE), None)
-                              if isinstance(t.object, IRI)})
+            classes = sorted(o.value for o in self.graph.objects(IRI(RDF_TYPE))
+                             if isinstance(o, IRI))
         return {"id": self.node_id, "endpoint": self.endpoint,
                 "classes": classes, "predicates": predicates}
 

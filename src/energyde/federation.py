@@ -61,14 +61,24 @@ class FederationCatalog:
 
 
 def parse_catalog(text: str) -> FederationCatalog:
-    doc = yaml.safe_load(text)
-    if not isinstance(doc, dict) or "sources" not in doc:
+    try:
+        doc = yaml.safe_load(text)
+    except yaml.YAMLError as exc:
+        raise FederationError(f"catalog is not valid YAML: {exc}") from None
+    if not isinstance(doc, dict) or not isinstance(doc.get("sources"), list):
         raise FederationError("catalog must have a top-level 'sources' list")
-    prefixes = dict(PREFIXES)
-    prefixes.update(doc.get("prefixes") or {})
+    declared = doc.get("prefixes") or {}
+    if not isinstance(declared, dict):
+        raise FederationError("catalog 'prefixes' must be a mapping")
+    prefixes = {**PREFIXES, **declared}
     sources = []
     for i, entry in enumerate(doc["sources"]):
         where = f"sources[{i}]"
+        if not isinstance(entry, dict):
+            raise FederationError(f"{where}: a source must be a mapping")
+        for key in ("id", "endpoint"):
+            if key not in entry:
+                raise FederationError(f"{where}.{key}: missing")
         sources.append(SourceDescription(
             id=str(entry["id"]),
             endpoint=str(entry["endpoint"]),

@@ -1,9 +1,11 @@
-"""RDF terms, triples, and an indexed in-memory graph with N-Triples I/O."""
+"""RDF terms, triples, and an id-encoded in-memory graph with N-Triples I/O."""
 
 from __future__ import annotations
 
+import re
 import threading
 from dataclasses import dataclass
+from types import MappingProxyType
 from typing import Iterable, Iterator, Optional, Union
 
 from .vocab import RDF_LANGSTRING, XSD_STRING
@@ -21,10 +23,14 @@ class NTriplesParseError(RdfError):
         self.line_no = line_no
 
 
+# for str patterns \s is exactly the characters str.isspace() accepts
+_IRI_FORBIDDEN = re.compile(r'[\s<>"]')
+
+
 def _check_iri(value: str) -> None:
     if ":" not in value:
         raise RdfError(f"IRI missing scheme separator: {value!r}")
-    if any(c.isspace() for c in value) or any(c in value for c in '<>"'):
+    if _IRI_FORBIDDEN.search(value):
         raise RdfError(f"IRI contains forbidden character: {value!r}")
 
 
@@ -81,85 +87,199 @@ class Triple:
         return iter((self.subject, self.predicate, self.object))
 
 
-Pattern = tuple[Optional[Term], Optional[Term], Optional[Term]]
+IdTriple = tuple[int, int, int]
+
+_NO_ENTRIES = MappingProxyType({})
+
+
+def _push(index: dict, a: int, b: int, c: int) -> None:
+    inner = index.get(a)
+    if inner is None:
+        index[a] = {b: [c]}
+        return
+    leaf = inner.get(b)
+    if leaf is None:
+        inner[b] = [c]
+    else:
+        leaf.append(c)
 
 
 class Graph:
-    """Set of triples with subject/predicate/object access indexes.
+    """Set of triples, stored as ids into a term dictionary.
+
+    Each distinct term gets an int id once (``terms[id]`` is the term), and
+    every triple is kept in three nested indexes over ids, in the spirit of
+    HDT's bitmap triples: ``_spo[s][p]`` lists the objects, ``_pos[p][o]``
+    the subjects and ``_osp[o][s]`` the predicates.  Any combination of bound
+    positions is at most two dict hops away.  The OSP leaf, the predicates
+    that link one subject to one object, is the one the duplicate check
+    scans, since it is the shortest in practice.
 
     Many concurrent readers or one writer; ``match`` materializes its result
     under the lock so iteration stays stable while other threads insert.
     """
 
     def __init__(self, triples: Iterable[Triple] = ()):
-        self._triples: set[Triple] = set()
-        self._by_s: dict[Term, set[Triple]] = {}
-        self._by_p: dict[Term, set[Triple]] = {}
-        self._by_o: dict[Term, set[Triple]] = {}
+        self._terms: list[Term] = []
+        self._ids: dict[Term, int] = {}
+        self._spo: dict[int, dict[int, list[int]]] = {}
+        self._pos: dict[int, dict[int, list[int]]] = {}
+        self._osp: dict[int, dict[int, list[int]]] = {}
+        self._size = 0
         self._lock = threading.RLock()
-        for t in triples:
-            self.insert(t)
+        self.update(triples)
 
     def __len__(self) -> int:
-        return len(self._triples)
+        return self._size
 
     def __iter__(self) -> Iterator[Triple]:
         with self._lock:
-            return iter(list(self._triples))
+            return iter(self._decode(self._id_triples()))
 
     def __contains__(self, triple: Triple) -> bool:
-        return triple in self._triples
+        ids = [self._ids.get(term) for term in triple]
+        return None not in ids and self._has(*ids)
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, Graph):
             return NotImplemented
-        return self._triples == other._triples
+        with other._lock:
+            theirs = list(other._id_triples())
+            terms = list(other._terms)
+        if len(theirs) != len(self):
+            return False
+        # the two graphs number their terms independently
+        ours = [self._ids.get(term) for term in terms]
+        with self._lock:
+            return all(None not in (ours[s], ours[p], ours[o])
+                       and self._has(ours[s], ours[p], ours[o])
+                       for s, p, o in theirs)
+
+    @property
+    def terms(self) -> list[Term]:
+        """The term dictionary, indexed by id.  Ids are never reused or
+        renumbered; callers must not modify the list."""
+        return self._terms
+
+    def term_id(self, term: Term) -> Optional[int]:
+        """The id of ``term``, or None if no triple of the graph uses it."""
+        return self._ids.get(term)
 
     def insert(self, triple: Triple) -> int:
         """Insert one triple (set semantics); returns the new graph size."""
         if not isinstance(triple, Triple):
             raise RdfError(f"not a triple: {triple!r}")
         with self._lock:
-            if triple not in self._triples:
-                self._triples.add(triple)
-                self._by_s.setdefault(triple.subject, set()).add(triple)
-                self._by_p.setdefault(triple.predicate, set()).add(triple)
-                self._by_o.setdefault(triple.object, set()).add(triple)
-            return len(self._triples)
+            self._add(self._intern(triple.subject), self._intern(triple.predicate),
+                      self._intern(triple.object))
+            return self._size
 
     def update(self, triples: Iterable[Triple]) -> int:
+        if isinstance(triples, Graph):
+            # copy ids, interning each of the other graph's terms once
+            with triples._lock:
+                terms = list(triples._terms)
+                theirs = list(triples._id_triples())
+            with self._lock:
+                ours = [self._intern(term) for term in terms]
+                for s, p, o in theirs:
+                    self._add(ours[s], ours[p], ours[o])
+                return self._size
         for t in triples:
             self.insert(t)
-        return len(self._triples)
-
-    def index_size(self, position: str, term: Term) -> int:
-        index = {"s": self._by_s, "p": self._by_p, "o": self._by_o}[position]
-        return len(index.get(term, ()))
+        return self._size
 
     def match(self, subject: Optional[Term] = None, predicate: Optional[Term] = None,
               object: Optional[Term] = None) -> list[Triple]:
-        """All triples matching the bound positions, via the most selective index."""
-        with self._lock:
-            candidates = None
-            best = None
-            for index, term in ((self._by_s, subject), (self._by_p, predicate),
-                                (self._by_o, object)):
-                if term is None:
-                    continue
-                bucket = index.get(term)
-                if bucket is None:
-                    return []
-                if best is None or len(bucket) < len(best):
-                    best = bucket
-            candidates = self._triples if best is None else best
-            return [t for t in candidates
-                    if (subject is None or t.subject == subject)
-                    and (predicate is None or t.predicate == predicate)
-                    and (object is None or t.object == object)]
+        """All triples matching the bound positions."""
+        ids = []
+        for term in (subject, predicate, object):
+            tid = None if term is None else self._ids.get(term)
+            if term is not None and tid is None:
+                return []
+            ids.append(tid)
+        return self._decode(self.match_ids(*ids))
 
-    def subjects(self) -> list[Term]:
+    def match_ids(self, s: Optional[int] = None, p: Optional[int] = None,
+                  o: Optional[int] = None) -> list[IdTriple]:
+        """``match`` over term ids: the id triples matching the bound ids."""
         with self._lock:
-            return list(self._by_s)
+            if s is not None and o is not None:
+                return [(s, x, o) for x in self._osp.get(o, _NO_ENTRIES).get(s, ())
+                        if p is None or x == p]
+            if s is not None:
+                by_p = self._spo.get(s, _NO_ENTRIES)
+                if p is not None:
+                    return [(s, p, x) for x in by_p.get(p, ())]
+                return [(s, x, y) for x, ys in by_p.items() for y in ys]
+            if p is not None:
+                by_o = self._pos.get(p, _NO_ENTRIES)
+                if o is not None:
+                    return [(x, p, o) for x in by_o.get(o, ())]
+                return [(y, p, x) for x, ys in by_o.items() for y in ys]
+            if o is not None:
+                return [(x, y, o) for x, ys in self._osp.get(o, _NO_ENTRIES).items()
+                        for y in ys]
+            return list(self._id_triples())
+
+    def count_ids(self, s: Optional[int] = None, p: Optional[int] = None,
+                  o: Optional[int] = None) -> int:
+        """How many id triples ``match_ids`` would return, without building
+        them."""
+        with self._lock:
+            if s is not None and o is not None:
+                leaf = self._osp.get(o, _NO_ENTRIES).get(s, ())
+                return len(leaf) if p is None else leaf.count(p)
+            if s is not None:
+                by_p = self._spo.get(s, _NO_ENTRIES)
+                return len(by_p.get(p, ())) if p is not None \
+                    else sum(map(len, by_p.values()))
+            if p is not None:
+                by_o = self._pos.get(p, _NO_ENTRIES)
+                return len(by_o.get(o, ())) if o is not None \
+                    else sum(map(len, by_o.values()))
+            if o is not None:
+                return sum(map(len, self._osp.get(o, _NO_ENTRIES).values()))
+            return self._size
+
+    def predicates(self) -> list[Term]:
+        """Every distinct predicate, read off the POS index."""
+        with self._lock:
+            return [self._terms[p] for p in self._pos]
+
+    def objects(self, predicate: Term) -> list[Term]:
+        """Every distinct object of ``predicate``, read off the POS index."""
+        pid = self._ids.get(predicate)
+        with self._lock:
+            return [self._terms[o] for o in self._pos.get(pid, ())]
+
+    def _intern(self, term: Term) -> int:
+        tid = self._ids.get(term)
+        if tid is None:
+            tid = self._ids[term] = len(self._terms)
+            self._terms.append(term)
+        return tid
+
+    def _has(self, s: int, p: int, o: int) -> bool:
+        return p in self._osp.get(o, _NO_ENTRIES).get(s, ())
+
+    def _add(self, s: int, p: int, o: int) -> None:
+        """Add one id triple unless the graph already holds it.  Callers hold
+        the lock."""
+        if self._has(s, p, o):
+            return
+        _push(self._osp, o, s, p)
+        _push(self._spo, s, p, o)
+        _push(self._pos, p, o, s)
+        self._size += 1
+
+    def _id_triples(self) -> Iterator[IdTriple]:
+        return ((s, p, o) for s, by_p in self._spo.items()
+                for p, objects in by_p.items() for o in objects)
+
+    def _decode(self, id_triples: Iterable[IdTriple]) -> list[Triple]:
+        terms = self._terms
+        return [Triple(terms[s], terms[p], terms[o]) for s, p, o in id_triples]
 
 
 # --- N-Triples -------------------------------------------------------------
@@ -169,6 +289,8 @@ _ESCAPES = {"t": "\t", "b": "\b", "n": "\n", "r": "\r", "f": "\f",
 
 
 def _unescape(raw: str, line_no: int) -> str:
+    if "\\" not in raw:
+        return raw
     out = []
     i = 0
     while i < len(raw):
@@ -198,7 +320,12 @@ def _unescape(raw: str, line_no: int) -> str:
     return "".join(out)
 
 
+_NEEDS_ESCAPE = re.compile(r'[\\"\x00-\x1f\x85\u2028\u2029]').search
+
+
 def _escape(text: str) -> str:
+    if not _NEEDS_ESCAPE(text):
+        return text
     out = []
     for c in text:
         if c == "\\":
@@ -298,29 +425,72 @@ class _LineScanner:
         self.error(f"unexpected character {c!r}")
 
 
+def _scan_line(line: str, line_no: int) -> Optional[Triple]:
+    """The general line parser: any escape, and every error message.  None
+    for a blank or comment line."""
+    stripped = line.strip()
+    if not stripped or stripped.startswith("#"):
+        return None
+    scanner = _LineScanner(line, line_no)
+    s = scanner.term()
+    p = scanner.term()
+    o = scanner.term()
+    scanner.skip_ws()
+    if scanner.at_end() or scanner.line[scanner.pos] != ".":
+        raise NTriplesParseError(line_no, 'missing terminal "."')
+    scanner.pos += 1
+    scanner.skip_ws()
+    if not scanner.at_end() and not scanner.line[scanner.pos:].lstrip().startswith("#"):
+        raise NTriplesParseError(line_no, "trailing content after terminal \".\"")
+    try:
+        return Triple(s, p, o)
+    except RdfError as exc:
+        raise NTriplesParseError(line_no, str(exc)) from None
+
+
+# The fast path: a statement with no escape, so every term is its text.  A
+# subject is an IRI or blank node, a predicate an IRI.  Blank node labels and
+# language tags are possessive, so that the regex never accepts a split the
+# scanner would not make (the scanner reads "_:b." as the label "b.").
+_NT_IRI = r'<[^<>"\s\\]*>'
+_NT_BLANK = r"_:[A-Za-z0-9_.-]++"
+_NT_LITERAL = rf'"[^"\\]*"(?:\^\^{_NT_IRI}|@[A-Za-z0-9-]++)?'
+_NT_LINE = re.compile(
+    rf"[ \t]*({_NT_IRI}|{_NT_BLANK})[ \t]*({_NT_IRI})"
+    rf"[ \t]*({_NT_IRI}|{_NT_BLANK}|{_NT_LITERAL})[ \t]*\.[ \t]*(?:#.*)?")
+
+
+def _token_term(token: str) -> Term:
+    """The term a fast-path token denotes; raises RdfError when the scanner
+    would reject it."""
+    return _LineScanner(token, 0).term()
+
+
 def parse_ntriples(text: str) -> Graph:
     """Parse N-Triples text, one statement per line.  Fails fast on the first
-    syntax error, reporting its line number."""
-    graph = Graph()
+    syntax error, reporting its line number.
+
+    Lines the fast-path regex accepts go straight to term ids: each distinct
+    token text is turned into a term, checked and interned once.  Every other
+    line, and every error, goes through ``_scan_line``."""
+    graph = Graph()                 # no other thread sees it yet: no lock
+    ids: dict[str, int] = {}        # token text -> term id
+    fast_line = _NT_LINE.fullmatch
     for line_no, line in enumerate(text.splitlines(), start=1):
-        stripped = line.strip()
-        if not stripped or stripped.startswith("#"):
-            continue
-        scanner = _LineScanner(line, line_no)
-        s = scanner.term()
-        p = scanner.term()
-        o = scanner.term()
-        scanner.skip_ws()
-        if scanner.at_end() or scanner.line[scanner.pos] != ".":
-            raise NTriplesParseError(line_no, 'missing terminal "."')
-        scanner.pos += 1
-        scanner.skip_ws()
-        if not scanner.at_end() and not scanner.line[scanner.pos:].lstrip().startswith("#"):
-            raise NTriplesParseError(line_no, "trailing content after terminal \".\"")
-        try:
-            graph.insert(Triple(s, p, o))
-        except RdfError as exc:
-            raise NTriplesParseError(line_no, str(exc)) from None
+        match = fast_line(line)
+        if match is not None:
+            try:
+                s, p, o = [ids[token] if token in ids
+                           else ids.setdefault(token, graph._intern(_token_term(token)))
+                           for token in match.groups()]
+            except RdfError:
+                match = None
+        if match is None:
+            triple = _scan_line(line, line_no)
+            if triple is None:
+                continue
+            s, p, o = (graph._intern(term) for term in triple)
+        graph._add(s, p, o)
     return graph
 
 
@@ -339,15 +509,14 @@ def format_term(term: Term) -> str:
     raise RdfError(f"not a term: {term!r}")
 
 
-def format_triple(triple: Triple) -> str:
-    return (f"{format_term(triple.subject)} {format_term(triple.predicate)} "
-            f"{format_term(triple.object)} .")
-
-
 def serialize_ntriples(graph: Graph) -> str:
     """Deterministic N-Triples output: one line per triple, lexicographically
-    sorted.  ``parse_ntriples(serialize_ntriples(g)) == g``."""
-    lines = sorted(format_triple(t) for t in graph)
+    sorted.  ``parse_ntriples(serialize_ntriples(g)) == g``.  Each distinct
+    term is formatted once."""
+    with graph._lock:
+        texts = [format_term(term) for term in graph._terms]
+        lines = [f"{texts[s]} {texts[p]} {texts[o]} ." for s, p, o in graph._id_triples()]
+    lines.sort()
     return "".join(line + "\n" for line in lines)
 
 

@@ -335,10 +335,6 @@ class SolutionSequence:
     variables: list[str]
     rows: list[dict[str, Term]]
 
-    def tuples(self) -> set[tuple]:
-        """Projected rows as a set of tuples (None for unbound)."""
-        return {tuple(row.get(v) for v in self.variables) for row in self.rows}
-
     def __len__(self):
         return len(self.rows)
 
@@ -382,64 +378,83 @@ def _filter_ok(row: dict[str, Term], comparison: Comparison) -> bool:
     return _compare(value, comparison.op, comparison.constant)
 
 
-def _order_patterns(patterns, graph: Graph):
-    """Greedy join order: most bound positions first, then the smallest
-    index-cardinality estimate."""
-    remaining = list(patterns)
+def _order_patterns(patterns: list, graph: Graph) -> list:
+    """Greedy join order over encoded patterns (a term id or a variable name
+    per position): most bound positions first, then the fewest triples
+    matching the pattern's constants."""
+    if len(patterns) < 2:
+        return patterns
+    remaining = [(p, graph.count_ids(*[x if isinstance(x, int) else None for x in p]))
+                 for p in patterns]
     ordered = []
     known: set[str] = set()
 
-    def score(p: TriplePattern):
-        bound = 0
-        estimate = len(graph) + 1
-        for pos, term in zip("spo", p):
-            if isinstance(term, Variable):
-                if term.name in known:
-                    bound += 1
-            else:
-                bound += 1
-                estimate = min(estimate, graph.index_size(pos, term))
-        return (-bound, estimate)
+    def score(item):
+        pattern, estimate = item
+        return (-sum(1 for x in pattern if isinstance(x, int) or x in known), estimate)
 
     while remaining:
         best = min(remaining, key=score)
         remaining.remove(best)
-        ordered.append(best)
-        known |= best.variables()
+        ordered.append(best[0])
+        known.update(x for x in best[0] if isinstance(x, str))
     return ordered
 
 
-def _resolve(term: PatternTerm, row: dict[str, Term]) -> Optional[Term]:
-    if isinstance(term, Variable):
-        return row.get(term.name)
-    return term
-
-
-def evaluate(query: Query, graph: Graph) -> SolutionSequence:
-    """Standard BGP semantics over one graph, then ``apply_modifiers``."""
-    rows: list[dict[str, Term]] = [{}]
-    for pattern in _order_patterns(query.patterns, graph):
+def _match_bgp(query: Query, graph: Graph) -> tuple[list[str], list[tuple]]:
+    """The BGP's solutions as rows of term ids, one column per variable.
+    Pattern constants are resolved to ids once; a constant the graph does not
+    hold matches nothing."""
+    patterns = []
+    for pattern in query.patterns:
+        encoded = []
+        for term in pattern:
+            tid = term.name if isinstance(term, Variable) else graph.term_id(term)
+            if tid is None:
+                return [], []
+            encoded.append(tid)
+        patterns.append(encoded)
+    columns: list[str] = []
+    rows: list[tuple] = [()]
+    for pattern in _order_patterns(patterns, graph):
+        lookup = []         # per position: (constant id, None) or (None, column)
+        take = []           # positions whose variable gets a new column
+        same = []           # (position, first position) of a repeated new variable
+        for i, x in enumerate(pattern):
+            if isinstance(x, int):
+                lookup.append((x, None))
+            elif x in columns:
+                lookup.append((None, columns.index(x)))
+            else:
+                lookup.append((None, None))
+                first = pattern.index(x)
+                if first == i:
+                    take.append(i)
+                else:
+                    same.append((i, first))
+        columns += [pattern[i] for i in take]
         next_rows = []
         for row in rows:
-            s = _resolve(pattern.subject, row)
-            p = _resolve(pattern.predicate, row)
-            o = _resolve(pattern.object, row)
-            for triple in graph.match(s, p, o):
-                extended = dict(row)
-                ok = True
-                for term, value in zip(pattern, triple):
-                    if isinstance(term, Variable):
-                        existing = extended.get(term.name)
-                        if existing is not None and existing != value:
-                            ok = False
-                            break
-                        extended[term.name] = value
-                if ok:
-                    next_rows.append(extended)
+            ids = [row[col] if col is not None else const for const, col in lookup]
+            for triple in graph.match_ids(*ids):
+                if same and any(triple[i] != triple[j] for i, j in same):
+                    continue
+                next_rows.append(row + tuple([triple[i] for i in take]))
         rows = next_rows
         if not rows:
             break
-    return apply_modifiers(rows, query)
+    return columns, rows
+
+
+def evaluate(query: Query, graph: Graph) -> SolutionSequence:
+    """Standard BGP semantics over one graph, then ``apply_modifiers``.  Rows
+    bind term ids; only the columns the modifiers read are decoded."""
+    columns, rows = _match_bgp(query, graph)
+    read = set(query.projected) | {f.variable.name for f in query.filters}
+    decode = [(name, i) for i, name in enumerate(columns) if name in read]
+    terms = graph.terms
+    return apply_modifiers([{name: terms[row[i]] for name, i in decode} for row in rows],
+                           query)
 
 
 def apply_modifiers(rows: list[dict[str, Term]], query: Query) -> SolutionSequence:

@@ -270,7 +270,7 @@ def test_8_concurrency_determinism(fixture_dir, live_nodes, tmp_path):
     catalog = live_catalog(fixture_dir, live_nodes)
 
     def run_once():
-        return federated_query(text, catalog).tuples()
+        return genutil.bag(federated_query(text, catalog))
 
     for server in live_nodes.values():
         server.state.provenance.path.write_text("")

@@ -1,4 +1,5 @@
 import json
+import re
 import shlex
 import shutil
 from pathlib import Path
@@ -153,6 +154,21 @@ class TestFederate:
             "--query", str(workdir / "queries" / "federated.rq"))
         assert code == 1
         assert "error:" in err
+
+    @pytest.mark.parametrize("edit, message", [
+        (lambda text: text.replace("endpoint:", "where:", 1), r"sources\[0\]\.endpoint"),
+        (lambda text: text.replace("energy:", "nope:", 1), "unknown prefix 'nope'"),
+        (lambda text: text + "\n  - [", "not valid YAML"),
+    ])
+    def test_bad_catalog_config_error(self, capsys, workdir, edit, message):
+        catalog = workdir / "catalog.yaml"
+        catalog.write_text(edit(catalog.read_text()))
+        for plan in (("--plan",), ()):
+            code, _, err = run_cli(
+                capsys, "federate", *plan, "--catalog", str(catalog),
+                "--query", str(workdir / "queries" / "federated.rq"))
+            assert code == 2
+            assert re.search(message, err) and "Traceback" not in err
 
 
 class TestProvenance:

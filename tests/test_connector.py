@@ -6,6 +6,7 @@ from datetime import datetime, timezone
 import pytest
 
 from conftest import make_node, open_contract
+from genutil import bag
 from energyde.connector.client import (NodeClient, RejectionError,
                                        SourceUnreachableError)
 from energyde.connector.contracts import (Contract, ContractError,
@@ -30,6 +31,22 @@ def small_graph(n=5):
     for i in range(n):
         g.insert(Triple(IRI(EX + f"s{i}"), IRI(EX + "p"), Literal(str(i))))
     return g
+
+
+class ChunkedSocket:
+    """Serves ``data`` through ``recv_into``, at most ``chunk`` bytes a call."""
+
+    def __init__(self, data: bytes, chunk: int):
+        self.data, self.chunk = data, chunk
+        self.offset = self.calls = 0
+
+    def recv_into(self, buffer, nbytes=0):
+        self.calls += 1
+        n = min(len(buffer), nbytes or len(buffer), self.chunk,
+                len(self.data) - self.offset)
+        buffer[:n] = self.data[self.offset:self.offset + n]
+        self.offset += n
+        return n
 
 
 def query_request(sender="fed", contract="tso-open", query=None):
@@ -70,6 +87,14 @@ class TestFraming:
                 recv_frame(b)
         finally:
             b.close()
+
+    def test_frame_split_across_small_chunks(self):
+        payload = {"rows": [f"row-{i}" for i in range(2000)]}
+        frame = encode_frame(payload)
+        sock = ChunkedSocket(frame, chunk=3)
+        assert recv_frame(sock) == payload
+        assert sock.offset == len(frame)
+        assert sock.calls >= len(frame) // 3
 
     def test_undecodable_payload_raises(self):
         a, b = socket.socketpair()
@@ -336,7 +361,7 @@ class TestWire:
             client = NodeClient(endpoint=server.endpoint, sender_id="fed",
                                 contract_id="busy-open", source_id="busy")
             try:
-                results.append(client.query(text).tuples())
+                results.append(bag(client.query(text)))
             except Exception as exc:  # noqa: BLE001 - surfaced via assert
                 errors.append(exc)
 
@@ -347,6 +372,7 @@ class TestWire:
             t.join()
         assert not errors
         assert len(results) == 50
+        assert sum(results[0].values()) == 5
         assert all(r == results[0] for r in results)
         records = read_log(tmp_path / "busy.jsonl")
         assert len(records) == 50

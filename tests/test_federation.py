@@ -47,6 +47,21 @@ class TestCatalog:
                            match=r"sources\[0\]\.predicates: unknown prefix 'nope'"):
             parse_catalog(text)
 
+    @pytest.mark.parametrize("key, old, new", [
+        ("id", "  - id: left\n    endpoint:", "  - endpoint:"),
+        ("endpoint", "    endpoint: 127.0.0.1:1\n", ""),
+    ])
+    def test_source_without_key_rejected(self, key, old, new):
+        text = TWO_SOURCE_CATALOG.replace(old, new)
+        with pytest.raises(FederationError, match=rf"sources\[0\]\.{key}: missing"):
+            parse_catalog(text)
+
+    @pytest.mark.parametrize("text", ["sources: [", "sources: 3", "sources: [x]",
+                                      "prefixes: [a]\nsources: []"])
+    def test_malformed_document_rejected(self, text):
+        with pytest.raises(FederationError):
+            parse_catalog(text)
+
     def test_empty_predicates_rejected(self):
         with pytest.raises(Exception):
             SourceDescription(id="x", endpoint="e", predicates=frozenset(),

@@ -1,12 +1,16 @@
+import hashlib
+import itertools
 import random
+import sys
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
+from energyde import rdf
 from energyde.rdf import (BlankNode, Graph, IRI, Literal, NTriplesParseError,
                           RdfError, Triple, parse_ntriples,
                           serialize_ntriples)
-from energyde.vocab import GENERATION_CAPACITY, RDF_TYPE, XSD_STRING
+from energyde.vocab import GENERATION_CAPACITY, RDF_TYPE, XSD_INTEGER, XSD_STRING
 from genutil import random_graph
 
 
@@ -42,6 +46,11 @@ class TestTerms:
     def test_literal_subject_rejected(self):
         with pytest.raises(RdfError):
             Triple(Literal("x"), IRI(EX + "p"), Literal("y"))
+
+    def test_forbidden_iri_characters_on_every_code_point(self):
+        every = "".join(map(chr, range(sys.maxunicode + 1)))
+        by_regex = set(rdf._IRI_FORBIDDEN.findall(every))
+        assert by_regex == {c for c in every if c.isspace() or c in '<>"'}
 
     def test_non_iri_predicate_rejected(self):
         with pytest.raises(RdfError):
@@ -86,6 +95,48 @@ class TestGraph:
                         if all(b is None or b == v
                                for b, v in zip(pattern, tr))}
             assert set(g.match(*pattern)) == expected
+
+    def test_id_lookups_agree_with_match(self):
+        rng = random.Random(11)
+        g = random_graph(rng, 300)
+        triples = list(g)
+        for _ in range(40):
+            base = rng.choice(triples)
+            pattern = [x if rng.random() < 0.5 else None for x in base]
+            ids = [None if x is None else g.term_id(x) for x in pattern]
+            found = g.match_ids(*ids)
+            assert g.count_ids(*ids) == len(found)
+            assert {Triple(*(g.terms[i] for i in t)) for t in found} == set(g.match(*pattern))
+
+    def test_equality_across_id_assignments(self):
+        rng = random.Random(5)
+        triples = list(random_graph(rng, 200))
+        shuffled = triples[:]
+        rng.shuffle(shuffled)
+        g1, g2 = Graph(triples), Graph(reversed(shuffled))
+        assert g1.terms != g2.terms         # the same terms, numbered differently
+        assert g1 == g2 and g2 == g1
+        assert all(t in g2 for t in triples)
+        fewer = Graph(triples[1:])
+        assert g1 != fewer and fewer != g1
+        other = Graph(triples[1:] + [t(EX + "new", EX + "p", "o")])
+        assert len(other) == len(g1)
+        assert g1 != other and other != g1
+        assert t(EX + "new", EX + "p", "o") not in g1
+
+    def test_update_from_graph_merges_by_term(self):
+        rng = random.Random(9)
+        triples = list(random_graph(rng, 150))
+        left, right = Graph(triples[:100]), Graph(reversed(triples[60:]))
+        assert left.update(right) == len(triples)
+        assert left == Graph(triples)
+
+    def test_catalog_views(self):
+        g = Graph([t(EX + "s", RDF_TYPE, IRI(EX + "C")), t(EX + "s", EX + "p", "x"),
+                   t(EX + "u", RDF_TYPE, IRI(EX + "D")), t(EX + "u", EX + "p", "y")])
+        assert sorted(p.value for p in g.predicates()) == [EX + "p", RDF_TYPE]
+        assert sorted(o.value for o in g.objects(IRI(RDF_TYPE))) == [EX + "C", EX + "D"]
+        assert g.objects(IRI(EX + "absent")) == []
 
     def test_type_match_on_fixture(self, fixture_dir):
         # oracle: linear scan over the serialized fixture file
@@ -168,3 +219,116 @@ def test_round_trip_property(triples):
     g = Graph(triples)
     assert parse_ntriples(serialize_ntriples(g)) == g
     assert len(g) == len(set(triples))
+
+
+# sha256 of the files generate_fixtures(1) writes and of tricky_graph()'s
+# N-Triples, pinned from the serializer of the set-based graph this graph
+# replaced: the output bytes must not change
+FIXTURE_DIGESTS = {
+    "capacity_defective.nt": "b2a6aa38c88622860e4ea2a2ff51c86825d3c239bc3abc0950d78aa919f26186",
+    "forecast.nt": "3288953b396e3e87d3779214de2be58b1f3e43391f74f99e1955d48d04692a60",
+    "producer.nt": "b834112e3c15babd714fc6da36b05d179af2f5af24f830c5a6d4e0d3fd2c43f8",
+    "reference.nt": "b1a983f6bdcdeddfd757e722552b9e64a44859e1228960118047247b948787d9",
+    "supplier.nt": "fce6e7ce4b3628f1535a8dc400e423418b002c0f4ab1e021b047351f966436fc",
+    "tso.nt": "bfccc5373353475fa7af345c5dc1087e6f7fd3445d99992883defffcf7d1465d",
+    "tso_load.nt": "1a1b7631744786ac75b3de199fd569bc5e623b453be1ac4fb5567803001f84de",
+}
+TRICKY_DIGEST = "0a8e129b3936d7d48c554b7d99fd20135f5e2696625b7aa6328b70b3d4b9eeba"
+LEXICALS = ["plain", 'quote " in', "back\\slash", "new\nline", "tab\t", "cr\r",
+            "nul\x00", "bell\x07", "nel\x85", "ls\u2028ps\u2029", "\u00e9 \u4e2d", ""]
+
+
+def tricky_graph() -> Graph:
+    g = Graph()
+    for i, lexical in enumerate(LEXICALS):
+        s = IRI(f"{EX}s{i % 3}")
+        g.insert(Triple(s, IRI(EX + "p"), Literal(lexical)))
+        g.insert(Triple(s, IRI(EX + "q"), Literal(lexical, lang="en")))
+        g.insert(Triple(BlankNode(f"b{i}"), IRI(EX + "r"), Literal(lexical, XSD_INTEGER)))
+    return g
+
+
+def sha256(text: str) -> str:
+    return hashlib.sha256(text.encode("utf-8")).hexdigest()
+
+
+def test_serializer_bytes_pinned(fixture_dir):
+    for name, want in FIXTURE_DIGESTS.items():
+        text = (fixture_dir / "graphs" / name).read_text(encoding="utf-8")
+        assert sha256(text) == want, name
+        assert serialize_ntriples(parse_ntriples(text)) == text
+    text = serialize_ntriples(tricky_graph())
+    assert sha256(text) == TRICKY_DIGEST
+    assert parse_ntriples(text) == tricky_graph()
+
+
+def test_fast_path_takes_every_fixture_line(fixture_dir):
+    for name in FIXTURE_DIGESTS:
+        text = (fixture_dir / "graphs" / name).read_text(encoding="utf-8")
+        assert all(rdf._NT_LINE.fullmatch(line) for line in text.splitlines())
+
+
+# pieces of N-Triples lines, valid and not.  None holds a line separator,
+# since parse_ntriples splits its input into lines first.
+_NT_SUBJECTS = ["<http://ex.org/a>", "<urn:x>", "_:b1", "_:a.", "_:x-y", '"lit"',
+                "<nocolon>", "<a b:c>", "_:", "<http://ex.org/\u00e9>", "_:\u00e9b"]
+_NT_PREDICATES = ["<http://ex.org/p>", "<urn:p>", "_:p", '"p"', "<p>",
+                  "<http://ex.org/\\u0041>"]
+_NT_OBJECTS = [
+    "<http://ex.org/o>", "_:o1", "_:o.", '"v"', '"a b"', '""', '"x"@en', '"x"@en-GB',
+    '"x"@en-', '"x"@', '"x"@\u00e9', '"x"@en\u00e9', '"x"^^<urn:t>@en', '"x" "y"',
+    '"1"^^<http://www.w3.org/2001/XMLSchema#integer>', '"1"^^<bad>', '"1"^^',
+    '"1"^^<http://www.w3.org/2001/XMLSchema#string>', '"1"^^<a b:c>',
+    '"q\\"q"', '"\\u0041"', '"\\q"', '"tab\\t"', '"\u00e9"', '"unterminated',
+    "<http://ex.org/\\u0041>", "<http://ex.org/\u00e9>", "<nocolon>", "<a<b:c>",
+]
+_NT_GAPS = ["", " ", "\t ", "\u00a0"]
+_NT_ENDS = [".", " .", "\t. # c", ".x", "", " . ", ". \u00a0#c", "..", " .#", ". \u00a0"]
+_NT_PIECES = (_NT_SUBJECTS + _NT_PREDICATES + _NT_OBJECTS + _NT_GAPS + _NT_ENDS
+              + ["<", ">", '"', "@", "^^", "#", "\\", "_:", "x", ":"])
+
+
+def assert_fast_path_agrees(line: str) -> None:
+    """A line the fast-path regex accepts, and whose tokens make terms, gives
+    the scanner's triple; parse_ntriples gives the scanner's result or error
+    on every line."""
+    try:
+        expected, error = rdf._scan_line(line, 1), None
+    except NTriplesParseError as exc:
+        expected, error = None, str(exc)
+    match = rdf._NT_LINE.fullmatch(line)
+    if match is not None:
+        try:
+            terms = [rdf._token_term(token) for token in match.groups()]
+        except RdfError:
+            terms = None        # the fast path declines; the scanner decides
+        if terms is not None:
+            assert error is None, line
+            assert Triple(*terms) == expected, line
+    try:
+        graph = parse_ntriples(line)
+    except NTriplesParseError as exc:
+        assert str(exc) == error, line
+    else:
+        assert error is None, line
+        assert graph == Graph([expected] if expected is not None else []), line
+
+
+_nt_line = st.one_of(
+    st.tuples(*(st.sampled_from(choices) for choices in (
+        _NT_GAPS, _NT_SUBJECTS, _NT_GAPS, _NT_PREDICATES, _NT_GAPS, _NT_OBJECTS,
+        _NT_ENDS))).map("".join),
+    st.lists(st.sampled_from(_NT_PIECES), max_size=12).map("".join),
+)
+
+
+@settings(max_examples=500)
+@given(_nt_line)
+def test_fast_path_agrees_with_scanner(line):
+    assert_fast_path_agrees(line)
+
+
+def test_fast_path_agrees_with_scanner_on_every_combination():
+    for s, p, o in itertools.product(_NT_SUBJECTS, _NT_PREDICATES, _NT_OBJECTS):
+        for gap, end in [(" ", end) for end in _NT_ENDS] + [(g, ".") for g in _NT_GAPS]:
+            assert_fast_path_agrees(f"{gap}{s}{gap}{p}{gap}{o}{end}")
