@@ -6,6 +6,7 @@ import json
 import struct
 
 MAX_FRAME = 64 * 1024 * 1024
+_CHUNK = 1 << 20                # largest single recv
 
 
 class ConnectionClosed(ConnectionError):
@@ -26,15 +27,14 @@ def send_frame(sock, obj) -> None:
 
 
 def _recvall(sock, n: int) -> bytearray:
-    """Exactly ``n`` bytes, read into one preallocated buffer."""
-    buf = bytearray(n)
-    got = 0
-    with memoryview(buf) as view:
-        while got < n:
-            count = sock.recv_into(view[got:])
-            if not count:
-                raise ConnectionClosed("peer closed the connection")
-            got += count
+    """Exactly ``n`` bytes.  The buffer grows only as bytes arrive, so a
+    header that announces a large frame commits no memory by itself."""
+    buf = bytearray()
+    while len(buf) < n:
+        chunk = sock.recv(min(n - len(buf), _CHUNK))
+        if not chunk:
+            raise ConnectionClosed("peer closed the connection")
+        buf += chunk
     return buf
 
 

@@ -225,7 +225,8 @@ class Graph:
     def count_ids(self, s: Optional[int] = None, p: Optional[int] = None,
                   o: Optional[int] = None) -> int:
         """How many id triples ``match_ids`` would return, without building
-        them."""
+        them (the join-order estimate).  Must agree with ``match_ids``; a
+        test checks the two on every combination of bound positions."""
         with self._lock:
             if s is not None and o is not None:
                 leaf = self._osp.get(o, _NO_ENTRIES).get(s, ())
@@ -320,12 +321,7 @@ def _unescape(raw: str, line_no: int) -> str:
     return "".join(out)
 
 
-_NEEDS_ESCAPE = re.compile(r'[\\"\x00-\x1f\x85\u2028\u2029]').search
-
-
 def _escape(text: str) -> str:
-    if not _NEEDS_ESCAPE(text):
-        return text
     out = []
     for c in text:
         if c == "\\":
@@ -449,12 +445,13 @@ def _scan_line(line: str, line_no: int) -> Optional[Triple]:
 
 
 # The fast path: a statement with no escape, so every term is its text.  A
-# subject is an IRI or blank node, a predicate an IRI.  Blank node labels and
-# language tags are possessive, so that the regex never accepts a split the
-# scanner would not make (the scanner reads "_:b." as the label "b.").
+# subject is an IRI or blank node, a predicate an IRI.  A blank node label
+# must run to the end of its character class (the lookahead), so that the
+# regex never accepts a split the scanner would not make: the scanner reads
+# "_:b." as the label "b.".
 _NT_IRI = r'<[^<>"\s\\]*>'
-_NT_BLANK = r"_:[A-Za-z0-9_.-]++"
-_NT_LITERAL = rf'"[^"\\]*"(?:\^\^{_NT_IRI}|@[A-Za-z0-9-]++)?'
+_NT_BLANK = r"_:[A-Za-z0-9_.-]+(?![A-Za-z0-9_.-])"
+_NT_LITERAL = rf'"[^"\\]*"(?:\^\^{_NT_IRI}|@[A-Za-z0-9-]+)?'
 _NT_LINE = re.compile(
     rf"[ \t]*({_NT_IRI}|{_NT_BLANK})[ \t]*({_NT_IRI})"
     rf"[ \t]*({_NT_IRI}|{_NT_BLANK}|{_NT_LITERAL})[ \t]*\.[ \t]*(?:#.*)?")

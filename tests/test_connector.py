@@ -1,6 +1,7 @@
 import json
 import socket
 import threading
+import tracemalloc
 from datetime import datetime, timezone
 
 import pytest
@@ -12,7 +13,7 @@ from energyde.connector.client import (NodeClient, RejectionError,
 from energyde.connector.contracts import (Contract, ContractError,
                                           ContractStore, authorize,
                                           load_contracts)
-from energyde.connector.framing import (ConnectionClosed, FrameError,
+from energyde.connector.framing import (MAX_FRAME, ConnectionClosed, FrameError,
                                         encode_frame, recv_frame, send_frame)
 from energyde.connector.messages import (Message, MessageError, digest,
                                          format_rfc3339, rejection)
@@ -34,19 +35,18 @@ def small_graph(n=5):
 
 
 class ChunkedSocket:
-    """Serves ``data`` through ``recv_into``, at most ``chunk`` bytes a call."""
+    """Serves ``data`` through ``recv``, at most ``chunk`` bytes a call, then
+    reports the peer closed."""
 
     def __init__(self, data: bytes, chunk: int):
         self.data, self.chunk = data, chunk
         self.offset = self.calls = 0
 
-    def recv_into(self, buffer, nbytes=0):
+    def recv(self, bufsize):
         self.calls += 1
-        n = min(len(buffer), nbytes or len(buffer), self.chunk,
-                len(self.data) - self.offset)
-        buffer[:n] = self.data[self.offset:self.offset + n]
+        n = min(bufsize, self.chunk, len(self.data) - self.offset)
         self.offset += n
-        return n
+        return self.data[self.offset - n:self.offset]
 
 
 def query_request(sender="fed", contract="tso-open", query=None):
@@ -95,6 +95,17 @@ class TestFraming:
         assert recv_frame(sock) == payload
         assert sock.offset == len(frame)
         assert sock.calls >= len(frame) // 3
+
+    def test_large_header_then_close_commits_no_memory(self):
+        sock = ChunkedSocket(MAX_FRAME.to_bytes(4, "big"), chunk=1 << 30)
+        tracemalloc.start()
+        try:
+            with pytest.raises(ConnectionClosed):
+                recv_frame(sock)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 1 << 20
 
     def test_undecodable_payload_raises(self):
         a, b = socket.socketpair()

@@ -1,6 +1,7 @@
 import hashlib
 import itertools
 import random
+import re
 import sys
 
 import pytest
@@ -100,9 +101,9 @@ class TestGraph:
         rng = random.Random(11)
         g = random_graph(rng, 300)
         triples = list(g)
-        for _ in range(40):
-            base = rng.choice(triples)
-            pattern = [x if rng.random() < 0.5 else None for x in base]
+        for base, keep in itertools.product(rng.sample(triples, 10),
+                                            itertools.product((True, False), repeat=3)):
+            pattern = [x if k else None for x, k in zip(base, keep)]
             ids = [None if x is None else g.term_id(x) for x in pattern]
             found = g.match_ids(*ids)
             assert g.count_ids(*ids) == len(found)
@@ -266,6 +267,11 @@ def test_fast_path_takes_every_fixture_line(fixture_dir):
     for name in FIXTURE_DIGESTS:
         text = (fixture_dir / "graphs" / name).read_text(encoding="utf-8")
         assert all(rdf._NT_LINE.fullmatch(line) for line in text.splitlines())
+
+
+def test_fast_path_regex_needs_no_python_3_11_syntax():
+    # re accepts possessive quantifiers and atomic groups only from 3.11 on
+    assert not re.search(r"[*+?}]\+|\(\?>", rdf._NT_LINE.pattern)
 
 
 # pieces of N-Triples lines, valid and not.  None holds a line separator,
