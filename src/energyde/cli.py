@@ -10,15 +10,17 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from dataclasses import replace
 from pathlib import Path
 
 from . import federation, fixtures, pipeline, scenario
+from .config import ConfigError
 from .connector.client import RejectionError, SourceUnreachableError
 from .connector.node import load_node_config, serve
 from .connector.provenance import read_log
-from .mapping import MappingError, apply_mapping, load_mapping
+from .mapping import apply_mapping, load_mapping, read_records
 from .rdf import NTriplesParseError, RdfError, load_graph, save_graph
-from .shapes import ShapesError, load_shapes, validate
+from .shapes import load_shapes, validate
 from .sparql import QueryParseError, evaluate, parse_query, serialize_results
 
 
@@ -28,20 +30,14 @@ def _err(message: str) -> None:
 
 def cmd_rdfize(args) -> int:
     doc = load_mapping(args.mapping)
-    base = Path(args.mapping).parent
     if args.input:
-        from .mapping import LogicalSource, read_records
-        records = []
-        for tmap in doc.maps:
-            source = LogicalSource(path=Path(args.input).name,
-                                   format=tmap.source.format,
-                                   filter_field=tmap.source.filter_field,
-                                   filter_equals=tmap.source.filter_equals)
-            records = read_records(source, Path(args.input).parent)
-            break
+        # the first map's source settings, read from the given file
+        records = [] if not doc.maps else read_records(
+            replace(doc.maps[0].source, path=Path(args.input).name),
+            Path(args.input).parent)
         result = apply_mapping(doc, records=records)
     else:
-        result = apply_mapping(doc, base_dir=base)
+        result = apply_mapping(doc, base_dir=Path(args.mapping).parent)
     for index, message in result.errors:
         print(f"record {index}: {message}", file=sys.stderr)
     save_graph(result.graph, args.output)
@@ -90,12 +86,7 @@ def cmd_query(args) -> int:
 
 
 def cmd_federate(args) -> int:
-    try:
-        catalog = federation.load_catalog(args.catalog)
-    except federation.FederationError as exc:
-        # a catalog that does not parse is a configuration error
-        _err(f"{args.catalog}: {exc}")
-        return 2
+    catalog = federation.load_catalog(args.catalog)
     text = Path(args.query).read_text(encoding="utf-8")
     if args.plan:
         plan = federation.plan_query(text, catalog)
@@ -198,11 +189,11 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+# a bad catalog is both a config and a federation error: it exits 2
+_CONFIG_ERRORS = (ConfigError, QueryParseError, NTriplesParseError, RdfError,
+                  FileNotFoundError)
 _DOMAIN_ERRORS = (RejectionError, SourceUnreachableError,
                   federation.FederationError, scenario.ScenarioError)
-_CONFIG_ERRORS = (MappingError, ShapesError, QueryParseError,
-                  NTriplesParseError, RdfError, pipeline.PipelineError,
-                  FileNotFoundError)
 
 
 def main(argv=None) -> int:
@@ -213,12 +204,12 @@ def main(argv=None) -> int:
         return 2 if exc.code not in (0, None) else 0
     try:
         return args.func(args)
-    except _DOMAIN_ERRORS as exc:
-        _err(str(exc))
-        return 1
     except _CONFIG_ERRORS as exc:
         _err(str(exc))
         return 2
+    except _DOMAIN_ERRORS as exc:
+        _err(str(exc))
+        return 1
 
 
 if __name__ == "__main__":

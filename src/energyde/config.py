@@ -1,0 +1,162 @@
+"""How a configuration document is read: every YAML document goes through
+``read_document``.  A problem raises ``ConfigError``, or the loader's subclass
+of it, as ``<where>: <problem>``.  ``<where>`` is a key path such as
+``sources[0].endpoint``, after the file path when ``load_document`` read it."""
+
+from __future__ import annotations
+
+from datetime import date
+from pathlib import Path
+from typing import Callable
+
+import yaml
+
+from .rdf import IRI, RdfError
+
+
+class ConfigError(ValueError):
+    """A configuration document that cannot be used as written."""
+
+
+_REQUIRED = object()
+
+
+def expand_iri(value: str, prefixes: dict, where: str, error: type) -> str:
+    """Expand a prefixed name against ``prefixes``; a full ``http://``,
+    ``https://`` or ``urn:`` IRI passes through.  Anything else raises
+    ``error`` with a message that starts at ``where``."""
+    if value.startswith(("http://", "https://", "urn:")):
+        return value
+    label, sep, local = value.partition(":")
+    if sep and label in prefixes:
+        return prefixes[label] + local
+    if sep:
+        raise error(f"{where}: unknown prefix {label!r}")
+    raise error(f"{where}: not an IRI or prefixed name: {value!r}")
+
+
+def _expect(value, kind, name: str):
+    if not isinstance(value, kind) or isinstance(value, bool) and kind is int:
+        raise TypeError(f"expected {name}, got {type(value).__name__}")
+    return value
+
+
+def scalar(value) -> str:
+    """A single value (string, number, boolean or timestamp) as text."""
+    return str(_expect(value, (str, int, float, date), "a single value"))
+
+
+def integer(value) -> int:
+    return _expect(value, int, "an integer")
+
+
+def tcp_port(value) -> int:
+    if not 0 <= integer(value) <= 65535:
+        raise ValueError(f"port {value} is outside 0-65535")
+    return value
+
+
+def one_of(*choices: str) -> Callable:
+    """A converter that accepts only ``choices``."""
+    def check(value) -> str:
+        if scalar(value) not in choices:
+            raise ValueError(f"must be one of {', '.join(choices)}, got {value!r}")
+        return str(value)
+    return check
+
+
+def strings(value) -> list[str]:
+    """A list of single values, each as text."""
+    return [scalar(item) for item in _expect(value, list, "a list")]
+
+
+class Section:
+    """One mapping of a config document, with the key path that leads to it
+    and the error type its problems raise.  A null value counts as absent."""
+
+    def __init__(self, data: dict, where: str, error: type):
+        self.data, self.where, self.error = data, where, error
+
+    def __contains__(self, key) -> bool:
+        return self.data.get(key) is not None
+
+    def path(self, key) -> str:
+        if isinstance(key, int):
+            return f"{self.where}[{key}]"
+        return f"{self.where}.{key}" if self.where else key
+
+    def fail(self, key, problem: str) -> ConfigError:
+        return self.error(f"{self.path(key)}: {problem}")
+
+    def only(self, allowed) -> None:
+        unknown = set(self.data) - set(allowed)
+        if unknown:
+            raise self.error(f"{self.where or 'top level'}: unknown keys "
+                             f"{sorted(unknown, key=str)}")
+
+    def get(self, key, kind: Callable = scalar, default=_REQUIRED):
+        """The value at ``key`` converted by ``kind``; ``default`` when it is
+        absent, which without a default is an error."""
+        value = self.data.get(key)
+        if value is None:
+            if default is _REQUIRED:
+                raise self.fail(key, "missing")
+            return default
+        try:
+            return kind(value)
+        except (TypeError, ValueError) as exc:
+            raise self.fail(key, str(exc)) from None
+
+    def section(self, key, required: bool = True) -> Section:
+        """The mapping at ``key``; an optional absent one reads as empty."""
+        value = self.get(key, lambda v: _expect(v, dict, "a mapping"),
+                         _REQUIRED if required else {})
+        return Section(value, self.path(key), self.error)
+
+    def sections(self, key, default=_REQUIRED) -> list[Section]:
+        """The mappings listed at ``key``."""
+        items = self.get(key, lambda v: _expect(v, list, "a list"), default)
+        listing = Section(dict(enumerate(items)), self.path(key), self.error)
+        return [listing.section(i) for i in listing.data]
+
+    def iri(self, key, prefixes: dict, default=_REQUIRED):
+        """The IRI or prefixed name at ``key``, expanded."""
+        value = self.get(key, scalar, default)
+        return value if value is default else self.expand(key, value, prefixes)
+
+    def expand(self, key, value: str, prefixes: dict) -> str:
+        """``value``, read at ``key``, as a full IRI that a term accepts."""
+        full = expand_iri(value, prefixes, self.path(key), self.error)
+        try:
+            return IRI(full).value
+        except RdfError as exc:
+            raise self.fail(key, str(exc)) from None
+
+    def prefixes(self, base: dict) -> dict:
+        """``base`` and the document's own ``prefixes`` mapping."""
+        declared = self.section("prefixes", required=False)
+        return {**base, **{label: declared.get(label) for label in declared.data}}
+
+
+def read_document(document: str, error: type = ConfigError) -> Section:
+    try:
+        doc = yaml.safe_load(document)
+    except yaml.YAMLError as exc:
+        raise error(f"not valid YAML: {exc}") from None
+    if not isinstance(doc, dict):
+        raise error(f"top level: expected a mapping, got {type(doc).__name__}")
+    return Section(doc, "", error)
+
+
+def load_document(path, parse: Callable, *args):
+    """``parse(text, *args)`` over the file at ``path``, whose path then
+    leads the message of any ``ConfigError``."""
+    path = Path(path)
+    try:
+        text = path.read_text(encoding="utf-8")
+    except (OSError, ValueError) as exc:  # missing, unreadable or not UTF-8
+        raise ConfigError(f"{path}: cannot read: {exc}") from None
+    try:
+        return parse(text, *args)
+    except ConfigError as exc:
+        raise type(exc)(f"{path}: {exc}") from None

@@ -38,7 +38,10 @@ class NodeClient:
         self.source_id = source_id or endpoint
         self.timeout = timeout
 
-    def _roundtrip(self, request: Message) -> Message:
+    def request(self, type: str, body: dict) -> Message:
+        """Send one request under this client's sender id and return the
+        response; a Rejection raises ``RejectionError``."""
+        request = Message(type=type, sender=self.sender_id, body=body)
         try:
             with socket.create_connection((self.host, self.port),
                                           timeout=self.timeout) as sock:
@@ -56,23 +59,14 @@ class NodeClient:
         return response
 
     def catalog(self) -> dict:
-        request = Message(type="CatalogRequest", sender=self.sender_id,
-                          body={"contractId": self.contract_id})
-        response = self._roundtrip(request)
+        response = self.request("CatalogRequest",
+                                {"contractId": self.contract_id})
         return response.body["source"]
 
     def query(self, query_text: str) -> SolutionSequence:
-        request = Message(type="QueryRequest", sender=self.sender_id,
-                          body={"contractId": self.contract_id,
-                                "query": query_text})
-        response = self._roundtrip(request)
+        response = self.request("QueryRequest", {"contractId": self.contract_id,
+                                                 "query": query_text})
         return solutions_from_json(response.body["results"])
-
-    def query_raw(self, query_text: str) -> Message:
-        request = Message(type="QueryRequest", sender=self.sender_id,
-                          body={"contractId": self.contract_id,
-                                "query": query_text})
-        return self._roundtrip(request)
 
 
 class LocalClient:

@@ -6,12 +6,11 @@ from dataclasses import dataclass
 from datetime import datetime
 from typing import Optional
 
-import yaml
-
+from ..config import ConfigError, load_document, read_document, scalar, strings
 from .messages import Message, parse_rfc3339
 
 
-class ContractError(ValueError):
+class ContractError(ConfigError):
     pass
 
 
@@ -54,31 +53,30 @@ class ContractStore:
         return len(self._by_id)
 
 
+def _timestamp(value) -> datetime:
+    moment = parse_rfc3339(scalar(value))
+    if moment.tzinfo is None:
+        raise ValueError(f"{moment.isoformat()} has no UTC offset")
+    return moment
+
+
 def parse_contracts(text: str) -> ContractStore:
-    doc = yaml.safe_load(text)
-    if not isinstance(doc, dict) or "contracts" not in doc:
-        raise ContractError("contracts file must have a top-level 'contracts' list")
-    contracts = []
-    for i, entry in enumerate(doc["contracts"]):
-        try:
-            contracts.append(Contract(
-                id=str(entry["id"]),
-                provider=str(entry["provider"]),
-                consumer=str(entry["consumer"]),
-                resource=str(entry["resource"]),
-                operations=frozenset(entry.get("operations", ["catalog", "query"])),
-                not_before=parse_rfc3339(str(entry["not_before"])),
-                expiry=parse_rfc3339(str(entry["expiry"])),
-                purpose=str(entry.get("purpose", "")),
-            ))
-        except KeyError as exc:
-            raise ContractError(f"contracts[{i}]: missing key {exc}") from None
-    return ContractStore(contracts)
+    doc = read_document(text, ContractError)
+    return ContractStore(Contract(
+        id=entry.get("id"),
+        provider=entry.get("provider"),
+        consumer=entry.get("consumer"),
+        resource=entry.get("resource"),
+        operations=frozenset(entry.get("operations", strings,
+                                       ["catalog", "query"])),
+        not_before=entry.get("not_before", _timestamp),
+        expiry=entry.get("expiry", _timestamp),
+        purpose=entry.get("purpose", default=""),
+    ) for entry in doc.sections("contracts"))
 
 
 def load_contracts(path) -> ContractStore:
-    with open(path, encoding="utf-8") as fh:
-        return parse_contracts(fh.read())
+    return load_document(path, parse_contracts)
 
 
 _OPERATION_FOR_TYPE = {"CatalogRequest": "catalog", "QueryRequest": "query"}

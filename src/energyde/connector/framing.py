@@ -5,6 +5,8 @@ from __future__ import annotations
 import json
 import struct
 
+from .messages import canonical_json
+
 MAX_FRAME = 64 * 1024 * 1024
 _CHUNK = 1 << 20                # largest single recv
 
@@ -18,7 +20,7 @@ class FrameError(ValueError):
 
 
 def encode_frame(obj) -> bytes:
-    raw = json.dumps(obj, separators=(",", ":"), sort_keys=True).encode("utf-8")
+    raw = canonical_json(obj).encode("utf-8")
     return struct.pack("!I", len(raw)) + raw
 
 

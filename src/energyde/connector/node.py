@@ -9,8 +9,7 @@ from datetime import datetime, timezone
 from pathlib import Path
 from typing import Optional
 
-import yaml
-
+from ..config import ConfigError, load_document, read_document, strings, tcp_port
 from ..rdf import Graph, IRI, load_graph
 from ..sparql import evaluate, parse_query, solutions_to_json, QueryParseError
 from ..vocab import RDF_TYPE
@@ -21,7 +20,7 @@ from .messages import (Message, MessageError, digest, format_rfc3339,
 from .provenance import ProvenanceLog
 
 
-class NodeConfigError(ValueError):
+class NodeConfigError(ConfigError):
     pass
 
 
@@ -39,29 +38,27 @@ class NodeConfig:
 
 
 def load_node_config(path) -> NodeConfig:
-    path = Path(path)
-    doc = yaml.safe_load(path.read_text(encoding="utf-8"))
-    if not isinstance(doc, dict):
-        raise NodeConfigError(f"{path}: not a YAML mapping")
-    try:
-        listen = doc.get("listen") or {}
-        graphs = doc.get("graphs")
-        if graphs is None:
-            graphs = [doc["graph"]]
-        base = path.parent
-        return NodeConfig(
-            id=str(doc["id"]),
-            host=str(listen.get("host", "127.0.0.1")),
-            port=int(listen.get("port", 0)),
-            graph_paths=[str(base / g) for g in graphs],
-            contracts_path=str(base / doc["contracts"]),
-            provenance_path=str(base / doc["provenance_log"]),
-            resource=str(doc.get("resource", f"{doc['id']}-graph")),
-            classes=doc.get("classes"),
-            predicates=doc.get("predicates"),
-        )
-    except KeyError as exc:
-        raise NodeConfigError(f"{path}: missing key {exc}") from None
+    return load_document(path, _parse_node_config, Path(path).parent)
+
+
+def _parse_node_config(text: str, base: Path) -> NodeConfig:
+    doc = read_document(text, NodeConfigError)
+    listen = doc.section("listen", required=False)
+    node_id = doc.get("id")
+    graphs = doc.get("graphs", strings, None)
+    if graphs is None:
+        graphs = [doc.get("graph")]
+    return NodeConfig(
+        id=node_id,
+        host=listen.get("host", default="127.0.0.1"),
+        port=listen.get("port", tcp_port, 0),
+        graph_paths=[str(base / g) for g in graphs],
+        contracts_path=str(base / doc.get("contracts")),
+        provenance_path=str(base / doc.get("provenance_log")),
+        resource=doc.get("resource", default=f"{node_id}-graph"),
+        classes=doc.get("classes", strings, None),
+        predicates=doc.get("predicates", strings, None),
+    )
 
 
 class NodeState:

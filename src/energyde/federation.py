@@ -5,20 +5,22 @@ from __future__ import annotations
 
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
-from pathlib import Path
 from typing import Optional
 
-import yaml
-
+from .config import ConfigError, load_document, read_document, strings
 from .rdf import IRI
 from .sparql import (Query, SolutionSequence, TriplePattern, Variable,
                      apply_modifiers, format_pattern_term, format_query,
                      parse_query)
-from .vocab import PREFIXES, RDF_TYPE, expand_iri
+from .vocab import PREFIXES, RDF_TYPE
 
 
 class FederationError(RuntimeError):
     pass
+
+
+class CatalogError(FederationError, ConfigError):
+    """A catalog that cannot be used as written."""
 
 
 class UnanswerablePatternError(FederationError):
@@ -38,7 +40,7 @@ class SourceDescription:
 
     def __post_init__(self):
         if not self.predicates:
-            raise FederationError(f"source {self.id!r}: empty predicate set")
+            raise CatalogError(f"source {self.id!r}: empty predicate set")
 
 
 @dataclass
@@ -48,10 +50,10 @@ class FederationCatalog:
 
     def __post_init__(self):
         if not self.sources:
-            raise FederationError("catalog must list at least one source")
+            raise CatalogError("catalog must list at least one source")
         ids = [s.id for s in self.sources]
         if len(set(ids)) != len(ids):
-            raise FederationError("duplicate source ids in catalog")
+            raise CatalogError("duplicate source ids in catalog")
 
     def source(self, source_id: str) -> SourceDescription:
         for s in self.sources:
@@ -61,40 +63,23 @@ class FederationCatalog:
 
 
 def parse_catalog(text: str) -> FederationCatalog:
-    try:
-        doc = yaml.safe_load(text)
-    except yaml.YAMLError as exc:
-        raise FederationError(f"catalog is not valid YAML: {exc}") from None
-    if not isinstance(doc, dict) or not isinstance(doc.get("sources"), list):
-        raise FederationError("catalog must have a top-level 'sources' list")
-    declared = doc.get("prefixes") or {}
-    if not isinstance(declared, dict):
-        raise FederationError("catalog 'prefixes' must be a mapping")
-    prefixes = {**PREFIXES, **declared}
-    sources = []
-    for i, entry in enumerate(doc["sources"]):
-        where = f"sources[{i}]"
-        if not isinstance(entry, dict):
-            raise FederationError(f"{where}: a source must be a mapping")
-        for key in ("id", "endpoint"):
-            if key not in entry:
-                raise FederationError(f"{where}.{key}: missing")
-        sources.append(SourceDescription(
-            id=str(entry["id"]),
-            endpoint=str(entry["endpoint"]),
-            classes=frozenset(
-                expand_iri(str(c), prefixes, f"{where}.classes", FederationError)
-                for c in entry.get("classes") or []),
-            predicates=frozenset(
-                expand_iri(str(p), prefixes, f"{where}.predicates", FederationError)
-                for p in entry.get("predicates") or []),
-            contract=entry.get("contract")))
+    doc = read_document(text, CatalogError)
+    prefixes = doc.prefixes(PREFIXES)
+    sources = [SourceDescription(
+        id=entry.get("id"),
+        endpoint=entry.get("endpoint"),
+        classes=frozenset(entry.expand("classes", c, prefixes)
+                          for c in entry.get("classes", strings, [])),
+        predicates=frozenset(entry.expand("predicates", p, prefixes)
+                             for p in entry.get("predicates", strings, [])),
+        contract=entry.get("contract", default=None),
+    ) for entry in doc.sections("sources")]
     return FederationCatalog(sources=sources,
-                             client_id=str(doc.get("client_id", "federator")))
+                             client_id=doc.get("client_id", default="federator"))
 
 
 def load_catalog(path) -> FederationCatalog:
-    return parse_catalog(Path(path).read_text(encoding="utf-8"))
+    return load_document(path, parse_catalog)
 
 
 def select_sources(query: Query, catalog: FederationCatalog) -> dict[int, set[str]]:

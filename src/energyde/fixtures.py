@@ -8,6 +8,7 @@ byte-identical files.
 from __future__ import annotations
 
 import csv
+import io
 import json
 import random
 from decimal import Decimal
@@ -16,7 +17,7 @@ from pathlib import Path
 from . import vocab
 from .mapping import load_mapping, apply_mapping
 from .pipeline import LinkingSpec, canonical_decimal, link_entities
-from .rdf import Graph, IRI, Literal, Triple, save_graph
+from .rdf import Graph, IRI, Literal, Triple, serialize_ntriples
 from .vocab import (CIM, ENERGY, RDFS_LABEL, RDF_TYPE, XSD_DECIMAL, XSD_STRING)
 
 # fixed listen ports for the shipped node configs; tests that cannot afford
@@ -37,8 +38,14 @@ _ZONES = ["Z1", "Z2", "Z3"]
 
 
 def _write(path: Path, text: str) -> None:
+    """Write ``text`` to ``path``, creating its parent directories."""
     path.parent.mkdir(parents=True, exist_ok=True)
     path.write_text(text, encoding="utf-8")
+
+
+def _add(graph: Graph, s: str, p: str, o) -> None:
+    """Insert one triple; ``o`` is a Literal or the text of an IRI."""
+    graph.insert(Triple(IRI(s), IRI(p), o if isinstance(o, Literal) else IRI(o)))
 
 
 def _capacity_rows(rng: random.Random) -> list[dict]:
@@ -57,22 +64,18 @@ def _capacity_rows(rng: random.Random) -> list[dict]:
                 "year": year,
             })
     # keep (country, type, year) unique so capacity subjects are distinct
-    seen = set()
-    unique = []
+    unique: dict = {}
     for row in rows:
-        key = (row["country"], row["type"], row["year"])
-        if key not in seen:
-            seen.add(key)
-            unique.append(row)
-    return unique
+        unique.setdefault((row["country"], row["type"], row["year"]), row)
+    return list(unique.values())
 
 
 def _write_csv(path: Path, header: list, rows: list) -> None:
-    path.parent.mkdir(parents=True, exist_ok=True)
-    with open(path, "w", encoding="utf-8", newline="") as fh:
-        writer = csv.DictWriter(fh, fieldnames=header, lineterminator="\n")
-        writer.writeheader()
-        writer.writerows(rows)
+    buffer = io.StringIO()
+    writer = csv.DictWriter(buffer, fieldnames=header, lineterminator="\n")
+    writer.writeheader()
+    writer.writerows(rows)
+    _write(path, buffer.getvalue())
 
 
 _CAPACITY_MAPPING = """\
@@ -115,52 +118,30 @@ shapes:
 
 _CONTRACT_WINDOW = "not_before: 2020-01-01T00:00:00Z\n    expiry: 2035-01-01T00:00:00Z"
 
-_CONTRACTS = f"""\
-contracts:
-  - id: tso-supplier-2020
-    provider: supplier
-    consumer: tso
-    resource: supplier-graph
-    operations: [catalog, query]
-    {_CONTRACT_WINDOW}
-    purpose: balancing plans, bids, forecasts, health monitoring
-  - id: tso-producer-2020
-    provider: producer
-    consumer: tso
-    resource: producer-graph
-    operations: [catalog, query]
-    {_CONTRACT_WINDOW}
-    purpose: load collection
-  - id: supplier-producer-2020
-    provider: producer
-    consumer: supplier
-    resource: producer-graph
-    operations: [catalog, query]
-    {_CONTRACT_WINDOW}
-    purpose: realization and meteorological data
-  - id: tso-self
-    provider: tso
-    consumer: tso
-    resource: tso-graph
-    operations: [catalog, query]
-    {_CONTRACT_WINDOW}
-    purpose: federated access to the local graph
-  - id: tso-wiki-2020
-    provider: wiki
-    consumer: tso
-    resource: wiki-graph
-    operations: [catalog, query]
-    {_CONTRACT_WINDOW}
-    purpose: external reference lookups
-  - id: expired-2019
-    provider: supplier
-    consumer: tso
-    resource: supplier-graph
-    operations: [catalog, query]
-    not_before: 2019-01-01T00:00:00Z
-    expiry: 2019-12-31T00:00:00Z
-    purpose: lapsed agreement kept for the negative scenario step
-"""
+
+def _contract(contract_id: str, provider: str, consumer: str, purpose: str,
+              window: str = _CONTRACT_WINDOW) -> str:
+    return (f"  - id: {contract_id}\n"
+            f"    provider: {provider}\n"
+            f"    consumer: {consumer}\n"
+            f"    resource: {provider}-graph\n"
+            f"    operations: [catalog, query]\n"
+            f"    {window}\n"
+            f"    purpose: {purpose}\n")
+
+
+_CONTRACTS = "contracts:\n" + "".join([
+    _contract("tso-supplier-2020", "supplier", "tso",
+              "balancing plans, bids, forecasts, health monitoring"),
+    _contract("tso-producer-2020", "producer", "tso", "load collection"),
+    _contract("supplier-producer-2020", "producer", "supplier",
+              "realization and meteorological data"),
+    _contract("tso-self", "tso", "tso", "federated access to the local graph"),
+    _contract("tso-wiki-2020", "wiki", "tso", "external reference lookups"),
+    _contract("expired-2019", "supplier", "tso",
+              "lapsed agreement kept for the negative scenario step",
+              "not_before: 2019-01-01T00:00:00Z\n    expiry: 2019-12-31T00:00:00Z"),
+])
 
 _FEDERATED_QUERY = """\
 PREFIX wd:     <http://www.wikidata.org/entity/>
@@ -265,13 +246,11 @@ steps:
   - {rq: RQ-2, kind: query, sender: tso, receiver: supplier, contract: expired-2019, query: queries/bids.rq, expect: CONTRACT_EXPIRED}
 """
 
-_NODES_FILE = """\
-nodes:
-  - nodes/tso.yaml
-  - nodes/supplier.yaml
-  - nodes/producer.yaml
-  - nodes/wiki.yaml
-"""
+# each node's graph files, in the nodes file's order
+_NODE_GRAPHS = {"tso": ["tso", "tso_load"], "supplier": ["supplier"],
+                "producer": ["producer"], "wiki": ["reference"]}
+
+_NODES_FILE = "nodes:\n" + "".join(f"  - nodes/{n}.yaml\n" for n in _NODE_GRAPHS)
 
 _PIPELINE_CONFIG = """\
 sources:
@@ -293,7 +272,7 @@ on_violation: block
 
 
 def _node_config(node_id: str, graphs: list) -> str:
-    graph_lines = "\n".join(f"  - ../{g}" for g in graphs)
+    graph_lines = "\n".join(f"  - ../graphs/{g}.nt" for g in graphs)
     return (f"id: {node_id}\n"
             f"listen: {{host: 127.0.0.1, port: {PORTS[node_id]}}}\n"
             f"graphs:\n{graph_lines}\n"
@@ -328,85 +307,76 @@ _SUPPLIER_CATALOG_ENTRY = """\
 """
 
 
-def _catalog(entries: list) -> str:
-    return "client_id: tso\nsources:\n" + "".join(entries)
+def _catalog(*source_ids: str) -> str:
+    entries = {"tso": _TSO_CATALOG_ENTRY, "wiki": _WIKI_CATALOG_ENTRY,
+               "supplier": _SUPPLIER_CATALOG_ENTRY}
+    return "client_id: tso\nsources:\n" + "".join(
+        entries[i].format(port=PORTS[i]) for i in source_ids)
 
 
 def _reference_graph() -> Graph:
     g = Graph()
-
-    def add(s, p, o):
-        g.insert(Triple(IRI(s), IRI(p), o if isinstance(o, Literal) else IRI(o)))
-
     # exactly the wind-power production type is a subclass of renewable energy
-    add(vocab.WIND_POWER, vocab.SUBCLASS_OF, vocab.RENEWABLE_ENERGY)
-    add(ENERGY + "Coal", vocab.SUBCLASS_OF, vocab.WD + "Q24436")
-    add(ENERGY + "Hydro", vocab.SUBCLASS_OF, vocab.WD + "Q24436")
+    _add(g, vocab.WIND_POWER, vocab.SUBCLASS_OF, vocab.RENEWABLE_ENERGY)
+    _add(g, ENERGY + "Coal", vocab.SUBCLASS_OF, vocab.WD + "Q24436")
+    _add(g, ENERGY + "Hydro", vocab.SUBCLASS_OF, vocab.WD + "Q24436")
     # external entities carrying the labels used by exact-label linking
-    add(vocab.WD + "Q43302", RDFS_LABEL, Literal("WindPower"))
-    add(vocab.WD + "Q24489", RDFS_LABEL, Literal("Coal"))
-    add(vocab.WD + "Q80638", RDFS_LABEL, Literal("Hydro"))
+    _add(g, vocab.WD + "Q43302", RDFS_LABEL, Literal("WindPower"))
+    _add(g, vocab.WD + "Q24489", RDFS_LABEL, Literal("Coal"))
+    _add(g, vocab.WD + "Q80638", RDFS_LABEL, Literal("Hydro"))
     return g
 
 
 def _supplier_graph(rng: random.Random) -> Graph:
     g = Graph()
-
-    def add(s, p, o):
-        g.insert(Triple(IRI(s), IRI(p), o if isinstance(o, Literal) else IRI(o)))
-
-    add(ENERGY + "party/bsp1", RDF_TYPE, vocab.CIM_BALANCE_SUPPLIER)
+    _add(g, ENERGY + "party/bsp1", RDF_TYPE, vocab.CIM_BALANCE_SUPPLIER)
     for i, zone in enumerate(_ZONES, start=1):
         plan = f"{ENERGY}plan/{i}"
-        add(plan, RDF_TYPE, vocab.CIM_AGREEMENT)
-        add(plan, ZONE, Literal(zone))
-        add(plan, CIM_AMOUNT,
-            Literal(str(rng.randrange(100, 900)), XSD_DECIMAL))
+        _add(g, plan, RDF_TYPE, vocab.CIM_AGREEMENT)
+        _add(g, plan, ZONE, Literal(zone))
+        _add(g, plan, CIM_AMOUNT,
+             Literal(str(rng.randrange(100, 900)), XSD_DECIMAL))
         bid = f"{ENERGY}bid/{i}"
-        add(bid, RDF_TYPE, vocab.CIM_RESERVE_REQ)
-        add(bid, ZONE, Literal(zone))
-        add(bid, CIM_AMOUNT, Literal(str(rng.randrange(10, 90)), XSD_DECIMAL))
+        _add(g, bid, RDF_TYPE, vocab.CIM_RESERVE_REQ)
+        _add(g, bid, ZONE, Literal(zone))
+        _add(g, bid, CIM_AMOUNT, Literal(str(rng.randrange(10, 90)), XSD_DECIMAL))
     for i in range(1, 4):
         asset = f"{ENERGY}asset/{i}"
-        add(asset, RDF_TYPE, vocab.CIM_POWER_SYSTEM_RESOURCE)
-        add(asset, CIM_STATUS, Literal(rng.choice(["OK", "OK", "DEGRADED"])))
+        _add(g, asset, RDF_TYPE, vocab.CIM_POWER_SYSTEM_RESOURCE)
+        _add(g, asset, CIM_STATUS, Literal(rng.choice(["OK", "OK", "DEGRADED"])))
     return g
 
 
 def _producer_graph(rng: random.Random) -> Graph:
     g = Graph()
-
-    def add(s, p, o):
-        g.insert(Triple(IRI(s), IRI(p), o if isinstance(o, Literal) else IRI(o)))
-
     for i, zone in enumerate(_ZONES, start=1):
         point = f"{ENERGY}loadpoint/{i}"
-        add(point, RDF_TYPE, LOAD_MEASUREMENT)
-        add(point, ZONE, Literal(zone))
-        add(point, vocab.MEASURE,
-            Literal(str(rng.randrange(300, 1200)), XSD_DECIMAL))
+        _add(g, point, RDF_TYPE, LOAD_MEASUREMENT)
+        _add(g, point, ZONE, Literal(zone))
+        _add(g, point, vocab.MEASURE,
+             Literal(str(rng.randrange(300, 1200)), XSD_DECIMAL))
     for i, horizon in enumerate(["short", "medium", "long"], start=1):
         f = f"{ENERGY}realization/{i}"
-        add(f, RDF_TYPE, vocab.CIM_ACTIVE_POWER)
-        add(f, CIM_VALUE, Literal(str(rng.randrange(50, 400)), XSD_DECIMAL))
-        add(f, ENERGY + "horizon", Literal(horizon))
+        _add(g, f, RDF_TYPE, vocab.CIM_ACTIVE_POWER)
+        _add(g, f, CIM_VALUE, Literal(str(rng.randrange(50, 400)), XSD_DECIMAL))
+        _add(g, f, ENERGY + "horizon", Literal(horizon))
     for i in range(1, 4):
         obs = f"{ENERGY}weather/{i}"
-        add(obs, RDF_TYPE, WEATHER_OBSERVATION)
-        add(obs, ENERGY + "temperature",
-            Literal(canonical_decimal(Decimal(rng.randrange(-50, 300)) / 10),
-                    XSD_DECIMAL))
+        _add(g, obs, RDF_TYPE, WEATHER_OBSERVATION)
+        _add(g, obs, ENERGY + "temperature",
+             Literal(canonical_decimal(Decimal(rng.randrange(-50, 300)) / 10),
+                     XSD_DECIMAL))
     return g
 
 
 def _tso_load_graph(rng: random.Random) -> Graph:
     g = Graph()
     for i, zone in enumerate(_ZONES, start=1):
-        s = IRI(f"{ENERGY}load/{i}")
-        g.insert(Triple(s, IRI(RDF_TYPE), IRI(LOAD_MEASUREMENT)))
-        g.insert(Triple(s, IRI(ZONE), Literal(zone)))
-        g.insert(Triple(s, IRI(vocab.MEASURE),
-                        Literal(str(rng.randrange(400, 1500)), XSD_DECIMAL)))
+        s = f"{ENERGY}load/{i}"
+        _add(g, s, RDF_TYPE, LOAD_MEASUREMENT)
+        _add(g, s, ZONE, Literal(zone))
+        _add(g, s, vocab.MEASURE,
+             Literal(str(rng.randrange(400, 1500)), XSD_DECIMAL))
     return g
 
 
@@ -416,11 +386,10 @@ def _forecast_graph(rng: random.Random) -> Graph:
     value = Decimal(100)
     for hour in range(24):
         value += Decimal(rng.randrange(-50, 51)) / 10
-        s = IRI(f"{ENERGY}forecast/h{hour:02d}")
-        g.insert(Triple(s, IRI(RDF_TYPE), IRI(vocab.CIM_ACTIVE_POWER)))
-        g.insert(Triple(s, IRI(CIM_VALUE),
-                        Literal(canonical_decimal(value), XSD_DECIMAL)))
-        g.insert(Triple(s, IRI(ENERGY + "hour"), Literal(f"{hour:02d}")))
+        s = f"{ENERGY}forecast/h{hour:02d}"
+        _add(g, s, RDF_TYPE, vocab.CIM_ACTIVE_POWER)
+        _add(g, s, CIM_VALUE, Literal(canonical_decimal(value), XSD_DECIMAL))
+        _add(g, s, ENERGY + "hour", Literal(f"{hour:02d}"))
     return g
 
 
@@ -482,7 +451,7 @@ def generate_fixtures(seed: int, out_dir) -> Path:
     _write(out / "contracts" / "contracts.yaml", _CONTRACTS)
 
     reference = _reference_graph()
-    save_graph(reference, _mk(out / "graphs" / "reference.nt"))
+    _write(out / "graphs" / "reference.nt", serialize_ntriples(reference))
 
     # materialize the TSO graph exactly as the pipeline would: mapping + linking
     doc = load_mapping(out / "mappings" / "pipeline.yaml")
@@ -490,38 +459,26 @@ def generate_fixtures(seed: int, out_dir) -> Path:
     link_entities(tso_graph, reference,
                   LinkingSpec(label_predicate=RDFS_LABEL,
                               reference_path=str(out / "graphs" / "reference.nt")))
-    save_graph(tso_graph, _mk(out / "graphs" / "tso.nt"))
+    _write(out / "graphs" / "tso.nt", serialize_ntriples(tso_graph))
 
     capacity_only = apply_mapping(load_mapping(out / "mappings" / "capacity.yaml"),
                                   base_dir=out / "mappings").graph
     defective, manifest = _seed_defects(capacity_only)
-    save_graph(defective, _mk(out / "graphs" / "capacity_defective.nt"))
+    _write(out / "graphs" / "capacity_defective.nt",
+           serialize_ntriples(defective))
     _write(out / "defects.json", json.dumps(manifest, indent=2) + "\n")
 
-    save_graph(_supplier_graph(rng), _mk(out / "graphs" / "supplier.nt"))
-    save_graph(_producer_graph(rng), _mk(out / "graphs" / "producer.nt"))
-    save_graph(_tso_load_graph(rng), _mk(out / "graphs" / "tso_load.nt"))
-    save_graph(_forecast_graph(rng), _mk(out / "graphs" / "forecast.nt"))
+    # the graph builders draw from rng in this order
+    for name, build in (("supplier", _supplier_graph), ("producer", _producer_graph),
+                        ("tso_load", _tso_load_graph), ("forecast", _forecast_graph)):
+        _write(out / "graphs" / f"{name}.nt", serialize_ntriples(build(rng)))
 
-    _write(out / "nodes" / "tso.yaml",
-           _node_config("tso", ["graphs/tso.nt", "graphs/tso_load.nt"]))
-    _write(out / "nodes" / "supplier.yaml",
-           _node_config("supplier", ["graphs/supplier.nt"]))
-    _write(out / "nodes" / "producer.yaml",
-           _node_config("producer", ["graphs/producer.nt"]))
-    _write(out / "nodes" / "wiki.yaml",
-           _node_config("wiki", ["graphs/reference.nt"]))
+    for node_id, graphs in _NODE_GRAPHS.items():
+        _write(out / "nodes" / f"{node_id}.yaml", _node_config(node_id, graphs))
     _write(out / "nodes.yaml", _NODES_FILE)
 
-    _write(out / "catalog.yaml", _catalog([
-        _TSO_CATALOG_ENTRY.format(port=PORTS["tso"]),
-        _WIKI_CATALOG_ENTRY.format(port=PORTS["wiki"]),
-    ]))
-    _write(out / "catalog_full.yaml", _catalog([
-        _TSO_CATALOG_ENTRY.format(port=PORTS["tso"]),
-        _WIKI_CATALOG_ENTRY.format(port=PORTS["wiki"]),
-        _SUPPLIER_CATALOG_ENTRY.format(port=PORTS["supplier"]),
-    ]))
+    _write(out / "catalog.yaml", _catalog("tso", "wiki"))
+    _write(out / "catalog_full.yaml", _catalog("tso", "wiki", "supplier"))
 
     _write(out / "queries" / "federated.rq", _FEDERATED_QUERY)
     _write(out / "queries" / "federated_verbatim.rq", _FEDERATED_QUERY_VERBATIM)
@@ -535,7 +492,3 @@ def generate_fixtures(seed: int, out_dir) -> Path:
     (out / "logs").mkdir(exist_ok=True)
     return out
 
-
-def _mk(path: Path) -> Path:
-    path.parent.mkdir(parents=True, exist_ok=True)
-    return path

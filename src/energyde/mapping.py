@@ -23,24 +23,25 @@ from __future__ import annotations
 import csv
 import json
 import re
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
 from typing import Iterable, Optional
 
-import yaml
-
+from .config import ConfigError, load_document, one_of, read_document
 from .rdf import Graph, IRI, Literal, RdfError, Term, Triple
-from .vocab import PREFIXES, RDF_TYPE, expand_iri
+from .vocab import PREFIXES, RDF_TYPE, XSD_STRING
 from urllib.parse import quote
 
 
-class MappingError(ValueError):
+class MappingError(ConfigError):
     pass
 
 
 RawRecord = dict  # field name -> string value (None for missing)
 
+source_format = one_of("csv", "json-lines")
 _PLACEHOLDER_RE = re.compile(r"\{([^{}]+)\}")
+_RDF_TYPE = IRI(RDF_TYPE)
 
 
 @dataclass(frozen=True)
@@ -81,7 +82,6 @@ class TripleMap:
 @dataclass(frozen=True)
 class MappingDocument:
     maps: tuple[TripleMap, ...]
-    prefixes: dict = field(default_factory=dict, compare=False)
 
 
 @dataclass
@@ -101,107 +101,65 @@ _PO_KEYS = {"predicate", "field", "constant", "template", "datatype"}
 def parse_mapping(text: str, base_dir: Optional[Path] = None) -> MappingDocument:
     """Parse a mapping document.  When ``base_dir`` is given and a CSV source
     file is readable, template field references are checked against its header."""
-    try:
-        doc = yaml.safe_load(text)
-    except yaml.YAMLError as exc:
-        raise MappingError(f"invalid YAML: {exc}") from None
-    if not isinstance(doc, dict) or "maps" not in doc:
-        raise MappingError("mapping document must have a top-level 'maps' list")
-    prefixes = dict(PREFIXES)
-    prefixes.update(doc.get("prefixes") or {})
-    extra = set(doc) - {"maps", "prefixes"}
-    if extra:
-        raise MappingError(f"unknown top-level keys: {sorted(extra)}")
+    doc = read_document(text, MappingError)
+    doc.only({"maps", "prefixes"})
+    prefixes = doc.prefixes(PREFIXES)
     maps = []
-    for i, entry in enumerate(doc["maps"]):
-        where = f"maps[{i}]"
-        if not isinstance(entry, dict):
-            raise MappingError(f"{where}: expected a mapping entry")
-        unknown = set(entry) - _MAP_KEYS
-        if unknown:
-            raise MappingError(f"{where}: unknown keys {sorted(unknown)}")
-        for req in ("source", "subject", "po"):
-            if req not in entry:
-                raise MappingError(f"{where}: missing required key {req!r}")
-        src = entry["source"]
-        if not isinstance(src, dict) or "path" not in src:
-            raise MappingError(f"{where}.source: needs a 'path'")
-        fmt = src.get("format", "csv")
-        if fmt not in ("csv", "json-lines"):
-            raise MappingError(f"{where}.source.format: must be csv or json-lines")
-        flt = entry.get("filter") or {}
-        source = LogicalSource(path=src["path"], format=fmt,
-                               filter_field=flt.get("field"),
-                               filter_equals=flt.get("equals"))
-        subject = entry["subject"]
-        if not isinstance(subject, dict) or "template" not in subject:
-            raise MappingError(f"{where}.subject: needs a 'template'")
-        subject_class = subject.get("class")
-        if subject_class is not None:
-            subject_class = expand_iri(subject_class, prefixes,
-                                       f"{where}.subject.class", MappingError)
+    for entry in doc.sections("maps"):
+        entry.only(_MAP_KEYS)
+        src = entry.section("source")
+        flt = entry.section("filter", required=False)
+        source = LogicalSource(path=src.get("path"),
+                               format=src.get("format", source_format, "csv"),
+                               filter_field=flt.get("field", default=None),
+                               filter_equals=flt.get("equals", default=None))
+        subject = entry.section("subject")
+        po_list = entry.sections("po")
+        if not po_list:
+            raise entry.fail("po", "must be a non-empty list")
         pos = []
-        po_list = entry["po"]
-        if not isinstance(po_list, list) or not po_list:
-            raise MappingError(f"{where}.po: must be a non-empty list")
-        for j, po in enumerate(po_list):
-            pwhere = f"{where}.po[{j}]"
-            if not isinstance(po, dict) or "predicate" not in po:
-                raise MappingError(f"{pwhere}: needs a 'predicate'")
-            unknown = set(po) - _PO_KEYS
-            if unknown:
-                raise MappingError(f"{pwhere}: unknown keys {sorted(unknown)}")
-            kinds = [k for k in ("field", "constant", "template") if k in po]
-            if len(kinds) != 1:
+        for po in po_list:
+            po.only(_PO_KEYS)
+            if sum(k in po for k in ("field", "constant", "template")) != 1:
                 raise MappingError(
-                    f"{pwhere}: exactly one of field/constant/template required")
-            predicate = expand_iri(str(po["predicate"]), prefixes, pwhere,
-                                   MappingError)
-            datatype = po.get("datatype")
-            if datatype is not None:
-                datatype = expand_iri(str(datatype), prefixes,
-                                      f"{pwhere}.datatype", MappingError)
+                    f"{po.where}: exactly one of field/constant/template required")
+            datatype = po.iri("datatype", prefixes, None)
             constant: Optional[Term] = None
             if "constant" in po:
-                raw = str(po["constant"])
+                raw = po.get("constant")
                 if ":" in raw and not raw.startswith('"'):
-                    constant = IRI(expand_iri(raw, prefixes, pwhere, MappingError))
+                    constant = IRI(po.iri("constant", prefixes))
                 else:
-                    constant = Literal(raw.strip('"'), datatype) if datatype \
-                        else Literal(raw.strip('"'))
-            spec = ObjectSpec(field=po.get("field"), constant=constant,
-                              template=po.get("template"), datatype=datatype)
-            pos.append((predicate, spec))
+                    constant = Literal(raw.strip('"'), datatype or XSD_STRING)
+            spec = ObjectSpec(field=po.get("field", default=None),
+                              constant=constant,
+                              template=po.get("template", default=None),
+                              datatype=datatype)
+            pos.append((po.iri("predicate", prefixes), spec))
         tmap = TripleMap(source=source,
-                         subject_template=str(subject["template"]),
-                         subject_class=subject_class,
+                         subject_template=subject.get("template"),
+                         subject_class=subject.iri("class", prefixes, None),
                          predicate_objects=tuple(pos))
         if base_dir is not None:
-            _check_fields(tmap, Path(base_dir), where)
+            _check_fields(tmap, Path(base_dir), entry.where)
         maps.append(tmap)
-    return MappingDocument(maps=tuple(maps), prefixes=prefixes)
+    return MappingDocument(maps=tuple(maps))
 
 
 def load_mapping(path) -> MappingDocument:
-    path = Path(path)
-    return parse_mapping(path.read_text(encoding="utf-8"), base_dir=path.parent)
+    return load_document(path, parse_mapping, Path(path).parent)
 
 
 def _source_header(source: LogicalSource, base_dir: Path) -> Optional[set[str]]:
     path = base_dir / source.path
-    if not path.exists():
+    if not path.is_file():
         return None
     with open(path, encoding="utf-8") as fh:
         if source.format == "csv":
-            reader = csv.reader(fh)
-            try:
-                return set(next(reader))
-            except StopIteration:
-                return set()
+            return set(next(csv.reader(fh), []))
         first = fh.readline().strip()
-        if not first:
-            return None  # empty json-lines file has no schema to check
-        return set(json.loads(first))
+        # an empty json-lines file has no schema to check
+        return set(json.loads(first)) if first else None
 
 
 def _check_fields(tmap: TripleMap, base_dir: Path, where: str) -> None:
@@ -258,6 +216,8 @@ def _accepts(source: LogicalSource, record: RawRecord) -> bool:
 
 def apply_triple_map(tmap: TripleMap, records: Iterable[RawRecord],
                      graph: Graph, errors: list) -> None:
+    subject_class = IRI(tmap.subject_class) if tmap.subject_class else None
+    predicate_objects = [(IRI(p), spec) for p, spec in tmap.predicate_objects]
     for index, record in enumerate(records):
         if not _accepts(tmap.source, record):
             continue
@@ -269,9 +229,9 @@ def apply_triple_map(tmap: TripleMap, records: Iterable[RawRecord],
         except RdfError as exc:
             errors.append((index, f"invalid subject IRI: {exc}"))
             continue
-        if tmap.subject_class:
-            graph.insert(Triple(subject, IRI(RDF_TYPE), IRI(tmap.subject_class)))
-        for predicate, spec in tmap.predicate_objects:
+        if subject_class:
+            graph.insert(Triple(subject, _RDF_TYPE, subject_class))
+        for predicate, spec in predicate_objects:
             obj: Optional[Term]
             if spec.constant is not None:
                 obj = spec.constant
@@ -290,7 +250,7 @@ def apply_triple_map(tmap: TripleMap, records: Iterable[RawRecord],
                 except RdfError as exc:
                     errors.append((index, f"invalid object IRI: {exc}"))
                     continue
-            graph.insert(Triple(subject, IRI(predicate), obj))
+            graph.insert(Triple(subject, predicate, obj))
 
 
 def apply_mapping(doc: MappingDocument,

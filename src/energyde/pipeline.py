@@ -11,16 +11,16 @@ from decimal import Decimal, InvalidOperation
 from pathlib import Path
 from typing import Iterable, Optional
 
-import yaml
-
+from .config import (ConfigError, Section, load_document, one_of, read_document,
+                     scalar, strings)
 from .connector.messages import format_rfc3339
-from .mapping import RawRecord, load_mapping, read_records
+from .mapping import LogicalSource, RawRecord, load_mapping, read_records, source_format
 from .rdf import Graph, IRI, Literal, Triple, load_graph, save_graph, serialize_ntriples
 from .shapes import load_shapes, validate
-from .vocab import OWL_SAMEAS, PROV, RDF_TYPE, XSD_DATETIME
+from .vocab import OWL_SAMEAS, PREFIXES, PROV, RDF_TYPE, XSD_DATETIME
 
 
-class PipelineError(ValueError):
+class PipelineError(ConfigError):
     pass
 
 
@@ -31,22 +31,30 @@ class PreprocessStep:
 
     @classmethod
     def from_dict(cls, raw: dict, where: str) -> "PreprocessStep":
-        kind = raw.get("kind")
+        step = Section(raw, where, PipelineError)
+        kind = step.get("kind")
         if kind == "rename-field":
-            return cls(kind, (str(raw["from"]), str(raw["to"])))
+            return cls(kind, (step.get("from"), step.get("to")))
         if kind == "scale-numeric":
-            factor = Decimal(str(raw["factor"]))
-            if not factor.is_finite() or factor == 0:
-                raise PipelineError(f"{where}: scale factor must be finite, non-zero")
-            return cls(kind, (str(raw["field"]), factor))
+            return cls(kind, (step.get("field"), step.get("factor", _factor)))
         if kind == "aggregate":
-            group_by = tuple(raw.get("group_by") or ())
+            group_by = tuple(step.get("group_by", strings, ()))
             if not group_by:
-                raise PipelineError(f"{where}: aggregate needs group_by fields")
-            return cls(kind, (group_by, str(raw["sum"])))
+                raise step.fail("group_by", "aggregate needs group_by fields")
+            return cls(kind, (group_by, step.get("sum")))
         if kind == "drop-missing":
-            return cls(kind, (str(raw["field"]),))
-        raise PipelineError(f"{where}: unknown preprocessing kind {kind!r}")
+            return cls(kind, (step.get("field"),))
+        raise step.fail("kind", f"unknown preprocessing kind {kind!r}")
+
+
+def _factor(value) -> Decimal:
+    try:
+        factor = Decimal(scalar(value))
+    except InvalidOperation:
+        raise ValueError(f"not a number: {value!r}") from None
+    if not factor.is_finite() or factor == 0:
+        raise ValueError("scale factor must be finite, non-zero")
+    return factor
 
 
 def canonical_decimal(value: Decimal) -> str:
@@ -163,45 +171,45 @@ class PipelineConfig:
 
 
 def load_pipeline_config(path) -> PipelineConfig:
-    path = Path(path)
-    doc = yaml.safe_load(path.read_text(encoding="utf-8"))
-    base = path.parent
-    policy = doc.get("on_violation", "block")
-    if policy not in ("block", "warn"):
-        raise PipelineError(f"on_violation must be 'block' or 'warn', got {policy!r}")
-    linking = None
-    if doc.get("linking"):
-        link = doc["linking"]
-        linking = LinkingSpec(label_predicate=str(link["label_predicate"]),
-                              reference_path=str(base / link["reference"]),
-                              link_predicate=str(link.get("link_predicate",
-                                                          OWL_SAMEAS)))
+    return load_document(path, _parse_pipeline_config, Path(path).parent)
+
+
+def _parse_pipeline_config(text: str, base: Path) -> PipelineConfig:
+    doc = read_document(text, PipelineError)
+    policy = doc.get("on_violation", one_of("block", "warn"), "block")
+    link = doc.section("linking", required=False)
+    linking = LinkingSpec(
+        label_predicate=link.iri("label_predicate", PREFIXES),
+        reference_path=str(base / link.get("reference")),
+        link_predicate=link.iri("link_predicate", PREFIXES, OWL_SAMEAS),
+    ) if link.data else None
     sources = []
-    for entry in doc.get("sources") or []:
-        steps = [PreprocessStep.from_dict(s, f"preprocess[{i}]")
-                 for i, s in enumerate(entry.get("preprocess") or [])]
-        sources.append({"path": str(entry["path"]),
-                        "format": entry.get("format", "csv"),
+    for entry in doc.sections("sources", []):
+        steps = [PreprocessStep.from_dict(s.data, s.where)
+                 for s in entry.sections("preprocess", [])]
+        sources.append({"path": entry.get("path"),
+                        "format": entry.get("format", source_format, "csv"),
                         "steps": steps})
     if not sources:
-        raise PipelineError("pipeline config needs at least one source")
-    output = base / doc["output"]
+        raise doc.fail("sources", "pipeline config needs at least one source")
+    output = base / doc.get("output")
+    report = doc.get("report", default=None)
     config = PipelineConfig(
         sources=sources,
-        mapping_path=base / doc["mapping"],
-        shapes_path=base / doc["shapes"],
+        mapping_path=base / doc.get("mapping"),
+        shapes_path=base / doc.get("shapes"),
         linking=linking,
         output_path=output,
         on_violation=policy,
-        staging_dir=base / doc.get("staging", "staging"),
-        provenance_path=base / doc.get("provenance",
-                                       output.with_suffix(".prov.nt").name),
-        report_path=(base / doc["report"]) if doc.get("report") else None,
+        staging_dir=base / doc.get("staging", default="staging"),
+        provenance_path=base / (doc.get("provenance", default=None)
+                                or output.with_suffix(".prov.nt").name),
+        report_path=base / report if report else None,
         base_dir=base)
     for required in ([config.mapping_path, config.shapes_path]
                      + [base / s["path"] for s in sources]
                      + ([Path(linking.reference_path)] if linking else [])):
-        if not Path(required).exists():
+        if not Path(required).is_file():
             raise PipelineError(f"referenced file does not exist: {required}")
     return config
 
@@ -268,7 +276,6 @@ def run_pipeline(config: PipelineConfig) -> dict:
     started = format_rfc3339()
     records_by_path: dict[str, list] = {}
     total_in = total_out = 0
-    from .mapping import LogicalSource
     for source in config.sources:
         rows = read_records(LogicalSource(path=source["path"],
                                           format=source["format"]),
@@ -288,7 +295,7 @@ def run_pipeline(config: PipelineConfig) -> dict:
     started = format_rfc3339()
     try:
         doc = load_mapping(config.mapping_path)
-    except Exception as exc:
+    except ConfigError as exc:
         report["aborted_stage"] = "mapping"
         report["errors"].append(str(exc))
         return _finish(report, config, prov)
@@ -328,7 +335,7 @@ def run_pipeline(config: PipelineConfig) -> dict:
     started = format_rfc3339()
     try:
         shape_list = load_shapes(config.shapes_path)
-    except Exception as exc:
+    except ConfigError as exc:
         report["aborted_stage"] = "validation"
         report["errors"].append(str(exc))
         return _finish(report, config, prov)

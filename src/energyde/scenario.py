@@ -4,14 +4,13 @@ running connector nodes and records a transcript."""
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from pathlib import Path
 from typing import Optional
 
-import yaml
-
+from .config import load_document, one_of, read_document, strings
 from .connector.client import NodeClient, RejectionError
-from .connector.node import NodeServer, NodeState, load_node_config
+from .connector.node import NodeServer, load_node_config, serve
 from .federation import federated_query, load_catalog
 from .rdf import load_graph
 
@@ -35,55 +34,50 @@ class ScenarioStep:
     expect: str = "allow"     # "allow" or a rejection reason code
 
 
+# the keys each kind of step needs besides rq, kind and sender
+_STEP_KEYS = {"catalog": ("receiver",), "query": ("receiver", "query"),
+              "federated": ("catalog", "query"), "publish": ("graph",)}
+_OPTIONAL_KEYS = ("receiver", "contract", "query", "graph", "catalog")
+
+
 def parse_scenario(text: str) -> list[ScenarioStep]:
-    doc = yaml.safe_load(text)
-    if not isinstance(doc, dict) or "steps" not in doc:
-        raise ScenarioError("scenario must have a top-level 'steps' list")
-    if not doc["steps"]:
-        raise ScenarioError("scenario has no steps")
+    doc = read_document(text)
     steps = []
-    for i, raw in enumerate(doc["steps"]):
-        try:
-            step = ScenarioStep(
-                rq=str(raw["rq"]), kind=str(raw["kind"]),
-                sender=str(raw["sender"]),
-                receiver=raw.get("receiver"), contract=raw.get("contract"),
-                query=raw.get("query"), graph=raw.get("graph"),
-                catalog=raw.get("catalog"),
-                expect=str(raw.get("expect", "allow")))
-        except KeyError as exc:
-            raise ScenarioError(f"steps[{i}]: missing key {exc}") from None
-        if step.kind not in ("catalog", "query", "federated", "publish"):
-            raise ScenarioError(f"steps[{i}]: unknown kind {step.kind!r}")
-        steps.append(step)
+    for raw in doc.sections("steps"):
+        kind = raw.get("kind", one_of(*_STEP_KEYS))
+        for key in _STEP_KEYS[kind]:
+            if key not in raw:
+                raise raw.fail(key, f"missing; a {kind} step needs it")
+        steps.append(ScenarioStep(
+            rq=raw.get("rq"), kind=kind, sender=raw.get("sender"),
+            expect=raw.get("expect", default="allow"),
+            **{key: raw.get(key, default=None) for key in _OPTIONAL_KEYS}))
+    if not steps:
+        raise doc.fail("steps", "scenario has no steps")
     return steps
 
 
 def load_scenario(path) -> list[ScenarioStep]:
-    return parse_scenario(Path(path).read_text(encoding="utf-8"))
+    return load_document(path, parse_scenario)
 
 
 class NodeSet:
     """Starts every node listed in a nodes file and stops them on exit."""
 
     def __init__(self, nodes_path, port_override: Optional[dict] = None):
-        nodes_path = Path(nodes_path)
-        doc = yaml.safe_load(nodes_path.read_text(encoding="utf-8"))
         self.servers: dict[str, NodeServer] = {}
-        self._configs = []
-        for entry in doc["nodes"]:
-            config = load_node_config(nodes_path.parent / entry)
-            if port_override is not None:
+        base = Path(nodes_path).parent
+        self._configs = load_document(nodes_path, lambda text: [
+            load_node_config(base / entry)
+            for entry in read_document(text).get("nodes", strings)])
+        if port_override is not None:
+            for config in self._configs:
                 config.port = port_override.get(config.id, config.port)
-            self._configs.append(config)
 
     def start(self) -> "NodeSet":
         try:
             for config in self._configs:
-                state = NodeState.from_config(config)
-                server = NodeServer(state, config.host, config.port)
-                server.start()
-                self.servers[config.id] = server
+                self.servers[config.id] = serve(config)
         except Exception:
             self.stop()
             raise
@@ -100,8 +94,10 @@ class NodeSet:
     def __exit__(self, *exc):
         self.stop()
 
-    def endpoint(self, node_id: str) -> str:
-        return self.servers[node_id].endpoint
+    def server(self, node_id: str) -> NodeServer:
+        if node_id not in self.servers:
+            raise ScenarioError(f"no running node {node_id!r}")
+        return self.servers[node_id]
 
 
 def run_scenario(steps: list, nodes: NodeSet, base_dir,
@@ -115,7 +111,7 @@ def run_scenario(steps: list, nodes: NodeSet, base_dir,
                        "sender": step.sender}
         if step.kind == "publish":
             payload = load_graph(base / step.graph)
-            node = nodes.servers[step.sender].state
+            node = nodes.server(step.sender).state
             before = len(node.graph)
             node.graph.update(payload)
             entry.update({"response": "inserted",
@@ -124,29 +120,28 @@ def run_scenario(steps: list, nodes: NodeSet, base_dir,
             catalog = load_catalog(base / step.catalog)
             # endpoints in the catalog may be stale if nodes were started on
             # ephemeral ports; rewrite from the running set
-            rewritten = []
-            for source in catalog.sources:
-                if source.id in nodes.servers:
-                    from dataclasses import replace
-                    source = replace(source, endpoint=nodes.endpoint(source.id))
-                rewritten.append(source)
-            catalog.sources = rewritten
+            catalog.sources = [
+                replace(source, endpoint=nodes.servers[source.id].endpoint)
+                if source.id in nodes.servers else source
+                for source in catalog.sources]
             query_text = (base / step.query).read_text(encoding="utf-8")
             solutions = federated_query(query_text, catalog)
             entry.update({"response": "QueryResult", "rows": len(solutions)})
         elif step.kind in ("catalog", "query"):
-            client = NodeClient(endpoint=nodes.endpoint(step.receiver),
+            client = NodeClient(endpoint=nodes.server(step.receiver).endpoint,
                                 sender_id=step.sender,
                                 contract_id=step.contract or "",
                                 source_id=step.receiver)
             entry["receiver"] = step.receiver
             try:
                 if step.kind == "catalog":
-                    response = client._roundtrip(
-                        _catalog_request(step.sender, step.contract))
+                    response = client.request("CatalogRequest",
+                                              {"contractId": step.contract})
                 else:
                     query_text = (base / step.query).read_text(encoding="utf-8")
-                    response = client.query_raw(query_text)
+                    response = client.request("QueryRequest",
+                                              {"contractId": client.contract_id,
+                                               "query": query_text})
                 entry.update({
                     "response": response.type,
                     "provenance_record": response.body.get("provenanceRecordId"),
@@ -168,20 +163,12 @@ def run_scenario(steps: list, nodes: NodeSet, base_dir,
                     raise ScenarioError(
                         f"step {index} ({step.rq}): expected {step.expect}, "
                         f"got {exc.reason}") from None
-        else:
-            raise ScenarioError(f"step {index}: unknown kind {step.kind!r}")
         transcript.append(entry)
     if transcript_path is not None:
         with open(transcript_path, "w", encoding="utf-8") as fh:
             for entry in transcript:
                 fh.write(json.dumps(entry, sort_keys=True) + "\n")
     return transcript
-
-
-def _catalog_request(sender: str, contract: Optional[str]):
-    from .connector.messages import Message
-    return Message(type="CatalogRequest", sender=sender,
-                   body={"contractId": contract})
 
 
 def coverage(transcript: list) -> set:

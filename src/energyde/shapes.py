@@ -23,13 +23,13 @@ import json
 from dataclasses import dataclass, field
 from typing import Optional
 
-import yaml
-
+from .config import (ConfigError, integer, load_document, one_of, read_document,
+                     strings)
 from .rdf import Graph, IRI, Literal, Term, format_term
-from .vocab import PREFIXES, RDF_TYPE, expand_iri
+from .vocab import PREFIXES, RDF_TYPE
 
 
-class ShapesError(ValueError):
+class ShapesError(ConfigError):
     pass
 
 
@@ -78,68 +78,40 @@ class ValidationReport:
 
 _PROP_KEYS = {"path", "min_count", "max_count", "datatype", "node_kind",
               "class", "in"}
+_RDF_TYPE = IRI(RDF_TYPE)
 
 
 def parse_shapes(text: str) -> list[Shape]:
-    try:
-        doc = yaml.safe_load(text)
-    except yaml.YAMLError as exc:
-        raise ShapesError(f"invalid YAML: {exc}") from None
-    if not isinstance(doc, dict) or "shapes" not in doc:
-        raise ShapesError("shapes document must have a top-level 'shapes' list")
-    prefixes = dict(PREFIXES)
-    prefixes.update(doc.get("prefixes") or {})
+    doc = read_document(text, ShapesError)
+    prefixes = doc.prefixes(PREFIXES)
     shapes = []
-    for i, entry in enumerate(doc["shapes"]):
-        where = f"shapes[{i}]"
-        if not isinstance(entry, dict) or "target_class" not in entry:
-            raise ShapesError(f"{where}: missing 'target_class'")
-        target = expand_iri(str(entry["target_class"]), prefixes, where,
-                            ShapesError)
-        shape_id = str(entry.get("id") or target.rsplit("/", 1)[-1])
+    for entry in doc.sections("shapes"):
+        target = entry.iri("target_class", prefixes)
+        shape_id = entry.get("id", default=None) or target.rsplit("/", 1)[-1]
         constraints = []
-        for j, prop in enumerate(entry.get("properties") or []):
-            pwhere = f"{where}.properties[{j}]"
-            if not isinstance(prop, dict) or "path" not in prop:
-                raise ShapesError(f"{pwhere}: missing 'path'")
-            unknown = set(prop) - _PROP_KEYS
-            if unknown:
-                raise ShapesError(f"{pwhere}: unknown keys {sorted(unknown)}")
-            min_count = prop.get("min_count")
-            max_count = prop.get("max_count")
+        for prop in entry.sections("properties", []):
+            prop.only(_PROP_KEYS)
+            min_count = prop.get("min_count", integer, None)
+            max_count = prop.get("max_count", integer, None)
             if (min_count is not None and max_count is not None
                     and min_count > max_count):
-                raise ShapesError(f"{pwhere}: min_count > max_count")
-            node_kind = prop.get("node_kind")
-            if node_kind is not None and node_kind not in ("IRI", "Literal"):
-                raise ShapesError(f"{pwhere}: node_kind must be IRI or Literal")
-            datatype = prop.get("datatype")
-            if datatype is not None:
-                datatype = expand_iri(str(datatype), prefixes, pwhere, ShapesError)
-            value_class = prop.get("class")
-            if value_class is not None:
-                value_class = expand_iri(str(value_class), prefixes, pwhere,
-                                         ShapesError)
+                raise ShapesError(f"{prop.where}: min_count > max_count")
             in_values = None
             if "in" in prop:
-                raw = prop["in"]
-                if not isinstance(raw, list) or not raw:
-                    raise ShapesError(f"{pwhere}: 'in' must be a non-empty list")
-                terms = []
-                for v in raw:
-                    text_v = str(v)
-                    is_iri = "://" in text_v or (
-                        ":" in text_v and text_v.split(":", 1)[0] in prefixes)
-                    if is_iri:
-                        terms.append(IRI(expand_iri(text_v, prefixes, pwhere,
-                                                    ShapesError)))
-                    else:
-                        terms.append(Literal(text_v))
-                in_values = tuple(terms)
+                raw = prop.get("in", strings)
+                if not raw:
+                    raise prop.fail("in", "must be a non-empty list")
+                in_values = tuple(
+                    IRI(prop.expand("in", v, prefixes)) if "://" in v or (
+                        ":" in v and v.split(":", 1)[0] in prefixes)
+                    else Literal(v)
+                    for v in raw)
             constraints.append(PropertyConstraint(
-                path=expand_iri(str(prop["path"]), prefixes, pwhere, ShapesError),
-                min_count=min_count, max_count=max_count, datatype=datatype,
-                node_kind=node_kind, value_class=value_class,
+                path=prop.iri("path", prefixes),
+                min_count=min_count, max_count=max_count,
+                datatype=prop.iri("datatype", prefixes, None),
+                node_kind=prop.get("node_kind", one_of("IRI", "Literal"), None),
+                value_class=prop.iri("class", prefixes, None),
                 in_values=in_values))
         shapes.append(Shape(id=shape_id, target_class=target,
                             constraints=tuple(constraints)))
@@ -147,14 +119,13 @@ def parse_shapes(text: str) -> list[Shape]:
 
 
 def load_shapes(path) -> list[Shape]:
-    with open(path, encoding="utf-8") as fh:
-        return parse_shapes(fh.read())
+    return load_document(path, parse_shapes)
 
 
-def _check(focus: Term, constraint: PropertyConstraint, shape: Shape,
+def _check(focus: Term, constraint: PropertyConstraint, path: IRI,
+           value_class: Optional[IRI], shape: Shape,
            graph: Graph) -> list[Violation]:
-    path_iri = IRI(constraint.path)
-    objects = [t.object for t in graph.match(focus, path_iri, None)]
+    objects = [t.object for t in graph.match(focus, path, None)]
     out = []
 
     def violation(kind: str, message: str):
@@ -178,9 +149,9 @@ def _check(focus: Term, constraint: PropertyConstraint, shape: Shape,
             if not isinstance(obj, want):
                 violation("node-kind",
                           f"value {format_term(obj)} is not a {constraint.node_kind}")
-    if constraint.value_class is not None:
+    if value_class is not None:
         for obj in objects:
-            if not graph.match(obj, IRI(RDF_TYPE), IRI(constraint.value_class)):
+            if not graph.match(obj, _RDF_TYPE, value_class):
                 violation("class", f"value {format_term(obj)} lacks rdf:type "
                                    f"<{constraint.value_class}>")
     if constraint.in_values is not None:
@@ -196,11 +167,14 @@ def validate(graph: Graph, shapes: list[Shape]) -> ValidationReport:
     violations: list[Violation] = []
     for shape in shapes:
         focus_nodes = sorted(
-            {t.subject for t in graph.match(None, IRI(RDF_TYPE),
+            {t.subject for t in graph.match(None, _RDF_TYPE,
                                             IRI(shape.target_class))},
             key=format_term)
-        for focus in focus_nodes:
-            for constraint in shape.constraints:
-                violations.extend(_check(focus, constraint, shape, graph))
+        for constraint in shape.constraints:
+            path = IRI(constraint.path)
+            value_class = constraint.value_class and IRI(constraint.value_class)
+            for focus in focus_nodes:
+                violations.extend(_check(focus, constraint, path, value_class,
+                                         shape, graph))
     violations.sort(key=lambda v: (format_term(v.focus), v.path, v.kind))
     return ValidationReport(conforms=not violations, violations=violations)

@@ -66,16 +66,3 @@ PREFIXES = {
     "wdt": WDT,
 }
 
-
-def expand_iri(value: str, prefixes: dict, where: str, error: type) -> str:
-    """Expand a prefixed name against ``prefixes``; a full ``http://``,
-    ``https://`` or ``urn:`` IRI passes through.  Anything else raises
-    ``error`` with a message that starts at ``where``."""
-    if value.startswith(("http://", "https://", "urn:")):
-        return value
-    label, sep, local = value.partition(":")
-    if sep and label in prefixes:
-        return prefixes[label] + local
-    if sep:
-        raise error(f"{where}: unknown prefix {label!r}")
-    raise error(f"{where}: not an IRI or prefixed name: {value!r}")

@@ -171,6 +171,112 @@ class TestFederate:
             assert re.search(message, err) and "Traceback" not in err
 
 
+
+def _scenario(workdir):
+    return ("scenario", "run", "--script", str(workdir / "scenario.yaml"),
+            "--nodes", str(workdir / "nodes.yaml"))
+
+
+def _pipeline(workdir):
+    return ("pipeline", "run", "--config", str(workdir / "pipeline.yaml"))
+
+
+def _validate(workdir):
+    return ("validate", "--graph", str(workdir / "graphs" / "tso.nt"),
+            "--shapes", str(workdir / "shapes" / "capacity.yaml"))
+
+
+def _replace(old, new):
+    def edit(text):
+        assert old in text
+        return text.replace(old, new, 1)
+    return edit
+
+
+_BAD_PREDICATE = _replace("predicate: energy:country",
+                          'predicate: "energy:agg year"')
+
+
+class TestBadConfig:
+    """One edit to one fixture file; every case gave a traceback before
+    every YAML file went through one reader."""
+
+    @pytest.mark.parametrize("path, edit, argv, message", [
+        ("pipeline.yaml", _replace("output: graphs/tso.nt\n", ""), _pipeline,
+         r"pipeline\.yaml: output: missing"),
+        ("pipeline.yaml", lambda text: "- sources\n- output\n", _pipeline,
+         r"pipeline\.yaml: top level: expected a mapping, got list"),
+        ("pipeline.yaml", _replace("{kind: drop-missing, field: country}",
+                                   "{kind: scale-numeric, field: measure, "
+                                   "factor: abc}"), _pipeline,
+         r"sources\[0\]\.preprocess\[0\]\.factor: not a number"),
+        ("nodes/tso.yaml", _replace("id: tso", "id: ["), _scenario,
+         r"nodes/tso\.yaml: not valid YAML"),
+        ("nodes/tso.yaml", _replace("listen: {host: 127.0.0.1, port: 39471}",
+                                    "listen: [1, 2]"), _scenario,
+         r"nodes/tso\.yaml: listen: expected a mapping, got list"),
+        ("contracts/contracts.yaml", _replace("    provider: supplier\n", ""),
+         _scenario, r"contracts\.yaml: contracts\[0\]\.provider: missing"),
+        ("contracts/contracts.yaml", _replace("expiry: 2035-01-01T00:00:00Z",
+                                              "expiry: next year"),
+         _scenario, r"contracts\[0\]\.expiry: .*next year"),
+        ("scenario.yaml", lambda text: "steps:\n  - a plain string\n",
+         _scenario, r"scenario\.yaml: steps\[0\]: expected a mapping, got str"),
+        ("nodes.yaml", lambda text: "servers: []\n", _scenario,
+         r"nodes\.yaml: nodes: missing"),
+        ("shapes/capacity.yaml", _replace("min_count: 1", "min_count: one"),
+         _validate, r"shapes\[0\]\.properties\[0\]\.min_count: "
+                    r"expected an integer"),
+    ], ids=["pipeline-no-output", "pipeline-list", "factor-abc",
+            "node-invalid-yaml", "node-listen-list", "contract-no-provider",
+            "contract-expiry-text", "scenario-step-string", "nodes-no-nodes",
+            "shape-min-count-text"])
+    def test_exits_2_with_the_key_path(self, capsys, workdir, path, edit,
+                                       argv, message):
+        target = workdir / path
+        target.write_text(edit(target.read_text()))
+        code, out, err = run_cli(capsys, *argv(workdir))
+        assert code == 2, (out, err)
+        assert re.search(r"^error: .*" + message, err, re.M), err
+        assert "Traceback" not in err
+
+    def test_bad_predicate_is_a_config_error(self, capsys, workdir, tmp_path):
+        mapping = workdir / "mappings" / "capacity.yaml"
+        mapping.write_text(_BAD_PREDICATE(mapping.read_text()))
+        code, _, err = run_cli(capsys, "rdfize", "--mapping", str(mapping),
+                               "--output", str(tmp_path / "out.nt"))
+        assert code == 2
+        assert re.search(r"capacity\.yaml: maps\[0\]\.po\[1\]\.predicate: "
+                         r"IRI contains forbidden character", err), err
+        assert not (tmp_path / "out.nt").exists()
+
+    def test_bad_predicate_aborts_the_pipeline_at_mapping(self, capsys,
+                                                          workdir):
+        mapping = workdir / "mappings" / "pipeline.yaml"
+        mapping.write_text(_BAD_PREDICATE(mapping.read_text()))
+        for written in ("report.json", "graphs/tso.prov.nt"):
+            (workdir / written).unlink(missing_ok=True)
+        code, out, _ = run_cli(capsys, *_pipeline(workdir))
+        assert code == 1
+        report = json.loads(out)
+        assert report["aborted_stage"] == "mapping"
+        assert "po[1].predicate" in report["errors"][-1]
+        assert json.loads((workdir / "report.json").read_text()) == report
+        assert "/mapping>" not in (workdir / "graphs" / "tso.prov.nt").read_text()
+        assert "/preprocess>" in (workdir / "graphs" / "tso.prov.nt").read_text()
+
+    def test_scenario_rejection_mismatch_is_a_domain_failure(self, capsys,
+                                                            workdir):
+        script = workdir / "scenario.yaml"
+        script.write_text(_replace("expect: CONTRACT_EXPIRED",
+                                   "expect: NOT_AUTHORIZED")(script.read_text()))
+        for config in (workdir / "nodes").glob("*.yaml"):
+            # ephemeral ports: the run rewrites catalog endpoints itself
+            config.write_text(re.sub(r"port: \d+", "port: 0", config.read_text()))
+        code, _, err = run_cli(capsys, *_scenario(workdir))
+        assert code == 1
+        assert "expected NOT_AUTHORIZED, got CONTRACT_EXPIRED" in err
+
 class TestProvenance:
     def test_show_after_scenario(self, capsys, workdir, tmp_path):
         code, out, _ = run_cli(

@@ -1,0 +1,98 @@
+import copy
+import shutil
+
+import pytest
+import yaml
+from hypothesis import given, settings, strategies as st
+
+from energyde.config import ConfigError, read_document
+from energyde.connector.contracts import load_contracts
+from energyde.connector.node import load_node_config
+from energyde.federation import load_catalog
+from energyde.mapping import load_mapping
+from energyde.pipeline import load_pipeline_config
+from energyde.scenario import NodeSet, load_scenario
+from energyde.shapes import load_shapes
+
+# each loader with the fixture document it reads
+LOADERS = {
+    "mapping": ("mappings/capacity.yaml", load_mapping),
+    "shapes": ("shapes/capacity.yaml", load_shapes),
+    "contracts": ("contracts/contracts.yaml", load_contracts),
+    "node config": ("nodes/tso.yaml", load_node_config),
+    "pipeline config": ("pipeline.yaml", load_pipeline_config),
+    "catalog": ("catalog_full.yaml", load_catalog),
+    "scenario": ("scenario.yaml", load_scenario),
+    "nodes file": ("nodes.yaml", NodeSet),
+}
+
+_leaf = st.one_of(st.none(), st.booleans(), st.integers(), st.text(max_size=12))
+_value = st.one_of(_leaf, st.lists(_leaf, max_size=3),
+                   st.dictionaries(st.text(max_size=8), _leaf, max_size=3))
+
+
+def key_paths(node, prefix=()):
+    """Every key path in a parsed YAML document."""
+    if isinstance(node, dict):
+        items = node.items()
+    elif isinstance(node, list):
+        items = enumerate(node)
+    else:
+        return
+    for key, value in items:
+        yield prefix + (key,)
+        yield from key_paths(value, prefix + (key,))
+
+
+@pytest.fixture(scope="module")
+def corpus(fixture_dir, tmp_path_factory):
+    work = tmp_path_factory.mktemp("config") / "work"
+    shutil.copytree(fixture_dir, work)
+    return work
+
+
+@pytest.mark.parametrize("name", LOADERS)
+def test_fixture_documents_load(corpus, name):
+    relative, load = LOADERS[name]
+    load(corpus / relative)
+
+
+@pytest.mark.parametrize("name", LOADERS)
+@settings(max_examples=60, deadline=None)
+@given(data=st.data())
+def test_a_random_value_loads_or_is_a_config_error(corpus, name, data):
+    relative, load = LOADERS[name]
+    source = corpus / relative
+    doc = yaml.safe_load(source.read_text(encoding="utf-8"))
+    path = data.draw(st.sampled_from(sorted(key_paths(doc), key=repr)))
+    mutated = copy.deepcopy(doc)
+    target = mutated
+    for key in path[:-1]:
+        target = target[key]
+    target[path[-1]] = data.draw(_value)
+    # a sibling file, so relative paths in the document still resolve
+    changed = source.with_name("mutated-" + source.name)
+    changed.write_text(yaml.safe_dump(mutated), encoding="utf-8")
+    try:
+        load(changed)
+    except ConfigError as exc:
+        assert str(exc).startswith(str(changed)), exc
+
+
+@pytest.mark.parametrize("text, message", [
+    ("a: [", "not valid YAML"),
+    ("", "top level: expected a mapping, got NoneType"),
+    ("- a", "top level: expected a mapping, got list"),
+])
+def test_read_document_rejects(text, message):
+    with pytest.raises(ConfigError, match=message):
+        read_document(text)
+
+
+def test_messages_start_at_the_key_path():
+    doc = read_document("a: {b: [{c: x}, 3]}")
+    with pytest.raises(ConfigError, match=r"^a\.b\[1\]: expected a mapping, got int$"):
+        doc.section("a").sections("b")
+    first = read_document("a: {b: [{c: x}]}").section("a").sections("b")[0]
+    with pytest.raises(ConfigError, match=r"^a\.b\[0\]\.d: missing$"):
+        first.get("d")

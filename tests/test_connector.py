@@ -15,8 +15,8 @@ from energyde.connector.contracts import (Contract, ContractError,
                                           load_contracts)
 from energyde.connector.framing import (MAX_FRAME, ConnectionClosed, FrameError,
                                         encode_frame, recv_frame, send_frame)
-from energyde.connector.messages import (Message, MessageError, digest,
-                                         format_rfc3339, rejection)
+from energyde.connector.messages import (Message, MessageError, canonical_json,
+                                         digest, format_rfc3339, rejection)
 from energyde.connector.node import handle
 from energyde.connector.provenance import (ProvenanceLog, read_log,
                                            replay_audit)
@@ -69,6 +69,15 @@ class TestFraming:
     def test_length_prefix_big_endian(self):
         frame = encode_frame({})
         assert frame[:4] == (len(frame) - 4).to_bytes(4, "big")
+
+    def test_payload_is_the_canonical_json(self):
+        # the bytes a resultDigest is taken over are the bytes sent
+        message = Message(type="QueryRequest", sender="fed", body={
+            "query": "SELECT ?s WHERE { ?s ?p \"Zürich – 東京\" . }",
+            "contractId": "c"}).to_dict()
+        frame = encode_frame(message)
+        assert frame[4:] == canonical_json(message).encode()
+        assert frame[4:].isascii()
 
     def test_oversize_frame_rejected(self):
         a, b = socket.socketpair()
