@@ -63,9 +63,39 @@ class Message:
                    issued=str(raw["issued"]), body=raw["body"])
 
 
+class CanonicalJSON(dict):
+    """A JSON object that keeps its canonical JSON text from the first time
+    it is encoded.  ``digest`` hashes that text and ``canonical_json`` splices
+    it into any document that holds the object, so a large result is encoded
+    once per response.  Do not modify the object after it has been encoded."""
+
+    __slots__ = ("_text",)
+
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
+        self._text = None
+
+    @property
+    def text(self) -> str:
+        if self._text is None:
+            self._text = _ENCODER.encode(self)
+        return self._text
+
+
+_ENCODER = json.JSONEncoder(sort_keys=True, separators=(",", ":"))
+
+
 def canonical_json(obj) -> str:
-    """Sorted keys, no insignificant whitespace; basis for all digests."""
-    return json.dumps(obj, sort_keys=True, separators=(",", ":"))
+    """Sorted keys, no insignificant whitespace; basis for all digests.  The
+    text is the same as ``json.dumps(obj, sort_keys=True, separators=(",",
+    ":"))``; objects nested in objects are encoded one by one, so that a
+    ``CanonicalJSON`` among them is spliced in as its kept text."""
+    if isinstance(obj, CanonicalJSON):
+        return obj.text
+    if isinstance(obj, dict) and all(type(key) is str for key in obj):
+        return "{" + ",".join(f"{_ENCODER.encode(key)}:{canonical_json(value)}"
+                              for key, value in sorted(obj.items())) + "}"
+    return _ENCODER.encode(obj)
 
 
 def digest(obj) -> str:

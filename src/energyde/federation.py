@@ -271,16 +271,21 @@ def execute_federated(plan: DecomposedQuery, clients: dict) -> SolutionSequence:
 
 def build_clients(catalog: FederationCatalog, client_factory=None) -> dict:
     """Default clients speak the connector wire protocol using each source's
-    endpoint and default contract."""
+    endpoint, which must be ``host:port``, and default contract.  Clients
+    from ``client_factory`` may read the endpoint as they like."""
     from .connector.client import NodeClient
     clients = {}
-    for source in catalog.sources:
+    for i, source in enumerate(catalog.sources):
         if client_factory is not None:
             clients[source.id] = client_factory(source)
-        else:
-            clients[source.id] = NodeClient(
-                endpoint=source.endpoint, sender_id=catalog.client_id,
-                contract_id=source.contract or "", source_id=source.id)
+            continue
+        host, _, port = source.endpoint.rpartition(":")
+        if not (host and port.isascii() and port.isdigit() and int(port) <= 65535):
+            raise CatalogError(f"sources[{i}].endpoint: expected host:port, "
+                               f"got {source.endpoint!r}")
+        clients[source.id] = NodeClient(
+            endpoint=source.endpoint, sender_id=catalog.client_id,
+            contract_id=source.contract or "", source_id=source.id)
     return clients
 
 
@@ -295,9 +300,5 @@ def federated_query(text: str, catalog: FederationCatalog,
     """parse -> select_sources -> decompose -> execute_federated."""
     plan = plan_query(text, catalog)
     if clients is None:
-        needed = {s for sq in plan.subqueries for s in sq.sources}
-        trimmed = FederationCatalog(
-            sources=[s for s in catalog.sources if s.id in needed],
-            client_id=catalog.client_id)
-        clients = build_clients(trimmed)
+        clients = build_clients(catalog)
     return execute_federated(plan, clients)

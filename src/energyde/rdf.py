@@ -6,7 +6,7 @@ import re
 import threading
 from dataclasses import dataclass
 from types import MappingProxyType
-from typing import Iterable, Iterator, Optional, Union
+from typing import Callable, Iterable, Iterator, Optional, Sequence, Union
 
 from .vocab import RDF_LANGSTRING, XSD_STRING
 
@@ -115,8 +115,10 @@ class Graph:
     that link one subject to one object, is the one the duplicate check
     scans, since it is the shortest in practice.
 
-    Many concurrent readers or one writer; ``match`` materializes its result
-    under the lock so iteration stays stable while other threads insert.
+    One lock guards the indexes.  Each read takes it and materializes its
+    result, so iteration stays stable while other threads insert.  A reader
+    that probes many times, such as a BGP evaluated row by row, holds
+    ``lock`` once around all its ``leaf`` probes instead.
     """
 
     def __init__(self, triples: Iterable[Triple] = ()):
@@ -160,6 +162,12 @@ class Graph:
         """The term dictionary, indexed by id.  Ids are never reused or
         renumbered; callers must not modify the list."""
         return self._terms
+
+    @property
+    def lock(self) -> threading.RLock:
+        """The lock every read and write takes.  Hold it for a consistent
+        view across several reads."""
+        return self._lock
 
     def term_id(self, term: Term) -> Optional[int]:
         """The id of ``term``, or None if no triple of the graph uses it."""
@@ -221,6 +229,19 @@ class Graph:
                 return [(x, y, o) for x, ys in self._osp.get(o, _NO_ENTRIES).items()
                         for y in ys]
             return list(self._id_triples())
+
+    def leaf(self, p: int, o: Optional[int] = None) -> Callable[[int], Sequence[int]]:
+        """One index leaf per subject id, for a caller that binds the subject
+        row by row: with ``o`` None, ``s`` maps to the objects of ``(s, p)``
+        (its SPO leaf); with ``o``, to the predicates that link ``s`` to
+        ``o`` (its OSP leaf), so ``(s, p, o)`` holds iff ``p`` is in it.  An
+        absent leaf is ``()``.  Call it under ``lock`` and do not modify
+        what it returns."""
+        if o is not None:
+            by_s = self._osp.get(o, _NO_ENTRIES)
+            return lambda s: by_s.get(s, ())
+        spo = self._spo
+        return lambda s: spo.get(s, _NO_ENTRIES).get(p, ())
 
     def count_ids(self, s: Optional[int] = None, p: Optional[int] = None,
                   o: Optional[int] = None) -> int:

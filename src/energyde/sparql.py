@@ -404,7 +404,7 @@ def _order_patterns(patterns: list, graph: Graph) -> list:
 def _match_bgp(query: Query, graph: Graph) -> tuple[list[str], list[tuple]]:
     """The BGP's solutions as rows of term ids, one column per variable.
     Pattern constants are resolved to ids once; a constant the graph does not
-    hold matches nothing."""
+    hold matches nothing.  The graph's lock is held once for the whole BGP."""
     patterns = []
     for pattern in query.patterns:
         encoded = []
@@ -416,34 +416,54 @@ def _match_bgp(query: Query, graph: Graph) -> tuple[list[str], list[tuple]]:
         patterns.append(encoded)
     columns: list[str] = []
     rows: list[tuple] = [()]
-    for pattern in _order_patterns(patterns, graph):
-        lookup = []         # per position: (constant id, None) or (None, column)
-        take = []           # positions whose variable gets a new column
-        same = []           # (position, first position) of a repeated new variable
-        for i, x in enumerate(pattern):
-            if isinstance(x, int):
-                lookup.append((x, None))
-            elif x in columns:
-                lookup.append((None, columns.index(x)))
-            else:
-                lookup.append((None, None))
-                first = pattern.index(x)
-                if first == i:
-                    take.append(i)
-                else:
-                    same.append((i, first))
-        columns += [pattern[i] for i in take]
-        next_rows = []
-        for row in rows:
-            ids = [row[col] if col is not None else const for const, col in lookup]
-            for triple in graph.match_ids(*ids):
-                if same and any(triple[i] != triple[j] for i, j in same):
-                    continue
-                next_rows.append(row + tuple([triple[i] for i in take]))
-        rows = next_rows
-        if not rows:
-            break
+    with graph.lock:
+        for pattern in _order_patterns(patterns, graph):
+            rows = _join_pattern(rows, columns, pattern, graph)
+            if not rows:
+                break
     return columns, rows
+
+
+def _join_pattern(rows: list[tuple], columns: list[str], pattern: list,
+                  graph: Graph) -> list[tuple]:
+    """``rows`` extended by one encoded pattern; the pattern's new variables
+    are appended to ``columns``.  A subject already bound by a column with a
+    constant predicate probes one index leaf per row: the SPO leaf for a new
+    object variable, the OSP leaf for a constant object.  Any other pattern
+    goes through ``match_ids``."""
+    s, p, o = pattern
+    if s in columns and isinstance(p, int) and (isinstance(o, int) or o not in columns):
+        col = columns.index(s)
+        if isinstance(o, int):
+            linked = graph.leaf(p, o)
+            return [row for row in rows if p in linked(row[col])]
+        objects = graph.leaf(p)
+        columns.append(o)
+        return [row + (x,) for row in rows for x in objects(row[col])]
+    lookup = []         # per position: (constant id, None) or (None, column)
+    take = []           # positions whose variable gets a new column
+    same = []           # (position, first position) of a repeated new variable
+    for i, x in enumerate(pattern):
+        if isinstance(x, int):
+            lookup.append((x, None))
+        elif x in columns:
+            lookup.append((None, columns.index(x)))
+        else:
+            lookup.append((None, None))
+            first = pattern.index(x)
+            if first == i:
+                take.append(i)
+            else:
+                same.append((i, first))
+    columns += [pattern[i] for i in take]
+    next_rows = []
+    for row in rows:
+        ids = [row[col] if col is not None else const for const, col in lookup]
+        for triple in graph.match_ids(*ids):
+            if same and any(triple[i] != triple[j] for i, j in same):
+                continue
+            next_rows.append(row + tuple([triple[i] for i in take]))
+    return next_rows
 
 
 def evaluate(query: Query, graph: Graph) -> SolutionSequence:
@@ -496,8 +516,23 @@ def _binding_entry(term: Term) -> dict:
 
 
 def _row_sort_key(variables):
+    """Sort key of a row: its terms' N-Triples text, "" for unbound.  Each
+    distinct term object is formatted once per key function, that is, once
+    per sort."""
+    texts: dict[int, str] = {}      # id(term) -> text; rows keep the terms alive
+
     def key(row):
-        return tuple(format_term(row[v]) if v in row else "" for v in variables)
+        out = []
+        for v in variables:
+            term = row.get(v)
+            if term is None:
+                out.append("")
+                continue
+            text = texts.get(id(term))
+            if text is None:
+                text = texts[id(term)] = format_term(term)
+            out.append(text)
+        return tuple(out)
     return key
 
 
@@ -518,19 +553,29 @@ def serialize_results(solutions: SolutionSequence) -> str:
     return json.dumps(solutions_to_json(solutions), indent=2, sort_keys=True) + "\n"
 
 
+def _entry_term(entry: dict) -> Term:
+    if entry["type"] == "uri":
+        return IRI(entry["value"])
+    if entry["type"] == "bnode":
+        return BlankNode(entry["value"])
+    return Literal(entry["value"], entry.get("datatype", XSD + "string"),
+                   entry.get("xml:lang"))
+
+
 def solutions_from_json(doc: dict) -> SolutionSequence:
+    """Rows of a SPARQL JSON results document.  Each distinct binding is
+    turned into a term, and checked, once; rows share the term objects."""
     variables = list(doc["head"]["vars"])
+    terms: dict[tuple, Term] = {}
     rows = []
     for binding in doc["results"]["bindings"]:
         row: dict[str, Term] = {}
         for var, entry in binding.items():
-            if entry["type"] == "uri":
-                row[var] = IRI(entry["value"])
-            elif entry["type"] == "bnode":
-                row[var] = BlankNode(entry["value"])
-            else:
-                row[var] = Literal(entry["value"],
-                                   entry.get("datatype", XSD + "string"),
-                                   entry.get("xml:lang"))
+            key = (entry["type"], entry["value"], entry.get("datatype"),
+                   entry.get("xml:lang"))
+            term = terms.get(key)
+            if term is None:
+                term = terms[key] = _entry_term(entry)
+            row[var] = term
         rows.append(row)
     return SolutionSequence(variables=variables, rows=rows)

@@ -18,6 +18,7 @@ from energyde.connector.node import NodeServer, NodeState, handle, load_node_con
 from energyde.connector.provenance import read_log, replay_audit
 from energyde.federation import (FederationCatalog, federated_query,
                                  load_catalog, plan_query)
+from energyde.fixtures import PORTS
 from energyde.mapping import (LogicalSource, apply_mapping, load_mapping,
                               read_records)
 from energyde.pipeline import (link_entities, load_pipeline_config,
@@ -211,7 +212,7 @@ def test_7_sovereignty(fixture_dir, tmp_path):
     work = tmp_path / "work"
     shutil.copytree(fixture_dir, work)
     steps = load_scenario(work / "scenario.yaml")
-    with NodeSet(work / "nodes.yaml", port_override={}) as nodes:
+    with NodeSet(work / "nodes.yaml", port_override=dict.fromkeys(PORTS, 0)) as nodes:
         transcript = run_scenario(steps, nodes, work)
     assert coverage(transcript) >= REQUIRED_TAGS
 
@@ -226,8 +227,9 @@ def test_7_sovereignty(fixture_dir, tmp_path):
         findings = replay_audit(records, contracts, node_id, config.resource)
         assert findings == [], (node_id, findings)
 
-    # fuzz: randomized contract ids, consumers, and clock times against a
-    # fresh node; a QueryResult may only ever appear when authorize() allows
+    # fuzz: randomized contract ids, consumers, clock times and body field
+    # types against a fresh node; a QueryResult may only ever appear when
+    # authorize() allows, and a field of the wrong type is MALFORMED
     graph = Graph()
     from energyde.rdf import Triple
     graph.insert(Triple(IRI("http://example.org/s"),
@@ -240,15 +242,28 @@ def test_7_sovereignty(fixture_dir, tmp_path):
     contract_ids = [c.id for c in contracts] + ["ghost", "", "tso-self "]
     consumers = ["tso", "supplier", "producer", "wiki", "intruder", ""]
     base = datetime(2015, 1, 1, tzinfo=timezone.utc)
-    leaks = 0
-    for _ in range(1000):
+    odd_values = [["tso-self"], {"id": "tso-self"}, 7, None]
+    leaks = retyped = 0
+    for n in range(1000):
+        body = {"contractId": rng.choice(contract_ids),
+                "query": "SELECT ?s WHERE { ?s ?p ?o . }"}
+        for key in body:
+            if rng.random() < 0.2:
+                body[key] = rng.choice(odd_values)
         request = Message(
             type=rng.choice(["QueryRequest", "CatalogRequest"]),
-            sender=rng.choice(consumers),
-            body={"contractId": rng.choice(contract_ids),
-                  "query": "SELECT ?s WHERE { ?s ?p ?o . }"})
+            sender=rng.choice(consumers), body=body)
         now = base + timedelta(minutes=rng.randrange(0, 12 * 525600))
         response = handle(state, request, now=now)
+        assert isinstance(response, Message)
+        assert len(read_log(tmp_path / "fuzzed.jsonl")) == n + 1
+        malformed = not isinstance(body["contractId"], (str, type(None))) or (
+            request.type == "QueryRequest" and not isinstance(body["query"], str))
+        if malformed:
+            retyped += 1
+            assert response.type == "Rejection"
+            assert response.body["reason"] == "MALFORMED"
+            continue
         decision = authorize(request, contracts, "tso", "tso-graph", now)
         if response.type in ("QueryResult", "CatalogResponse"):
             if decision is not None:
@@ -256,11 +271,13 @@ def test_7_sovereignty(fixture_dir, tmp_path):
         else:
             assert decision is not None or response.body["reason"] == "MALFORMED"
     assert leaks == 0
+    assert retyped >= 100
     records = read_log(tmp_path / "fuzzed.jsonl")
     assert len(records) == 1000  # one provenance record per decoded request
     findings = replay_audit(records, contracts, "tso", "tso-graph")
     assert findings == []
-    report(7, "sovereignty", "scenario RQ-1..RQ-8 + 1000 fuzz requests: "
+    report(7, "sovereignty", "scenario RQ-1..RQ-8 + 1000 fuzz requests "
+                             f"({retyped} with a field of the wrong type): "
                              "0 leaks, 1000 provenance records, "
                              "replay audit clean")
 

@@ -170,6 +170,25 @@ class TestFederate:
             assert code == 2
             assert re.search(message, err) and "Traceback" not in err
 
+    def test_endpoint_without_port_exits_2(self, capsys, workdir):
+        catalog = workdir / "catalog.yaml"
+        catalog.write_text(re.sub(r"endpoint: 127\.0\.0\.1:\d+", "endpoint: localhost",
+                                  catalog.read_text(), count=1))
+        code, _, err = run_cli(
+            capsys, "federate", "--catalog", str(catalog),
+            "--query", str(workdir / "queries" / "federated.rq"))
+        assert code == 2
+        assert re.search(r"sources\[0\]\.endpoint: expected host:port, "
+                         r"got 'localhost'", err), err
+        assert "Traceback" not in err
+
+
+def _ephemeral_ports(workdir):
+    """Point every node config at port 0, so that no run waits for a fixed
+    port that a socket in TIME-WAIT still holds; the scenario run rewrites
+    catalog endpoints itself."""
+    for config in (workdir / "nodes").glob("*.yaml"):
+        config.write_text(re.sub(r"port: \d+", "port: 0", config.read_text()))
 
 
 def _scenario(workdir):
@@ -270,15 +289,14 @@ class TestBadConfig:
         script = workdir / "scenario.yaml"
         script.write_text(_replace("expect: CONTRACT_EXPIRED",
                                    "expect: NOT_AUTHORIZED")(script.read_text()))
-        for config in (workdir / "nodes").glob("*.yaml"):
-            # ephemeral ports: the run rewrites catalog endpoints itself
-            config.write_text(re.sub(r"port: \d+", "port: 0", config.read_text()))
+        _ephemeral_ports(workdir)
         code, _, err = run_cli(capsys, *_scenario(workdir))
         assert code == 1
         assert "expected NOT_AUTHORIZED, got CONTRACT_EXPIRED" in err
 
 class TestProvenance:
     def test_show_after_scenario(self, capsys, workdir, tmp_path):
+        _ephemeral_ports(workdir)
         code, out, _ = run_cli(
             capsys, "scenario", "run",
             "--script", str(workdir / "scenario.yaml"),

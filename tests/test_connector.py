@@ -1,3 +1,4 @@
+import hashlib
 import json
 import socket
 import threading
@@ -5,6 +6,7 @@ import tracemalloc
 from datetime import datetime, timezone
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from conftest import make_node, open_contract
 from genutil import bag
@@ -15,12 +17,14 @@ from energyde.connector.contracts import (Contract, ContractError,
                                           load_contracts)
 from energyde.connector.framing import (MAX_FRAME, ConnectionClosed, FrameError,
                                         encode_frame, recv_frame, send_frame)
-from energyde.connector.messages import (Message, MessageError, canonical_json,
-                                         digest, format_rfc3339, rejection)
+from energyde.connector.messages import (CanonicalJSON, Message, MessageError,
+                                         canonical_json, digest, format_rfc3339,
+                                         rejection)
 from energyde.connector.node import handle
 from energyde.connector.provenance import (ProvenanceLog, read_log,
                                            replay_audit)
-from energyde.rdf import Graph, IRI, Literal, Triple
+from energyde.rdf import BlankNode, Graph, IRI, Literal, Triple, parse_ntriples
+from energyde.sparql import SolutionSequence, solutions_to_json
 
 EX = "http://example.org/"
 UTC = timezone.utc
@@ -153,6 +157,39 @@ class TestMessages:
         assert rej.correlation_id == req.correlation_id
 
 
+_JSON = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats(allow_nan=False)
+    | st.text(),
+    lambda inner: st.lists(inner, max_size=4)
+    | st.dictionaries(st.text(max_size=6), inner, max_size=4),
+    max_leaves=20)
+
+
+class TestCanonicalJSON:
+    @settings(max_examples=300, deadline=None)
+    @given(_JSON, st.data())
+    def test_text_equals_json_dumps(self, doc, data):
+        # the same text alone and nested in an object and a list, and for an
+        # object also when it is a CanonicalJSON that gets spliced in
+        def dumps(obj):
+            return json.dumps(obj, sort_keys=True, separators=(",", ":"))
+
+        key = data.draw(st.text(max_size=6))
+        for form in [doc, CanonicalJSON(doc)] if isinstance(doc, dict) else [doc]:
+            assert canonical_json(form) == dumps(doc)
+            assert canonical_json({key: form, "z": [form]}) == \
+                dumps({key: doc, "z": [doc]})
+
+    def test_text_is_encoded_once_and_spliced(self):
+        doc = CanonicalJSON({"b": [1, 2], "a": {"c": "é"}})
+        text = canonical_json(doc)
+        assert text == '{"a":{"c":"\\u00e9"},"b":[1,2]}'
+        assert canonical_json(doc) is text
+        assert digest(doc) == digest({"a": {"c": "é"}, "b": [1, 2]})
+        frame = encode_frame({"body": {"results": doc}})
+        assert frame[4:] == b'{"body":{"results":' + text.encode() + b"}}"
+
+
 class TestAuthorize:
     CONTRACTS = ContractStore([Contract(
         id="c1", provider="tso", consumer="fed", resource="tso-graph",
@@ -270,11 +307,94 @@ class TestHandle:
         assert len(records) == 3
         assert [r.id for r in records] == [1, 2, 3]
 
+    @pytest.mark.parametrize("body", [
+        {"contractId": ["tso-open"], "query": "SELECT ?s WHERE { ?s ?p ?o . }"},
+        {"contractId": {"id": "tso-open"}, "query": "SELECT ?s WHERE { ?s ?p ?o . }"},
+        {"contractId": 7, "query": "SELECT ?s WHERE { ?s ?p ?o . }"},
+        {"contractId": "tso-open", "query": ["SELECT"]},
+        {"contractId": "tso-open", "query": None},
+    ], ids=["contract-list", "contract-dict", "contract-int", "query-list",
+            "query-null"])
+    def test_wrong_field_type_is_one_logged_rejection(self, tmp_path, body):
+        state = make_node(tmp_path, "tso", small_graph())
+        response = handle(state, Message(type="QueryRequest", sender="fed",
+                                         body=body))
+        assert response.type == "Rejection"
+        assert response.body["reason"] == "MALFORMED"
+        (record,) = read_log(tmp_path / "tso.jsonl")
+        assert record.kind == "query-rejected"
+        assert record.contract in (None, "tso-open")
+        assert record.id == response.body["provenanceRecordId"]
+
     def test_result_digest_matches_payload(self, tmp_path):
         state = make_node(tmp_path, "tso", small_graph())
         response = handle(state, query_request(contract="tso-open"))
         record = read_log(tmp_path / "tso.jsonl")[0]
         assert record.result_digest == digest(response.body["results"])
+
+
+# escapes, control and non-ASCII characters, language tags, typed
+# literals and blank nodes
+_PINNED_GRAPH = r'''
+<http://example.org/s1> <http://www.w3.org/1999/02/22-rdf-syntax-ns#type> <http://example.org/Thing> .
+<http://example.org/s1> <http://example.org/label> "line\nbreak \"quoted\" back\\slash\ttab" .
+<http://example.org/s1> <http://example.org/label> "Windkraft"@de .
+<http://example.org/s1> <http://example.org/value> "320"^^<http://www.w3.org/2001/XMLSchema#integer> .
+_:b0 <http://www.w3.org/1999/02/22-rdf-syntax-ns#type> <http://example.org/Thing> .
+_:b0 <http://example.org/label> "Grüße ☃ \U0001F600"@en-GB .
+_:b0 <http://example.org/value> "2.5"^^<http://www.w3.org/2001/XMLSchema#decimal> .
+_:b0 <http://example.org/value> "ctl\u0001"^^<http://example.org/myType> .
+_:b0 <http://example.org/next> _:b1 .
+_:b1 <http://example.org/label> "" .
+'''
+
+
+class TestWireFormat:
+    """The response frame's sha256 and the provenance resultDigest, pinned
+    to the values of the code that encoded the results twice (once for the
+    digest, once for the frame): one encoding changes no byte."""
+
+    @pytest.mark.parametrize("query, rows, frame_sha, result_digest", [
+        ("SELECT ?s ?p ?o WHERE { ?s ?p ?o . }", 10,
+         "231c0bc862e703ca0c795dda9806e3f81a6ae3b479443227c195b7fe8d8a58bb",
+         "5b4bd9ef1aad712ebdd415b2d21cf2a7c75dc6daef7f741b80ce40e267098e50"),
+        ("SELECT ?s ?label ?v WHERE { ?s a <http://example.org/Thing> . "
+         "?s <http://example.org/label> ?label . "
+         "?s <http://example.org/value> ?v . }", 4,
+         "b839e2d14101c2c518d163d4e6c5422a7a696e34c8549c2f9de5ffb8286ef152",
+         "4d8743ff90b999d6e01b7588a83410004eedcbb70acc2c97de9218b5df330a88"),
+    ], ids=["all-triples", "star-join"])
+    def test_query_result_bytes(self, tmp_path, query, rows, frame_sha,
+                                result_digest):
+        state = make_node(tmp_path, "tso", parse_ntriples(_PINNED_GRAPH))
+        request = Message(type="QueryRequest", sender="fed",
+                          correlation_id="corr-1", issued="2024-06-01T00:00:00Z",
+                          body={"contractId": "tso-open", "query": query})
+        response = handle(state, request, now=IN_WINDOW)
+        response.issued = "2024-06-01T00:00:01Z"
+        assert len(response.body["results"]["results"]["bindings"]) == rows
+        frame = encode_frame(response.to_dict())
+        assert hashlib.sha256(frame).hexdigest() == frame_sha
+        assert read_log(tmp_path / "tso.jsonl")[0].result_digest == result_digest
+        # what a receiver decodes is the plain document that was digested
+        assert digest(json.loads(frame[4:])["body"]["results"]) == result_digest
+
+    def test_unbound_column_bytes(self):
+        rows = [{"x": IRI("http://example.org/a"), "y": Literal("1")},
+                {"x": BlankNode("z")},
+                {"y": Literal("é", lang="fr")}]
+        results = solutions_to_json(SolutionSequence(variables=["x", "y"],
+                                                     rows=rows))
+        for body_results in (results, CanonicalJSON(results)):
+            message = Message(type="QueryResult", sender="tso",
+                              correlation_id="corr-2",
+                              issued="2024-06-01T00:00:02Z",
+                              body={"results": body_results,
+                                    "provenanceRecordId": 3})
+            assert digest(body_results) == \
+                "d54d7d12f57b19581c569495e5783008922dbc0add89aeec8e829b12154036f8"
+            assert hashlib.sha256(encode_frame(message.to_dict())).hexdigest() == \
+                "8c32bd5f6c60a0540bcd3c094f736331a258bbb174a4ddd898fb7d39a265d057"
 
 
 class TestProvenance:
@@ -371,6 +491,18 @@ class TestWire:
             raw = recv_frame(sock)
         assert raw["type"] == "Rejection"
         assert raw["body"]["reason"] == "MALFORMED"
+
+    def test_unhashable_contract_id_gets_rejection(self, start_node, tmp_path):
+        server = start_node("tso", small_graph())
+        host, port = server.endpoint.rsplit(":", 1)
+        request = Message(type="QueryRequest", sender="fed",
+                          body={"contractId": ["x"], "query": "SELECT ?s WHERE { ?s ?p ?o . }"})
+        with socket.create_connection((host, int(port)), timeout=5) as sock:
+            send_frame(sock, request.to_dict())
+            raw = recv_frame(sock)
+        assert raw["type"] == "Rejection"
+        assert raw["body"]["reason"] == "MALFORMED"
+        assert len(read_log(tmp_path / "tso.jsonl")) == 1
 
     def test_fifty_concurrent_identical_requests(self, start_node, tmp_path):
         server = start_node("busy", small_graph())

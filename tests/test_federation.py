@@ -3,8 +3,9 @@ import random
 import pytest
 
 from energyde.connector.client import LocalClient
-from energyde.federation import (FederationCatalog, FederationError,
-                                 SourceDescription, UnanswerablePatternError,
+from energyde.federation import (CatalogError, FederationCatalog,
+                                 FederationError, SourceDescription,
+                                 UnanswerablePatternError, build_clients,
                                  decompose, federated_query, hash_join,
                                  load_catalog, parse_catalog, plan_query,
                                  select_sources)
@@ -73,6 +74,17 @@ class TestCatalog:
                               classes=frozenset())
         with pytest.raises(Exception):
             FederationCatalog(sources=[s, s], client_id="c")
+
+    @pytest.mark.parametrize("endpoint", ["localhost", "localhost:",
+                                          ":39471", "h:x", "h:99999", "h:٣"])
+    def test_endpoint_needs_host_and_port(self, endpoint):
+        cat = parse_catalog(TWO_SOURCE_CATALOG.replace("127.0.0.1:2", f'"{endpoint}"'))
+        with pytest.raises(CatalogError,
+                           match=r"sources\[1\]\.endpoint: expected host:port"):
+            build_clients(cat)
+        # in-process clients read the endpoint as they like
+        built = build_clients(cat, client_factory=lambda source: source.endpoint)
+        assert built == {"left": "127.0.0.1:1", "right": endpoint}
 
     def test_fixture_catalog(self, fixture_dir):
         cat = load_catalog(fixture_dir / "catalog.yaml")

@@ -3,7 +3,7 @@ import json
 
 import pytest
 
-from energyde.fixtures import generate_fixtures
+from energyde.fixtures import PORTS, generate_fixtures
 from energyde.rdf import IRI, parse_ntriples
 from energyde.scenario import (NodeSet, REQUIRED_TAGS, ScenarioError,
                                coverage, load_scenario, parse_scenario,
@@ -69,7 +69,7 @@ class TestParse:
 class TestRun:
     @pytest.fixture()
     def running_nodes(self, fixture_dir):
-        with NodeSet(fixture_dir / "nodes.yaml", port_override={}) as nodes:
+        with NodeSet(fixture_dir / "nodes.yaml", port_override=dict.fromkeys(PORTS, 0)) as nodes:
             yield nodes
 
     def test_full_scenario_covers_requirements(self, fixture_dir, tmp_path,

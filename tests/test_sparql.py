@@ -3,16 +3,18 @@ import os
 import random
 import subprocess
 import sys
+from collections import Counter
 from pathlib import Path
 
 import pytest
 
 import energyde
-from energyde.rdf import Graph, IRI, Literal, parse_ntriples
-from energyde.sparql import (QueryParseError, SolutionSequence,
-                             UndeclaredPrefixError, Variable, evaluate,
-                             format_query, parse_query, serialize_results,
-                             solutions_from_json, solutions_to_json)
+from energyde.rdf import BlankNode, Graph, IRI, Literal, Triple, parse_ntriples
+from energyde.sparql import (Query, QueryParseError, SolutionSequence,
+                             TriplePattern, UndeclaredPrefixError, Variable,
+                             _match_bgp, evaluate, format_query, parse_query,
+                             serialize_results, solutions_from_json,
+                             solutions_to_json)
 from energyde.vocab import (RDF_TYPE, RENEWABLE_ENERGY, SUBCLASS_OF,
                             WIND_POWER, XSD_INTEGER)
 from genutil import bag, brute_force, random_graph, random_query
@@ -233,6 +235,71 @@ class TestEvaluate:
         assert len(evaluate(q, g)) == 3
 
 
+class _ProbeCountingGraph(Graph):
+    """Counts how ``_match_bgp`` joins each pattern: by an SPO or OSP leaf
+    probe, or through ``match_ids``."""
+
+    def __init__(self, triples, counts):
+        super().__init__(triples)
+        self.counts = counts
+
+    def leaf(self, p, o=None):
+        self.counts["spo leaf" if o is None else "osp leaf"] += 1
+        return super().leaf(p, o)
+
+    def match_ids(self, s=None, p=None, o=None):
+        self.counts["match_ids"] += 1
+        return super().match_ids(s, p, o)
+
+
+def _random_bgp(rng, triples, variables=("x", "y", "z")):
+    """One to four patterns seeded from real triples.  A position keeps its
+    constant or becomes a variable, so BGPs bind subjects shared by several
+    patterns (star joins), constant objects, constant subjects, variable
+    predicates and repeated variables."""
+    patterns = []
+    for _ in range(rng.randrange(1, 5)):
+        base = rng.choice(triples)
+        s = Variable(rng.choice(variables)) if rng.random() < 0.75 else base.subject
+        p = Variable("w") if rng.random() < 0.1 else base.predicate
+        o = Variable(rng.choice(variables)) if rng.random() < 0.5 else base.object
+        patterns.append(TriplePattern(s, p, o))
+    names = tuple(sorted({v for pattern in patterns for v in pattern.variables()}))
+    return Query(projected=names, distinct=False, patterns=tuple(patterns))
+
+
+class TestBgpProbes:
+    def test_match_bgp_equals_nested_loop_oracle(self):
+        # a small, dense graph: self-loops and shared objects are common
+        rng = random.Random(17)
+        nodes = [IRI(f"http://example.org/n{i}") for i in range(6)]
+        values = nodes + [Literal(str(i)) for i in range(3)] + [BlankNode("b")]
+        counts = Counter()
+        graph = _ProbeCountingGraph(
+            {Triple(rng.choice(nodes[:5] + [BlankNode("b")]),
+                    IRI(f"http://example.org/p{rng.randrange(3)}"),
+                    rng.choice(values)) for _ in range(70)}, counts)
+        triples = list(graph)
+        shapes = Counter()
+        for _ in range(400):
+            query = _random_bgp(rng, triples)
+            columns, rows = _match_bgp(query, graph)
+            got = Counter()
+            if rows:        # an empty answer may stop before every column
+                order = [columns.index(v) for v in query.projected]
+                got.update(tuple(graph.terms[row[i]] for i in order) for row in rows)
+            assert got == brute_force(query, graph), format_query(query)
+            for pattern in query.patterns:
+                names = [t.name for t in pattern if isinstance(t, Variable)]
+                shapes["repeated variable"] += len(names) != len(set(names))
+                shapes["constant subject"] += not isinstance(pattern.subject, Variable)
+        # every way of joining a pattern was exercised on rows (the join
+        # stops at the first pattern that leaves none)
+        assert min(counts["spo leaf"], counts["osp leaf"]) >= 25, counts
+        assert counts["match_ids"] >= 400, counts
+        assert min(shapes.values()) >= 30 and len(shapes) == 2, shapes
+
+
 _LIMIT_SCRIPT = """
 import json, random
 from energyde.connector.client import LocalClient
@@ -320,6 +387,15 @@ class TestResults:
         sols = evaluate(q, g)
         back = solutions_from_json(solutions_to_json(sols))
         assert bag(back) == bag(sols)
+        g.insert(Triple(BlankNode("b0"), IRI("http://example.org/p0"),
+                        Literal("x", lang="en")))
+        sols = evaluate(parse_query("SELECT ?s ?p ?o WHERE { ?s ?p ?o . }"), g)
+        back = solutions_from_json(solutions_to_json(sols))
+        assert bag(back) == bag(sols)
+        assert solutions_to_json(back) == solutions_to_json(sols)
+        # one term object per distinct binding, shared by every row
+        cells = [term for row in back.rows for term in row.values()]
+        assert len({id(term) for term in cells}) == len(set(cells)) < len(cells)
 
     def test_typed_and_lang_literals(self):
         sols = SolutionSequence(variables=["v"], rows=[
