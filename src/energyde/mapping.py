@@ -25,10 +25,10 @@ import json
 import re
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Iterable, Optional
+from typing import Callable, Iterable, Optional, Union
 
 from .config import ConfigError, load_document, one_of, read_document
-from .rdf import Graph, IRI, Literal, RdfError, Term, Triple
+from .rdf import Graph, IRI, Literal, RdfError, Term
 from .vocab import PREFIXES, RDF_TYPE, XSD_STRING
 from urllib.parse import quote
 
@@ -150,7 +150,8 @@ def load_mapping(path) -> MappingDocument:
     return load_document(path, parse_mapping, Path(path).parent)
 
 
-def _source_header(source: LogicalSource, base_dir: Path) -> Optional[set[str]]:
+def _source_header(source: LogicalSource, base_dir: Path,
+                   where: str) -> Optional[set[str]]:
     path = base_dir / source.path
     if not path.is_file():
         return None
@@ -158,12 +159,20 @@ def _source_header(source: LogicalSource, base_dir: Path) -> Optional[set[str]]:
         if source.format == "csv":
             return set(next(csv.reader(fh), []))
         first = fh.readline().strip()
-        # an empty json-lines file has no schema to check
-        return set(json.loads(first)) if first else None
+    if not first:
+        return None  # an empty json-lines file has no schema to check
+    try:
+        header = json.loads(first)
+    except ValueError:
+        header = None
+    if not isinstance(header, dict):
+        raise MappingError(f"{where}.source: first line of {path} is not a "
+                           f"JSON object")
+    return set(header)
 
 
 def _check_fields(tmap: TripleMap, base_dir: Path, where: str) -> None:
-    header = _source_header(tmap.source, base_dir)
+    header = _source_header(tmap.source, base_dir, where)
     if header is None:
         return
     missing = tmap.referenced_fields() - header
@@ -191,66 +200,111 @@ def read_records(source: LogicalSource, base_dir: Path) -> list[RawRecord]:
     return records
 
 
-def _render_template(template: str, record: RawRecord) -> Optional[str]:
-    """Render {field} placeholders, percent-encoding values; None if any
-    referenced field is missing (skip-null)."""
-    ok = True
-
-    def sub(m):
-        nonlocal ok
-        value = record.get(m.group(1))
-        if value is None:
-            ok = False
-            return ""
-        return quote(str(value), safe="")
-
-    rendered = _PLACEHOLDER_RE.sub(sub, template)
-    return rendered if ok else None
+def _template_parts(template: str) -> tuple[str, tuple[str, ...]]:
+    """A template as a ``str.format`` pattern and the fields that fill its
+    ``{}`` slots, in order."""
+    parts = _PLACEHOLDER_RE.split(template)
+    pattern = "{}".join(part.replace("{", "{{").replace("}", "}}")
+                        for part in parts[0::2])
+    return pattern, tuple(parts[1::2])
 
 
-def _accepts(source: LogicalSource, record: RawRecord) -> bool:
-    if source.filter_field is None:
-        return True
-    return record.get(source.filter_field) == source.filter_equals
+class _Memo(dict):
+    """``make(key)``, computed on the first lookup of each key."""
+
+    def __init__(self, make: Callable):
+        super().__init__()
+        self.make = make
+
+    def __missing__(self, key):
+        value = self[key] = self.make(key)
+        return value
 
 
 def apply_triple_map(tmap: TripleMap, records: Iterable[RawRecord],
                      graph: Graph, errors: list) -> None:
-    subject_class = IRI(tmap.subject_class) if tmap.subject_class else None
-    predicate_objects = [(IRI(p), spec) for p, spec in tmap.predicate_objects]
-    for index, record in enumerate(records):
-        if not _accepts(tmap.source, record):
-            continue
-        rendered = _render_template(tmap.subject_template, record)
-        if rendered is None:
-            continue  # skip-null subject: record contributes nothing for this map
+    """Add the triples ``tmap`` makes of ``records`` to ``graph``.  A null
+    field skips the triple it feeds (the whole record, for the subject), and
+    an invalid rendered subject or object IRI appends ``(record index,
+    message)`` to ``errors``.
+
+    Work is done per distinct value, not per record: each field value is
+    percent-encoded once, each rendered IRI built and checked once, and each
+    literal built once per object spec.  Records become triples of indexes
+    into this call's term table, which ``Graph.insert_encoded`` adds in one
+    batch."""
+    terms: list[Term] = []
+
+    def add(term: Term) -> int:
+        terms.append(term)
+        return len(terms) - 1
+
+    def iri(text: str) -> Union[int, str]:
         try:
-            subject = IRI(rendered)
+            return add(IRI(text))
         except RdfError as exc:
-            errors.append((index, f"invalid subject IRI: {exc}"))
-            continue
-        if subject_class:
-            graph.insert(Triple(subject, _RDF_TYPE, subject_class))
-        for predicate, spec in predicate_objects:
-            obj: Optional[Term]
-            if spec.constant is not None:
-                obj = spec.constant
-            elif spec.field is not None:
-                value = record.get(spec.field)
+            return str(exc)
+
+    encoded = _Memo(lambda value: quote(value, safe=""))
+    iris = _Memo(iri)                       # rendered text -> index, or its error
+
+    def renderer(template: str) -> Callable:
+        """Record -> the index of the IRI ``template`` renders, the text of
+        the error that IRI raises, or None when a field it needs is null."""
+        pattern, fields = _template_parts(template)
+
+        def render(record):
+            values = []
+            for name in fields:
+                value = record.get(name)
                 if value is None:
-                    continue  # skip-null
-                obj = Literal(str(value), spec.datatype) if spec.datatype \
-                    else Literal(str(value))
+                    return None
+                values.append(encoded[str(value)])
+            return iris[pattern.format(*values)]
+        return render
+
+    def literal(name: str, datatype: str) -> Callable:
+        made = _Memo(lambda lexical: add(Literal(lexical, datatype)))
+
+        def value(record):
+            raw = record.get(name)
+            return None if raw is None else made[str(raw)]
+        return value
+
+    def object_of(spec: ObjectSpec) -> Callable:
+        if spec.constant is not None:
+            index = add(spec.constant)
+            return lambda record: index
+        if spec.field is not None:
+            return literal(spec.field, spec.datatype or XSD_STRING)
+        return renderer(spec.template)
+
+    subject = renderer(tmap.subject_template)
+    typed = (add(_RDF_TYPE), add(IRI(tmap.subject_class))) \
+        if tmap.subject_class else None
+    objects = [(add(IRI(p)), object_of(spec)) for p, spec in tmap.predicate_objects]
+    filter_field, filter_equals = tmap.source.filter_field, tmap.source.filter_equals
+    triples: list[tuple[int, int, int]] = []
+    for index, record in enumerate(records):
+        if filter_field is not None and record.get(filter_field) != filter_equals:
+            continue
+        s = subject(record)
+        if s is None:
+            continue  # skip-null subject: record contributes nothing for this map
+        if isinstance(s, str):
+            errors.append((index, f"invalid subject IRI: {s}"))
+            continue
+        if typed:
+            triples.append((s, *typed))
+        for p, value_of in objects:
+            o = value_of(record)
+            if o is None:
+                continue  # skip-null
+            if isinstance(o, str):
+                errors.append((index, f"invalid object IRI: {o}"))
             else:
-                rendered_o = _render_template(spec.template, record)
-                if rendered_o is None:
-                    continue
-                try:
-                    obj = IRI(rendered_o)
-                except RdfError as exc:
-                    errors.append((index, f"invalid object IRI: {exc}"))
-                    continue
-            graph.insert(Triple(subject, predicate, obj))
+                triples.append((s, p, o))
+    graph.insert_encoded(terms, triples)
 
 
 def apply_mapping(doc: MappingDocument,

@@ -119,6 +119,13 @@ class Graph:
     result, so iteration stays stable while other threads insert.  A reader
     that probes many times, such as a BGP evaluated row by row, holds
     ``lock`` once around all its ``leaf`` probes instead.
+
+    Writes come one ``Triple`` at a time through ``insert``, or in a batch
+    at the id level through ``insert_encoded``: the caller numbers its own
+    terms, once each, and hands over triples of those numbers.  The batch
+    takes the lock once, and each term is hashed into the dictionary once,
+    by the first triple that uses it.  So no ``Triple`` is built per row,
+    and ``term_id`` still knows only terms that some triple uses.
     """
 
     def __init__(self, triples: Iterable[Triple] = ()):
@@ -182,17 +189,36 @@ class Graph:
                       self._intern(triple.object))
             return self._size
 
+    def insert_encoded(self, terms: Sequence[Term],
+                       triples: Iterable[IdTriple]) -> int:
+        """Insert triples given as ``(s, p, o)`` indexes into ``terms``, the
+        caller's own term table, under one lock (set semantics).  Each term
+        is interned when the first triple that uses it goes in.  Each triple
+        must be one ``Triple`` accepts: no literal subject, an IRI
+        predicate.  Returns the new graph size."""
+        ids: list[Optional[int]] = [None] * len(terms)
+        intern = self._intern
+        with self._lock:
+            for a, b, c in triples:
+                s = ids[a]
+                if s is None:
+                    s = ids[a] = intern(terms[a])
+                p = ids[b]
+                if p is None:
+                    p = ids[b] = intern(terms[b])
+                o = ids[c]
+                if o is None:
+                    o = ids[c] = intern(terms[c])
+                self._add(s, p, o)
+            return self._size
+
     def update(self, triples: Iterable[Triple]) -> int:
         if isinstance(triples, Graph):
-            # copy ids, interning each of the other graph's terms once
+            # the other graph's ids index its own term table
             with triples._lock:
                 terms = list(triples._terms)
                 theirs = list(triples._id_triples())
-            with self._lock:
-                ours = [self._intern(term) for term in terms]
-                for s, p, o in theirs:
-                    self._add(ours[s], ours[p], ours[o])
-                return self._size
+            return self.insert_encoded(terms, theirs)
         for t in triples:
             self.insert(t)
         return self._size

@@ -122,42 +122,67 @@ def load_shapes(path) -> list[Shape]:
     return load_document(path, parse_shapes)
 
 
-def _check(focus: Term, constraint: PropertyConstraint, path: IRI,
-           value_class: Optional[IRI], shape: Shape,
-           graph: Graph) -> list[Violation]:
-    objects = [t.object for t in graph.match(focus, path, None)]
+def _no_leaf(_: int) -> tuple:
+    return ()
+
+
+def _violations(graph: Graph, shape: Shape, constraint: PropertyConstraint,
+                focus_ids: list[int], type_id: Optional[int]) -> list[Violation]:
+    """``constraint`` checked on each focus node, all by term id: the path
+    and value class resolve once, each focus node's values are one SPO
+    leaf, and the class check is a membership test on an OSP leaf.  A term
+    is decoded only for a datatype or node-kind check, or a message.  The
+    caller holds ``graph.lock``."""
+    terms = graph.terms
+    path_id = graph.term_id(IRI(constraint.path))
+    values = _no_leaf if path_id is None else graph.leaf(path_id)
+    # the predicates that link a value to the class; rdf:type must be one
+    linked = _no_leaf
+    if constraint.value_class is not None and type_id is not None:
+        class_id = graph.term_id(IRI(constraint.value_class))
+        if class_id is not None:
+            linked = graph.leaf(type_id, class_id)
+    allowed = None
+    if constraint.in_values is not None:
+        allowed = {graph.term_id(term) for term in constraint.in_values}
+    want = {"IRI": IRI, "Literal": Literal, None: None}[constraint.node_kind]
+    datatype, min_count, max_count = \
+        constraint.datatype, constraint.min_count, constraint.max_count
     out = []
 
-    def violation(kind: str, message: str):
-        out.append(Violation(focus=focus, shape=shape.id, kind=kind,
+    def violation(focus: int, kind: str, message: str):
+        out.append(Violation(focus=terms[focus], shape=shape.id, kind=kind,
                              path=constraint.path, message=message))
 
-    if constraint.min_count is not None and len(objects) < constraint.min_count:
-        violation("min-count",
-                  f"found {len(objects)} values, need at least {constraint.min_count}")
-    if constraint.max_count is not None and len(objects) > constraint.max_count:
-        violation("max-count",
-                  f"found {len(objects)} values, allowed at most {constraint.max_count}")
-    if constraint.datatype is not None:
-        for obj in objects:
-            if not isinstance(obj, Literal) or obj.datatype != constraint.datatype:
-                violation("datatype", f"value {format_term(obj)} is not typed "
-                                      f"<{constraint.datatype}>")
-    if constraint.node_kind is not None:
-        want = IRI if constraint.node_kind == "IRI" else Literal
-        for obj in objects:
-            if not isinstance(obj, want):
-                violation("node-kind",
-                          f"value {format_term(obj)} is not a {constraint.node_kind}")
-    if value_class is not None:
-        for obj in objects:
-            if not graph.match(obj, _RDF_TYPE, value_class):
-                violation("class", f"value {format_term(obj)} lacks rdf:type "
-                                   f"<{constraint.value_class}>")
-    if constraint.in_values is not None:
-        for obj in objects:
-            if obj not in constraint.in_values:
-                violation("in", f"value {format_term(obj)} not in allowed list")
+    for focus in focus_ids:
+        objects = values(focus)
+        if min_count is not None and len(objects) < min_count:
+            violation(focus, "min-count",
+                      f"found {len(objects)} values, need at least {min_count}")
+        if max_count is not None and len(objects) > max_count:
+            violation(focus, "max-count",
+                      f"found {len(objects)} values, allowed at most {max_count}")
+        if datatype is not None:
+            for o in objects:
+                obj = terms[o]
+                if not isinstance(obj, Literal) or obj.datatype != datatype:
+                    violation(focus, "datatype",
+                              f"value {format_term(obj)} is not typed <{datatype}>")
+        if want is not None:
+            for o in objects:
+                if not isinstance(terms[o], want):
+                    violation(focus, "node-kind", f"value {format_term(terms[o])} "
+                                                  f"is not a {constraint.node_kind}")
+        if constraint.value_class is not None:
+            for o in objects:
+                if type_id not in linked(o):
+                    violation(focus, "class", f"value {format_term(terms[o])} lacks "
+                                              f"rdf:type <{constraint.value_class}>")
+        if allowed is not None:
+            for o in objects:
+                if o not in allowed:
+                    violation(focus, "in",
+                              f"value {format_term(terms[o])} not in allowed list")
     return out
 
 
@@ -165,16 +190,15 @@ def validate(graph: Graph, shapes: list[Shape]) -> ValidationReport:
     """Validate every focus node (subjects with rdf:type target-class) against
     each shape's constraints, in declared order; report order is stable."""
     violations: list[Violation] = []
-    for shape in shapes:
-        focus_nodes = sorted(
-            {t.subject for t in graph.match(None, _RDF_TYPE,
-                                            IRI(shape.target_class))},
-            key=format_term)
-        for constraint in shape.constraints:
-            path = IRI(constraint.path)
-            value_class = constraint.value_class and IRI(constraint.value_class)
-            for focus in focus_nodes:
-                violations.extend(_check(focus, constraint, path, value_class,
-                                         shape, graph))
+    with graph.lock:
+        type_id = graph.term_id(_RDF_TYPE)
+        for shape in shapes:
+            class_id = graph.term_id(IRI(shape.target_class))
+            focus_ids = [] if type_id is None or class_id is None else \
+                [s for s, _, _ in graph.match_ids(None, type_id, class_id)]
+            for constraint in shape.constraints:
+                violations.extend(_violations(graph, shape, constraint,
+                                              focus_ids, type_id))
+    # one focus node's violations keep their shape, constraint and value order
     violations.sort(key=lambda v: (format_term(v.focus), v.path, v.kind))
     return ValidationReport(conforms=not violations, violations=violations)

@@ -537,11 +537,22 @@ def _row_sort_key(variables):
 
 
 def solutions_to_json(solutions: SolutionSequence) -> dict:
+    """The results document; each distinct term object's binding dict is
+    built once and shared by every row that binds it."""
     rows = sorted(solutions.rows, key=_row_sort_key(solutions.variables))
+    entries: dict[int, dict] = {}   # id(term) -> entry; rows keep the terms alive
+    known = entries.get
+
+    def entry(term: Term) -> dict:
+        made = entries[id(term)] = _binding_entry(term)
+        return made
+
+    # an entry is never empty, so ``or`` builds only the missing ones
     return {
         "head": {"vars": list(solutions.variables)},
         "results": {"bindings": [
-            {v: _binding_entry(row[v]) for v in solutions.variables if v in row}
+            {v: known(id(row[v])) or entry(row[v])
+             for v in solutions.variables if v in row}
             for row in rows
         ]},
     }

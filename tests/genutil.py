@@ -1,15 +1,19 @@
 """Random graph/query generation and the brute-force evaluation oracle used
-to cross-check the evaluator and the federation engine."""
+to cross-check the evaluator and the federation engine, plus Term-level
+oracles for mapping and shape validation."""
 
 from __future__ import annotations
 
 import random
 from collections import Counter
 
-from energyde.rdf import Graph, IRI, Literal, Triple, format_term
+from energyde.mapping import _PLACEHOLDER_RE
+from energyde.rdf import Graph, IRI, Literal, RdfError, Triple, format_term
+from energyde.shapes import ValidationReport, Violation
 from energyde.sparql import (Comparison, Query, TriplePattern, Variable,
                              _filter_ok)
 from energyde.vocab import RDF_TYPE, XSD_INTEGER
+from urllib.parse import quote
 
 BASE = "http://example.org/"
 
@@ -113,3 +117,112 @@ def brute_force(query: Query, graph: Graph) -> Counter:
                                    for x in t])
         tuples = tuples[:query.limit]
     return Counter(tuples)
+
+
+# --- Term-level oracles for mapping and validation --------------------------
+# These follow the definitions one record and one focus node at a time, with
+# a Term and a Triple per value, as the library did before it worked on ids.
+
+def _render_oracle(template: str, record: dict):
+    ok = True
+
+    def sub(m):
+        nonlocal ok
+        value = record.get(m.group(1))
+        if value is None:
+            ok = False
+            return ""
+        return quote(str(value), safe="")
+
+    rendered = _PLACEHOLDER_RE.sub(sub, template)
+    return rendered if ok else None
+
+
+def oracle_apply_triple_map(tmap, records, graph: Graph, errors: list) -> None:
+    source = tmap.source
+    rdf_type = IRI(RDF_TYPE)
+    subject_class = IRI(tmap.subject_class) if tmap.subject_class else None
+    for index, record in enumerate(records):
+        if (source.filter_field is not None
+                and record.get(source.filter_field) != source.filter_equals):
+            continue
+        rendered = _render_oracle(tmap.subject_template, record)
+        if rendered is None:
+            continue
+        try:
+            subject = IRI(rendered)
+        except RdfError as exc:
+            errors.append((index, f"invalid subject IRI: {exc}"))
+            continue
+        if subject_class:
+            graph.insert(Triple(subject, rdf_type, subject_class))
+        for predicate, spec in tmap.predicate_objects:
+            if spec.constant is not None:
+                obj = spec.constant
+            elif spec.field is not None:
+                value = record.get(spec.field)
+                if value is None:
+                    continue
+                obj = Literal(str(value), spec.datatype) if spec.datatype \
+                    else Literal(str(value))
+            else:
+                rendered_o = _render_oracle(spec.template, record)
+                if rendered_o is None:
+                    continue
+                try:
+                    obj = IRI(rendered_o)
+                except RdfError as exc:
+                    errors.append((index, f"invalid object IRI: {exc}"))
+                    continue
+            graph.insert(Triple(subject, IRI(predicate), obj))
+
+
+def _check_oracle(focus, constraint, shape, graph: Graph) -> list:
+    objects = [t.object for t in graph.match(focus, IRI(constraint.path), None)]
+    out = []
+
+    def violation(kind: str, message: str):
+        out.append(Violation(focus=focus, shape=shape.id, kind=kind,
+                             path=constraint.path, message=message))
+
+    if constraint.min_count is not None and len(objects) < constraint.min_count:
+        violation("min-count",
+                  f"found {len(objects)} values, need at least {constraint.min_count}")
+    if constraint.max_count is not None and len(objects) > constraint.max_count:
+        violation("max-count",
+                  f"found {len(objects)} values, allowed at most {constraint.max_count}")
+    if constraint.datatype is not None:
+        for obj in objects:
+            if not isinstance(obj, Literal) or obj.datatype != constraint.datatype:
+                violation("datatype", f"value {format_term(obj)} is not typed "
+                                      f"<{constraint.datatype}>")
+    if constraint.node_kind is not None:
+        want = IRI if constraint.node_kind == "IRI" else Literal
+        for obj in objects:
+            if not isinstance(obj, want):
+                violation("node-kind",
+                          f"value {format_term(obj)} is not a {constraint.node_kind}")
+    if constraint.value_class is not None:
+        for obj in objects:
+            if not graph.match(obj, IRI(RDF_TYPE), IRI(constraint.value_class)):
+                violation("class", f"value {format_term(obj)} lacks rdf:type "
+                                   f"<{constraint.value_class}>")
+    if constraint.in_values is not None:
+        for obj in objects:
+            if obj not in constraint.in_values:
+                violation("in", f"value {format_term(obj)} not in allowed list")
+    return out
+
+
+def oracle_validate(graph: Graph, shapes: list) -> ValidationReport:
+    violations = []
+    for shape in shapes:
+        focus_nodes = sorted(
+            {t.subject for t in graph.match(None, IRI(RDF_TYPE),
+                                            IRI(shape.target_class))},
+            key=format_term)
+        for constraint in shape.constraints:
+            for focus in focus_nodes:
+                violations.extend(_check_oracle(focus, constraint, shape, graph))
+    violations.sort(key=lambda v: (format_term(v.focus), v.path, v.kind))
+    return ValidationReport(conforms=not violations, violations=violations)

@@ -87,6 +87,28 @@ class TestRdfize:
         assert json.loads(out)["record_errors"] == 0
         assert out_path.read_text().count("\n") == json.loads(out)["triples"]
 
+    @pytest.mark.parametrize("first_line", ["country,type,measure",  # a CSV file
+                                            "42"],                   # a JSON scalar
+                             ids=["csv", "json-scalar"])
+    def test_json_lines_source_without_object_exits_2(self, capsys, tmp_path,
+                                                      first_line):
+        (tmp_path / "data.jsonl").write_text(first_line + "\nRS,Wind,3\n")
+        mapping = tmp_path / "m.yaml"
+        mapping.write_text("""
+maps:
+  - source: {path: data.jsonl, format: json-lines}
+    subject: {template: "http://example.org/{country}"}
+    po:
+      - {predicate: http://example.org/type, field: type}
+""")
+        code, out, err = run_cli(capsys, "rdfize", "--mapping", str(mapping),
+                                 "--output", str(tmp_path / "out.nt"))
+        assert code == 2, (out, err)
+        assert re.search(r"^error: .*m\.yaml: maps\[0\]\.source: first line of "
+                         r".*data\.jsonl is not a JSON object", err, re.M), err
+        assert "Traceback" not in err
+        assert not (tmp_path / "out.nt").exists()
+
 
 class TestPipeline:
     def test_run_reports_stages(self, capsys, workdir):

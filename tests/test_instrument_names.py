@@ -1,0 +1,56 @@
+"""The benchmark's tracing wrappers name energyde attributes by string.
+
+``perfbench/instrument.py`` wraps functions with ``tracer.wrap(module,
+"name", span)``; a rename in ``src/`` would only show when the benchmark
+runs.  This test reads the file with ``ast`` (it imports nothing from
+``perfbench/``) and checks that every wrapped attribute exists.
+"""
+
+import ast
+import importlib
+from pathlib import Path
+
+INSTRUMENT = Path(__file__).resolve().parent.parent / "perfbench" / "instrument.py"
+
+
+def _imported_modules(tree: ast.Module) -> dict:
+    """Local name -> module, for the energyde modules the file imports."""
+    names = {}
+    for stmt in tree.body:
+        if isinstance(stmt, ast.ImportFrom) and (stmt.module or "").startswith("energyde"):
+            for alias in stmt.names:
+                qualified = f"{stmt.module}.{alias.name}"
+                try:
+                    names[alias.asname or alias.name] = importlib.import_module(qualified)
+                except ModuleNotFoundError:
+                    pass            # a function or constant, not a module
+    return names
+
+
+def _resolve(node: ast.expr, modules: dict):
+    """The object a ``module`` or ``module.Class`` expression names."""
+    if isinstance(node, ast.Name):
+        return modules[node.id]
+    assert isinstance(node, ast.Attribute), ast.dump(node)
+    return getattr(_resolve(node.value, modules), node.attr)
+
+
+def _wrap_calls(tree: ast.Module) -> list:
+    return [call for call in ast.walk(tree)
+            if isinstance(call, ast.Call)
+            and isinstance(call.func, ast.Attribute) and call.func.attr == "wrap"
+            and isinstance(call.func.value, ast.Name) and call.func.value.id == "tracer"]
+
+
+def test_every_wrapped_attribute_exists():
+    tree = ast.parse(INSTRUMENT.read_text(encoding="utf-8"))
+    modules = _imported_modules(tree)
+    calls = _wrap_calls(tree)
+    assert len(calls) >= 10, "expected the benchmark's tracer.wrap calls"
+    missing = []
+    for call in calls:
+        owner, name = call.args[0], call.args[1]
+        assert isinstance(name, ast.Constant) and isinstance(name.value, str)
+        if not hasattr(_resolve(owner, modules), name.value):
+            missing.append(f"line {call.lineno}: {ast.unparse(owner)}.{name.value}")
+    assert not missing, missing

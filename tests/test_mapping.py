@@ -219,3 +219,64 @@ class TestProperties:
                           base_dir=fixture_dir / "mappings").graph
         back = parse_ntriples(serialize_ntriples(g))
         assert triples(back) == triples(g)
+
+
+# --- differential: the id-level mapping against the Term-level oracle --------
+
+from hypothesis import given, settings, strategies as st
+
+from energyde.mapping import LogicalSource, ObjectSpec, TripleMap, apply_triple_map
+from energyde.rdf import Graph
+from energyde.vocab import XSD_INTEGER
+
+from genutil import oracle_apply_triple_map
+
+EX = "http://example.org/"
+# values that need percent-encoding, repeat across records, or are not text
+_values = st.sampled_from(["1", "2", "a b", "a/b", "é", "%", "{x}", "", "x:y",
+                           '"q"', "<>", None, 7])
+_records = st.lists(st.fixed_dictionaries({"a": _values, "b": _values,
+                                           "c": st.sampled_from(["k", "m", None])}),
+                    max_size=25)
+_subject_templates = st.sampled_from([
+    EX + "s/{a}", EX + "s/{a}/{b}", "urn:x:{b}-{a}", EX + "fixed",
+    "not an iri {a}", "{a}{b}", EX + "{nope}"])
+_object_specs = st.sampled_from([
+    ObjectSpec(field="a"),
+    ObjectSpec(field="a", datatype=XSD_INTEGER),
+    ObjectSpec(field="b", datatype=XSD_DECIMAL),
+    ObjectSpec(constant=IRI(EX + "const")),
+    ObjectSpec(constant=Literal("7", XSD_INTEGER)),
+    ObjectSpec(template=EX + "o/{b}"),
+    ObjectSpec(template=EX + "s/{a}"),
+    ObjectSpec(template="bad {b}"),
+    ObjectSpec(template="{a}"),
+])
+_triple_maps = st.builds(
+    TripleMap,
+    source=st.builds(LogicalSource, path=st.just("x.csv"), format=st.just("csv"),
+                     filter_field=st.sampled_from([None, "c"]),
+                     filter_equals=st.sampled_from(["k", "m"])),
+    subject_template=_subject_templates,
+    subject_class=st.sampled_from([None, EX + "C"]),
+    predicate_objects=st.lists(
+        st.tuples(st.sampled_from([EX + "p", EX + "q", RDF_TYPE]), _object_specs),
+        min_size=1, max_size=5).map(tuple))
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(_triple_maps, min_size=1, max_size=3), _records,
+       st.lists(st.integers(0, 24), max_size=5))
+def test_apply_triple_map_matches_term_level_oracle(tmaps, records, repeats):
+    # duplicate records, each a fresh dict with the same content
+    records = records + [dict(records[i]) for i in repeats if i < len(records)]
+    graph, errors = Graph(), []
+    expected, expected_errors = Graph(), []
+    for tmap in tmaps:
+        apply_triple_map(tmap, records, graph, errors)
+        oracle_apply_triple_map(tmap, records, expected, expected_errors)
+    assert graph == expected
+    assert serialize_ntriples(graph) == serialize_ntriples(expected)
+    assert errors == expected_errors
+    # a term gets an id only with a triple that uses it
+    assert len(graph.terms) == len({term for triple in graph for term in triple})

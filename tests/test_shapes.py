@@ -179,3 +179,73 @@ class TestProperties:
         after = validate(g2, shapes).violations
         assert {(v.focus, v.kind) for v in after} == \
             {(v.focus, v.kind) for v in before if v.focus != victim}
+
+
+# --- differential: id-level validation against the Term-level oracle ---------
+
+from hypothesis import given, settings, strategies as st
+
+from energyde.rdf import BlankNode
+from energyde.shapes import PropertyConstraint, Shape
+from energyde.vocab import XSD_INTEGER, XSD_STRING
+
+from genutil import oracle_validate
+
+_nodes = [IRI(EX + f"n{i}") for i in range(4)] + [BlankNode("b0")]
+_classes = [IRI(EX + "C"), IRI(EX + "D")]
+_paths = [IRI(EX + "p"), IRI(EX + "q")]
+_literals = [Literal("1"), Literal("1", XSD_INTEGER), Literal("x", lang="en"),
+             Literal("2", XSD_DECIMAL)]
+_triple = st.one_of(
+    st.tuples(st.sampled_from(_nodes), st.just(IRI(RDF_TYPE)), st.sampled_from(_classes)),
+    # a class as a path value links a node to the class by another predicate
+    st.tuples(st.sampled_from(_nodes), st.sampled_from(_paths),
+              st.sampled_from(_nodes + _literals + _classes)))
+_in_values = st.lists(st.sampled_from([IRI(EX + "n0"), IRI(EX + "n2"), IRI(EX + "absent"),
+                                       Literal("1"), Literal("1", XSD_INTEGER)]),
+                      min_size=1, max_size=3).map(tuple)
+_constraints = st.builds(
+    PropertyConstraint,
+    path=st.sampled_from([EX + "p", EX + "q", EX + "absent"]),
+    min_count=st.sampled_from([None, 0, 1, 2]),
+    max_count=st.sampled_from([None, 1, 2]),
+    datatype=st.sampled_from([None, XSD_STRING, XSD_INTEGER]),
+    node_kind=st.sampled_from([None, "IRI", "Literal"]),
+    value_class=st.sampled_from([None, EX + "C", EX + "D", EX + "absent"]),
+    in_values=st.one_of(st.none(), _in_values))
+_shapes = st.lists(st.builds(Shape, id=st.sampled_from(["S1", "S2"]),
+                             target_class=st.sampled_from([EX + "C", EX + "D",
+                                                           EX + "absent"]),
+                             constraints=st.lists(_constraints, min_size=1,
+                                                  max_size=4).map(tuple)),
+                   min_size=1, max_size=3)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(_triple, min_size=4, max_size=40), _shapes)
+def test_validate_matches_term_level_oracle(spo, shapes):
+    graph = g_with(*spo)
+    assert validate(graph, shapes).to_json() == oracle_validate(graph, shapes).to_json()
+
+
+@pytest.mark.parametrize("kind", ["min-count", "max-count", "datatype",
+                                  "node-kind", "class", "in"])
+def test_differential_graphs_reach_every_kind(kind):
+    # the generator above can violate each kind; one hand-built case apiece
+    shapes = [Shape("S", EX + "C", (PropertyConstraint(
+        path=EX + "p", min_count=2, max_count=1 if kind == "max-count" else None,
+        datatype=XSD_INTEGER if kind == "datatype" else None,
+        node_kind="Literal" if kind == "node-kind" else None,
+        value_class=EX + "D" if kind == "class" else None,
+        in_values=(Literal("1"),) if kind == "in" else None),))]
+    graph = g_with((IRI(EX + "n0"), IRI(RDF_TYPE), IRI(EX + "C")),
+                   (IRI(EX + "n0"), IRI(EX + "p"), IRI(EX + "n1")),
+                   (IRI(EX + "n0"), IRI(EX + "p"), IRI(EX + "n2")))
+    if kind == "min-count":
+        graph = g_with((IRI(EX + "n0"), IRI(RDF_TYPE), IRI(EX + "C")))
+    if kind == "class":
+        # linked to the class, but not by rdf:type
+        graph.insert(Triple(IRI(EX + "n1"), IRI(EX + "q"), IRI(EX + "D")))
+    report = validate(graph, shapes)
+    assert kind in {v.kind for v in report.violations}
+    assert report.to_json() == oracle_validate(graph, shapes).to_json()
