@@ -14,10 +14,11 @@ from dataclasses import replace
 from pathlib import Path
 
 from . import federation, fixtures, pipeline, scenario
-from .config import ConfigError
+from .config import ConfigError, read_text
 from .connector.client import RejectionError, SourceUnreachableError
+from .connector.contracts import load_contracts
 from .connector.node import load_node_config, serve
-from .connector.provenance import read_log
+from .connector.provenance import read_log, replay_audit
 from .mapping import apply_mapping, load_mapping, read_records
 from .rdf import NTriplesParseError, RdfError, load_graph, save_graph
 from .shapes import load_shapes, validate
@@ -80,14 +81,14 @@ def cmd_serve(args) -> int:
 
 def cmd_query(args) -> int:
     graph = load_graph(args.graph)
-    query = parse_query(Path(args.query).read_text(encoding="utf-8"))
+    query = parse_query(read_text(args.query))
     sys.stdout.write(serialize_results(evaluate(query, graph)))
     return 0
 
 
 def cmd_federate(args) -> int:
     catalog = federation.load_catalog(args.catalog)
-    text = Path(args.query).read_text(encoding="utf-8")
+    text = read_text(args.query)
     if args.plan:
         plan = federation.plan_query(text, catalog)
         print(json.dumps(plan.to_dict(), indent=2))
@@ -122,6 +123,16 @@ def cmd_provenance_show(args) -> int:
     for record in read_log(args.log):
         print(json.dumps(record.to_dict(), sort_keys=True))
     return 0
+
+
+def cmd_provenance_audit(args) -> int:
+    config = load_node_config(args.node_config)
+    findings = replay_audit(read_log(config.provenance_path),
+                            load_contracts(config.contracts_path),
+                            config.id, config.resource)
+    for finding in findings:
+        print(json.dumps({"node": config.id, "finding": finding}))
+    return 1 if findings else 0
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -185,6 +196,9 @@ def build_parser() -> argparse.ArgumentParser:
     ps = prsub.add_parser("show")
     ps.add_argument("--log", required=True)
     ps.set_defaults(func=cmd_provenance_show)
+    pa = prsub.add_parser("audit", help="re-check a node's log against its contracts")
+    pa.add_argument("--node-config", required=True)
+    pa.set_defaults(func=cmd_provenance_audit)
 
     return parser
 

@@ -148,14 +148,19 @@ def read_document(document: str, error: type = ConfigError) -> Section:
     return Section(doc, "", error)
 
 
+def read_text(path) -> str:
+    """The UTF-8 text of the file at ``path``; a ``ConfigError`` that names
+    the file when it is missing, unreadable or not UTF-8."""
+    try:
+        return Path(path).read_text(encoding="utf-8")
+    except (OSError, ValueError) as exc:
+        raise ConfigError(f"{path}: cannot read: {exc}") from None
+
+
 def load_document(path, parse: Callable, *args):
     """``parse(text, *args)`` over the file at ``path``, whose path then
     leads the message of any ``ConfigError``."""
-    path = Path(path)
-    try:
-        text = path.read_text(encoding="utf-8")
-    except (OSError, ValueError) as exc:  # missing, unreadable or not UTF-8
-        raise ConfigError(f"{path}: cannot read: {exc}") from None
+    text = read_text(path)
     try:
         return parse(text, *args)
     except ConfigError as exc:

@@ -75,6 +75,14 @@ class CanonicalJSON(dict):
         super().__init__(*args, **kwargs)
         self._text = None
 
+    @classmethod
+    def with_text(cls, obj: dict, text: str) -> "CanonicalJSON":
+        """``obj`` with ``text``, which its caller wrote, as its canonical
+        text; the caller vouches that ``text`` is that of ``obj``."""
+        made = cls(obj)
+        made._text = text
+        return made
+
     @property
     def text(self) -> str:
         if self._text is None:

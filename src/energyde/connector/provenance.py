@@ -8,7 +8,13 @@ from dataclasses import dataclass
 from pathlib import Path
 from typing import Optional
 
+from ..config import ConfigError
+
 ACTIVITY_KINDS = {"query-served", "query-rejected", "catalog-served"}
+
+
+class ProvenanceLogError(ConfigError):
+    """A log line that is not a provenance record."""
 
 
 @dataclass
@@ -66,12 +72,22 @@ class ProvenanceLog:
 
 
 def read_log(path) -> list[ProvenanceRecord]:
+    """The records of the log at ``path``; a ``ProvenanceLogError`` names
+    the file and line of one that cannot be read."""
+    try:
+        with open(path, encoding="utf-8") as fh:
+            lines = fh.read().split("\n")
+    except UnicodeDecodeError as exc:
+        raise ProvenanceLogError(f"{path}: cannot read: {exc}") from None
     records = []
-    with open(path, encoding="utf-8") as fh:
-        for line in fh:
-            line = line.strip()
-            if line:
+    for line_no, line in enumerate(lines, start=1):
+        line = line.strip()
+        if line:
+            try:
                 records.append(ProvenanceRecord.from_dict(json.loads(line)))
+            except (ValueError, KeyError, TypeError, AttributeError) as exc:
+                raise ProvenanceLogError(f"{path}: line {line_no}: not a "
+                                         f"provenance record: {exc!r}") from None
     return records
 
 
@@ -94,8 +110,13 @@ def replay_audit(records, contracts, node_id: str, resource: str) -> list[str]:
             type="QueryRequest" if operation == "query" else "CatalogRequest",
             sender=record.consumer,
             body={"contractId": record.contract})
-        decision = authorize(probe, contracts, node_id, resource,
-                             parse_rfc3339(record.timestamp))
+        try:
+            moment = parse_rfc3339(record.timestamp)
+        except (TypeError, AttributeError, ValueError):
+            findings.append(f"record {record.id}: unreadable timestamp "
+                            f"{record.timestamp!r}")
+            continue
+        decision = authorize(probe, contracts, node_id, resource, moment)
         if decision is not None:
             findings.append(
                 f"record {record.id}: served {operation} for {record.consumer} "

@@ -244,8 +244,9 @@ def execute_federated(plan: DecomposedQuery, clients: dict) -> SolutionSequence:
         if len(answers) == 1:
             return answers[0]  # the source applied the subquery's modifiers
         # the subquery's DISTINCT makes this a union of the sources' rows
-        return apply_modifiers([row for a in answers for row in a.rows],
-                               sq.query)
+        union = SolutionSequence(sq.query.projected,
+                                 rows=[row for a in answers for row in a.rows])
+        return apply_modifiers(union, sq.query)
 
     if len(plan.subqueries) == 1:
         results = [run_subquery(plan.subqueries[0])]
@@ -266,7 +267,7 @@ def execute_federated(plan: DecomposedQuery, clients: dict) -> SolutionSequence:
                 break
         right = pending.pop(partner_index)
         pending.append(hash_join(left, right, left_vars & set(right.variables)))
-    return apply_modifiers(pending[0].rows, plan.query)
+    return apply_modifiers(pending[0], plan.query)
 
 
 def build_clients(catalog: FederationCatalog, client_factory=None) -> dict:

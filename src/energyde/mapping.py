@@ -155,10 +155,13 @@ def _source_header(source: LogicalSource, base_dir: Path,
     path = base_dir / source.path
     if not path.is_file():
         return None
-    with open(path, encoding="utf-8") as fh:
-        if source.format == "csv":
-            return set(next(csv.reader(fh), []))
-        first = fh.readline().strip()
+    try:
+        with open(path, encoding="utf-8") as fh:
+            if source.format == "csv":
+                return set(next(csv.reader(fh), []))
+            first = fh.readline().strip()
+    except UnicodeDecodeError as exc:
+        raise MappingError(f"{where}.source: cannot read {path}: {exc}") from None
     if not first:
         return None  # an empty json-lines file has no schema to check
     try:
@@ -185,18 +188,22 @@ def _check_fields(tmap: TripleMap, base_dir: Path, where: str) -> None:
 def read_records(source: LogicalSource, base_dir: Path) -> list[RawRecord]:
     path = Path(base_dir) / source.path
     records: list[RawRecord] = []
-    with open(path, encoding="utf-8") as fh:
-        if source.format == "csv":
-            for row in csv.DictReader(fh):
-                records.append({k: (v if v != "" else None) for k, v in row.items()})
-        else:
-            for line in fh:
-                line = line.strip()
-                if not line:
-                    continue
-                obj = json.loads(line)
-                records.append({k: (None if v is None else str(v))
-                                for k, v in obj.items()})
+    try:
+        with open(path, encoding="utf-8") as fh:
+            if source.format == "csv":
+                for row in csv.DictReader(fh):
+                    records.append({k: (v if v != "" else None)
+                                    for k, v in row.items()})
+            else:
+                for line in fh:
+                    line = line.strip()
+                    if not line:
+                        continue
+                    obj = json.loads(line)
+                    records.append({k: (None if v is None else str(v))
+                                    for k, v in obj.items()})
+    except UnicodeDecodeError as exc:
+        raise MappingError(f"{path}: cannot read: {exc}") from None
     return records
 
 

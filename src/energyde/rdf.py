@@ -368,26 +368,22 @@ def _unescape(raw: str, line_no: int) -> str:
     return "".join(out)
 
 
+# exactly the characters N-Triples output escapes: the two that end or
+# start an escape, and the control and line-separator characters that would
+# break the one-statement-per-line framing
+_NEEDS_ESCAPE = re.compile(r'[\\"\x00-\x1f\x85\u2028\u2029]')
+_SHORT_ESCAPES = {"\\": "\\\\", '"': '\\"', "\n": "\\n", "\r": "\\r", "\t": "\\t"}
+
+
+def _escape_char(match: re.Match) -> str:
+    c = match.group()
+    return _SHORT_ESCAPES.get(c) or f"\\u{ord(c):04X}"
+
+
 def _escape(text: str) -> str:
-    out = []
-    for c in text:
-        if c == "\\":
-            out.append("\\\\")
-        elif c == '"':
-            out.append('\\"')
-        elif c == "\n":
-            out.append("\\n")
-        elif c == "\r":
-            out.append("\\r")
-        elif c == "\t":
-            out.append("\\t")
-        elif ord(c) < 0x20 or c in "\x85  ":
-            # other control/line-separator characters would break the
-            # one-statement-per-line framing
-            out.append(f"\\u{ord(c):04X}")
-        else:
-            out.append(c)
-    return "".join(out)
+    """``text`` as the body of an N-Triples literal; text with nothing to
+    escape is returned as is."""
+    return _NEEDS_ESCAPE.sub(_escape_char, text)
 
 
 class _LineScanner:
@@ -565,8 +561,12 @@ def serialize_ntriples(graph: Graph) -> str:
 
 
 def load_graph(path) -> Graph:
-    with open(path, encoding="utf-8") as fh:
-        return parse_ntriples(fh.read())
+    try:
+        with open(path, encoding="utf-8") as fh:
+            text = fh.read()
+    except UnicodeDecodeError as exc:
+        raise RdfError(f"{path}: cannot read: {exc}") from None
+    return parse_ntriples(text)
 
 
 def save_graph(graph: Graph, path) -> None:

@@ -3,6 +3,12 @@
 Grammar: PREFIX declarations; SELECT [DISTINCT] var-list; WHERE { dot-separated
 triple patterns, optional FILTER(var op constant) }; optional LIMIT n.
 Prefixed names are expanded at parse time; no prefixes survive into the algebra.
+
+Evaluation is late-materializing: rows stay tuples of the graph's term ids
+from the BGP through FILTER, projection, DISTINCT and LIMIT until the response
+is written.  A cell is decoded only where a FILTER or the LIMIT sort reads
+it, and the results document is written once per distinct term: its
+N-Triples sort text, its binding entry and that entry's JSON text.
 """
 
 from __future__ import annotations
@@ -12,7 +18,8 @@ import operator
 import re
 from dataclasses import dataclass, field
 from decimal import Decimal, InvalidOperation
-from typing import Optional, Union
+from json.encoder import encode_basestring_ascii as _quote
+from typing import Callable, Optional, Sequence, Union
 
 from .rdf import Graph, IRI, Literal, BlankNode, RdfError, Term, format_term
 from .vocab import (RDF_TYPE, XSD, XSD_DECIMAL, XSD_INTEGER)
@@ -330,13 +337,48 @@ def format_query(query: Query) -> str:
 
 # --- evaluation ------------------------------------------------------------
 
-@dataclass
 class SolutionSequence:
-    variables: list[str]
-    rows: list[dict[str, Term]]
+    """A bag of solutions over ``variables``, kept positionally: each of
+    ``cells`` is a tuple aligned with ``variables``, None where a variable is
+    unbound.  A cell is an index into ``terms`` (local evaluation keeps the
+    graph's term ids and its term table) or, when ``terms`` is None, the
+    term itself.  ``rows`` is the same bag as term dicts, decoded when it is
+    first read; a sequence built from ``rows`` gets its cells the same way."""
+
+    def __init__(self, variables, rows: Optional[list[dict[str, Term]]] = None,
+                 cells: Optional[list[tuple]] = None,
+                 terms: Optional[Sequence[Term]] = None):
+        self.variables = list(variables)
+        self.terms = terms
+        self._rows = rows
+        self._cells = [] if rows is None and cells is None else cells
 
     def __len__(self):
-        return len(self.rows)
+        return len(self._cells if self._cells is not None else self._rows)
+
+    @property
+    def cells(self) -> list[tuple]:
+        if self._cells is None:
+            variables = self.variables
+            self._cells = [tuple(map(row.get, variables)) for row in self._rows]
+        return self._cells
+
+    @property
+    def rows(self) -> list[dict[str, Term]]:
+        if self._rows is None:
+            decode = self.decoder()
+            variables = self.variables
+            self._rows = [{v: decode(cell) for v, cell in zip(variables, row)
+                           if cell is not None} for row in self._cells]
+        return self._rows
+
+    def decoder(self) -> Callable[[object], Term]:
+        """The term of a bound cell."""
+        return _same if self.terms is None else self.terms.__getitem__
+
+
+def _same(term: Term) -> Term:
+    return term
 
 
 _NUMERIC_DATATYPES = {
@@ -369,13 +411,6 @@ def _compare(value: Term, op: str, constant: Term) -> bool:
         except InvalidOperation:
             return False
     return compare(_lexical_value(value), _lexical_value(constant))
-
-
-def _filter_ok(row: dict[str, Term], comparison: Comparison) -> bool:
-    value = row.get(comparison.variable.name)
-    if value is None:
-        return False
-    return _compare(value, comparison.op, comparison.constant)
 
 
 def _order_patterns(patterns: list, graph: Graph) -> list:
@@ -468,36 +503,45 @@ def _join_pattern(rows: list[tuple], columns: list[str], pattern: list,
 
 def evaluate(query: Query, graph: Graph) -> SolutionSequence:
     """Standard BGP semantics over one graph, then ``apply_modifiers``.  Rows
-    bind term ids; only the columns the modifiers read are decoded."""
+    stay term ids: a cell is decoded when a FILTER, the LIMIT sort or the
+    results document reads it."""
     columns, rows = _match_bgp(query, graph)
-    read = set(query.projected) | {f.variable.name for f in query.filters}
-    decode = [(name, i) for i, name in enumerate(columns) if name in read]
-    terms = graph.terms
-    return apply_modifiers([{name: terms[row[i]] for name, i in decode} for row in rows],
+    return apply_modifiers(SolutionSequence(columns, cells=rows, terms=graph.terms),
                            query)
 
 
-def apply_modifiers(rows: list[dict[str, Term]], query: Query) -> SolutionSequence:
+def apply_modifiers(solutions: SolutionSequence, query: Query) -> SolutionSequence:
     """The solution modifiers over a bag of solutions, shared by local and
-    federated evaluation: FILTER, projection, DISTINCT, then LIMIT.  A LIMIT
-    keeps the first rows in the order ``solutions_to_json`` sorts by, so the
-    answer does not depend on hash order."""
+    federated evaluation: FILTER, projection, DISTINCT, then LIMIT.  They
+    work on positional rows.  FILTER and the LIMIT sort decode each distinct
+    cell they read once; DISTINCT compares cells, which are ints on the local
+    path.  A LIMIT keeps the first rows in the order ``solutions_to_json``
+    sorts by, so the answer does not depend on hash order."""
+    rows = solutions.cells
+    decode = solutions.decoder()
+    columns = solutions.variables
+    at = {v: i for i, v in enumerate(columns)}
     for comparison in query.filters:
-        rows = [r for r in rows if _filter_ok(r, comparison)]
-    projected = [{v: r[v] for v in query.projected if v in r} for r in rows]
+        i = at.get(comparison.variable.name)
+        if i is None:
+            rows = []           # the variable is never bound
+            continue
+        keep = {cell: cell is not None and _compare(decode(cell), comparison.op,
+                                                    comparison.constant)
+                for cell in {row[i] for row in rows}}
+        rows = [row for row in rows if keep[row[i]]]
+    picks = [at.get(v) for v in query.projected]
+    if picks != list(range(len(columns))):
+        if None in picks or len(picks) < 2:
+            rows = [tuple([None if i is None else row[i] for i in picks])
+                    for row in rows]
+        else:
+            rows = list(map(operator.itemgetter(*picks), rows))
     if query.distinct:
-        seen = set()
-        deduped = []
-        for r in projected:
-            key = tuple(r.get(v) for v in query.projected)
-            if key not in seen:
-                seen.add(key)
-                deduped.append(r)
-        projected = deduped
+        rows = list(dict.fromkeys(rows))
     if query.limit is not None:
-        projected.sort(key=_row_sort_key(query.projected))
-        projected = projected[:query.limit]
-    return SolutionSequence(variables=list(query.projected), rows=projected)
+        rows = _sorted_rows(rows, decode)[0][:query.limit]
+    return SolutionSequence(query.projected, cells=rows, terms=solutions.terms)
 
 
 # --- SPARQL JSON results ---------------------------------------------------
@@ -515,47 +559,60 @@ def _binding_entry(term: Term) -> dict:
     return entry
 
 
-def _row_sort_key(variables):
-    """Sort key of a row: its terms' N-Triples text, "" for unbound.  Each
-    distinct term object is formatted once per key function, that is, once
-    per sort."""
-    texts: dict[int, str] = {}      # id(term) -> text; rows keep the terms alive
-
-    def key(row):
-        out = []
-        for v in variables:
-            term = row.get(v)
-            if term is None:
-                out.append("")
-                continue
-            text = texts.get(id(term))
-            if text is None:
-                text = texts[id(term)] = format_term(term)
-            out.append(text)
-        return tuple(out)
-    return key
+def _entry_text(entry: dict) -> str:
+    """A binding entry's canonical JSON text.  Its keys sort as datatype,
+    type, value, xml:lang, and it has at most one of the outer two."""
+    text = '"type":' + _quote(entry["type"]) + ',"value":' + _quote(entry["value"])
+    if "datatype" in entry:
+        text = '"datatype":' + _quote(entry["datatype"]) + "," + text
+    elif "xml:lang" in entry:
+        text += ',"xml:lang":' + _quote(entry["xml:lang"])
+    return "{" + text + "}"
 
 
-def solutions_to_json(solutions: SolutionSequence) -> dict:
-    """The results document; each distinct term object's binding dict is
-    built once and shared by every row that binds it."""
-    rows = sorted(solutions.rows, key=_row_sort_key(solutions.variables))
-    entries: dict[int, dict] = {}   # id(term) -> entry; rows keep the terms alive
-    known = entries.get
+def _sorted_rows(rows: list[tuple], decode: Callable) -> tuple[list[tuple], dict]:
+    """``rows`` sorted by their cells' N-Triples text, and that text per
+    distinct cell, each formatted once; an unbound cell is "", which sorts
+    first."""
+    texts = {cell: format_term(decode(cell)) for cell in set().union(*rows)
+             if cell is not None}
+    texts[None] = ""
+    return sorted(rows, key=lambda row: tuple(map(texts.__getitem__, row))), texts
 
-    def entry(term: Term) -> dict:
-        made = entries[id(term)] = _binding_entry(term)
-        return made
 
-    # an entry is never empty, so ``or`` builds only the missing ones
-    return {
-        "head": {"vars": list(solutions.variables)},
-        "results": {"bindings": [
-            {v: known(id(row[v])) or entry(row[v])
-             for v in solutions.variables if v in row}
-            for row in rows
-        ]},
-    }
+class ResultsJSON(dict):
+    """A results document that carries its canonical JSON text, ``text``:
+    sorted keys and no whitespace, as ``json.dumps(doc, sort_keys=True,
+    separators=(",", ":"))`` writes it."""
+
+    __slots__ = ("text",)
+
+
+def solutions_to_json(solutions: SolutionSequence) -> ResultsJSON:
+    """The W3C SPARQL JSON results document, rows sorted by their cells'
+    N-Triples text.  Work is done per distinct cell, once per call: its
+    term, its text, its binding entry dict, which every row that binds it
+    shares, and the entry's JSON text.  The document's canonical text is
+    joined from those fragments, with no JSON encoder run over the rows."""
+    variables = solutions.variables
+    decode = solutions.decoder()
+    rows, texts = _sorted_rows(solutions.cells, decode)
+    entries = {cell: _binding_entry(decode(cell)) for cell in texts if cell is not None}
+    fragments = {cell: _entry_text(entry) for cell, entry in entries.items()}
+    # a variable projected twice binds one key, from its first column
+    slots = [(v, variables.index(v)) for v in dict.fromkeys(variables)]
+    keyed = [(_quote(v) + ":", i) for v, i in sorted(slots)]
+    doc = ResultsJSON(
+        head={"vars": list(variables)},
+        results={"bindings": [{v: entries[row[i]] for v, i in slots
+                               if row[i] is not None} for row in rows]})
+    doc.text = ('{"head":{"vars":[' + ",".join(map(_quote, variables))
+                + ']},"results":{"bindings":['
+                + ",".join(["{" + ",".join([key + fragments[row[i]] for key, i in keyed
+                                            if row[i] is not None]) + "}"
+                            for row in rows])
+                + "]}}")
+    return doc
 
 
 def serialize_results(solutions: SolutionSequence) -> str:

@@ -1,6 +1,7 @@
 """Random graph/query generation and the brute-force evaluation oracle used
 to cross-check the evaluator and the federation engine, plus Term-level
-oracles for mapping and shape validation."""
+oracles for query results, mapping, shape validation and N-Triples
+escaping."""
 
 from __future__ import annotations
 
@@ -8,11 +9,12 @@ import random
 from collections import Counter
 
 from energyde.mapping import _PLACEHOLDER_RE
-from energyde.rdf import Graph, IRI, Literal, RdfError, Triple, format_term
+from energyde.rdf import (BlankNode, Graph, IRI, Literal, RdfError, Term,
+                          Triple, format_term)
 from energyde.shapes import ValidationReport, Violation
-from energyde.sparql import (Comparison, Query, TriplePattern, Variable,
-                             _filter_ok)
-from energyde.vocab import RDF_TYPE, XSD_INTEGER
+from energyde.sparql import (Comparison, Query, SolutionSequence, TriplePattern,
+                             Variable, _compare, _match_bgp)
+from energyde.vocab import RDF_TYPE, XSD, XSD_INTEGER
 from urllib.parse import quote
 
 BASE = "http://example.org/"
@@ -72,6 +74,13 @@ def random_query(rng: random.Random, graph: Graph, max_patterns: int = 4,
     limit = rng.randrange(0, 6) if rng.random() < 0.3 else None
     return Query(projected=projected, distinct=rng.random() < 0.5,
                  patterns=tuple(patterns), filters=filters, limit=limit)
+
+
+def _filter_ok(row: dict[str, Term], comparison: Comparison) -> bool:
+    value = row.get(comparison.variable.name)
+    if value is None:
+        return False
+    return _compare(value, comparison.op, comparison.constant)
 
 
 def bag(solutions) -> Counter:
@@ -226,3 +235,90 @@ def oracle_validate(graph: Graph, shapes: list) -> ValidationReport:
                 violations.extend(_check_oracle(focus, constraint, shape, graph))
     violations.sort(key=lambda v: (format_term(v.focus), v.path, v.kind))
     return ValidationReport(conforms=not violations, violations=violations)
+
+
+# --- Term-level oracle for query results -------------------------------------
+# Evaluation and the results document as they were before rows stayed term
+# ids: every row decoded into a term dict after the BGP, the modifiers over
+# those dicts, and one binding dict per distinct term object.
+
+def oracle_evaluate(query: Query, graph: Graph) -> SolutionSequence:
+    columns, rows = _match_bgp(query, graph)
+    read = set(query.projected) | {f.variable.name for f in query.filters}
+    decode = [(name, i) for i, name in enumerate(columns) if name in read]
+    terms = graph.terms
+    return oracle_apply_modifiers(
+        [{name: terms[row[i]] for name, i in decode} for row in rows], query)
+
+
+def oracle_apply_modifiers(rows: list, query: Query) -> SolutionSequence:
+    for comparison in query.filters:
+        rows = [r for r in rows if _filter_ok(r, comparison)]
+    projected = [{v: r[v] for v in query.projected if v in r} for r in rows]
+    if query.distinct:
+        seen = set()
+        deduped = []
+        for r in projected:
+            key = tuple(r.get(v) for v in query.projected)
+            if key not in seen:
+                seen.add(key)
+                deduped.append(r)
+        projected = deduped
+    if query.limit is not None:
+        projected.sort(key=_oracle_sort_key(query.projected))
+        projected = projected[:query.limit]
+    return SolutionSequence(variables=list(query.projected), rows=projected)
+
+
+def _oracle_entry(term: Term) -> dict:
+    if isinstance(term, IRI):
+        return {"type": "uri", "value": term.value}
+    if isinstance(term, BlankNode):
+        return {"type": "bnode", "value": term.label}
+    entry = {"type": "literal", "value": term.lexical}
+    if term.lang:
+        entry["xml:lang"] = term.lang
+    elif term.datatype != XSD + "string":
+        entry["datatype"] = term.datatype
+    return entry
+
+
+def _oracle_sort_key(variables):
+    def key(row):
+        return tuple("" if row.get(v) is None else format_term(row[v])
+                     for v in variables)
+    return key
+
+
+def oracle_solutions_to_json(solutions: SolutionSequence) -> dict:
+    rows = sorted(solutions.rows, key=_oracle_sort_key(solutions.variables))
+    return {
+        "head": {"vars": list(solutions.variables)},
+        "results": {"bindings": [
+            {v: _oracle_entry(row[v]) for v in solutions.variables if v in row}
+            for row in rows
+        ]},
+    }
+
+
+# --- Term-level oracle for N-Triples escaping --------------------------------
+
+def oracle_escape(text: str) -> str:
+    """The body of an N-Triples literal, one character at a time."""
+    out = []
+    for c in text:
+        if c == "\\":
+            out.append("\\\\")
+        elif c == '"':
+            out.append('\\"')
+        elif c == "\n":
+            out.append("\\n")
+        elif c == "\r":
+            out.append("\\r")
+        elif c == "\t":
+            out.append("\\t")
+        elif ord(c) < 0x20 or c in "\x85\u2028\u2029":
+            out.append(f"\\u{ord(c):04X}")
+        else:
+            out.append(c)
+    return "".join(out)

@@ -306,6 +306,35 @@ class TestBadConfig:
         assert "/mapping>" not in (workdir / "graphs" / "tso.prov.nt").read_text()
         assert "/preprocess>" in (workdir / "graphs" / "tso.prov.nt").read_text()
 
+    @pytest.mark.parametrize("path, argv, message", [
+        ("raw/capacity.csv",
+         lambda work: ("rdfize", "--mapping", str(work / "mappings" / "capacity.yaml"),
+                       "--output", str(work / "out.nt")),
+         r"capacity\.yaml: maps\[0\]\.source: cannot read .*capacity\.csv: "),
+        ("raw/extra.csv",
+         lambda work: ("rdfize", "--mapping", str(work / "mappings" / "capacity.yaml"),
+                       "--input", str(work / "raw" / "extra.csv"),
+                       "--output", str(work / "out.nt")),
+         r"extra\.csv: cannot read: "),
+        ("graphs/tso.nt", _validate, r"tso\.nt: cannot read: "),
+        ("queries/sq2.rq",
+         lambda work: ("query", "--graph", str(work / "graphs" / "reference.nt"),
+                       "--query", str(work / "queries" / "sq2.rq")),
+         r"sq2\.rq: cannot read: "),
+    ], ids=["mapping-source-header", "mapping-source-records", "graph", "query"])
+    def test_input_that_is_not_utf8_exits_2(self, capsys, workdir, path, argv,
+                                            message):
+        source = workdir / "raw" / "capacity.csv"
+        target = workdir / path
+        text = (target if target.exists() else source).read_bytes()
+        target.write_bytes(b"\xff\xfe" + text)
+        code, out, err = run_cli(capsys, *argv(workdir))
+        assert code == 2, (out, err)
+        assert re.search(r"^error: .*" + message + "'utf-8' codec can't decode "
+                         r"byte 0xff in position 0", err, re.M), err
+        assert "Traceback" not in err
+        assert not (workdir / "out.nt").exists()
+
     def test_scenario_rejection_mismatch_is_a_domain_failure(self, capsys,
                                                             workdir):
         script = workdir / "scenario.yaml"
@@ -333,6 +362,44 @@ class TestProvenance:
         assert code == 0
         records = [json.loads(l) for l in out.strip().splitlines()]
         assert [r["id"] for r in records] == list(range(1, len(records) + 1))
+
+
+    def test_audit_after_scenario(self, capsys, workdir):
+        _ephemeral_ports(workdir)
+        code, _, _ = run_cli(capsys, *_scenario(workdir))
+        assert code == 0
+        audit = ("provenance", "audit", "--node-config",
+                 str(workdir / "nodes" / "tso.yaml"))
+        code, out, err = run_cli(capsys, *audit)
+        assert (code, out, err) == (0, "", "")
+
+        # served records edited to name a consumer no contract covers, and
+        # to carry a timestamp that is not one
+        log = workdir / "logs" / "tso.jsonl"
+        records = [json.loads(line) for line in log.read_text().splitlines()]
+        first, second = [r for r in records if r["kind"] == "query-served"][:2]
+        first["consumer"] = "mallory"
+        second["timestamp"] = "yesterday"
+        log.write_text("".join(json.dumps(r, sort_keys=True) + "\n"
+                               for r in records))
+        code, out, _ = run_cli(capsys, *audit)
+        assert code == 1
+        assert [json.loads(line) for line in out.splitlines()] == [
+            {"node": "tso", "finding": f"record {first['id']}: served query "
+             "for mallory but contract check now denies: NOT_AUTHORIZED"},
+            {"node": "tso", "finding": f"record {second['id']}: unreadable "
+             "timestamp 'yesterday'"}]
+
+        with log.open("a") as fh:
+            fh.write("not a record\n")
+        code, _, err = run_cli(capsys, *audit)
+        assert code == 2
+        assert re.search(rf"^error: .*tso\.jsonl: line {len(records) + 1}: "
+                         r"not a provenance record", err, re.M), err
+        code, _, err = run_cli(capsys, "provenance", "audit", "--node-config",
+                               str(workdir / "nodes" / "none.yaml"))
+        assert code == 2
+        assert re.search(r"^error: .*none\.yaml: cannot read", err, re.M), err
 
 
 class TestReadme:

@@ -12,7 +12,7 @@ from energyde.rdf import (BlankNode, Graph, IRI, Literal, NTriplesParseError,
                           RdfError, Triple, parse_ntriples,
                           serialize_ntriples)
 from energyde.vocab import GENERATION_CAPACITY, RDF_TYPE, XSD_INTEGER, XSD_STRING
-from genutil import random_graph
+from genutil import oracle_escape, random_graph
 
 
 def t(s, p, o):
@@ -338,3 +338,19 @@ def test_fast_path_agrees_with_scanner_on_every_combination():
     for s, p, o in itertools.product(_NT_SUBJECTS, _NT_PREDICATES, _NT_OBJECTS):
         for gap, end in [(" ", end) for end in _NT_ENDS] + [(g, ".") for g in _NT_GAPS]:
             assert_fast_path_agrees(f"{gap}{s}{gap}{p}{gap}{o}{end}")
+
+
+# every character the escaper rewrites, its neighbours, and non-ASCII text
+_ESCAPE_ALPHABET = ("".join(map(chr, range(0x21))) + '"\\\x7f\x84\x85\x86\xa0'
+                    "\u2027\u2028\u2029\u202a\u00e9\u4e2d\U0001f600az")
+
+
+@settings(max_examples=500)
+@given(st.text(alphabet=_ESCAPE_ALPHABET, max_size=30) | st.text(max_size=30))
+def test_escape_matches_the_character_loop(text):
+    escaped = rdf._escape(text)
+    assert escaped == oracle_escape(text)
+    if escaped == text:
+        assert escaped is text      # the fast path: nothing to rewrite
+    assert parse_ntriples(f'<{EX}s> <{EX}p> "{escaped}" .\n') == \
+        Graph([Triple(IRI(EX + "s"), IRI(EX + "p"), Literal(text))])
