@@ -9,9 +9,9 @@ from typing import Optional
 
 from .config import ConfigError, load_document, read_document, strings
 from .rdf import IRI
-from .sparql import (Query, SolutionSequence, TriplePattern, Variable,
-                     apply_modifiers, format_pattern_term, format_query,
-                     parse_query)
+from .sparql import (AnswerTerms, Query, SolutionSequence, TriplePattern,
+                     Variable, _picks, _project, apply_modifiers,
+                     format_pattern_term, format_query, parse_query)
 from .vocab import PREFIXES, RDF_TYPE
 
 
@@ -21,6 +21,14 @@ class FederationError(RuntimeError):
 
 class CatalogError(FederationError, ConfigError):
     """A catalog that cannot be used as written."""
+
+
+class MalformedAnswerError(FederationError):
+    """A source answered with a document that is not SPARQL JSON results."""
+
+    def __init__(self, source_id: str, detail: str):
+        super().__init__(f"source {source_id!r} sent a malformed answer: {detail}")
+        self.source_id = source_id
 
 
 class UnanswerablePatternError(FederationError):
@@ -210,29 +218,46 @@ def decompose(query: Query, selection: dict[int, set[str]]) -> DecomposedQuery:
 def hash_join(left: SolutionSequence, right: SolutionSequence,
               shared: set[str]) -> SolutionSequence:
     """Join two solution sequences on their shared variables; with no shared
-    variables this is the Cartesian product."""
-    variables = list(dict.fromkeys(left.variables + right.variables))
+    variables this is the Cartesian product.  Rows stay ids: sequences over
+    one term table join as they are, and any others are first put in one
+    ``AnswerTerms``, so that equal ids are equal terms.  The smaller side
+    is the hash table; the output has ``left``'s columns, then those of
+    ``right``'s variables that ``left`` lacks."""
+    if left.terms is right.terms:
+        table, ours, theirs = left.terms, left.cells, right.cells
+    else:
+        table = AnswerTerms.common([left, right])
+        ours, theirs = table.cells_of(left), table.cells_of(right)
+    left_vars = list(dict.fromkeys(left.variables))
+    new_vars = [v for v in dict.fromkeys(right.variables) if v not in left_vars]
+    ours = _project(ours, _picks(left.variables, left_vars))
+    extra = _project(theirs, _picks(right.variables, new_vars))
     if not shared:
-        rows = [{**a, **b} for a in left.rows for b in right.rows]
-        return SolutionSequence(variables=variables, rows=rows)
-    build, probe = (left, right) if len(left.rows) <= len(right.rows) else (right, left)
-    key_vars = sorted(shared)
-    table: dict[tuple, list[dict]] = {}
-    for row in build.rows:
-        key = tuple(row.get(v) for v in key_vars)
-        table.setdefault(key, []).append(row)
-    rows = []
-    for row in probe.rows:
-        key = tuple(row.get(v) for v in key_vars)
-        for match in table.get(key, ()):
-            rows.append({**match, **row})
-    return SolutionSequence(variables=variables, rows=rows)
+        rows = [a + b for a in ours for b in extra]
+    else:
+        key_vars = sorted(shared)
+        our_keys = _project(ours, _picks(left_vars, key_vars))
+        their_keys = _project(theirs, _picks(right.variables, key_vars))
+        built: dict[tuple, list[tuple]] = {}
+        if len(ours) <= len(theirs):
+            for key, row in zip(our_keys, ours):
+                built.setdefault(key, []).append(row)
+            rows = [match + row for key, row in zip(their_keys, extra)
+                    for match in built.get(key, ())]
+        else:
+            for key, row in zip(their_keys, extra):
+                built.setdefault(key, []).append(row)
+            rows = [row + match for key, row in zip(our_keys, ours)
+                    for match in built.get(key, ())]
+    return SolutionSequence(left_vars + new_vars, cells=rows, terms=table)
 
 
 def execute_federated(plan: DecomposedQuery, clients: dict) -> SolutionSequence:
     """Dispatch subqueries concurrently, union multi-source results, join
     pairwise in ascending result-size order (hash join on shared variables),
-    then apply the query's solution modifiers as local evaluation does."""
+    then apply the query's solution modifiers as local evaluation does.
+    Rows stay ids throughout; ``rows`` of the answer decodes them when it is
+    first read."""
     for sq in plan.subqueries:
         for source_id in sq.sources:
             if source_id not in clients:
@@ -244,9 +269,12 @@ def execute_federated(plan: DecomposedQuery, clients: dict) -> SolutionSequence:
         if len(answers) == 1:
             return answers[0]  # the source applied the subquery's modifiers
         # the subquery's DISTINCT makes this a union of the sources' rows
-        union = SolutionSequence(sq.query.projected,
-                                 rows=[row for a in answers for row in a.rows])
-        return apply_modifiers(union, sq.query)
+        table = AnswerTerms.common(answers)
+        cells = [row for answer in answers
+                 for row in _project(table.cells_of(answer),
+                                     _picks(answer.variables, sq.query.projected))]
+        return apply_modifiers(SolutionSequence(sq.query.projected, cells=cells,
+                                                terms=table), sq.query)
 
     if len(plan.subqueries) == 1:
         results = [run_subquery(plan.subqueries[0])]

@@ -5,8 +5,9 @@ from __future__ import annotations
 import re
 import threading
 from dataclasses import dataclass
+from itertools import filterfalse
 from types import MappingProxyType
-from typing import Callable, Iterable, Iterator, Optional, Sequence, Union
+from typing import Callable, Iterable, Iterator, Optional, Sequence, TypeVar, Union
 
 from .vocab import RDF_LANGSTRING, XSD_STRING
 
@@ -91,6 +92,45 @@ IdTriple = tuple[int, int, int]
 
 _NO_ENTRIES = MappingProxyType({})
 
+_Derived = TypeVar("_Derived")
+
+
+class TermTexts:
+    """A lazy memo of what is derived from a term table's terms, such as
+    each term's N-Triples text: ``texts(make, ids)`` maps an id to
+    ``make(self[id])``, made the first time some caller asks for that id
+    and kept for as long as the table lives.  So a memo never holds more
+    entries than the table has terms, and nothing is made at load.
+
+    A table that mixes this in is append-only: an id is never reused or
+    renumbered and a term never changes, so a kept text is never stale and
+    nothing is ever invalidated.  Two threads that fill the same id write
+    equal values; each store is one dict assignment."""
+
+    __slots__ = ()
+
+    def texts(self, make: Callable[[Term], _Derived],
+              ids: Iterable[int]) -> dict[int, _Derived]:
+        """The memo of ``make``, filled for at least ``ids``.  Read it; do
+        not modify it or what it holds."""
+        memo = self._memos.get(make)
+        if memo is None:
+            memo = self._memos.setdefault(make, {})
+        for i in list(filterfalse(memo.__contains__, ids)):
+            memo[i] = make(self[i])
+        return memo
+
+
+class TermTable(TermTexts, list):
+    """A graph's term dictionary: ``table[id]`` is the term.  The graph
+    appends to it; nothing else may modify it."""
+
+    __slots__ = ("_memos",)
+
+    def __init__(self):
+        super().__init__()
+        self._memos: dict = {}
+
 
 def _push(index: dict, a: int, b: int, c: int) -> None:
     inner = index.get(a)
@@ -126,10 +166,17 @@ class Graph:
     takes the lock once, and each term is hashed into the dictionary once,
     by the first triple that uses it.  So no ``Triple`` is built per row,
     and ``term_id`` still knows only terms that some triple uses.
+
+    The term table keeps a memo of each term's derived text (``TermTexts``):
+    its N-Triples text, and its SPARQL JSON binding and that binding's JSON
+    text.  The memo is lazy: a term's text is made the first time a
+    response or a serialization emits it, never at load, so it holds at
+    most one entry per term.  It is never invalidated, and needs not be:
+    the graph only grows, ids are never reused and terms are immutable.
     """
 
     def __init__(self, triples: Iterable[Triple] = ()):
-        self._terms: list[Term] = []
+        self._terms = TermTable()
         self._ids: dict[Term, int] = {}
         self._spo: dict[int, dict[int, list[int]]] = {}
         self._pos: dict[int, dict[int, list[int]]] = {}
@@ -165,9 +212,10 @@ class Graph:
                        for s, p, o in theirs)
 
     @property
-    def terms(self) -> list[Term]:
-        """The term dictionary, indexed by id.  Ids are never reused or
-        renumbered; callers must not modify the list."""
+    def terms(self) -> TermTable:
+        """The term dictionary, indexed by id, with its memo of derived
+        text.  Ids are never reused or renumbered; callers must not modify
+        the list."""
         return self._terms
 
     @property
@@ -551,13 +599,14 @@ def format_term(term: Term) -> str:
 
 def serialize_ntriples(graph: Graph) -> str:
     """Deterministic N-Triples output: one line per triple, lexicographically
-    sorted.  ``parse_ntriples(serialize_ntriples(g)) == g``.  Each distinct
-    term is formatted once."""
+    sorted.  ``parse_ntriples(serialize_ntriples(g)) == g``.  Each term's
+    text comes from the term table's memo, so it is formatted once per
+    graph, however often the graph is written."""
     with graph._lock:
-        texts = [format_term(term) for term in graph._terms]
+        texts = graph._terms.texts(format_term, range(len(graph._terms)))
         lines = [f"{texts[s]} {texts[p]} {texts[o]} ." for s, p, o in graph._id_triples()]
     lines.sort()
-    return "".join(line + "\n" for line in lines)
+    return "\n".join(lines) + "\n" if lines else ""
 
 
 def load_graph(path) -> Graph:

@@ -7,8 +7,19 @@ Prefixed names are expanded at parse time; no prefixes survive into the algebra.
 Evaluation is late-materializing: rows stay tuples of the graph's term ids
 from the BGP through FILTER, projection, DISTINCT and LIMIT until the response
 is written.  A cell is decoded only where a FILTER or the LIMIT sort reads
-it, and the results document is written once per distinct term: its
-N-Triples sort text, its binding entry and that entry's JSON text.
+it.  What the results document needs of a term, its N-Triples sort text, its
+binding entry and that entry's JSON text, comes from the term table's memo
+(``rdf.TermTexts``).  The memo is lazy: a term's texts are made the first
+time a response emits it, so it never holds more entries than the table has
+terms and nothing is made when a graph loads.  It is never invalidated, as
+it needs not be: a graph only grows, ids are never reused and terms are
+immutable.
+
+The federator's side is late-materializing too.  ``solutions_from_json``
+reads a results document a column at a time into cells over an
+``AnswerTerms`` table, one id per distinct term however it was spelled, and
+makes a term only when a cell is decoded.  Unions and joins work on those
+ids, and ``SolutionSequence.rows`` decodes them when it is first read.
 """
 
 from __future__ import annotations
@@ -18,11 +29,13 @@ import operator
 import re
 from dataclasses import dataclass, field
 from decimal import Decimal, InvalidOperation
+from itertools import repeat
 from json.encoder import encode_basestring_ascii as _quote
-from typing import Callable, Optional, Sequence, Union
+from typing import Callable, Optional, Union
 
-from .rdf import Graph, IRI, Literal, BlankNode, RdfError, Term, format_term
-from .vocab import (RDF_TYPE, XSD, XSD_DECIMAL, XSD_INTEGER)
+from .rdf import (Graph, IRI, Literal, BlankNode, RdfError, Term, TermTexts,
+                  _check_iri, format_term)
+from .vocab import (RDF_TYPE, XSD, XSD_DECIMAL, XSD_INTEGER, XSD_STRING)
 
 
 class QueryParseError(ValueError):
@@ -340,14 +353,15 @@ def format_query(query: Query) -> str:
 class SolutionSequence:
     """A bag of solutions over ``variables``, kept positionally: each of
     ``cells`` is a tuple aligned with ``variables``, None where a variable is
-    unbound.  A cell is an index into ``terms`` (local evaluation keeps the
-    graph's term ids and its term table) or, when ``terms`` is None, the
-    term itself.  ``rows`` is the same bag as term dicts, decoded when it is
+    unbound.  A cell is an id in ``terms``, a term table: the graph's, for
+    local evaluation, or the ``AnswerTerms`` of answers the federator
+    decoded and joined.  When ``terms`` is None the cells are the terms
+    themselves.  ``rows`` is the same bag as term dicts, decoded when it is
     first read; a sequence built from ``rows`` gets its cells the same way."""
 
     def __init__(self, variables, rows: Optional[list[dict[str, Term]]] = None,
                  cells: Optional[list[tuple]] = None,
-                 terms: Optional[Sequence[Term]] = None):
+                 terms: Optional[TermTexts] = None):
         self.variables = list(variables)
         self.terms = terms
         self._rows = rows
@@ -376,9 +390,127 @@ class SolutionSequence:
         """The term of a bound cell."""
         return _same if self.terms is None else self.terms.__getitem__
 
+    def texts(self, make: Callable[[Term], object], cells) -> dict:
+        """``make`` of the term of each of ``cells`` (bound cells), by cell:
+        the term table's memo, or made here when the cells are terms."""
+        if self.terms is None:
+            return {cell: make(cell) for cell in cells}
+        return self.terms.texts(make, cells)
+
 
 def _same(term: Term) -> Term:
     return term
+
+
+class ResultsFormatError(ValueError):
+    """A SPARQL JSON results document that cannot be read."""
+
+
+# a term as a results document binds it: (type, value, datatype, xml:lang),
+# with no datatype on a plain literal (it is xsd:string) or on a
+# language-tagged one, so that every spelling of one term has one key, and
+# the spelling the node writes is the key
+TermKey = tuple
+
+
+def _term_key(term: Term) -> TermKey:
+    if isinstance(term, IRI):
+        return ("uri", term.value, None, None)
+    if isinstance(term, BlankNode):
+        return ("bnode", term.label, None, None)
+    if term.lang is not None:
+        return ("literal", term.lexical, None, term.lang)
+    datatype = None if term.datatype == XSD_STRING else term.datatype
+    return ("literal", term.lexical, datatype, None)
+
+
+def _key_term(key: TermKey) -> Term:
+    kind, value, datatype, lang = key
+    if kind == "uri":
+        return IRI(value)
+    if kind == "bnode":
+        return BlankNode(value)
+    return Literal(value, datatype or XSD_STRING, lang)
+
+
+class AnswerTerms(TermTexts):
+    """The term table of answers the federator decoded, unioned and joined.
+    A term is held as its ``TermKey`` and made the first time its id is
+    read, so the federator joins and deduplicates ids and makes only the
+    terms a FILTER, a sort or ``rows`` reads.  Each key has one id, so ids
+    compare as their terms do.  Like a graph's table it is append-only and
+    keeps a lazy memo of derived text; unlike one, the federator may add
+    the terms of other answers to it (``cells_of``), one thread at a time:
+    each answer gets its own table, and a union or join adds to the table
+    of its own inputs only."""
+
+    __slots__ = ("_keys", "_ids", "_made", "_memos")
+
+    def __init__(self):
+        self._keys: list[TermKey] = []
+        self._ids: dict[TermKey, int] = {}
+        self._made: dict[int, Term] = {}
+        self._memos: dict = {}
+
+    def __len__(self) -> int:
+        return len(self._keys)
+
+    def __getitem__(self, i: int) -> Term:
+        term = self._made.get(i)
+        if term is None:
+            term = self._made[i] = _key_term(self._keys[i])
+        return term
+
+    def add(self, key: TermKey) -> int:
+        """The id of the term ``key`` names, appended if it is new."""
+        i = self._ids.get(key)
+        if i is None:
+            i = self._ids[key] = len(self._keys)
+            self._keys.append(key)
+        return i
+
+    def cells_of(self, solutions: SolutionSequence) -> list[tuple]:
+        """The cells of ``solutions`` as ids of this table, adding the terms
+        it lacks; each distinct cell is looked up once."""
+        cells = solutions.cells
+        if solutions.terms is self:
+            return cells
+        decode = solutions.decoder()
+        ids = {cell: self.add(_term_key(decode(cell)))
+               for cell in set().union(*cells) if cell is not None}
+        ids[None] = None
+        return [tuple(map(ids.__getitem__, row)) for row in cells]
+
+    @staticmethod
+    def common(sequences) -> "AnswerTerms":
+        """The table to put ``sequences`` in together: the largest
+        ``AnswerTerms`` among theirs, or a new one.  A graph's table is
+        never added to."""
+        tables = [s.terms for s in sequences if isinstance(s.terms, AnswerTerms)]
+        return max(tables, key=len) if tables else AnswerTerms()
+
+
+def _picks(variables: list[str], wanted) -> list[Optional[int]]:
+    """The column of each of ``wanted`` in ``variables`` (its first, if
+    listed twice), or None."""
+    at: dict[str, int] = {}
+    for i, v in enumerate(variables):
+        at.setdefault(v, i)
+    return [at.get(v) for v in wanted]
+
+
+def _project(rows: list[tuple], picks: list[Optional[int]]) -> list[tuple]:
+    """Each row cut to the columns ``picks`` lists, in that order; a None
+    pick is an unbound cell."""
+    if not rows or picks == list(range(len(rows[0]))):
+        return rows
+    if None in picks:
+        return [tuple([None if i is None else row[i] for i in picks]) for row in rows]
+    if len(picks) > 1:
+        return list(map(operator.itemgetter(*picks), rows))
+    if picks:
+        return list(zip(map(operator.itemgetter(*picks), rows)))
+    return [()] * len(rows)
 
 
 _NUMERIC_DATATYPES = {
@@ -520,9 +652,8 @@ def apply_modifiers(solutions: SolutionSequence, query: Query) -> SolutionSequen
     rows = solutions.cells
     decode = solutions.decoder()
     columns = solutions.variables
-    at = {v: i for i, v in enumerate(columns)}
     for comparison in query.filters:
-        i = at.get(comparison.variable.name)
+        i = _picks(columns, [comparison.variable.name])[0]
         if i is None:
             rows = []           # the variable is never bound
             continue
@@ -530,17 +661,11 @@ def apply_modifiers(solutions: SolutionSequence, query: Query) -> SolutionSequen
                                                     comparison.constant)
                 for cell in {row[i] for row in rows}}
         rows = [row for row in rows if keep[row[i]]]
-    picks = [at.get(v) for v in query.projected]
-    if picks != list(range(len(columns))):
-        if None in picks or len(picks) < 2:
-            rows = [tuple([None if i is None else row[i] for i in picks])
-                    for row in rows]
-        else:
-            rows = list(map(operator.itemgetter(*picks), rows))
+    rows = _project(rows, _picks(columns, query.projected))
     if query.distinct:
         rows = list(dict.fromkeys(rows))
     if query.limit is not None:
-        rows = _sorted_rows(rows, decode)[0][:query.limit]
+        rows = _sorted_rows(rows, solutions.texts)[0][:query.limit]
     return SolutionSequence(query.projected, cells=rows, terms=solutions.terms)
 
 
@@ -554,7 +679,7 @@ def _binding_entry(term: Term) -> dict:
     entry = {"type": "literal", "value": term.lexical}
     if term.lang:
         entry["xml:lang"] = term.lang
-    elif term.datatype != XSD + "string":
+    elif term.datatype != XSD_STRING:
         entry["datatype"] = term.datatype
     return entry
 
@@ -570,14 +695,26 @@ def _entry_text(entry: dict) -> str:
     return "{" + text + "}"
 
 
-def _sorted_rows(rows: list[tuple], decode: Callable) -> tuple[list[tuple], dict]:
-    """``rows`` sorted by their cells' N-Triples text, and that text per
-    distinct cell, each formatted once; an unbound cell is "", which sorts
-    first."""
-    texts = {cell: format_term(decode(cell)) for cell in set().union(*rows)
-             if cell is not None}
-    texts[None] = ""
-    return sorted(rows, key=lambda row: tuple(map(texts.__getitem__, row))), texts
+def _binding_text(term: Term) -> str:
+    return _entry_text(_binding_entry(term))
+
+
+def _sorted_rows(rows: list[tuple], texts: Callable) -> tuple[list[tuple], set]:
+    """``rows`` sorted by their cells' N-Triples text, which ``texts`` (a
+    ``SolutionSequence.texts``) gives per distinct cell; an unbound cell is
+    "", which sorts first.  Also returns the distinct bound cells.  The sort
+    keys are built a column at a time."""
+    cells = set().union(*rows)
+    unbound = None in cells
+    cells.discard(None)
+    ntriples = texts(format_term, cells)
+    if unbound:
+        ntriples = {cell: ntriples[cell] for cell in cells}
+        ntriples[None] = ""
+    if not rows or not rows[0]:
+        return rows, cells
+    keys = list(zip(*[map(ntriples.__getitem__, column) for column in zip(*rows)]))
+    return [rows[i] for i in sorted(range(len(rows)), key=keys.__getitem__)], cells
 
 
 class ResultsJSON(dict):
@@ -590,27 +727,33 @@ class ResultsJSON(dict):
 
 def solutions_to_json(solutions: SolutionSequence) -> ResultsJSON:
     """The W3C SPARQL JSON results document, rows sorted by their cells'
-    N-Triples text.  Work is done per distinct cell, once per call: its
-    term, its text, its binding entry dict, which every row that binds it
-    shares, and the entry's JSON text.  The document's canonical text is
-    joined from those fragments, with no JSON encoder run over the rows."""
+    N-Triples text.  A cell's text, its binding entry dict (which every row
+    and every response that binds it shares) and the entry's JSON text come
+    from the term table's memo, so they are made once per term, not per
+    response.  The document's canonical text is joined from those
+    fragments, with no JSON encoder run over the rows."""
     variables = solutions.variables
-    decode = solutions.decoder()
-    rows, texts = _sorted_rows(solutions.cells, decode)
-    entries = {cell: _binding_entry(decode(cell)) for cell in texts if cell is not None}
-    fragments = {cell: _entry_text(entry) for cell, entry in entries.items()}
+    rows, cells = _sorted_rows(solutions.cells, solutions.texts)
+    entries = solutions.texts(_binding_entry, cells)
+    fragments = solutions.texts(_binding_text, cells)
     # a variable projected twice binds one key, from its first column
     slots = [(v, variables.index(v)) for v in dict.fromkeys(variables)]
-    keyed = [(_quote(v) + ":", i) for v, i in sorted(slots)]
+    keyed = sorted(slots)
+    # a row that binds every key is written through one format string
+    row_format = "{" + ",".join(_quote(v).replace("%", "%%") + ":%s"
+                                for v, _ in keyed) + "}"
     doc = ResultsJSON(
         head={"vars": list(variables)},
         results={"bindings": [{v: entries[row[i]] for v, i in slots
                                if row[i] is not None} for row in rows]})
     doc.text = ('{"head":{"vars":[' + ",".join(map(_quote, variables))
                 + ']},"results":{"bindings":['
-                + ",".join(["{" + ",".join([key + fragments[row[i]] for key, i in keyed
-                                            if row[i] is not None]) + "}"
-                            for row in rows])
+                + ",".join([row_format % tuple(map(fragments.__getitem__, row))
+                            if None not in row else
+                            "{" + ",".join([_quote(v) + ":" + fragments[cell]
+                                            for (v, _), cell in zip(keyed, row)
+                                            if cell is not None]) + "}"
+                            for row in _project(rows, [i for _, i in keyed])])
                 + "]}}")
     return doc
 
@@ -621,29 +764,87 @@ def serialize_results(solutions: SolutionSequence) -> str:
     return json.dumps(solutions_to_json(solutions), indent=2, sort_keys=True) + "\n"
 
 
-def _entry_term(entry: dict) -> Term:
-    if entry["type"] == "uri":
-        return IRI(entry["value"])
-    if entry["type"] == "bnode":
-        return BlankNode(entry["value"])
-    return Literal(entry["value"], entry.get("datatype", XSD + "string"),
-                   entry.get("xml:lang"))
+# the entry fields a term's key is read from, in ``TermKey`` order
+_ENTRY_FIELDS = ("type", "value", "datatype", "xml:lang")
+# what a binding without the variable reads as: no results document spells it
+_UNBOUND = {"type": object()}
+_UNBOUND_SPELLING = (_UNBOUND["type"], None, None, None)
 
 
-def solutions_from_json(doc: dict) -> SolutionSequence:
-    """Rows of a SPARQL JSON results document.  Each distinct binding is
-    turned into a term, and checked, once; rows share the term objects."""
-    variables = list(doc["head"]["vars"])
-    terms: dict[tuple, Term] = {}
-    rows = []
-    for binding in doc["results"]["bindings"]:
-        row: dict[str, Term] = {}
-        for var, entry in binding.items():
-            key = (entry["type"], entry["value"], entry.get("datatype"),
-                   entry.get("xml:lang"))
-            term = terms.get(key)
-            if term is None:
-                term = terms[key] = _entry_term(entry)
-            row[var] = term
-        rows.append(row)
-    return SolutionSequence(variables=variables, rows=rows)
+def _spelled_key(spelling: tuple) -> TermKey:
+    """The key of the term an entry's fields spell, checked as the term's
+    constructor checks it, but for the datatype, which ``_column`` checks
+    once per distinct datatype."""
+    kind, value, datatype, lang = spelling
+    if not isinstance(value, str):
+        raise ResultsFormatError("value is not a string")
+    if kind == "literal":
+        if lang is not None:
+            if not isinstance(lang, str):
+                raise ResultsFormatError("xml:lang is not a string")
+            return spelling if datatype is None else (kind, value, None, lang)
+        return spelling if datatype != XSD_STRING else (kind, value, None, None)
+    if kind == "uri":
+        _check_iri(value)
+    elif kind != "bnode":
+        raise ResultsFormatError(f"unknown type {kind!r}")
+    return spelling if datatype is None and lang is None else (kind, value, None, None)
+
+
+def _column(table: AnswerTerms, bindings: list[dict], var: str) -> list:
+    """One variable's cells.  The rows' entries are read field by field, a
+    column at a time, and each distinct spelling is checked and added to
+    ``table`` once.  When every entry has one type, datatype and language,
+    as in a typed column, a spelling is known by its value alone."""
+    entries = list(map(dict.get, bindings, repeat(var), repeat(_UNBOUND)))
+    try:
+        fields = [list(map(dict.get, entries, repeat(name))) for name in _ENTRY_FIELDS]
+        kinds, values, datatypes, langs = fields
+        for datatype in set(datatypes) - {None}:
+            if not isinstance(datatype, str):
+                raise ResultsFormatError("datatype is not a string")
+            _check_iri(datatype)
+        if len(set(kinds)) == len(set(datatypes)) == len(set(langs)) == 1:
+            spellings = values
+            spelled = {value: (kinds[0], value, datatypes[0], langs[0])
+                       for value in set(values)}
+        else:
+            spellings = list(zip(*fields))
+            spelled = {spelling: spelling for spelling in set(spellings)}
+        ids = {spelling: None if full == _UNBOUND_SPELLING
+               else table.add(_spelled_key(full)) for spelling, full in spelled.items()}
+    except TypeError:           # an entry that is not an object, or holds one
+        raise ResultsFormatError(f"binding of ?{var}: not an object of "
+                                 "strings") from None
+    except ValueError as exc:   # a ResultsFormatError, or the RdfError of an IRI
+        raise ResultsFormatError(f"binding of ?{var}: {exc}") from None
+    return list(map(ids.__getitem__, spellings))
+
+
+def _results_parts(doc) -> tuple[list, list]:
+    if not isinstance(doc, dict):
+        raise ResultsFormatError("the results are not a JSON object")
+    head, results = doc.get("head"), doc.get("results")
+    variables = head.get("vars") if isinstance(head, dict) else None
+    bindings = results.get("bindings") if isinstance(results, dict) else None
+    if not (isinstance(variables, list) and all(isinstance(v, str) for v in variables)):
+        raise ResultsFormatError("head.vars is not a list of variable names")
+    if not (isinstance(bindings, list) and all(map(isinstance, bindings, repeat(dict)))):
+        raise ResultsFormatError("results.bindings is not a list of objects")
+    return variables, bindings
+
+
+def solutions_from_json(doc) -> SolutionSequence:
+    """The solutions of a SPARQL JSON results document, as cells over a new
+    ``AnswerTerms``.  Cells are read a column at a time, and each distinct
+    spelling of a term is checked and keyed once; no term is made here.  A
+    binding of a variable that ``head.vars`` does not list is ignored.  A
+    document that is not a results document raises ``ResultsFormatError``."""
+    variables, bindings = _results_parts(doc)
+    names = list(dict.fromkeys(variables))
+    table = AnswerTerms()
+    columns = [_column(table, bindings, var) for var in names]
+    cells = list(zip(*columns)) if names else [()] * len(bindings)
+    # a variable listed twice binds each of its columns
+    return SolutionSequence(variables, cells=_project(cells, _picks(names, variables)),
+                            terms=table)
