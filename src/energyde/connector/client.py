@@ -5,7 +5,7 @@ from __future__ import annotations
 import socket
 from typing import Optional
 
-from ..sparql import ResultsFormatError, SolutionSequence, solutions_from_json
+from ..sparql import SolutionSequence, solutions_from_json
 from .framing import recv_frame, send_frame
 from .messages import Message
 
@@ -66,16 +66,10 @@ class NodeClient:
     def query(self, query_text: str) -> SolutionSequence:
         """The answer's solutions, as ids over their own term table; a
         response that is not a results document raises
-        ``MalformedAnswerError``."""
+        ``sparql.ResultsFormatError``."""
         response = self.request("QueryRequest", {"contractId": self.contract_id,
                                                  "query": query_text})
-        try:
-            return solutions_from_json(response.body.get("results"))
-        except ResultsFormatError as exc:
-            # imported here: a node imports this module, and needs no
-            # federation engine (nor the thread pool it imports)
-            from ..federation import MalformedAnswerError
-            raise MalformedAnswerError(self.source_id, str(exc)) from None
+        return solutions_from_json(response.body.get("results"))
 
 
 class LocalClient:

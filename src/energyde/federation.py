@@ -9,8 +9,8 @@ from typing import Optional
 
 from .config import ConfigError, load_document, read_document, strings
 from .rdf import IRI
-from .sparql import (AnswerTerms, Query, SolutionSequence, TriplePattern,
-                     Variable, _picks, _project, apply_modifiers,
+from .sparql import (AnswerTerms, Query, ResultsFormatError, SolutionSequence,
+                     TriplePattern, Variable, _picks, _project, apply_modifiers,
                      format_pattern_term, format_query, parse_query)
 from .vocab import PREFIXES, RDF_TYPE
 
@@ -218,16 +218,12 @@ def decompose(query: Query, selection: dict[int, set[str]]) -> DecomposedQuery:
 def hash_join(left: SolutionSequence, right: SolutionSequence,
               shared: set[str]) -> SolutionSequence:
     """Join two solution sequences on their shared variables; with no shared
-    variables this is the Cartesian product.  Rows stay ids: sequences over
-    one term table join as they are, and any others are first put in one
-    ``AnswerTerms``, so that equal ids are equal terms.  The smaller side
-    is the hash table; the output has ``left``'s columns, then those of
-    ``right``'s variables that ``left`` lacks."""
-    if left.terms is right.terms:
-        table, ours, theirs = left.terms, left.cells, right.cells
-    else:
-        table = AnswerTerms.common([left, right])
-        ours, theirs = table.cells_of(left), table.cells_of(right)
+    variables this is the Cartesian product.  Rows stay ids: both sides
+    are put in one ``AnswerTerms``, so that equal ids are equal terms.  The
+    smaller side is the hash table; the output has ``left``'s columns, then
+    those of ``right``'s variables that ``left`` lacks."""
+    table = AnswerTerms.common([left, right])
+    ours, theirs = table.cells_of(left), table.cells_of(right)
     left_vars = list(dict.fromkeys(left.variables))
     new_vars = [v for v in dict.fromkeys(right.variables) if v not in left_vars]
     ours = _project(ours, _picks(left.variables, left_vars))
@@ -265,7 +261,12 @@ def execute_federated(plan: DecomposedQuery, clients: dict) -> SolutionSequence:
 
     def run_subquery(sq: Subquery) -> SolutionSequence:
         text = format_query(sq.query)
-        answers = [clients[source_id].query(text) for source_id in sq.sources]
+        answers = []
+        for source_id in sq.sources:
+            try:
+                answers.append(clients[source_id].query(text))
+            except ResultsFormatError as exc:
+                raise MalformedAnswerError(source_id, str(exc)) from None
         if len(answers) == 1:
             return answers[0]  # the source applied the subquery's modifiers
         # the subquery's DISTINCT makes this a union of the sources' rows

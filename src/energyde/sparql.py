@@ -17,9 +17,9 @@ immutable.
 
 The federator's side is late-materializing too.  ``solutions_from_json``
 reads a results document a column at a time into cells over an
-``AnswerTerms`` table, one id per distinct term however it was spelled, and
-makes a term only when a cell is decoded.  Unions and joins work on those
-ids, and ``SolutionSequence.rows`` decodes them when it is first read.
+``AnswerTerms`` table, making one term, and one id, per distinct term
+however it was spelled.  Unions and joins work on those ids, and
+``SolutionSequence.rows`` decodes them when it is first read.
 """
 
 from __future__ import annotations
@@ -34,7 +34,7 @@ from json.encoder import encode_basestring_ascii as _quote
 from typing import Callable, Optional, Union
 
 from .rdf import (Graph, IRI, Literal, BlankNode, RdfError, Term, TermTexts,
-                  _check_iri, format_term)
+                  format_term)
 from .vocab import (RDF_TYPE, XSD, XSD_DECIMAL, XSD_INTEGER, XSD_STRING)
 
 
@@ -406,67 +406,28 @@ class ResultsFormatError(ValueError):
     """A SPARQL JSON results document that cannot be read."""
 
 
-# a term as a results document binds it: (type, value, datatype, xml:lang),
-# with no datatype on a plain literal (it is xsd:string) or on a
-# language-tagged one, so that every spelling of one term has one key, and
-# the spelling the node writes is the key
-TermKey = tuple
+class AnswerTerms(TermTexts, list):
+    """The term table of answers the federator decoded, unioned and joined:
+    ``table[id]`` is the term.  Each term has one id, however the answers
+    spelled it, so ids compare as their terms do and the federator joins
+    and deduplicates ids.  Like a graph's table it is append-only and keeps
+    a lazy memo of derived text; unlike one, the federator may add the terms
+    of other answers to it (``cells_of``), one thread at a time: each answer
+    gets its own table, and a union or join adds to the table of its own
+    inputs only."""
 
-
-def _term_key(term: Term) -> TermKey:
-    if isinstance(term, IRI):
-        return ("uri", term.value, None, None)
-    if isinstance(term, BlankNode):
-        return ("bnode", term.label, None, None)
-    if term.lang is not None:
-        return ("literal", term.lexical, None, term.lang)
-    datatype = None if term.datatype == XSD_STRING else term.datatype
-    return ("literal", term.lexical, datatype, None)
-
-
-def _key_term(key: TermKey) -> Term:
-    kind, value, datatype, lang = key
-    if kind == "uri":
-        return IRI(value)
-    if kind == "bnode":
-        return BlankNode(value)
-    return Literal(value, datatype or XSD_STRING, lang)
-
-
-class AnswerTerms(TermTexts):
-    """The term table of answers the federator decoded, unioned and joined.
-    A term is held as its ``TermKey`` and made the first time its id is
-    read, so the federator joins and deduplicates ids and makes only the
-    terms a FILTER, a sort or ``rows`` reads.  Each key has one id, so ids
-    compare as their terms do.  Like a graph's table it is append-only and
-    keeps a lazy memo of derived text; unlike one, the federator may add
-    the terms of other answers to it (``cells_of``), one thread at a time:
-    each answer gets its own table, and a union or join adds to the table
-    of its own inputs only."""
-
-    __slots__ = ("_keys", "_ids", "_made", "_memos")
+    __slots__ = ("_ids", "_memos")
 
     def __init__(self):
-        self._keys: list[TermKey] = []
-        self._ids: dict[TermKey, int] = {}
-        self._made: dict[int, Term] = {}
+        super().__init__()
+        self._ids: dict[Term, int] = {}
         self._memos: dict = {}
 
-    def __len__(self) -> int:
-        return len(self._keys)
-
-    def __getitem__(self, i: int) -> Term:
-        term = self._made.get(i)
-        if term is None:
-            term = self._made[i] = _key_term(self._keys[i])
-        return term
-
-    def add(self, key: TermKey) -> int:
-        """The id of the term ``key`` names, appended if it is new."""
-        i = self._ids.get(key)
-        if i is None:
-            i = self._ids[key] = len(self._keys)
-            self._keys.append(key)
+    def add(self, term: Term) -> int:
+        """The id of ``term``, appended if it is new."""
+        i = self._ids.setdefault(term, len(self))
+        if i == len(self):
+            self.append(term)
         return i
 
     def cells_of(self, solutions: SolutionSequence) -> list[tuple]:
@@ -476,7 +437,7 @@ class AnswerTerms(TermTexts):
         if solutions.terms is self:
             return cells
         decode = solutions.decoder()
-        ids = {cell: self.add(_term_key(decode(cell)))
+        ids = {cell: self.add(decode(cell))
                for cell in set().union(*cells) if cell is not None}
         ids[None] = None
         return [tuple(map(ids.__getitem__, row)) for row in cells]
@@ -764,46 +725,42 @@ def serialize_results(solutions: SolutionSequence) -> str:
     return json.dumps(solutions_to_json(solutions), indent=2, sort_keys=True) + "\n"
 
 
-# the entry fields a term's key is read from, in ``TermKey`` order
+# the entry fields a term is read from, in ``_entry_term``'s argument order
 _ENTRY_FIELDS = ("type", "value", "datatype", "xml:lang")
 # what a binding without the variable reads as: no results document spells it
-_UNBOUND = {"type": object()}
-_UNBOUND_SPELLING = (_UNBOUND["type"], None, None, None)
+_UNBOUND_TYPE = object()
+_UNBOUND = {"type": _UNBOUND_TYPE}
 
 
-def _spelled_key(spelling: tuple) -> TermKey:
-    """The key of the term an entry's fields spell, checked as the term's
-    constructor checks it, but for the datatype, which ``_column`` checks
-    once per distinct datatype."""
-    kind, value, datatype, lang = spelling
+def _entry_term(kind, value, datatype, lang) -> Term:
+    """The term a binding entry's fields spell.  Fields of the wrong JSON
+    type raise ``ResultsFormatError`` here; the term's constructor checks
+    the rest."""
     if not isinstance(value, str):
         raise ResultsFormatError("value is not a string")
     if kind == "literal":
-        if lang is not None:
-            if not isinstance(lang, str):
-                raise ResultsFormatError("xml:lang is not a string")
-            return spelling if datatype is None else (kind, value, None, lang)
-        return spelling if datatype != XSD_STRING else (kind, value, None, None)
+        if lang is None:
+            return Literal(value, XSD_STRING if datatype is None else datatype)
+        if not isinstance(lang, str):
+            raise ResultsFormatError("xml:lang is not a string")
+        return Literal(value, lang=lang)
     if kind == "uri":
-        _check_iri(value)
-    elif kind != "bnode":
-        raise ResultsFormatError(f"unknown type {kind!r}")
-    return spelling if datatype is None and lang is None else (kind, value, None, None)
+        return IRI(value)
+    if kind == "bnode":
+        return BlankNode(value)
+    raise ResultsFormatError(f"unknown type {kind!r}")
 
 
 def _column(table: AnswerTerms, bindings: list[dict], var: str) -> list:
     """One variable's cells.  The rows' entries are read field by field, a
-    column at a time, and each distinct spelling is checked and added to
-    ``table`` once.  When every entry has one type, datatype and language,
-    as in a typed column, a spelling is known by its value alone."""
+    column at a time, and the term of each distinct spelling is made, and
+    added to ``table``, once; spellings of one term get one id.  When every
+    entry has one type, datatype and language, as in a typed column, a
+    spelling is known by its value alone."""
     entries = list(map(dict.get, bindings, repeat(var), repeat(_UNBOUND)))
     try:
         fields = [list(map(dict.get, entries, repeat(name))) for name in _ENTRY_FIELDS]
         kinds, values, datatypes, langs = fields
-        for datatype in set(datatypes) - {None}:
-            if not isinstance(datatype, str):
-                raise ResultsFormatError("datatype is not a string")
-            _check_iri(datatype)
         if len(set(kinds)) == len(set(datatypes)) == len(set(langs)) == 1:
             spellings = values
             spelled = {value: (kinds[0], value, datatypes[0], langs[0])
@@ -811,12 +768,12 @@ def _column(table: AnswerTerms, bindings: list[dict], var: str) -> list:
         else:
             spellings = list(zip(*fields))
             spelled = {spelling: spelling for spelling in set(spellings)}
-        ids = {spelling: None if full == _UNBOUND_SPELLING
-               else table.add(_spelled_key(full)) for spelling, full in spelled.items()}
+        ids = {spelling: None if full[0] is _UNBOUND_TYPE
+               else table.add(_entry_term(*full)) for spelling, full in spelled.items()}
     except TypeError:           # an entry that is not an object, or holds one
         raise ResultsFormatError(f"binding of ?{var}: not an object of "
                                  "strings") from None
-    except ValueError as exc:   # a ResultsFormatError, or the RdfError of an IRI
+    except ValueError as exc:   # a ResultsFormatError, or a term's RdfError
         raise ResultsFormatError(f"binding of ?{var}: {exc}") from None
     return list(map(ids.__getitem__, spellings))
 
@@ -837,9 +794,9 @@ def _results_parts(doc) -> tuple[list, list]:
 def solutions_from_json(doc) -> SolutionSequence:
     """The solutions of a SPARQL JSON results document, as cells over a new
     ``AnswerTerms``.  Cells are read a column at a time, and each distinct
-    spelling of a term is checked and keyed once; no term is made here.  A
-    binding of a variable that ``head.vars`` does not list is ignored.  A
-    document that is not a results document raises ``ResultsFormatError``."""
+    spelling is turned into a term, and checked, once.  A binding of a
+    variable that ``head.vars`` does not list is ignored.  A document that
+    is not a results document raises ``ResultsFormatError``."""
     variables, bindings = _results_parts(doc)
     names = list(dict.fromkeys(variables))
     table = AnswerTerms()
