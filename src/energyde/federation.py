@@ -3,15 +3,15 @@ into per-source subqueries, remote execution, and join of the results."""
 
 from __future__ import annotations
 
-from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Optional
 
 from .config import ConfigError, load_document, read_document, strings
 from .rdf import IRI
 from .sparql import (AnswerTerms, Query, ResultsFormatError, SolutionSequence,
-                     TriplePattern, Variable, _picks, _project, apply_modifiers,
-                     format_pattern_term, format_query, parse_query)
+                     TriplePattern, Values, Variable, _picks, _project,
+                     apply_modifiers, format_pattern_term, format_query,
+                     parse_query, writable)
 from .vocab import PREFIXES, RDF_TYPE
 
 
@@ -118,6 +118,7 @@ class Subquery:
     sources: tuple  # source ids this subquery is dispatched to (results unioned)
     query: Query
     pattern_indexes: tuple
+    bind_on: Optional[str] = None   # the variable its bound join sends values of
 
 
 @dataclass
@@ -136,6 +137,7 @@ class DecomposedQuery:
     query: Query             # the federated query (projection/distinct/limit)
     subqueries: list
     join_edges: list
+    order: list              # subquery indexes in dispatch order
 
     def to_dict(self) -> dict:
         return {
@@ -144,11 +146,13 @@ class DecomposedQuery:
                 "patterns": len(sq.query.patterns),
                 "projection": list(sq.query.projected),
                 "query": format_query(sq.query),
+                "bindOn": sq.bind_on,
             } for sq in self.subqueries],
             "joins": [{
                 "left": e.left, "right": e.right,
                 "vars": sorted(e.shared), "cartesian": e.cartesian,
             } for e in self.join_edges],
+            "order": list(self.order),
         }
 
 
@@ -176,7 +180,7 @@ def decompose(query: Query, selection: dict[int, set[str]]) -> DecomposedQuery:
         groups.append((sources, (i,)))
 
     # variables needed above each subquery: the federated projection, every
-    # cross-subquery join variable, and filter variables
+    # cross-subquery join variable, filter variables and the VALUES variable
     group_vars = []
     for _, indexes in groups:
         vars_here: set[str] = set()
@@ -188,7 +192,7 @@ def decompose(query: Query, selection: dict[int, set[str]]) -> DecomposedQuery:
         for b in range(a + 1, len(groups)):
             shared_anywhere |= group_vars[a] & group_vars[b]
     filter_vars = {f.variable.name for f in query.filters}
-    needed = set(query.projected) | shared_anywhere | filter_vars
+    needed = set(query.projected) | shared_anywhere | filter_vars | _inline(query)
 
     subqueries = []
     for (sources, indexes), vars_here in zip(groups, group_vars):
@@ -212,7 +216,38 @@ def decompose(query: Query, selection: dict[int, set[str]]) -> DecomposedQuery:
                 left=a, right=b,
                 shared=frozenset(group_vars[a] & group_vars[b])))
     return DecomposedQuery(query=query, subqueries=subqueries,
-                           join_edges=join_edges)
+                           join_edges=join_edges,
+                           order=_bind_order(subqueries, _inline(query)))
+
+
+def _inline(query: Query) -> set[str]:
+    """The variable of the query's VALUES block, if it has one."""
+    return set() if query.values is None else {query.values.variable.name}
+
+
+def _bind_order(subqueries: list, joined: set[str]) -> list[int]:
+    """The dispatch order, from the query alone (FedX's variable counting):
+    next comes a subquery that shares a variable with those before it, or
+    with ``joined``, the variables bound before the first; then the one
+    with fewest variables not yet joined; then the lowest index.  Each
+    subquery that shares a variable gets ``bind_on``, the alphabetically
+    first one it shares."""
+    order: list[int] = []
+    joined = set(joined)
+    remaining = list(range(len(subqueries)))
+
+    def cost(i):
+        variables = subqueries[i].query.variables()
+        return not variables & joined, len(variables - joined), i
+
+    while remaining:
+        best = min(remaining, key=cost)
+        remaining.remove(best)
+        shared = joined & set(subqueries[best].query.projected)
+        subqueries[best].bind_on = min(shared) if shared else None
+        joined |= set(subqueries[best].query.projected)
+        order.append(best)
+    return order
 
 
 def hash_join(left: SolutionSequence, right: SolutionSequence,
@@ -249,18 +284,23 @@ def hash_join(left: SolutionSequence, right: SolutionSequence,
 
 
 def execute_federated(plan: DecomposedQuery, clients: dict) -> SolutionSequence:
-    """Dispatch subqueries concurrently, union multi-source results, join
-    pairwise in ascending result-size order (hash join on shared variables),
-    then apply the query's solution modifiers as local evaluation does.
-    Rows stay ids throughout; ``rows`` of the answer decodes them when it is
-    first read."""
+    """Dispatch the subqueries one after another in the plan's order, union
+    each multi-source answer, and hash join each answer to the rows joined
+    so far on their shared variables; the query's VALUES block, if it has
+    one, is the first rows.  Then apply the query's solution modifiers as
+    local evaluation does.  A subquery with ``bind_on`` is a bound join: it
+    goes out with a VALUES block of the distinct values the rows joined so
+    far hold for that variable, so each source ships only rows the join
+    can keep.  The block may be empty; the subquery goes out unbound only
+    when a value cannot be written in a query.  Rows stay ids throughout;
+    ``rows`` of the answer decodes them when it is first read."""
     for sq in plan.subqueries:
         for source_id in sq.sources:
             if source_id not in clients:
                 raise FederationError(f"no client for source {source_id!r}")
 
-    def run_subquery(sq: Subquery) -> SolutionSequence:
-        text = format_query(sq.query)
+    def run_subquery(sq: Subquery, query: Query) -> SolutionSequence:
+        text = format_query(query)
         answers = []
         for source_id in sq.sources:
             try:
@@ -277,26 +317,33 @@ def execute_federated(plan: DecomposedQuery, clients: dict) -> SolutionSequence:
         return apply_modifiers(SolutionSequence(sq.query.projected, cells=cells,
                                                 terms=table), sq.query)
 
-    if len(plan.subqueries) == 1:
-        results = [run_subquery(plan.subqueries[0])]
-    else:
-        with ThreadPoolExecutor(max_workers=max(2, len(plan.subqueries))) as pool:
-            results = list(pool.map(run_subquery, plan.subqueries))
+    values = plan.query.values
+    joined = None if values is None else SolutionSequence(
+        [values.variable.name], cells=[(term,) for term in values.terms])
+    for index in plan.order:
+        sq = plan.subqueries[index]
+        query = sq.query if sq.bind_on is None else _bound(sq.query, sq.bind_on, joined)
+        answer = run_subquery(sq, query)
+        joined = answer if joined is None else hash_join(
+            joined, answer, set(joined.variables) & set(answer.variables))
+    if joined is None:          # no patterns: the empty BGP's one solution
+        joined = SolutionSequence([], cells=[()])
+    return apply_modifiers(joined, plan.query)
 
-    pending = list(results)
-    while len(pending) > 1:
-        pending.sort(key=len)
-        left = pending.pop(0)
-        # prefer a partner sharing variables; fall back to Cartesian product
-        partner_index = 0
-        left_vars = set(left.variables)
-        for i, candidate in enumerate(pending):
-            if left_vars & set(candidate.variables):
-                partner_index = i
-                break
-        right = pending.pop(partner_index)
-        pending.append(hash_join(left, right, left_vars & set(right.variables)))
-    return apply_modifiers(pending[0], plan.query)
+
+def _bound(query: Query, variable: str, joined: SolutionSequence) -> Query:
+    """``query`` with a VALUES block of the distinct values ``joined`` binds
+    ``variable`` to, in the order they first appear; ``query`` itself when
+    ``joined`` lacks the variable or a value cannot be written in a query."""
+    column = _picks(joined.variables, [variable])[0]
+    if column is None:
+        return query
+    decode = joined.decoder()
+    cells = dict.fromkeys(row[column] for row in joined.cells)
+    values = tuple(decode(cell) for cell in cells if cell is not None)
+    if not all(map(writable, values)):
+        return query
+    return replace(query, values=Values(Variable(variable), values))
 
 
 def build_clients(catalog: FederationCatalog, client_factory=None) -> dict:

@@ -29,7 +29,7 @@ from typing import Callable, Iterable, Optional, Union
 
 from .config import ConfigError, load_document, one_of, read_document
 from .rdf import Graph, IRI, Literal, RdfError, Term
-from .vocab import PREFIXES, RDF_TYPE, XSD_STRING
+from .vocab import PREFIXES, RDF_LANGSTRING, RDF_TYPE, XSD_STRING
 from urllib.parse import quote
 
 
@@ -124,6 +124,8 @@ def parse_mapping(text: str, base_dir: Optional[Path] = None) -> MappingDocument
                 raise MappingError(
                     f"{po.where}: exactly one of field/constant/template required")
             datatype = po.iri("datatype", prefixes, None)
+            if datatype == RDF_LANGSTRING:
+                raise po.fail("datatype", "rdf:langString needs a language tag")
             constant: Optional[Term] = None
             if "constant" in po:
                 raw = po.get("constant")

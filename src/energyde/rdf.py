@@ -53,9 +53,15 @@ class Literal:
     lang: Optional[str] = None
 
     def __post_init__(self):
-        # a language tag implies the language-string datatype
+        # a language tag implies the language-string datatype, and that
+        # datatype needs a tag: either alone would print as a term that
+        # reads back as another
         if self.lang is not None:
+            if not self.lang:
+                raise RdfError("empty language tag")
             object.__setattr__(self, "datatype", RDF_LANGSTRING)
+        elif self.datatype == RDF_LANGSTRING:
+            raise RdfError("rdf:langString literal without a language tag")
         _check_iri(self.datatype)
 
     def __repr__(self):

@@ -1,8 +1,9 @@
 """Parser and evaluator for the SPARQL subset used here.
 
 Grammar: PREFIX declarations; SELECT [DISTINCT] var-list; WHERE { dot-separated
-triple patterns, optional FILTER(var op constant) }; optional LIMIT n.
-Prefixed names are expanded at parse time; no prefixes survive into the algebra.
+triple patterns, optional FILTER(var op constant), at most one
+VALUES var { constant ... } }; optional LIMIT n.  Prefixed names are
+expanded at parse time; no prefixes survive into the algebra.
 
 Evaluation is late-materializing: rows stay tuples of the graph's term ids
 from the BGP through FILTER, projection, DISTINCT and LIMIT until the response
@@ -27,6 +28,7 @@ from __future__ import annotations
 import json
 import operator
 import re
+from collections import Counter
 from dataclasses import dataclass, field
 from decimal import Decimal, InvalidOperation
 from itertools import repeat
@@ -83,6 +85,15 @@ class Comparison:
     constant: Term
 
 
+@dataclass(frozen=True, slots=True)
+class Values:
+    """Inline data for one variable, ``VALUES ?v { ... }``: the solutions
+    are those in which ``?v`` is one of ``terms``, once per time it is
+    listed."""
+    variable: Variable
+    terms: tuple[Term, ...]
+
+
 @dataclass(frozen=True)
 class Query:
     projected: tuple[str, ...]
@@ -91,17 +102,18 @@ class Query:
     filters: tuple[Comparison, ...] = ()
     limit: Optional[int] = None
     prefixes: dict = field(default_factory=dict, compare=False)
+    values: Optional[Values] = None
 
     def __post_init__(self):
-        bound = set()
-        for p in self.patterns:
-            bound |= p.variables()
-        for f in self.filters:
-            bound.add(f.variable.name)
+        in_patterns = self.variables()
+        bound = in_patterns | {f.variable.name for f in self.filters}
         for v in self.projected:
             if v not in bound:
                 raise QueryParseError(
                     f"projected variable ?{v} appears in no pattern or filter")
+        if self.values is not None and self.values.variable.name not in in_patterns:
+            raise QueryParseError(f"VALUES variable ?{self.values.variable.name} "
+                                  "appears in no pattern")
 
     def variables(self) -> set[str]:
         out = set()
@@ -112,21 +124,25 @@ class Query:
 
 # --- tokenizer -------------------------------------------------------------
 
-_TOKEN_RE = re.compile(r"""
+_IRIREF = r'<[^<>"{}|^`\\\s]*>'
+_LANGTAG = r"@[A-Za-z]+(?:-[A-Za-z0-9]+)*"
+_LOCAL = r"[A-Za-z0-9_][A-Za-z0-9_.-]*"
+_STRING = r'"(?:[^"\\\n]|\\.)*"'
+_TOKEN_RE = re.compile(rf"""
     (?P<WS>\s+|\#[^\n]*)
-  | (?P<IRIREF><[^<>"{}|^`\\\s]*>)
+  | (?P<IRIREF>{_IRIREF})
   | (?P<VAR>[?$][A-Za-z_][A-Za-z0-9_]*)
-  | (?P<STRING>"(?:[^"\\\n]|\\.)*")
+  | (?P<STRING>{_STRING})
   | (?P<DTYPE>\^\^)
-  | (?P<LANGTAG>@[A-Za-z]+(?:-[A-Za-z0-9]+)*)
+  | (?P<LANGTAG>{_LANGTAG})
   | (?P<NUMBER>[+-]?[0-9]+(?:\.[0-9]+)?)
-  | (?P<PNAME>[A-Za-z_][A-Za-z0-9_.-]*?:[A-Za-z0-9_][A-Za-z0-9_.-]*|[A-Za-z_][A-Za-z0-9_.-]*?:)
+  | (?P<PNAME>[A-Za-z_][A-Za-z0-9_.-]*?:{_LOCAL}|[A-Za-z_][A-Za-z0-9_.-]*?:)
   | (?P<NAME>[A-Za-z_][A-Za-z0-9_]*)
   | (?P<OP>!=|<=|>=|=|<|>)
-  | (?P<PUNCT>[{}().;,*])
+  | (?P<PUNCT>[{{}}().;,*])
 """, re.VERBOSE)
 
-_KEYWORDS = {"prefix", "select", "distinct", "where", "filter", "limit"}
+_KEYWORDS = {"prefix", "select", "distinct", "where", "filter", "limit", "values"}
 
 
 def _tokenize(text: str):
@@ -213,6 +229,7 @@ class _Parser:
         self.expect_punct("{")
         patterns: list[TriplePattern] = []
         filters: list[Comparison] = []
+        values = None
         while True:
             kind, value, _ = self.peek()
             if kind == "PUNCT" and value == "}":
@@ -221,6 +238,11 @@ class _Parser:
             if self.keyword() == "filter":
                 self.next()
                 filters.append(self.parse_filter())
+            elif self.keyword() == "values":
+                if values is not None:
+                    self.error("one VALUES block at most")
+                self.next()
+                values = self.parse_values()
             else:
                 s = self.pattern_term(position="subject")
                 p = self.pattern_term(position="predicate")
@@ -245,7 +267,7 @@ class _Parser:
             projected = sorted({v for p in patterns for v in p.variables()})
         return Query(projected=tuple(projected), distinct=distinct,
                      patterns=tuple(patterns), filters=tuple(filters),
-                     limit=limit, prefixes=dict(self.prefixes))
+                     limit=limit, prefixes=dict(self.prefixes), values=values)
 
     def parse_filter(self) -> Comparison:
         self.expect_punct("(")
@@ -260,6 +282,21 @@ class _Parser:
         const = self.constant_term()
         self.expect_punct(")")
         return Comparison(var, op, const)
+
+    def parse_values(self) -> Values:
+        """``?v { term ... }``: the terms are the constants a pattern may
+        hold."""
+        if self.peek()[0] != "VAR":
+            self.error("variable")
+        var = Variable(self.next()[1][1:])
+        self.expect_punct("{")
+        terms = []
+        while self.peek()[:2] != ("PUNCT", "}"):
+            if self.peek()[0] == "VAR":
+                self.error("RDF term")
+            terms.append(self.pattern_term(position="object"))
+        self.next()
+        return Values(var, tuple(terms))
 
     def expand_pname(self, pname: str) -> IRI:
         label, _, local = pname.partition(":")
@@ -282,20 +319,24 @@ class _Parser:
             self.next()
             lexical = _unquote(value)
             kind2, value2, _ = self.peek()
+            datatype, lang = XSD_STRING, None
             if kind2 == "DTYPE":
                 self.next()
                 kind3, value3, _ = self.peek()
                 if kind3 == "IRIREF":
-                    self.next()
-                    return Literal(lexical, value3[1:-1])
-                if kind3 == "PNAME":
-                    self.next()
-                    return Literal(lexical, self.expand_pname(value3).value)
-                self.error("datatype IRI")
-            if kind2 == "LANGTAG":
+                    datatype = value3[1:-1]
+                elif kind3 == "PNAME":
+                    datatype = self.expand_pname(value3).value
+                else:
+                    self.error("datatype IRI")
                 self.next()
-                return Literal(lexical, lang=value2[1:])
-            return Literal(lexical)
+            elif kind2 == "LANGTAG":
+                self.next()
+                lang = value2[1:]
+            try:
+                return Literal(lexical, datatype, lang)
+            except RdfError as exc:
+                raise QueryParseError(str(exc)) from None
         if kind == "NUMBER":
             self.next()
             dt = XSD_DECIMAL if "." in value else XSD_INTEGER
@@ -331,6 +372,17 @@ def format_pattern_term(term: PatternTerm) -> str:
     return format_term(term)
 
 
+# the text ``format_term`` writes for a term the tokenizer reads back as it
+_WRITTEN_TERM = re.compile(
+    rf"{_IRIREF}|_:(?:{_LOCAL})?|{_STRING}(?:\^\^{_IRIREF}|{_LANGTAG})?")
+
+
+def writable(term: Term) -> bool:
+    """Whether a query can hold ``term``: ``rdf`` accepts some IRIs, blank
+    node labels and language tags that the query syntax cannot spell."""
+    return _WRITTEN_TERM.fullmatch(format_term(term)) is not None
+
+
 def format_query(query: Query) -> str:
     """Canonical text form of a query; all IRIs fully written out.
     ``parse_query(format_query(parse_query(t))) == parse_query(t)``."""
@@ -340,6 +392,9 @@ def format_query(query: Query) -> str:
     lines = [head, "WHERE {"]
     for p in query.patterns:
         lines.append("  " + " ".join(format_pattern_term(t) for t in p) + " .")
+    if query.values is not None:
+        lines.append(f"  VALUES ?{query.values.variable.name} {{ "
+                     + "".join(format_term(t) + " " for t in query.values.terms) + "}")
     for f in query.filters:
         lines.append(f"  FILTER(?{f.variable.name} {f.op} {format_term(f.constant)})")
     lines.append("}")
@@ -530,9 +585,11 @@ def _order_patterns(patterns: list, graph: Graph) -> list:
 
 
 def _match_bgp(query: Query, graph: Graph) -> tuple[list[str], list[tuple]]:
-    """The BGP's solutions as rows of term ids, one column per variable.
-    Pattern constants are resolved to ids once; a constant the graph does not
-    hold matches nothing.  The graph's lock is held once for the whole BGP."""
+    """The BGP's solutions, joined with the query's VALUES, as rows of term
+    ids, one column per variable.  Pattern constants and VALUES terms are
+    resolved to ids once; a constant the graph does not hold matches
+    nothing.  The rows are cut to the VALUES as soon as a pattern binds
+    their variable.  The graph's lock is held once for the whole BGP."""
     patterns = []
     for pattern in query.patterns:
         encoded = []
@@ -542,14 +599,30 @@ def _match_bgp(query: Query, graph: Graph) -> tuple[list[str], list[tuple]]:
                 return [], []
             encoded.append(tid)
         patterns.append(encoded)
+    restrict, listed = None, None
+    if query.values is not None:
+        restrict = query.values.variable.name
+        ids = map(graph.term_id, query.values.terms)
+        listed = Counter(tid for tid in ids if tid is not None)
+        if not listed:
+            return [], []
     columns: list[str] = []
     rows: list[tuple] = [()]
     with graph.lock:
         for pattern in _order_patterns(patterns, graph):
             rows = _join_pattern(rows, columns, pattern, graph)
+            if restrict in columns:
+                rows = _restrict(rows, columns.index(restrict), listed)
+                restrict = None
             if not rows:
                 break
     return columns, rows
+
+
+def _restrict(rows: list[tuple], column: int, listed: Counter) -> list[tuple]:
+    """The rows whose cell in ``column`` is listed, each once per listing."""
+    return [row for row in rows if row[column] in listed
+            for _ in range(listed[row[column]])]
 
 
 def _join_pattern(rows: list[tuple], columns: list[str], pattern: list,

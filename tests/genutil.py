@@ -7,13 +7,14 @@ from __future__ import annotations
 
 import random
 from collections import Counter
+from dataclasses import replace
 
 from energyde.mapping import _PLACEHOLDER_RE
 from energyde.rdf import (BlankNode, Graph, IRI, Literal, RdfError, Term,
                           Triple, format_term)
 from energyde.shapes import ValidationReport, Violation
 from energyde.sparql import (Comparison, Query, SolutionSequence, TriplePattern,
-                             Variable, _compare, _match_bgp)
+                             Values, Variable, _compare, _match_bgp)
 from energyde.vocab import RDF_TYPE, XSD, XSD_INTEGER
 from urllib.parse import quote
 
@@ -76,6 +77,20 @@ def random_query(rng: random.Random, graph: Graph, max_patterns: int = 4,
                  patterns=tuple(patterns), filters=filters, limit=limit)
 
 
+def with_values(rng: random.Random, graph: Graph, query: Query) -> Query:
+    """``query`` with a VALUES block on one of its pattern variables: up to
+    five of the graph's terms, some listed twice, and sometimes a term the
+    graph does not hold, or no term at all."""
+    pool = sorted({term for triple in graph for term in triple}, key=format_term)
+    terms = rng.sample(pool, min(len(pool), rng.randrange(6)))
+    terms += rng.sample(terms, rng.randrange(len(terms) + 1))
+    if rng.random() < 0.2:
+        terms.append(Literal("absent"))
+    rng.shuffle(terms)
+    variable = Variable(rng.choice(sorted(query.variables())))
+    return replace(query, values=Values(variable, tuple(terms)))
+
+
 def _filter_ok(row: dict[str, Term], comparison: Comparison) -> bool:
     value = row.get(comparison.variable.name)
     if value is None:
@@ -90,9 +105,10 @@ def bag(solutions) -> Counter:
 
 
 def brute_force(query: Query, graph: Graph) -> Counter:
-    """Nested-loop evaluation by linear scan, no indexes, no reordering.
-    Returns the multiset of projected tuples; LIMIT keeps the tuples that
-    sort first by their terms' N-Triples text (unbound first)."""
+    """Nested-loop evaluation by linear scan, no indexes, no reordering,
+    then the join with the VALUES block.  Returns the multiset of projected
+    tuples; LIMIT keeps the tuples that sort first by their terms'
+    N-Triples text (unbound first)."""
     triples = list(graph)
 
     def extend(pattern: TriplePattern, binding: dict) -> list:
@@ -116,6 +132,10 @@ def brute_force(query: Query, graph: Graph) -> Counter:
     rows = [{}]
     for pattern in query.patterns:
         rows = [ext for row in rows for ext in extend(pattern, row)]
+    if query.values is not None:
+        # a join with the listed terms: one copy of a row per listing
+        name = query.values.variable.name
+        rows = [r for r in rows for term in query.values.terms if r[name] == term]
     rows = [r for r in rows
             if all(_filter_ok(r, f) for f in query.filters)]
     tuples = [tuple(r.get(v) for v in query.projected) for r in rows]

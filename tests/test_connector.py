@@ -289,6 +289,19 @@ class TestHandle:
                                                query="SELEKT"))
         assert response.body["reason"] == "MALFORMED"
 
+    @pytest.mark.parametrize("literal", [
+        '"x"^^<no-scheme>',
+        '"x"^^<http://www.w3.org/1999/02/22-rdf-syntax-ns#langString>',
+    ], ids=["datatype-not-an-iri", "langstring-without-tag"])
+    def test_literal_rdf_rejects_is_one_logged_rejection(self, tmp_path, literal):
+        state = make_node(tmp_path, "tso", small_graph())
+        response = handle(state, query_request(
+            contract="tso-open", query=f"SELECT ?s WHERE {{ ?s <{EX}p> {literal} . }}"))
+        assert response.body["reason"] == "MALFORMED"
+        assert "query does not parse" in response.body["text"]
+        (record,) = read_log(tmp_path / "tso.jsonl")
+        assert record.id == response.body["provenanceRecordId"]
+
     def test_catalog_served(self, tmp_path):
         state = make_node(tmp_path, "tso", small_graph())
         req = Message(type="CatalogRequest", sender="fed",

@@ -68,6 +68,22 @@ class TestParse:
         with pytest.raises(MappingError, match="exactly one"):
             parse_mapping(doc)
 
+    @pytest.mark.parametrize("value", ["field: id", 'constant: \'"x"\''])
+    def test_language_string_datatype_rejected(self, value):
+        # a literal of that datatype needs a tag, which a mapping cannot give
+        doc = f"""
+        maps:
+          - source: {{path: x.csv, format: csv}}
+            subject: {{template: "http://example.org/{{id}}"}}
+            po:
+              - predicate: http://example.org/p
+                {value}
+                datatype: rdf:langString
+        """
+        with pytest.raises(MappingError,
+                           match=r"maps\[0\]\.po\[0\]\.datatype: rdf:langString"):
+            parse_mapping(doc)
+
     def test_unknown_prefix_rejected(self):
         doc = """
         maps:

@@ -26,7 +26,7 @@ from energyde.rdf import BlankNode, Graph, IRI, Literal, Triple
 from energyde.sparql import (AnswerTerms, ResultsFormatError, SolutionSequence,
                              evaluate, format_query, parse_query,
                              solutions_from_json, solutions_to_json)
-from energyde.vocab import RDF_TYPE, XSD_INTEGER, XSD_STRING
+from energyde.vocab import RDF_LANGSTRING, RDF_TYPE, XSD_INTEGER, XSD_STRING
 
 EX = "http://example.org/"
 
@@ -206,6 +206,19 @@ def test_malformed_answer_exits_1_naming_the_source(odd_node, capsys, results, d
     code, out, err = odd_node(results, capsys)
     assert code == 1, err
     assert "source 'odd' sent a malformed answer" in err and detail in err, err
+    assert "Traceback" not in err and out == ""
+
+
+@pytest.mark.parametrize("entry", [
+    {"type": "literal", "value": "a", "xml:lang": ""},
+    {"type": "literal", "value": "a", "datatype": RDF_LANGSTRING},
+], ids=["empty-lang", "langstring-without-lang"])
+def test_language_string_without_a_tag_is_malformed(odd_node, capsys, entry):
+    with pytest.raises(ResultsFormatError, match=r"binding of \?s: .*language tag"):
+        solutions_from_json(_answer({"s": entry}))
+    code, out, err = odd_node(_answer({"s": entry}), capsys)
+    assert code == 1, err
+    assert "source 'odd' sent a malformed answer" in err and "language tag" in err, err
     assert "Traceback" not in err and out == ""
 
 

@@ -11,7 +11,8 @@ from energyde import rdf
 from energyde.rdf import (BlankNode, Graph, IRI, Literal, NTriplesParseError,
                           RdfError, Triple, parse_ntriples,
                           serialize_ntriples)
-from energyde.vocab import GENERATION_CAPACITY, RDF_TYPE, XSD_INTEGER, XSD_STRING
+from energyde.vocab import (GENERATION_CAPACITY, RDF_LANGSTRING, RDF_TYPE,
+                            XSD_INTEGER, XSD_STRING)
 from genutil import oracle_escape, random_graph
 
 
@@ -38,6 +39,18 @@ class TestTerms:
     def test_language_tag_implies_langstring(self):
         lit = Literal("hallo", lang="de")
         assert lit.datatype.endswith("langString")
+
+    @pytest.mark.parametrize("make", [
+        lambda: Literal("x", lang=""),
+        lambda: Literal("x", RDF_LANGSTRING),
+        lambda: Literal("x", RDF_LANGSTRING, ""),
+    ], ids=["empty-tag", "langstring-without-tag", "both"])
+    def test_language_string_needs_a_tag(self, make):
+        # either form would print as "x"^^<...#langString>, which reads back
+        # as neither
+        with pytest.raises(RdfError, match="language tag"):
+            make()
+        assert Literal("x", RDF_LANGSTRING, "en") == Literal("x", lang="en")
 
     def test_no_value_space_coercion(self):
         assert Literal("2020") != Literal("2020",
@@ -180,6 +193,12 @@ class TestNTriples:
         triple = next(iter(g))
         assert triple.subject == BlankNode("b1")
         assert triple.object.lang == "de"
+
+    @pytest.mark.parametrize("obj", [f'"x"^^<{RDF_LANGSTRING}>', '"x"@'])
+    def test_language_string_without_tag_rejected(self, obj):
+        with pytest.raises(NTriplesParseError, match="language tag") as exc:
+            parse_ntriples(f'<{EX}s> <{EX}p> "a" .\n<{EX}s> <{EX}p> {obj} .\n')
+        assert exc.value.line_no == 2
 
     def test_escapes_round_trip(self):
         lit = Literal('quote " backslash \\ newline \n tab \t')

@@ -11,13 +11,15 @@ import pytest
 import energyde
 from energyde.rdf import BlankNode, Graph, IRI, Literal, Triple, parse_ntriples
 from energyde.sparql import (Query, QueryParseError, SolutionSequence,
-                             TriplePattern, UndeclaredPrefixError, Variable,
-                             _match_bgp, evaluate, format_query, parse_query,
-                             serialize_results, solutions_from_json,
-                             solutions_to_json)
+                             TriplePattern, UndeclaredPrefixError, Values,
+                             Variable, _match_bgp, evaluate, format_query,
+                             parse_query, serialize_results,
+                             solutions_from_json, solutions_to_json, writable)
 from energyde.vocab import (RDF_TYPE, RENEWABLE_ENERGY, SUBCLASS_OF,
-                            WIND_POWER, XSD_INTEGER)
-from genutil import bag, brute_force, random_graph, random_query
+                            WIND_POWER, XSD_DECIMAL, XSD_INTEGER)
+from genutil import bag, brute_force, random_graph, random_query, with_values
+
+EX = "http://example.org/"
 
 SQ2_TEXT = """\
 PREFIX wd:  <http://www.wikidata.org/entity/>
@@ -93,6 +95,14 @@ class TestParser:
     def test_syntax_error_reports_position(self):
         with pytest.raises(QueryParseError, match="offset"):
             parse_query("SELECT ?x WHERE { ?x ?p . }")
+
+    @pytest.mark.parametrize("literal, message", [
+        ('"x"^^<http://www.w3.org/1999/02/22-rdf-syntax-ns#langString>', "language tag"),
+        ('"x"^^<no-scheme>', "scheme"),
+    ])
+    def test_literal_that_rdf_rejects_is_a_parse_error(self, literal, message):
+        with pytest.raises(QueryParseError, match=message):
+            parse_query(f"SELECT ?s WHERE {{ ?s <http://example.org/p> {literal} . }}")
 
     def test_projected_variable_must_occur(self):
         with pytest.raises(QueryParseError, match="ghost"):
@@ -233,6 +243,103 @@ class TestEvaluate:
         g = random_graph(random.Random(2), 100)
         q = parse_query('SELECT ?s WHERE { ?s ?p ?o . } LIMIT 3')
         assert len(evaluate(q, g)) == 3
+
+
+class TestValues:
+    PREFIX = "PREFIX ex: <http://example.org/>\n"
+
+    def test_terms_are_the_constants_a_pattern_may_hold(self):
+        q = parse_query(self.PREFIX + 'SELECT ?s WHERE { ?s ex:p ?o . VALUES ?o '
+                        '{ ex:a <http://example.org/b> "x" "y"@en "1"^^ex:t 2 3.5 _:n ex:a } }')
+        assert q.values == Values(Variable("o"), (
+            IRI(EX + "a"), IRI(EX + "b"), Literal("x"), Literal("y", lang="en"),
+            Literal("1", EX + "t"), Literal("2", XSD_INTEGER),
+            Literal("3.5", XSD_DECIMAL), BlankNode("n"), IRI(EX + "a")))
+        assert parse_query(format_query(q)) == q
+
+    def test_fixpoint_on_generated_queries_with_values(self):
+        rng = random.Random(12)
+        g = random_graph(rng, 100)
+        for _ in range(100):
+            q1 = with_values(rng, g, random_query(rng, g))
+            q2 = parse_query(format_query(q1))
+            assert q1 == q2 and q2.values == q1.values
+
+    @pytest.mark.parametrize("where, message", [
+        ("?s ex:p ?o . VALUES ?x { 1 }", r"VALUES variable \?x appears in no pattern"),
+        ("?s ex:p ?o . FILTER(?x = 1) VALUES ?x { 1 }", "VALUES variable"),
+        ("?s ex:p ?o . VALUES ?o { ?s }", "expected RDF term"),
+        ("?s ex:p ?o . VALUES ?o { 1 } VALUES ?o { 2 }", "one VALUES block"),
+        ("?s ex:p ?o . VALUES (?o) { (1) }", "expected variable"),
+        ("?s ex:p ?o . VALUES ?o { 1 ", "end of input"),
+        ("?s ex:p ?o . VALUES ?o { nope:x }", "undeclared prefix"),
+    ])
+    def test_malformed_values_rejected(self, where, message):
+        with pytest.raises(QueryParseError, match=message):
+            parse_query(self.PREFIX + "SELECT ?s WHERE { " + where + " }")
+
+    def test_repeated_value_repeats_its_rows(self):
+        g = Graph([Triple(IRI(EX + f"s{i}"), IRI(EX + "p"), Literal(str(i % 3)))
+                   for i in range(6)])
+        q = parse_query(self.PREFIX + 'SELECT ?s WHERE { ?s ex:p ?o . '
+                        'VALUES ?o { "0" "1" "0" "9" ex:p } }')
+        got = bag(evaluate(q, g))
+        assert got == brute_force(q, g)
+        assert got == Counter({(IRI(EX + "s0"),): 2, (IRI(EX + "s3"),): 2,
+                               (IRI(EX + "s1"),): 1, (IRI(EX + "s4"),): 1})
+        distinct = parse_query(self.PREFIX + 'SELECT DISTINCT ?s WHERE { ?s ex:p ?o . '
+                               'VALUES ?o { "0" "0" } }')
+        assert bag(evaluate(distinct, g)) == Counter({(IRI(EX + "s0"),): 1,
+                                                      (IRI(EX + "s3"),): 1})
+
+    @pytest.mark.parametrize("block", ["{ }", '{ "absent" }'])
+    def test_no_listed_term_in_the_graph_matches_nothing(self, block):
+        g = random_graph(random.Random(3), 50)
+        q = parse_query(f"SELECT ?s WHERE {{ ?s ?p ?o . VALUES ?o {block} }}")
+        assert len(evaluate(q, g)) == 0 == sum(brute_force(q, g).values())
+
+    def test_evaluate_matches_brute_force(self):
+        rng = random.Random(41)
+        queries = 0
+        for _ in range(8):
+            g = random_graph(rng, rng.randrange(50, 300))
+            for _ in range(40):
+                q = with_values(rng, g, random_query(rng, g))
+                assert bag(evaluate(q, g)) == brute_force(q, g), format_query(q)
+                queries += 1
+        assert queries == 320
+
+    def test_rows_are_cut_where_the_variable_is_bound(self):
+        # the pattern after the one that binds ?t probes only the kept rows
+        class LeafProbes(Graph):
+            probes = 0
+
+            def leaf(self, p, o=None):
+                probe = super().leaf(p, o)
+
+                def counted(s):
+                    self.probes += 1
+                    return probe(s)
+                return counted
+
+        g = LeafProbes()
+        for i in range(40):
+            s = IRI(EX + f"s{i}")
+            g.insert(Triple(s, IRI(EX + "type"), IRI(EX + f"T{i % 10}")))
+            g.insert(Triple(s, IRI(EX + "v"), Literal(str(i))))
+        text = self.PREFIX + "SELECT ?v WHERE { ?s ex:type ?t . ?s ex:v ?v . }"
+        assert len(evaluate(parse_query(text), g)) == 40 == g.probes
+        g.probes = 0
+        bound = text.replace(". }", ". VALUES ?t { ex:T1 ex:T2 } }")
+        assert len(evaluate(parse_query(bound), g)) == 8 == g.probes
+
+    def test_writable(self):
+        assert writable(IRI(EX + "a")) and writable(BlankNode("b.1"))
+        assert writable(Literal('a "quoted"\nline')) and writable(Literal("x", lang="en-GB"))
+        assert not writable(IRI(EX + "{a}"))
+        assert not writable(BlankNode("b\u00e9"))
+        assert not writable(Literal("x", lang="en_GB"))
+        assert not writable(Literal("x", EX + "t|u"))
 
 
 class _ProbeCountingGraph(Graph):
