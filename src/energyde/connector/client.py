@@ -71,15 +71,3 @@ class NodeClient:
                                                  "query": query_text})
         return solutions_from_json(response.body.get("results"))
 
-
-class LocalClient:
-    """In-process client evaluating directly against a graph; used where the
-    federation engine queries data it already holds."""
-
-    def __init__(self, graph, source_id: str = "local"):
-        self.graph = graph
-        self.source_id = source_id
-
-    def query(self, query_text: str) -> SolutionSequence:
-        from ..sparql import evaluate, parse_query
-        return evaluate(parse_query(query_text), self.graph)

@@ -63,31 +63,13 @@ class Message:
                    issued=str(raw["issued"]), body=raw["body"])
 
 
-class CanonicalJSON(dict):
-    """A JSON object that keeps its canonical JSON text from the first time
-    it is encoded.  ``digest`` hashes that text and ``canonical_json`` splices
-    it into any document that holds the object, so a large result is encoded
-    once per response.  Do not modify the object after it has been encoded."""
+class CanonicalJSON(str):
+    """JSON text that is already canonical, as ``canonical_json`` writes it.
+    ``digest`` hashes it as it is and ``canonical_json`` splices it into any
+    object or array that holds it, so a large result is written once per
+    response.  A plain ``str`` is a JSON string instead, and is quoted."""
 
-    __slots__ = ("_text",)
-
-    def __init__(self, *args, **kwargs):
-        super().__init__(*args, **kwargs)
-        self._text = None
-
-    @classmethod
-    def with_text(cls, obj: dict, text: str) -> "CanonicalJSON":
-        """``obj`` with ``text``, which its caller wrote, as its canonical
-        text; the caller vouches that ``text`` is that of ``obj``."""
-        made = cls(obj)
-        made._text = text
-        return made
-
-    @property
-    def text(self) -> str:
-        if self._text is None:
-            self._text = _ENCODER.encode(self)
-        return self._text
+    __slots__ = ()
 
 
 _ENCODER = json.JSONEncoder(sort_keys=True, separators=(",", ":"))
@@ -96,13 +78,15 @@ _ENCODER = json.JSONEncoder(sort_keys=True, separators=(",", ":"))
 def canonical_json(obj) -> str:
     """Sorted keys, no insignificant whitespace; basis for all digests.  The
     text is the same as ``json.dumps(obj, sort_keys=True, separators=(",",
-    ":"))``; objects nested in objects are encoded one by one, so that a
-    ``CanonicalJSON`` among them is spliced in as its kept text."""
+    ":"))``; what objects and arrays hold is encoded item by item, so that
+    a ``CanonicalJSON`` among it is spliced in as it is."""
     if isinstance(obj, CanonicalJSON):
-        return obj.text
+        return obj
     if isinstance(obj, dict) and all(type(key) is str for key in obj):
         return "{" + ",".join(f"{_ENCODER.encode(key)}:{canonical_json(value)}"
                               for key, value in sorted(obj.items())) + "}"
+    if isinstance(obj, (list, tuple)):
+        return "[" + ",".join(map(canonical_json, obj)) + "]"
     return _ENCODER.encode(obj)
 
 

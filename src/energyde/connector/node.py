@@ -111,10 +111,10 @@ def handle(state: NodeState, request: Message,
     is appended before the response is returned, whatever the body holds: a
     ``contractId`` other than a string or null, or a ``QueryRequest`` without
     a ``query`` string, is rejected as ``MALFORMED`` before the contract
-    check.  A ``QueryResult``'s ``results`` is a ``CanonicalJSON`` whose
-    canonical text ``solutions_to_json`` wrote; the record's
-    ``resultDigest`` hashes it and the response frame reuses it, so the
-    document is never run through a JSON encoder."""
+    check.  A ``QueryResult``'s ``results`` is the ``CanonicalJSON`` text
+    ``solutions_to_json`` wrote; the record's ``resultDigest`` hashes it
+    and the response frame splices it in, so the document is never run
+    through a JSON encoder."""
     if now is None:
         now = datetime.now(timezone.utc)
     # the record carries the clock the decision was made against, so a later
@@ -158,8 +158,7 @@ def handle(state: NodeState, request: Message,
     except QueryParseError as exc:
         return log_and_reject("MALFORMED", f"query does not parse: {exc}")
     try:
-        doc = solutions_to_json(evaluate(query, state.graph))
-        results = CanonicalJSON.with_text(doc, doc.text)
+        results = CanonicalJSON(solutions_to_json(evaluate(query, state.graph)))
     except Exception as exc:  # evaluator fault: reject, still logged
         return log_and_reject("INTERNAL", f"evaluation failed: {exc}")
     record = log("query-served", digest(results))

@@ -11,7 +11,7 @@ from .rdf import IRI
 from .sparql import (AnswerTerms, Query, ResultsFormatError, SolutionSequence,
                      TriplePattern, Values, Variable, _picks, _project,
                      apply_modifiers, format_pattern_term, format_query,
-                     parse_query, writable)
+                     parse_query)
 from .vocab import PREFIXES, RDF_TYPE
 
 
@@ -291,8 +291,7 @@ def execute_federated(plan: DecomposedQuery, clients: dict) -> SolutionSequence:
     local evaluation does.  A subquery with ``bind_on`` is a bound join: it
     goes out with a VALUES block of the distinct values the rows joined so
     far hold for that variable, so each source ships only rows the join
-    can keep.  The block may be empty; the subquery goes out unbound only
-    when a value cannot be written in a query.  Rows stay ids throughout;
+    can keep.  The block may be empty.  Rows stay ids throughout;
     ``rows`` of the answer decodes them when it is first read."""
     for sq in plan.subqueries:
         for source_id in sq.sources:
@@ -319,7 +318,8 @@ def execute_federated(plan: DecomposedQuery, clients: dict) -> SolutionSequence:
 
     values = plan.query.values
     joined = None if values is None else SolutionSequence(
-        [values.variable.name], cells=[(term,) for term in values.terms])
+        [values.variable.name], rows=[{values.variable.name: term}
+                                      for term in values.terms])
     for index in plan.order:
         sq = plan.subqueries[index]
         query = sq.query if sq.bind_on is None else _bound(sq.query, sq.bind_on, joined)
@@ -327,23 +327,21 @@ def execute_federated(plan: DecomposedQuery, clients: dict) -> SolutionSequence:
         joined = answer if joined is None else hash_join(
             joined, answer, set(joined.variables) & set(answer.variables))
     if joined is None:          # no patterns: the empty BGP's one solution
-        joined = SolutionSequence([], cells=[()])
+        joined = SolutionSequence([], rows=[{}])
     return apply_modifiers(joined, plan.query)
 
 
 def _bound(query: Query, variable: str, joined: SolutionSequence) -> Query:
     """``query`` with a VALUES block of the distinct values ``joined`` binds
     ``variable`` to, in the order they first appear; ``query`` itself when
-    ``joined`` lacks the variable or a value cannot be written in a query."""
+    ``joined`` lacks the variable."""
     column = _picks(joined.variables, [variable])[0]
     if column is None:
         return query
-    decode = joined.decoder()
     cells = dict.fromkeys(row[column] for row in joined.cells)
-    values = tuple(decode(cell) for cell in cells if cell is not None)
-    if not all(map(writable, values)):
-        return query
-    return replace(query, values=Values(Variable(variable), values))
+    terms = joined.terms
+    return replace(query, values=Values(Variable(variable), tuple(
+        terms[cell] for cell in cells if cell is not None)))
 
 
 def build_clients(catalog: FederationCatalog, client_factory=None) -> dict:

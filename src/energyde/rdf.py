@@ -5,6 +5,7 @@ from __future__ import annotations
 import re
 import threading
 from dataclasses import dataclass
+from functools import lru_cache
 from itertools import filterfalse
 from types import MappingProxyType
 from typing import Callable, Iterable, Iterator, Optional, Sequence, TypeVar, Union
@@ -24,8 +25,35 @@ class NTriplesParseError(RdfError):
         self.line_no = line_no
 
 
-# for str patterns \s is exactly the characters str.isspace() accepts
-_IRI_FORBIDDEN = re.compile(r'[\s<>"]')
+# The term grammar, written once: W3C RDF 1.1 N-Triples section 7 and
+# SPARQL 1.1 section 19.8.  The N-Triples parser, the query tokenizer and
+# the term constructors are all built from these patterns, so a term that
+# can be made can be written and read back by both.  Where the two grammars
+# differ, the narrower rule holds: a blank node label has no ":" (SPARQL's
+# PN_CHARS_U), and an IRI has no whitespace at all, since parse_ntriples
+# splits its input on line separators such as \x85 and \u2028.
+
+# the characters an IRI may not hold; for str patterns \s is exactly the
+# characters str.isspace() accepts
+_IRI_EXCLUDED = r'\x00-\x20<>"{}|^`\\\s'
+IRIREF = rf"<[^{_IRI_EXCLUDED}]*>"
+LANGTAG = r"[A-Za-z]+(?:-[A-Za-z0-9]+)*"
+# BLANK_NODE_LABEL is (PN_CHARS_U | [0-9]) ((PN_CHARS | ".")* PN_CHARS)?,
+# written here as one class of what PN_CHARS and "." leave out, with the
+# first and last characters checked around it.  The grammar lists the
+# characters it admits, but a class of those ranges takes re several
+# milliseconds to compile and every process compiles it at import; the
+# class of the gaps between them takes a fraction of that.
+_NOT_LABEL_CHARS = (r"\x00-\x2C\x2F\x3A-\x40\x5B-\x5E\x60\x7B-\xB6\xB8-\xBF\xD7\xF7"
+                    r"\u037E\u2000-\u200B\u200E-\u203E\u2041-\u206F\u2190-\u2BFF"
+                    r"\u2FF0-\u3000\uD800-\uF8FF\uFDD0-\uFDEF\uFFFE\uFFFF"
+                    r"\U000F0000-\U0010FFFF")
+_LABEL = rf"(?![-.\u00B7\u0300-\u036F\u203F\u2040])[^{_NOT_LABEL_CHARS}]+(?<!\.)"
+BLANK_NODE_LABEL = "_:" + _LABEL
+
+_IRI_FORBIDDEN = re.compile(f"[{_IRI_EXCLUDED}]")
+_LANGTAG_RE = re.compile(LANGTAG)
+_LABEL_RE = re.compile(_LABEL)
 
 
 def _check_iri(value: str) -> None:
@@ -33,6 +61,12 @@ def _check_iri(value: str) -> None:
         raise RdfError(f"IRI missing scheme separator: {value!r}")
     if _IRI_FORBIDDEN.search(value):
         raise RdfError(f"IRI contains forbidden character: {value!r}")
+
+
+# a graph or an answer holds a handful of distinct datatypes, so each is
+# checked once; the bound keeps an answer's choice of datatypes from growing
+# the cache without limit
+_check_datatype = lru_cache(maxsize=256)(_check_iri)
 
 
 @dataclass(frozen=True, slots=True)
@@ -57,12 +91,12 @@ class Literal:
         # datatype needs a tag: either alone would print as a term that
         # reads back as another
         if self.lang is not None:
-            if not self.lang:
-                raise RdfError("empty language tag")
+            if not _LANGTAG_RE.fullmatch(self.lang):
+                raise RdfError(f"invalid language tag: {self.lang!r}")
             object.__setattr__(self, "datatype", RDF_LANGSTRING)
         elif self.datatype == RDF_LANGSTRING:
             raise RdfError("rdf:langString literal without a language tag")
-        _check_iri(self.datatype)
+        _check_datatype(self.datatype)
 
     def __repr__(self):
         if self.lang:
@@ -73,6 +107,10 @@ class Literal:
 @dataclass(frozen=True, slots=True)
 class BlankNode:
     label: str
+
+    def __post_init__(self):
+        if not _LABEL_RE.fullmatch(self.label):
+            raise RdfError(f"invalid blank node label: {self.label!r}")
 
 
 Term = Union[IRI, Literal, BlankNode]
@@ -456,66 +494,62 @@ class _LineScanner:
     def at_end(self) -> bool:
         return self.pos >= len(self.line)
 
+    def lexeme(self, pattern: re.Pattern, what: str) -> str:
+        match = pattern.match(self.line, self.pos)
+        if match is None:
+            self.error(f"expected {what}")
+        self.pos = match.end()
+        return match.group()
+
+    def iri(self) -> str:
+        """The value of the IRI that starts at ``pos``, escapes resolved."""
+        end = self.line.find(">", self.pos)
+        if end < 0:
+            self.error("unterminated IRI")
+        value = _unescape(self.line[self.pos + 1:end], self.line_no)
+        self.pos = end + 1
+        return value
+
     def term(self) -> Term:
         self.skip_ws()
         if self.at_end():
             self.error("expected term")
-        c = self.line[self.pos]
+        try:
+            return self._term(self.line[self.pos])
+        except NTriplesParseError:
+            raise
+        except RdfError as exc:     # a term's constructor refused it
+            self.error(str(exc))
+
+    def _term(self, c: str) -> Term:
         if c == "<":
-            end = self.line.find(">", self.pos)
-            if end < 0:
-                self.error("unterminated IRI")
-            value = self.line[self.pos + 1:end]
-            self.pos = end + 1
-            try:
-                return IRI(_unescape(value, self.line_no))
-            except RdfError as exc:
-                self.error(str(exc))
+            return IRI(self.iri())
         if c == "_":
             if not self.line.startswith("_:", self.pos):
                 self.error("expected blank node label")
-            i = self.pos + 2
-            while i < len(self.line) and (self.line[i].isalnum() or self.line[i] in "_-."):
-                i += 1
-            label = self.line[self.pos + 2:i]
-            if not label:
-                self.error("empty blank node label")
-            self.pos = i
-            return BlankNode(label)
-        if c == '"':
-            i = self.pos + 1
-            while i < len(self.line):
-                if self.line[i] == "\\":
-                    i += 2
-                    continue
-                if self.line[i] == '"':
-                    break
-                i += 1
-            else:
-                self.error("unterminated literal")
-            lexical = _unescape(self.line[self.pos + 1:i], self.line_no)
-            self.pos = i + 1
-            if self.line.startswith("^^<", self.pos):
-                end = self.line.find(">", self.pos + 3)
-                if end < 0:
-                    self.error("unterminated datatype IRI")
-                datatype = self.line[self.pos + 3:end]
-                self.pos = end + 1
-                try:
-                    return Literal(lexical, datatype)
-                except RdfError as exc:
-                    self.error(str(exc))
-            if self.line.startswith("@", self.pos):
-                i = self.pos + 1
-                while i < len(self.line) and (self.line[i].isalnum() or self.line[i] == "-"):
-                    i += 1
-                lang = self.line[self.pos + 1:i]
-                if not lang:
-                    self.error("empty language tag")
-                self.pos = i
-                return Literal(lexical, lang=lang)
-            return Literal(lexical)
-        self.error(f"unexpected character {c!r}")
+            self.pos += 2
+            return BlankNode(self.lexeme(_LABEL_RE, "blank node label"))
+        if c != '"':
+            self.error(f"unexpected character {c!r}")
+        i = self.pos + 1
+        while i < len(self.line):
+            if self.line[i] == "\\":
+                i += 2
+                continue
+            if self.line[i] == '"':
+                break
+            i += 1
+        else:
+            self.error("unterminated literal")
+        lexical = _unescape(self.line[self.pos + 1:i], self.line_no)
+        self.pos = i + 1
+        if self.line.startswith("^^<", self.pos):
+            self.pos += 2
+            return Literal(lexical, self.iri())
+        if self.line.startswith("@", self.pos):
+            self.pos += 1
+            return Literal(lexical, lang=self.lexeme(_LANGTAG_RE, "language tag"))
+        return Literal(lexical)
 
 
 def _scan_line(line: str, line_no: int) -> Optional[Triple]:
@@ -542,16 +576,13 @@ def _scan_line(line: str, line_no: int) -> Optional[Triple]:
 
 
 # The fast path: a statement with no escape, so every term is its text.  A
-# subject is an IRI or blank node, a predicate an IRI.  A blank node label
-# must run to the end of its character class (the lookahead), so that the
-# regex never accepts a split the scanner would not make: the scanner reads
-# "_:b." as the label "b.".
-_NT_IRI = r'<[^<>"\s\\]*>'
-_NT_BLANK = r"_:[A-Za-z0-9_.-]+(?![A-Za-z0-9_.-])"
-_NT_LITERAL = rf'"[^"\\]*"(?:\^\^{_NT_IRI}|@[A-Za-z0-9-]+)?'
+# subject is an IRI or blank node, a predicate an IRI.  The tokens are those
+# of the term grammar, so the regex never splits a line where the scanner
+# would not.
+_NT_LITERAL = rf'"[^"\\]*"(?:\^\^{IRIREF}|@{LANGTAG})?'
 _NT_LINE = re.compile(
-    rf"[ \t]*({_NT_IRI}|{_NT_BLANK})[ \t]*({_NT_IRI})"
-    rf"[ \t]*({_NT_IRI}|{_NT_BLANK}|{_NT_LITERAL})[ \t]*\.[ \t]*(?:#.*)?")
+    rf"[ \t]*({IRIREF}|{BLANK_NODE_LABEL})[ \t]*({IRIREF})"
+    rf"[ \t]*({IRIREF}|{BLANK_NODE_LABEL}|{_NT_LITERAL})[ \t]*\.[ \t]*(?:#.*)?")
 
 
 def _token_term(token: str) -> Term:

@@ -8,8 +8,8 @@ expanded at parse time; no prefixes survive into the algebra.
 Evaluation is late-materializing: rows stay tuples of the graph's term ids
 from the BGP through FILTER, projection, DISTINCT and LIMIT until the response
 is written.  A cell is decoded only where a FILTER or the LIMIT sort reads
-it.  What the results document needs of a term, its N-Triples sort text, its
-binding entry and that entry's JSON text, comes from the term table's memo
+it.  What the results document needs of a term, its N-Triples sort text and
+its binding entry's JSON text, comes from the term table's memo
 (``rdf.TermTexts``).  The memo is lazy: a term's texts are made the first
 time a response emits it, so it never holds more entries than the table has
 terms and nothing is made when a graph loads.  It is never invalidated, as
@@ -33,10 +33,10 @@ from dataclasses import dataclass, field
 from decimal import Decimal, InvalidOperation
 from itertools import repeat
 from json.encoder import encode_basestring_ascii as _quote
-from typing import Callable, Optional, Union
+from typing import Optional, Union
 
-from .rdf import (Graph, IRI, Literal, BlankNode, RdfError, Term, TermTexts,
-                  format_term)
+from .rdf import (BLANK_NODE_LABEL, IRIREF, LANGTAG, Graph, IRI, Literal,
+                  BlankNode, RdfError, Term, TermTexts, _unescape, format_term)
 from .vocab import (RDF_TYPE, XSD, XSD_DECIMAL, XSD_INTEGER, XSD_STRING)
 
 
@@ -124,18 +124,16 @@ class Query:
 
 # --- tokenizer -------------------------------------------------------------
 
-_IRIREF = r'<[^<>"{}|^`\\\s]*>'
-_LANGTAG = r"@[A-Za-z]+(?:-[A-Za-z0-9]+)*"
 _LOCAL = r"[A-Za-z0-9_][A-Za-z0-9_.-]*"
-_STRING = r'"(?:[^"\\\n]|\\.)*"'
 _TOKEN_RE = re.compile(rf"""
     (?P<WS>\s+|\#[^\n]*)
-  | (?P<IRIREF>{_IRIREF})
+  | (?P<IRIREF>{IRIREF})
   | (?P<VAR>[?$][A-Za-z_][A-Za-z0-9_]*)
-  | (?P<STRING>{_STRING})
+  | (?P<STRING>"(?:[^"\\\n]|\\.)*")
   | (?P<DTYPE>\^\^)
-  | (?P<LANGTAG>{_LANGTAG})
+  | (?P<LANGTAG>@{LANGTAG})
   | (?P<NUMBER>[+-]?[0-9]+(?:\.[0-9]+)?)
+  | (?P<BLANK>{BLANK_NODE_LABEL})
   | (?P<PNAME>[A-Za-z_][A-Za-z0-9_.-]*?:{_LOCAL}|[A-Za-z_][A-Za-z0-9_.-]*?:)
   | (?P<NAME>[A-Za-z_][A-Za-z0-9_]*)
   | (?P<OP>!=|<=|>=|=|<|>)
@@ -244,13 +242,9 @@ class _Parser:
                 self.next()
                 values = self.parse_values()
             else:
-                s = self.pattern_term(position="subject")
-                p = self.pattern_term(position="predicate")
-                o = self.pattern_term(position="object")
-                try:
-                    patterns.append(TriplePattern(s, p, o))
-                except RdfError as exc:
-                    raise QueryParseError(str(exc)) from None
+                patterns.append(TriplePattern(self.pattern_term(position="subject"),
+                                              self.pattern_term(position="predicate"),
+                                              self.pattern_term(position="object")))
             kind, value, _ = self.peek()
             if kind == "PUNCT" and value == ".":
                 self.next()
@@ -308,10 +302,7 @@ class _Parser:
         kind, value, _ = self.peek()
         if kind == "IRIREF":
             self.next()
-            try:
-                return IRI(value[1:-1])
-            except RdfError as exc:
-                raise QueryParseError(str(exc)) from None
+            return IRI(value[1:-1])
         if kind == "PNAME":
             self.next()
             return self.expand_pname(value)
@@ -333,10 +324,7 @@ class _Parser:
             elif kind2 == "LANGTAG":
                 self.next()
                 lang = value2[1:]
-            try:
-                return Literal(lexical, datatype, lang)
-            except RdfError as exc:
-                raise QueryParseError(str(exc)) from None
+            return Literal(lexical, datatype, lang)
         if kind == "NUMBER":
             self.next()
             dt = XSD_DECIMAL if "." in value else XSD_INTEGER
@@ -350,7 +338,7 @@ class _Parser:
         if kind == "NAME" and value == "a" and position == "predicate":
             self.next()
             return IRI(RDF_TYPE)
-        if kind == "PNAME" and value.startswith("_:"):
+        if kind == "BLANK":
             self.next()
             return BlankNode(value[2:])
         return self.constant_term()
@@ -358,29 +346,23 @@ class _Parser:
 
 def _unquote(raw: str) -> str:
     # raw includes the surrounding quotes; resolve the same escapes N-Triples uses
-    from .rdf import _unescape
     return _unescape(raw[1:-1], 0)
 
 
 def parse_query(text: str) -> Query:
-    return _Parser(text).parse()
+    """The query ``text`` spells.  Every fault, including a term that
+    ``rdf`` refuses, such as a prefixed name whose expansion is no IRI,
+    raises ``QueryParseError``."""
+    try:
+        return _Parser(text).parse()
+    except RdfError as exc:
+        raise QueryParseError(str(exc)) from None
 
 
 def format_pattern_term(term: PatternTerm) -> str:
     if isinstance(term, Variable):
         return f"?{term.name}"
     return format_term(term)
-
-
-# the text ``format_term`` writes for a term the tokenizer reads back as it
-_WRITTEN_TERM = re.compile(
-    rf"{_IRIREF}|_:(?:{_LOCAL})?|{_STRING}(?:\^\^{_IRIREF}|{_LANGTAG})?")
-
-
-def writable(term: Term) -> bool:
-    """Whether a query can hold ``term``: ``rdf`` accepts some IRIs, blank
-    node labels and language tags that the query syntax cannot spell."""
-    return _WRITTEN_TERM.fullmatch(format_term(term)) is not None
 
 
 def format_query(query: Query) -> str:
@@ -408,53 +390,37 @@ def format_query(query: Query) -> str:
 class SolutionSequence:
     """A bag of solutions over ``variables``, kept positionally: each of
     ``cells`` is a tuple aligned with ``variables``, None where a variable is
-    unbound.  A cell is an id in ``terms``, a term table: the graph's, for
+    unbound and otherwise an id in ``terms``, a term table: the graph's, for
     local evaluation, or the ``AnswerTerms`` of answers the federator
-    decoded and joined.  When ``terms`` is None the cells are the terms
-    themselves.  ``rows`` is the same bag as term dicts, decoded when it is
-    first read; a sequence built from ``rows`` gets its cells the same way."""
+    decoded and joined.  ``rows`` is the same bag as term dicts, decoded
+    when it is first read.  Give either ``cells`` with their ``terms``, or
+    ``rows``, whose terms are interned into a new ``AnswerTerms``."""
 
     def __init__(self, variables, rows: Optional[list[dict[str, Term]]] = None,
                  cells: Optional[list[tuple]] = None,
                  terms: Optional[TermTexts] = None):
         self.variables = list(variables)
-        self.terms = terms
         self._rows = rows
-        self._cells = [] if rows is None and cells is None else cells
+        if cells is None:
+            terms = AnswerTerms()
+            add = terms.add
+            cells = [tuple([None if term is None else add(term)
+                            for term in map(row.get, self.variables)])
+                     for row in rows or ()]
+        self.cells = cells
+        self.terms = terms
 
     def __len__(self):
-        return len(self._cells if self._cells is not None else self._rows)
-
-    @property
-    def cells(self) -> list[tuple]:
-        if self._cells is None:
-            variables = self.variables
-            self._cells = [tuple(map(row.get, variables)) for row in self._rows]
-        return self._cells
+        return len(self.cells)
 
     @property
     def rows(self) -> list[dict[str, Term]]:
         if self._rows is None:
-            decode = self.decoder()
+            terms = self.terms
             variables = self.variables
-            self._rows = [{v: decode(cell) for v, cell in zip(variables, row)
-                           if cell is not None} for row in self._cells]
+            self._rows = [{v: terms[cell] for v, cell in zip(variables, row)
+                           if cell is not None} for row in self.cells]
         return self._rows
-
-    def decoder(self) -> Callable[[object], Term]:
-        """The term of a bound cell."""
-        return _same if self.terms is None else self.terms.__getitem__
-
-    def texts(self, make: Callable[[Term], object], cells) -> dict:
-        """``make`` of the term of each of ``cells`` (bound cells), by cell:
-        the term table's memo, or made here when the cells are terms."""
-        if self.terms is None:
-            return {cell: make(cell) for cell in cells}
-        return self.terms.texts(make, cells)
-
-
-def _same(term: Term) -> Term:
-    return term
 
 
 class ResultsFormatError(ValueError):
@@ -488,11 +454,10 @@ class AnswerTerms(TermTexts, list):
     def cells_of(self, solutions: SolutionSequence) -> list[tuple]:
         """The cells of ``solutions`` as ids of this table, adding the terms
         it lacks; each distinct cell is looked up once."""
-        cells = solutions.cells
-        if solutions.terms is self:
+        cells, terms = solutions.cells, solutions.terms
+        if terms is self:
             return cells
-        decode = solutions.decoder()
-        ids = {cell: self.add(decode(cell))
+        ids = {cell: self.add(terms[cell])
                for cell in set().union(*cells) if cell is not None}
         ids[None] = None
         return [tuple(map(ids.__getitem__, row)) for row in cells]
@@ -684,14 +649,14 @@ def apply_modifiers(solutions: SolutionSequence, query: Query) -> SolutionSequen
     path.  A LIMIT keeps the first rows in the order ``solutions_to_json``
     sorts by, so the answer does not depend on hash order."""
     rows = solutions.cells
-    decode = solutions.decoder()
+    terms = solutions.terms
     columns = solutions.variables
     for comparison in query.filters:
         i = _picks(columns, [comparison.variable.name])[0]
         if i is None:
             rows = []           # the variable is never bound
             continue
-        keep = {cell: cell is not None and _compare(decode(cell), comparison.op,
+        keep = {cell: cell is not None and _compare(terms[cell], comparison.op,
                                                     comparison.constant)
                 for cell in {row[i] for row in rows}}
         rows = [row for row in rows if keep[row[i]]]
@@ -699,49 +664,37 @@ def apply_modifiers(solutions: SolutionSequence, query: Query) -> SolutionSequen
     if query.distinct:
         rows = list(dict.fromkeys(rows))
     if query.limit is not None:
-        rows = _sorted_rows(rows, solutions.texts)[0][:query.limit]
-    return SolutionSequence(query.projected, cells=rows, terms=solutions.terms)
+        rows = _sorted_rows(rows, terms)[0][:query.limit]
+    return SolutionSequence(query.projected, cells=rows, terms=terms)
 
 
 # --- SPARQL JSON results ---------------------------------------------------
 
-def _binding_entry(term: Term) -> dict:
+def _binding_text(term: Term) -> str:
+    """A term's binding entry as canonical JSON text.  Its keys sort as
+    datatype, type, value, xml:lang, and it has at most one of the outer
+    two."""
     if isinstance(term, IRI):
-        return {"type": "uri", "value": term.value}
+        return '{"type":"uri","value":' + _quote(term.value) + "}"
     if isinstance(term, BlankNode):
-        return {"type": "bnode", "value": term.label}
-    entry = {"type": "literal", "value": term.lexical}
+        return '{"type":"bnode","value":' + _quote(term.label) + "}"
+    text = '"type":"literal","value":' + _quote(term.lexical)
     if term.lang:
-        entry["xml:lang"] = term.lang
-    elif term.datatype != XSD_STRING:
-        entry["datatype"] = term.datatype
-    return entry
-
-
-def _entry_text(entry: dict) -> str:
-    """A binding entry's canonical JSON text.  Its keys sort as datatype,
-    type, value, xml:lang, and it has at most one of the outer two."""
-    text = '"type":' + _quote(entry["type"]) + ',"value":' + _quote(entry["value"])
-    if "datatype" in entry:
-        text = '"datatype":' + _quote(entry["datatype"]) + "," + text
-    elif "xml:lang" in entry:
-        text += ',"xml:lang":' + _quote(entry["xml:lang"])
+        return "{" + text + ',"xml:lang":' + _quote(term.lang) + "}"
+    if term.datatype != XSD_STRING:
+        return '{"datatype":' + _quote(term.datatype) + "," + text + "}"
     return "{" + text + "}"
 
 
-def _binding_text(term: Term) -> str:
-    return _entry_text(_binding_entry(term))
-
-
-def _sorted_rows(rows: list[tuple], texts: Callable) -> tuple[list[tuple], set]:
-    """``rows`` sorted by their cells' N-Triples text, which ``texts`` (a
-    ``SolutionSequence.texts``) gives per distinct cell; an unbound cell is
-    "", which sorts first.  Also returns the distinct bound cells.  The sort
-    keys are built a column at a time."""
+def _sorted_rows(rows: list[tuple], terms: TermTexts) -> tuple[list[tuple], set]:
+    """``rows`` sorted by their cells' N-Triples text, which comes from the
+    memo of ``terms``; an unbound cell is "", which sorts first.  Also
+    returns the distinct bound cells.  The sort keys are built a column at
+    a time."""
     cells = set().union(*rows)
     unbound = None in cells
     cells.discard(None)
-    ntriples = texts(format_term, cells)
+    ntriples = terms.texts(format_term, cells)
     if unbound:
         ntriples = {cell: ntriples[cell] for cell in cells}
         ntriples[None] = ""
@@ -751,51 +704,38 @@ def _sorted_rows(rows: list[tuple], texts: Callable) -> tuple[list[tuple], set]:
     return [rows[i] for i in sorted(range(len(rows)), key=keys.__getitem__)], cells
 
 
-class ResultsJSON(dict):
-    """A results document that carries its canonical JSON text, ``text``:
-    sorted keys and no whitespace, as ``json.dumps(doc, sort_keys=True,
-    separators=(",", ":"))`` writes it."""
-
-    __slots__ = ("text",)
-
-
-def solutions_to_json(solutions: SolutionSequence) -> ResultsJSON:
-    """The W3C SPARQL JSON results document, rows sorted by their cells'
-    N-Triples text.  A cell's text, its binding entry dict (which every row
-    and every response that binds it shares) and the entry's JSON text come
-    from the term table's memo, so they are made once per term, not per
-    response.  The document's canonical text is joined from those
-    fragments, with no JSON encoder run over the rows."""
+def solutions_to_json(solutions: SolutionSequence) -> str:
+    """The W3C SPARQL JSON results document as canonical JSON text: sorted
+    keys and no whitespace, as ``json.dumps(doc, sort_keys=True,
+    separators=(",", ":"))`` writes it, with rows sorted by their cells'
+    N-Triples text.  A cell's N-Triples text and its binding entry's JSON
+    text come from the term table's memo, so they are made once per term,
+    not per response, and the document is joined from those fragments with
+    no JSON encoder run over the rows."""
     variables = solutions.variables
-    rows, cells = _sorted_rows(solutions.cells, solutions.texts)
-    entries = solutions.texts(_binding_entry, cells)
-    fragments = solutions.texts(_binding_text, cells)
+    rows, cells = _sorted_rows(solutions.cells, solutions.terms)
+    fragments = solutions.terms.texts(_binding_text, cells)
     # a variable projected twice binds one key, from its first column
-    slots = [(v, variables.index(v)) for v in dict.fromkeys(variables)]
-    keyed = sorted(slots)
+    keyed = sorted((v, variables.index(v)) for v in dict.fromkeys(variables))
     # a row that binds every key is written through one format string
     row_format = "{" + ",".join(_quote(v).replace("%", "%%") + ":%s"
                                 for v, _ in keyed) + "}"
-    doc = ResultsJSON(
-        head={"vars": list(variables)},
-        results={"bindings": [{v: entries[row[i]] for v, i in slots
-                               if row[i] is not None} for row in rows]})
-    doc.text = ('{"head":{"vars":[' + ",".join(map(_quote, variables))
-                + ']},"results":{"bindings":['
-                + ",".join([row_format % tuple(map(fragments.__getitem__, row))
-                            if None not in row else
-                            "{" + ",".join([_quote(v) + ":" + fragments[cell]
-                                            for (v, _), cell in zip(keyed, row)
-                                            if cell is not None]) + "}"
-                            for row in _project(rows, [i for _, i in keyed])])
-                + "]}}")
-    return doc
+    return ('{"head":{"vars":[' + ",".join(map(_quote, variables))
+            + ']},"results":{"bindings":['
+            + ",".join([row_format % tuple(map(fragments.__getitem__, row))
+                        if None not in row else
+                        "{" + ",".join([_quote(v) + ":" + fragments[cell]
+                                        for (v, _), cell in zip(keyed, row)
+                                        if cell is not None]) + "}"
+                        for row in _project(rows, [i for _, i in keyed])])
+            + "]}}")
 
 
 def serialize_results(solutions: SolutionSequence) -> str:
     """W3C SPARQL Query Results JSON Format; rows sorted lexicographically by
     projected values for determinism."""
-    return json.dumps(solutions_to_json(solutions), indent=2, sort_keys=True) + "\n"
+    return json.dumps(json.loads(solutions_to_json(solutions)), indent=2,
+                      sort_keys=True) + "\n"
 
 
 # the entry fields a term is read from, in ``_entry_term``'s argument order

@@ -1,7 +1,7 @@
 """Random graph/query generation and the brute-force evaluation oracle used
 to cross-check the evaluator and the federation engine, plus Term-level
 oracles for query results, mapping, shape validation and N-Triples
-escaping."""
+escaping, and an in-process source for the federation engine."""
 
 from __future__ import annotations
 
@@ -14,11 +14,24 @@ from energyde.rdf import (BlankNode, Graph, IRI, Literal, RdfError, Term,
                           Triple, format_term)
 from energyde.shapes import ValidationReport, Violation
 from energyde.sparql import (Comparison, Query, SolutionSequence, TriplePattern,
-                             Values, Variable, _compare, _match_bgp)
+                             Values, Variable, _compare, _match_bgp, evaluate,
+                             parse_query)
 from energyde.vocab import RDF_TYPE, XSD, XSD_INTEGER
 from urllib.parse import quote
 
 BASE = "http://example.org/"
+
+
+class LocalClient:
+    """A source the federation engine queries in process: it evaluates
+    each query directly against its graph, with no wire in between."""
+
+    def __init__(self, graph, source_id: str = "local"):
+        self.graph = graph
+        self.source_id = source_id
+
+    def query(self, query_text: str) -> SolutionSequence:
+        return evaluate(parse_query(query_text), self.graph)
 
 
 def random_graph(rng: random.Random, size: int) -> Graph:

@@ -11,7 +11,7 @@ from datetime import datetime, timedelta, timezone
 import pytest
 
 import genutil
-from energyde.connector.client import LocalClient
+from genutil import LocalClient
 from energyde.connector.contracts import authorize, load_contracts
 from energyde.connector.messages import Message
 from energyde.connector.node import NodeServer, NodeState, handle, load_node_config

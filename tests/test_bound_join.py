@@ -12,14 +12,16 @@ from dataclasses import replace
 import pytest
 
 import genutil
-from energyde.connector.client import LocalClient, NodeClient
+from genutil import LocalClient
+from energyde.connector.client import NodeClient
 from energyde.connector.messages import digest
 from energyde.connector.node import NodeServer, NodeState, load_node_config
 from energyde.connector.provenance import read_log
-from energyde.federation import (decompose, federated_query, load_catalog,
-                                 parse_catalog, plan_query, select_sources)
+from energyde.federation import (MalformedAnswerError, decompose, federated_query,
+                                 load_catalog, parse_catalog, plan_query,
+                                 select_sources)
 from energyde.rdf import Graph, IRI, Literal, Triple
-from energyde.sparql import evaluate, format_query, parse_query
+from energyde.sparql import evaluate, format_query, parse_query, solutions_from_json
 
 EX = "http://example.org/"
 
@@ -193,19 +195,23 @@ def test_an_empty_block_is_sent():
     assert "VALUES ?s { }" in sent[1][1]
 
 
-def test_a_value_no_query_can_spell_is_not_bound():
-    # IRIs may hold "{", which the query syntax does not read
-    odd = IRI(EX + "{odd}")
-    a = Graph([Triple(odd, IRI(EX + "p"), Literal("1")),
-               Triple(IRI(EX + "s"), IRI(EX + "p"), Literal("2"))])
-    c = Graph([Triple(odd, IRI(EX + "r"), Literal("3"))])
+def test_an_answer_no_query_can_spell_is_malformed():
+    # "{" is no IRI character: the answer is refused, so none of its values
+    # is bound into the next subquery
+    class OddSource(RecordingClient):
+        def query(self, query_text):
+            self.sent.append((self.source_id, query_text))
+            return solutions_from_json({"head": {"vars": ["s", "v"]}, "results": {
+                "bindings": [{"s": {"type": "uri", "value": EX + "{odd}"},
+                              "v": {"type": "literal", "value": "1"}}]}})
+
     sent = []
-    clients = {"a": RecordingClient(a, "a", sent), "b": RecordingClient(Graph(), "b", sent),
-               "c": RecordingClient(c, "c", sent)}
+    clients = {"a": OddSource(Graph(), "a", sent), "b": RecordingClient(Graph(), "b", sent),
+               "c": RecordingClient(Graph(), "c", sent)}
     text = f"SELECT ?s ?v WHERE {{ ?s <{EX}p> ?v . ?s <{EX}r> ?w . }}"
-    answer = federated_query(text, parse_catalog(THREE_SOURCES), clients=clients)
-    assert answer.rows == [{"s": odd, "v": Literal("1")}]
-    assert all("VALUES" not in text for _, text in sent)
+    with pytest.raises(MalformedAnswerError, match=r"source 'a'.*forbidden character"):
+        federated_query(text, parse_catalog(THREE_SOURCES), clients=clients)
+    assert [source for source, _ in sent] == ["a"]
 
 
 def test_a_query_without_patterns_has_one_empty_solution():

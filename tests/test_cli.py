@@ -40,6 +40,19 @@ class TestExitCodes:
         assert code == 2
         assert "error:" in err
 
+    @pytest.mark.parametrize("term", ["<http://example.org/{a}>", "_:a:b",
+                                      '"x"@en_GB'])
+    def test_term_outside_the_grammar_exits_2_with_its_line(self, capsys, tmp_path,
+                                                             term):
+        graph = tmp_path / "g.nt"
+        graph.write_text("<http://example.org/s> <http://example.org/p> \"x\" .\n"
+                         f"<http://example.org/s> <http://example.org/p> {term} .\n")
+        (tmp_path / "q.rq").write_text("SELECT * WHERE { ?s ?p ?o . }")
+        code, out, err = run_cli(capsys, "query", "--graph", str(graph),
+                                 "--query", str(tmp_path / "q.rq"))
+        assert code == 2 and out == ""
+        assert re.search(r"^error: line 2: ", err, re.M), err
+
     def test_nonconforming_graph_domain_failure(self, capsys, workdir):
         code, out, _ = run_cli(
             capsys, "validate",

@@ -169,24 +169,24 @@ class TestCanonicalJSON:
     @settings(max_examples=300, deadline=None)
     @given(_JSON, st.data())
     def test_text_equals_json_dumps(self, doc, data):
-        # the same text alone and nested in an object and a list, and for an
-        # object also when it is a CanonicalJSON that gets spliced in
+        # the same text alone and nested in an object and a list, also when
+        # the document is its CanonicalJSON text, which gets spliced in
         def dumps(obj):
             return json.dumps(obj, sort_keys=True, separators=(",", ":"))
 
         key = data.draw(st.text(max_size=6))
-        for form in [doc, CanonicalJSON(doc)] if isinstance(doc, dict) else [doc]:
+        for form in [doc, CanonicalJSON(dumps(doc))]:
             assert canonical_json(form) == dumps(doc)
             assert canonical_json({key: form, "z": [form]}) == \
                 dumps({key: doc, "z": [doc]})
 
     def test_text_is_encoded_once_and_spliced(self):
-        doc = CanonicalJSON({"b": [1, 2], "a": {"c": "é"}})
-        text = canonical_json(doc)
-        assert text == '{"a":{"c":"\\u00e9"},"b":[1,2]}'
-        assert canonical_json(doc) is text
-        assert digest(doc) == digest({"a": {"c": "é"}, "b": [1, 2]})
-        frame = encode_frame({"body": {"results": doc}})
+        text = CanonicalJSON('{"a":{"c":"\\u00e9"},"b":[1,2]}')
+        assert canonical_json(text) is text
+        assert digest(text) == digest({"a": {"c": "é"}, "b": [1, 2]})
+        # a plain str is a JSON string, whose digest hashes the quoted text
+        assert digest(str(text)) != digest(text)
+        frame = encode_frame({"body": {"results": text}})
         assert frame[4:] == b'{"body":{"results":' + text.encode() + b"}}"
 
 
@@ -266,7 +266,7 @@ class TestHandle:
         state = make_node(tmp_path, "tso", small_graph())
         response = handle(state, query_request(contract="tso-open"))
         assert response.type == "QueryResult"
-        assert len(response.body["results"]["results"]["bindings"]) == 5
+        assert len(json.loads(response.body["results"])["results"]["bindings"]) == 5
         records = read_log(tmp_path / "tso.jsonl")
         assert [r.kind for r in records] == ["query-served"]
 
@@ -300,6 +300,18 @@ class TestHandle:
         assert response.body["reason"] == "MALFORMED"
         assert "query does not parse" in response.body["text"]
         (record,) = read_log(tmp_path / "tso.jsonl")
+        assert record.id == response.body["provenanceRecordId"]
+
+    def test_prefixed_name_rdf_rejects_is_one_logged_rejection(self, tmp_path):
+        # ex:p expands to "urnp", which has no scheme
+        state = make_node(tmp_path, "tso", small_graph())
+        response = handle(state, query_request(
+            contract="tso-open", query="PREFIX ex: <urn> SELECT ?s WHERE { ?s ex:p ?o }"))
+        assert response.type == "Rejection"
+        assert response.body["reason"] == "MALFORMED"
+        assert "scheme" in response.body["text"]
+        (record,) = read_log(tmp_path / "tso.jsonl")
+        assert record.kind == "query-rejected"
         assert record.id == response.body["provenanceRecordId"]
 
     def test_catalog_served(self, tmp_path):
@@ -385,7 +397,7 @@ class TestWireFormat:
                           body={"contractId": "tso-open", "query": query})
         response = handle(state, request, now=IN_WINDOW)
         response.issued = "2024-06-01T00:00:01Z"
-        assert len(response.body["results"]["results"]["bindings"]) == rows
+        assert len(json.loads(response.body["results"])["results"]["bindings"]) == rows
         frame = encode_frame(response.to_dict())
         assert hashlib.sha256(frame).hexdigest() == frame_sha
         assert read_log(tmp_path / "tso.jsonl")[0].result_digest == result_digest
@@ -398,7 +410,7 @@ class TestWireFormat:
                 {"y": Literal("é", lang="fr")}]
         results = solutions_to_json(SolutionSequence(variables=["x", "y"],
                                                      rows=rows))
-        for body_results in (results, CanonicalJSON(results)):
+        for body_results in (json.loads(results), CanonicalJSON(results)):
             message = Message(type="QueryResult", sender="tso",
                               correlation_id="corr-2",
                               issued="2024-06-01T00:00:02Z",

@@ -2,7 +2,6 @@ import random
 
 import pytest
 
-from energyde.connector.client import LocalClient
 from energyde.federation import (CatalogError, FederationCatalog,
                                  FederationError, SourceDescription,
                                  UnanswerablePatternError, build_clients,
@@ -14,6 +13,7 @@ from energyde.sparql import (SolutionSequence, evaluate, format_query,
                              parse_query)
 from energyde.vocab import RDF_TYPE, SUBCLASS_OF, WIND_POWER
 import genutil
+from genutil import LocalClient
 
 EX = "http://example.org/"
 

@@ -1,10 +1,10 @@
 """The local query path keeps term ids from the BGP to the response text.
 
-Equivalence: ``handle``'s results, their kept canonical text, ``evaluate``'s
-rows and the modifiers over term rows all match the Term-level oracle in
-``genutil`` on random graphs and queries.  Work counts: a flagship-shaped
-subquery hashes no term per row, builds each distinct term's JSON fragment
-once and never runs a JSON encoder over the bindings."""
+Equivalence: ``handle``'s canonical results text, ``evaluate``'s rows and
+the modifiers over term rows all match the Term-level oracle in ``genutil``
+on random graphs and queries.  Work counts: a flagship-shaped subquery
+hashes no term per row, builds each distinct term's JSON fragment once and
+never runs a JSON encoder over the results."""
 
 import json
 import random
@@ -22,9 +22,9 @@ from energyde.connector.messages import Message
 from energyde.connector.node import handle
 from energyde.federation import load_catalog, plan_query
 from energyde.rdf import BlankNode, Graph, IRI, Literal, Triple
-from energyde.sparql import (Comparison, Query, SolutionSequence, TriplePattern,
-                             Variable, _match_bgp, apply_modifiers, evaluate,
-                             format_query, parse_query)
+from energyde.sparql import (AnswerTerms, Comparison, Query, SolutionSequence,
+                             TriplePattern, Variable, _match_bgp, apply_modifiers,
+                             evaluate, format_query, parse_query)
 from energyde.vocab import (AGG_YEAR, COUNTRY, ENERGY, GENERATION_CAPACITY,
                             MEASURE, PRODUCTION_TYPE, RDF_TYPE, XSD)
 
@@ -132,8 +132,8 @@ def test_handle_matches_the_term_level_oracle(log_dir, seed):
     state = make_node(log_dir, f"n{seed}", graph)
     results = query_handled(state, format_query(query)).body["results"]
     expected = oracle_solutions_to_json(oracle_evaluate(query, graph))
-    assert results == expected
-    assert results.text == json.dumps(expected, **CANONICAL)
+    assert json.loads(results) == expected
+    assert results == json.dumps(expected, **CANONICAL)
     # the public surface: rows are term dicts, in the oracle's order
     assert evaluate(query, graph).rows == oracle_evaluate(query, graph).rows
 
@@ -149,9 +149,9 @@ def test_modifiers_over_term_rows_match_the_oracle(seed):
     terms = graph.terms
     rows = [{v: terms[i] for v, i in zip(columns, row)} for row in ids]
     got = apply_modifiers(SolutionSequence(columns, rows=rows), query)
-    assert got.terms is None
+    assert isinstance(got.terms, AnswerTerms)
     assert got.rows == oracle_apply_modifiers(rows, query).rows
-    assert sparql.solutions_to_json(got).text == \
+    assert sparql.solutions_to_json(got) == \
         json.dumps(oracle_solutions_to_json(got), **CANONICAL)
 
 
@@ -173,18 +173,17 @@ def test_modifiers_over_rows_with_unbound_cells(text):
     got = apply_modifiers(SolutionSequence(["x", "y"], rows=rows), query)
     want = oracle_apply_modifiers(rows, query)
     assert got.rows == want.rows
-    doc = sparql.solutions_to_json(got)
-    assert doc == oracle_solutions_to_json(want)
-    assert doc.text == json.dumps(doc, **CANONICAL)
+    assert sparql.solutions_to_json(got) == \
+        json.dumps(oracle_solutions_to_json(want), **CANONICAL)
 
 
 def test_projecting_a_variable_twice_binds_it_once():
     graph = rich_graph(random.Random(3), 40)
     query = parse_query(f"SELECT ?s ?s ?o WHERE {{ ?s <{EX}p1> ?o . }}")
-    doc = sparql.solutions_to_json(evaluate(query, graph))
+    text = sparql.solutions_to_json(evaluate(query, graph))
     expected = oracle_solutions_to_json(oracle_evaluate(query, graph))
-    assert doc["head"]["vars"] == ["s", "s", "o"]
-    assert doc == expected and doc.text == json.dumps(expected, **CANONICAL)
+    assert expected["head"]["vars"] == ["s", "s", "o"]
+    assert text == json.dumps(expected, **CANONICAL)
 
 
 # --- work counts -------------------------------------------------------------
@@ -224,12 +223,12 @@ def test_flagship_subquery_work_counts(fixture_dir, tmp_path, monkeypatch):
             return original(term)
         monkeypatch.setattr(cls, "__hash__", counted)
     fragments = []
-    original_fragment = sparql._entry_text
+    original_fragment = sparql._binding_text
 
-    def fragment(entry):
-        fragments.append(json.dumps(entry, **CANONICAL))
-        return original_fragment(entry)
-    monkeypatch.setattr(sparql, "_entry_text", fragment)
+    def fragment(term):
+        fragments.append(original_fragment(term))
+        return fragments[-1]
+    monkeypatch.setattr(sparql, "_binding_text", fragment)
     encoded = []
     original_encode = json.JSONEncoder.encode
 
@@ -243,7 +242,7 @@ def test_flagship_subquery_work_counts(fixture_dir, tmp_path, monkeypatch):
     monkeypatch.undo()
 
     results = response.body["results"]
-    bindings = results["results"]["bindings"]
+    bindings = json.loads(results)["results"]["bindings"]
     assert len(bindings) == 20
     # the only term hashes are the lookups of the query's own constants
     constants = [t for p in query.patterns for t in p if not isinstance(t, Variable)]
@@ -253,8 +252,6 @@ def test_flagship_subquery_work_counts(fixture_dir, tmp_path, monkeypatch):
                 for row in bindings for entry in row.values()}
     assert sorted(fragments) == sorted(distinct)
     assert len(distinct) < sum(map(len, bindings))
-    # no encoder ran over the results; the frame carries the kept text
-    seen = {id(obj) for obj in encoded}
-    assert not seen & {id(results), id(results["results"]), id(bindings),
-                       *map(id, bindings)}
-    assert results.text in frame.decode("utf-8")
+    # no encoder ran over the results; the frame carries their text
+    assert results not in encoded
+    assert results in frame.decode("utf-8")

@@ -17,8 +17,8 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import genutil
+from genutil import LocalClient
 from energyde.cli import main
-from energyde.connector.client import LocalClient
 from energyde.connector.framing import recv_frame, send_frame
 from energyde.federation import (FederationError, MalformedAnswerError,
                                  federated_query, hash_join, parse_catalog)
@@ -58,8 +58,7 @@ class RespellingClient:
         self.rng = rng
 
     def query(self, text: str) -> SolutionSequence:
-        doc = json.loads(json.dumps(solutions_to_json(evaluate(parse_query(text),
-                                                               self.graph))))
+        doc = json.loads(solutions_to_json(evaluate(parse_query(text), self.graph)))
         for row in doc["results"]["bindings"]:
             for var, entry in row.items():
                 if (entry["type"] == "literal" and len(entry) == 2
@@ -123,11 +122,12 @@ def by_name(solutions) -> Counter:
 
 
 def test_join_across_tables_keeps_bag_semantics():
-    # the same rows as graph ids, as decoded ids and as terms join alike
+    # the same rows as graph ids, as decoded ids and as rows of terms join
+    # alike
     graph = Graph([Triple(IRI(f"{EX}s{i}"), IRI(f"{EX}p"), Literal(str(i % 2)))
                    for i in range(4)])
     left = evaluate(parse_query(f"SELECT ?s ?o WHERE {{ ?s <{EX}p> ?o . }}"), graph)
-    right = solutions_from_json(solutions_to_json(left))
+    right = solutions_from_json(json.loads(solutions_to_json(left)))
     as_rows = SolutionSequence(["o", "s"], rows=left.rows)
     for a, b in [(left, right), (right, left), (left, as_rows), (as_rows, right),
                  (left, left)]:
@@ -200,8 +200,16 @@ _IRI = {"type": "uri", "value": EX + "a"}
     (_answer({"s": {"type": "literal", "value": "a", "xml:lang": ["en"]}}),
      "not an object of strings"),
     (_answer({"s": {"type": "typed-literal", "value": "a"}}), "unknown type"),
+    # terms outside the one term grammar
+    (_answer({"s": {"type": "uri", "value": EX + "{a}"}}), "forbidden character"),
+    (_answer({"s": {"type": "bnode", "value": "a b"}}), "invalid blank node label"),
+    (_answer({"s": {"type": "literal", "value": "a", "xml:lang": "en_GB"}}),
+     "invalid language tag"),
+    (_answer({"s": {"type": "literal", "value": "a", "datatype": [EX + "t"]}}),
+     "not an object of strings"),
 ], ids=["value-number", "no-type", "entry-string", "binding-string", "no-results",
-        "no-document", "bad-iri", "bad-datatype", "lang-list", "unknown-type"])
+        "no-document", "bad-iri", "bad-datatype", "lang-list", "unknown-type",
+        "iri-brace", "bnode-space", "lang-underscore", "datatype-list"])
 def test_malformed_answer_exits_1_naming_the_source(odd_node, capsys, results, detail):
     code, out, err = odd_node(results, capsys)
     assert code == 1, err

@@ -7,7 +7,7 @@ import sys
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from energyde import rdf
+from energyde import rdf, sparql
 from energyde.rdf import (BlankNode, Graph, IRI, Literal, NTriplesParseError,
                           RdfError, Triple, parse_ntriples,
                           serialize_ntriples)
@@ -64,7 +64,28 @@ class TestTerms:
     def test_forbidden_iri_characters_on_every_code_point(self):
         every = "".join(map(chr, range(sys.maxunicode + 1)))
         by_regex = set(rdf._IRI_FORBIDDEN.findall(every))
-        assert by_regex == {c for c in every if c.isspace() or c in '<>"'}
+        # IRIREF's exclusions, and every other whitespace character
+        assert by_regex == {c for c in every
+                            if c <= " " or c.isspace() or c in '<>"{}|^`\\'}
+
+    def test_blank_node_label_characters_on_every_code_point(self):
+        # the grammar's own lists: PN_CHARS_BASE, then what PN_CHARS_U and
+        # PN_CHARS add to it, with no ":" (SPARQL 1.1 section 19.8)
+        base = [(0x41, 0x5A), (0x61, 0x7A), (0xC0, 0xD6), (0xD8, 0xF6), (0xF8, 0x2FF),
+                (0x370, 0x37D), (0x37F, 0x1FFF), (0x200C, 0x200D), (0x2070, 0x218F),
+                (0x2C00, 0x2FEF), (0x3001, 0xD7FF), (0xF900, 0xFDCF), (0xFDF0, 0xFFFD),
+                (0x10000, 0xEFFFF)]
+        first = base + [(0x5F, 0x5F), (0x30, 0x39)]
+        last = first + [(0x2D, 0x2D), (0xB7, 0xB7), (0x300, 0x36F), (0x203F, 0x2040)]
+        middle = last + [(0x2E, 0x2E)]
+        label = rdf._LABEL_RE.fullmatch
+        for ranges, make in [(first, "{}".format), (last, "a{}".format),
+                             (middle, "a{}a".format)]:
+            admitted = [False] * (sys.maxunicode + 1)
+            for lo, hi in ranges:
+                admitted[lo:hi + 1] = [True] * (hi - lo + 1)
+            assert [label(make(chr(c))) is not None
+                    for c in range(sys.maxunicode + 1)] == admitted
 
     def test_non_iri_predicate_rejected(self):
         with pytest.raises(RdfError):
@@ -289,8 +310,11 @@ def test_fast_path_takes_every_fixture_line(fixture_dir):
 
 
 def test_fast_path_regex_needs_no_python_3_11_syntax():
-    # re accepts possessive quantifiers and atomic groups only from 3.11 on
-    assert not re.search(r"[*+?}]\+|\(\?>", rdf._NT_LINE.pattern)
+    # re accepts possessive quantifiers and atomic groups only from 3.11 on;
+    # this holds for every regex built from the term grammar
+    for regex in (rdf._NT_LINE, rdf._IRI_FORBIDDEN, rdf._LANGTAG_RE, rdf._LABEL_RE,
+                  sparql._TOKEN_RE):
+        assert not re.search(r"[*+?}]\+|\(\?>", regex.pattern), regex.pattern
 
 
 # pieces of N-Triples lines, valid and not.  None holds a line separator,

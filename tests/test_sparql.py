@@ -7,14 +7,16 @@ from collections import Counter
 from pathlib import Path
 
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 import energyde
-from energyde.rdf import BlankNode, Graph, IRI, Literal, Triple, parse_ntriples
+from energyde.rdf import (BlankNode, Graph, IRI, Literal, RdfError, Triple,
+                          format_term, parse_ntriples)
 from energyde.sparql import (Query, QueryParseError, SolutionSequence,
                              TriplePattern, UndeclaredPrefixError, Values,
                              Variable, _match_bgp, evaluate, format_query,
                              parse_query, serialize_results,
-                             solutions_from_json, solutions_to_json, writable)
+                             solutions_from_json, solutions_to_json)
 from energyde.vocab import (RDF_TYPE, RENEWABLE_ENERGY, SUBCLASS_OF,
                             WIND_POWER, XSD_DECIMAL, XSD_INTEGER)
 from genutil import bag, brute_force, random_graph, random_query, with_values
@@ -103,6 +105,15 @@ class TestParser:
     def test_literal_that_rdf_rejects_is_a_parse_error(self, literal, message):
         with pytest.raises(QueryParseError, match=message):
             parse_query(f"SELECT ?s WHERE {{ ?s <http://example.org/p> {literal} . }}")
+
+    @pytest.mark.parametrize("text, message", [
+        # the prefixed name expands to "urnp", which has no scheme
+        ("PREFIX ex: <urn> SELECT ?s WHERE { ?s ex:p ?o }", "scheme"),
+        ("SELECT ?s WHERE { ?s <http://example.org/p> _: }", "undeclared prefix"),
+    ])
+    def test_term_that_rdf_rejects_is_a_parse_error(self, text, message):
+        with pytest.raises(QueryParseError, match=message):
+            parse_query(text)
 
     def test_projected_variable_must_occur(self):
         with pytest.raises(QueryParseError, match="ghost"):
@@ -333,13 +344,42 @@ class TestValues:
         bound = text.replace(". }", ". VALUES ?t { ex:T1 ex:T2 } }")
         assert len(evaluate(parse_query(bound), g)) == 8 == g.probes
 
-    def test_writable(self):
-        assert writable(IRI(EX + "a")) and writable(BlankNode("b.1"))
-        assert writable(Literal('a "quoted"\nline')) and writable(Literal("x", lang="en-GB"))
-        assert not writable(IRI(EX + "{a}"))
-        assert not writable(BlankNode("b\u00e9"))
-        assert not writable(Literal("x", lang="en_GB"))
-        assert not writable(Literal("x", EX + "t|u"))
+
+# the characters the term grammar admits, excludes, or admits in one
+# place only: ":" is no blank node character, "\u00b7" none that starts a
+# label, and "\u2028" is a line separator
+_TERM_ALPHABET = 'aZ09_-.:/#@ {|}^`\\<>"\t\u00e9\u00b7\u0300\u2028\x85\x00'
+_TERM_MAKERS = {
+    "IRI": IRI,
+    "IRI after a scheme": lambda text: IRI(EX + text),
+    "blank node": BlankNode,
+    "lexical form": Literal,
+    "language tag": lambda text: Literal("v", lang=text),
+    "datatype": lambda text: Literal("v", EX + text),
+}
+
+
+@settings(max_examples=600)
+@given(st.sampled_from(sorted(_TERM_MAKERS)), st.text(alphabet=_TERM_ALPHABET, max_size=10))
+@example("blank node", "b\u00e9.1")
+@example("language tag", "en-GB")
+@example("IRI after a scheme", "{a}")
+@example("blank node", "a b")
+@example("blank node", "a:b")
+@example("language tag", "en_GB")
+def test_a_term_rdf_makes_is_read_back_from_its_text(kind, text):
+    """Each constructor refuses the text, or the term it makes is written
+    and read back as itself: as N-Triples, and in a query's VALUES block."""
+    try:
+        term = _TERM_MAKERS[kind](text)
+    except RdfError:
+        return
+    triple = Triple(IRI(EX + "s"), IRI(EX + "p"), term)
+    assert parse_ntriples(f"<{EX}s> <{EX}p> {format_term(term)} .\n") == Graph([triple])
+    query = Query(projected=("x",), distinct=False,
+                  patterns=(TriplePattern(Variable("x"), IRI(EX + "p"), Variable("y")),),
+                  values=Values(Variable("x"), (term,)))
+    assert parse_query(format_query(query)) == query
 
 
 class _ProbeCountingGraph(Graph):
@@ -409,12 +449,11 @@ class TestBgpProbes:
 
 _LIMIT_SCRIPT = """
 import json, random
-from energyde.connector.client import LocalClient
-from energyde.connector.messages import digest
+from energyde.connector.messages import CanonicalJSON, digest
 from energyde.federation import federated_query, parse_catalog
 from energyde.rdf import Graph, format_term
 from energyde.sparql import evaluate, parse_query, solutions_to_json
-from genutil import random_graph
+from genutil import LocalClient, random_graph
 
 graph = random_graph(random.Random(2), 300)
 parts = [Graph(), Graph()]
@@ -437,7 +476,7 @@ for text in ["SELECT ?s ?o WHERE { ?s ?p ?o . } LIMIT 3",
     central = evaluate(parse_query(text), graph)
     federated = federated_query(text, catalog, clients=clients)
     out[text] = {"central": answer(central), "federated": answer(federated),
-                 "digest": digest(solutions_to_json(central))}
+                 "digest": digest(CanonicalJSON(solutions_to_json(central)))}
 print(json.dumps(out))
 """
 
@@ -462,13 +501,17 @@ class TestDeterministicLimit:
             assert answer["federated"] == answer["central"]
 
 
+def results_doc(solutions: SolutionSequence) -> dict:
+    return json.loads(solutions_to_json(solutions))
+
+
 class TestResults:
     def test_empty_with_header(self):
-        doc = solutions_to_json(SolutionSequence(variables=["x"], rows=[]))
+        doc = results_doc(SolutionSequence(variables=["x"], rows=[]))
         assert doc == {"head": {"vars": ["x"]}, "results": {"bindings": []}}
 
     def test_single_iri_binding(self):
-        doc = solutions_to_json(SolutionSequence(
+        doc = results_doc(SolutionSequence(
             variables=["x"], rows=[{"x": IRI("http://example.org/a")}]))
         assert doc["results"]["bindings"] == [
             {"x": {"type": "uri", "value": "http://example.org/a"}}]
@@ -476,7 +519,7 @@ class TestResults:
     def test_sq2_fixture_answer_is_wind_power(self, fixture_dir):
         g = parse_ntriples((fixture_dir / "graphs" / "reference.nt").read_text())
         q = parse_query((fixture_dir / "queries" / "sq2.rq").read_text())
-        doc = solutions_to_json(evaluate(q, g))
+        doc = results_doc(evaluate(q, g))
         assert doc["results"]["bindings"] == [
             {"productionType": {"type": "uri", "value": WIND_POWER}}]
 
@@ -492,12 +535,12 @@ class TestResults:
         g = random_graph(rng, 80)
         q = random_query(rng, g)
         sols = evaluate(q, g)
-        back = solutions_from_json(solutions_to_json(sols))
+        back = solutions_from_json(results_doc(sols))
         assert bag(back) == bag(sols)
         g.insert(Triple(BlankNode("b0"), IRI("http://example.org/p0"),
                         Literal("x", lang="en")))
         sols = evaluate(parse_query("SELECT ?s ?p ?o WHERE { ?s ?p ?o . }"), g)
-        back = solutions_from_json(solutions_to_json(sols))
+        back = solutions_from_json(results_doc(sols))
         assert bag(back) == bag(sols)
         assert solutions_to_json(back) == solutions_to_json(sols)
         # one term object per distinct binding, shared by every row
@@ -507,9 +550,9 @@ class TestResults:
     def test_typed_and_lang_literals(self):
         sols = SolutionSequence(variables=["v"], rows=[
             {"v": Literal("320", XSD_INTEGER)}])
-        doc = solutions_to_json(sols)
+        doc = results_doc(sols)
         assert doc["results"]["bindings"][0]["v"]["datatype"] == XSD_INTEGER
         sols = SolutionSequence(variables=["v"], rows=[
             {"v": Literal("ja", lang="de")}])
-        doc = solutions_to_json(sols)
+        doc = results_doc(sols)
         assert doc["results"]["bindings"][0]["v"]["xml:lang"] == "de"
