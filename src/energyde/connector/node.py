@@ -34,8 +34,6 @@ class NodeConfig:
     contracts_path: str
     provenance_path: str
     resource: str
-    classes: Optional[list] = None     # override the derived catalog entry
-    predicates: Optional[list] = None
 
 
 def load_node_config(path) -> NodeConfig:
@@ -44,7 +42,10 @@ def load_node_config(path) -> NodeConfig:
 
 def _parse_node_config(text: str, base: Path) -> NodeConfig:
     doc = read_document(text, NodeConfigError)
+    doc.only(("id", "listen", "graph", "graphs", "contracts", "provenance_log",
+              "resource"))
     listen = doc.section("listen", required=False)
+    listen.only(("host", "port"))
     node_id = doc.get("id")
     graphs = doc.get("graphs", strings, None)
     if graphs is None:
@@ -57,23 +58,19 @@ def _parse_node_config(text: str, base: Path) -> NodeConfig:
         contracts_path=str(base / doc.get("contracts")),
         provenance_path=str(base / doc.get("provenance_log")),
         resource=doc.get("resource", default=f"{node_id}-graph"),
-        classes=doc.get("classes", strings, None),
-        predicates=doc.get("predicates", strings, None),
     )
 
 
 class NodeState:
     def __init__(self, node_id: str, graph: Graph, contracts: ContractStore,
                  provenance: ProvenanceLog, resource: str,
-                 endpoint: str = "", classes=None, predicates=None):
+                 endpoint: str = ""):
         self.node_id = node_id
         self.graph = graph
         self.contracts = contracts
         self.provenance = provenance
         self.resource = resource
         self.endpoint = endpoint
-        self._classes = classes
-        self._predicates = predicates
 
     @classmethod
     def from_config(cls, config: NodeConfig) -> "NodeState":
@@ -86,21 +83,13 @@ class NodeState:
                    contracts=load_contracts(config.contracts_path),
                    provenance=ProvenanceLog(config.provenance_path),
                    resource=config.resource,
-                   endpoint=f"{config.host}:{config.port}",
-                   classes=config.classes, predicates=config.predicates)
+                   endpoint=f"{config.host}:{config.port}")
 
     def source_description(self) -> dict:
-        """Catalog entry for this node; derived from the graph unless the
-        config pins explicit class/predicate lists."""
-        if self._predicates is not None:
-            predicates = sorted(self._predicates)
-        else:
-            predicates = sorted(p.value for p in self.graph.predicates())
-        if self._classes is not None:
-            classes = sorted(self._classes)
-        else:
-            classes = sorted(o.value for o in self.graph.objects(IRI(RDF_TYPE))
-                             if isinstance(o, IRI))
+        """Catalog entry for this node, derived from its graph."""
+        predicates = sorted(p.value for p in self.graph.predicates())
+        classes = sorted(o.value for o in self.graph.objects(IRI(RDF_TYPE))
+                         if isinstance(o, IRI))
         return {"id": self.node_id, "endpoint": self.endpoint,
                 "classes": classes, "predicates": predicates}
 

@@ -192,12 +192,15 @@ class Graph:
     """Set of triples, stored as ids into a term dictionary.
 
     Each distinct term gets an int id once (``terms[id]`` is the term), and
-    every triple is kept in three nested indexes over ids, in the spirit of
-    HDT's bitmap triples: ``_spo[s][p]`` lists the objects, ``_pos[p][o]``
-    the subjects and ``_osp[o][s]`` the predicates.  Any combination of bound
-    positions is at most two dict hops away.  The OSP leaf, the predicates
-    that link one subject to one object, is the one the duplicate check
-    scans, since it is the shortest in practice.
+    every triple is kept in two nested indexes over ids, in the spirit of
+    HDT's bitmap triples: ``_spo[s][p]`` lists the objects and ``_pos[p][o]``
+    the subjects.  A pattern that binds its subject reads SPO, and one that
+    binds only its predicate, or its predicate and object, reads POS.  One
+    that binds only its object scans the predicates, looking the object up
+    in each one's POS entry; a graph has few predicates.  A pattern that
+    binds its object along with its subject scans the SPO leaf, which holds
+    one object in practice.  The duplicate check scans the shorter of the
+    triple's SPO and POS leaves.
 
     One lock guards the indexes.  Each read takes it and materializes its
     result, so iteration stays stable while other threads insert.  A reader
@@ -224,7 +227,6 @@ class Graph:
         self._ids: dict[Term, int] = {}
         self._spo: dict[int, dict[int, list[int]]] = {}
         self._pos: dict[int, dict[int, list[int]]] = {}
-        self._osp: dict[int, dict[int, list[int]]] = {}
         self._size = 0
         self._lock = threading.RLock()
         self.update(triples)
@@ -330,34 +332,25 @@ class Graph:
                   o: Optional[int] = None) -> list[IdTriple]:
         """``match`` over term ids: the id triples matching the bound ids."""
         with self._lock:
-            if s is not None and o is not None:
-                return [(s, x, o) for x in self._osp.get(o, _NO_ENTRIES).get(s, ())
-                        if p is None or x == p]
             if s is not None:
                 by_p = self._spo.get(s, _NO_ENTRIES)
-                if p is not None:
-                    return [(s, p, x) for x in by_p.get(p, ())]
-                return [(s, x, y) for x, ys in by_p.items() for y in ys]
+                leaves = by_p.items() if p is None else [(p, by_p.get(p, ()))]
+                return [(s, x, y) for x, ys in leaves for y in ys if o is None or y == o]
             if p is not None:
                 by_o = self._pos.get(p, _NO_ENTRIES)
                 if o is not None:
                     return [(x, p, o) for x in by_o.get(o, ())]
                 return [(y, p, x) for x, ys in by_o.items() for y in ys]
             if o is not None:
-                return [(x, y, o) for x, ys in self._osp.get(o, _NO_ENTRIES).items()
-                        for y in ys]
+                return [(y, x, o) for x, by_o in self._pos.items()
+                        for y in by_o.get(o, ())]
             return list(self._id_triples())
 
-    def leaf(self, p: int, o: Optional[int] = None) -> Callable[[int], Sequence[int]]:
-        """One index leaf per subject id, for a caller that binds the subject
-        row by row: with ``o`` None, ``s`` maps to the objects of ``(s, p)``
-        (its SPO leaf); with ``o``, to the predicates that link ``s`` to
-        ``o`` (its OSP leaf), so ``(s, p, o)`` holds iff ``p`` is in it.  An
-        absent leaf is ``()``.  Call it under ``lock`` and do not modify
-        what it returns."""
-        if o is not None:
-            by_s = self._osp.get(o, _NO_ENTRIES)
-            return lambda s: by_s.get(s, ())
+    def leaf(self, p: int) -> Callable[[int], Sequence[int]]:
+        """The SPO leaf of ``p`` per subject id, for a caller that binds the
+        subject row by row: ``s`` maps to the objects of ``(s, p)``, or to
+        ``()`` when there are none.  Call it under ``lock`` and do not
+        modify what it returns."""
         spo = self._spo
         return lambda s: spo.get(s, _NO_ENTRIES).get(p, ())
 
@@ -367,19 +360,17 @@ class Graph:
         them (the join-order estimate).  Must agree with ``match_ids``; a
         test checks the two on every combination of bound positions."""
         with self._lock:
-            if s is not None and o is not None:
-                leaf = self._osp.get(o, _NO_ENTRIES).get(s, ())
-                return len(leaf) if p is None else leaf.count(p)
             if s is not None:
                 by_p = self._spo.get(s, _NO_ENTRIES)
-                return len(by_p.get(p, ())) if p is not None \
-                    else sum(map(len, by_p.values()))
+                leaves = by_p.values() if p is None else [by_p.get(p, ())]
+                return sum(map(len, leaves)) if o is None \
+                    else sum(leaf.count(o) for leaf in leaves)
             if p is not None:
                 by_o = self._pos.get(p, _NO_ENTRIES)
                 return len(by_o.get(o, ())) if o is not None \
                     else sum(map(len, by_o.values()))
             if o is not None:
-                return sum(map(len, self._osp.get(o, _NO_ENTRIES).values()))
+                return sum(len(by_o.get(o, ())) for by_o in self._pos.values())
             return self._size
 
     def predicates(self) -> list[Term]:
@@ -401,15 +392,27 @@ class Graph:
         return tid
 
     def _has(self, s: int, p: int, o: int) -> bool:
-        return p in self._osp.get(o, _NO_ENTRIES).get(s, ())
+        # the triple is in both its leaves, so scan the shorter one: a
+        # subject may have many objects for one predicate, and an object
+        # many subjects
+        objects = self._spo.get(s, _NO_ENTRIES).get(p, ())
+        subjects = self._pos.get(p, _NO_ENTRIES).get(o, ())
+        return o in objects if len(objects) <= len(subjects) else s in subjects
 
     def _add(self, s: int, p: int, o: int) -> None:
         """Add one id triple unless the graph already holds it.  Callers hold
         the lock."""
-        if self._has(s, p, o):
-            return
-        _push(self._osp, o, s, p)
-        _push(self._spo, s, p, o)
+        by_p = self._spo.get(s)
+        if by_p is None:
+            self._spo[s] = {p: [o]}
+        else:
+            objects = by_p.get(p)
+            if objects is None:
+                by_p[p] = [o]
+            elif self._has(s, p, o):
+                return
+            else:
+                objects.append(o)
         _push(self._pos, p, o, s)
         self._size += 1
 

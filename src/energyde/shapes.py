@@ -130,18 +130,15 @@ def _violations(graph: Graph, shape: Shape, constraint: PropertyConstraint,
                 focus_ids: list[int], type_id: Optional[int]) -> list[Violation]:
     """``constraint`` checked on each focus node, all by term id: the path
     and value class resolve once, each focus node's values are one SPO
-    leaf, and the class check is a membership test on an OSP leaf.  A term
-    is decoded only for a datatype or node-kind check, or a message.  The
-    caller holds ``graph.lock``."""
+    leaf, and the class check is a membership test on the value's
+    ``rdf:type`` leaf.  A term is decoded only for a datatype or node-kind
+    check, or a message.  The caller holds ``graph.lock``."""
     terms = graph.terms
     path_id = graph.term_id(IRI(constraint.path))
     values = _no_leaf if path_id is None else graph.leaf(path_id)
-    # the predicates that link a value to the class; rdf:type must be one
-    linked = _no_leaf
-    if constraint.value_class is not None and type_id is not None:
-        class_id = graph.term_id(IRI(constraint.value_class))
-        if class_id is not None:
-            linked = graph.leaf(type_id, class_id)
+    class_id = None if constraint.value_class is None \
+        else graph.term_id(IRI(constraint.value_class))
+    types = _no_leaf if type_id is None else graph.leaf(type_id)
     allowed = None
     if constraint.in_values is not None:
         allowed = {graph.term_id(term) for term in constraint.in_values}
@@ -175,7 +172,7 @@ def _violations(graph: Graph, shape: Shape, constraint: PropertyConstraint,
                                                   f"is not a {constraint.node_kind}")
         if constraint.value_class is not None:
             for o in objects:
-                if type_id not in linked(o):
+                if class_id not in types(o):
                     violation(focus, "class", f"value {format_term(terms[o])} lacks "
                                               f"rdf:type <{constraint.value_class}>")
         if allowed is not None:

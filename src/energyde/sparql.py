@@ -29,7 +29,7 @@ import json
 import operator
 import re
 from collections import Counter
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from decimal import Decimal, InvalidOperation
 from itertools import repeat
 from json.encoder import encode_basestring_ascii as _quote
@@ -101,7 +101,6 @@ class Query:
     patterns: tuple[TriplePattern, ...]
     filters: tuple[Comparison, ...] = ()
     limit: Optional[int] = None
-    prefixes: dict = field(default_factory=dict, compare=False)
     values: Optional[Values] = None
 
     def __post_init__(self):
@@ -124,7 +123,10 @@ class Query:
 
 # --- tokenizer -------------------------------------------------------------
 
-_LOCAL = r"[A-Za-z0-9_][A-Za-z0-9_.-]*"
+# the ASCII subset of SPARQL's PN_PREFIX and PN_LOCAL: a prefix label starts
+# with a letter, and neither a label nor a local name ends in "."
+_PREFIX = r"[A-Za-z](?:[A-Za-z0-9_.-]*[A-Za-z0-9_-])?"
+_LOCAL = r"[A-Za-z0-9_](?:[A-Za-z0-9_.-]*[A-Za-z0-9_-])?"
 _TOKEN_RE = re.compile(rf"""
     (?P<WS>\s+|\#[^\n]*)
   | (?P<IRIREF>{IRIREF})
@@ -134,7 +136,7 @@ _TOKEN_RE = re.compile(rf"""
   | (?P<LANGTAG>@{LANGTAG})
   | (?P<NUMBER>[+-]?[0-9]+(?:\.[0-9]+)?)
   | (?P<BLANK>{BLANK_NODE_LABEL})
-  | (?P<PNAME>[A-Za-z_][A-Za-z0-9_.-]*?:{_LOCAL}|[A-Za-z_][A-Za-z0-9_.-]*?:)
+  | (?P<PNAME>{_PREFIX}:(?:{_LOCAL})?)
   | (?P<NAME>[A-Za-z_][A-Za-z0-9_]*)
   | (?P<OP>!=|<=|>=|=|<|>)
   | (?P<PUNCT>[{{}}().;,*])
@@ -261,7 +263,7 @@ class _Parser:
             projected = sorted({v for p in patterns for v in p.variables()})
         return Query(projected=tuple(projected), distinct=distinct,
                      patterns=tuple(patterns), filters=tuple(filters),
-                     limit=limit, prefixes=dict(self.prefixes), values=values)
+                     limit=limit, values=values)
 
     def parse_filter(self) -> Comparison:
         self.expect_punct("(")
@@ -594,16 +596,15 @@ def _join_pattern(rows: list[tuple], columns: list[str], pattern: list,
                   graph: Graph) -> list[tuple]:
     """``rows`` extended by one encoded pattern; the pattern's new variables
     are appended to ``columns``.  A subject already bound by a column with a
-    constant predicate probes one index leaf per row: the SPO leaf for a new
-    object variable, the OSP leaf for a constant object.  Any other pattern
-    goes through ``match_ids``."""
+    constant predicate probes its SPO leaf once per row: a new object
+    variable takes each object, and a constant object keeps the row if the
+    leaf holds it.  Any other pattern goes through ``match_ids``."""
     s, p, o = pattern
     if s in columns and isinstance(p, int) and (isinstance(o, int) or o not in columns):
         col = columns.index(s)
-        if isinstance(o, int):
-            linked = graph.leaf(p, o)
-            return [row for row in rows if p in linked(row[col])]
         objects = graph.leaf(p)
+        if isinstance(o, int):
+            return [row for row in rows if o in objects(row[col])]
         columns.append(o)
         return [row + (x,) for row in rows for x in objects(row[col])]
     lookup = []         # per position: (constant id, None) or (None, column)

@@ -27,15 +27,14 @@ def open_contract(contract_id: str, provider: str, consumer: str,
                     expiry=datetime(2035, 1, 1, tzinfo=timezone.utc))
 
 
-def make_node(tmp_path: Path, node_id: str, graph, contracts=None,
-              classes=None, predicates=None) -> NodeState:
+def make_node(tmp_path: Path, node_id: str, graph, contracts=None) -> NodeState:
     if contracts is None:
         contracts = ContractStore([open_contract(
             f"{node_id}-open", node_id, "fed", f"{node_id}-graph")])
     return NodeState(
         node_id=node_id, graph=graph, contracts=contracts,
         provenance=ProvenanceLog(tmp_path / f"{node_id}.jsonl"),
-        resource=f"{node_id}-graph", classes=classes, predicates=predicates)
+        resource=f"{node_id}-graph")
 
 
 @pytest.fixture

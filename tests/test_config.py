@@ -5,6 +5,7 @@ import pytest
 import yaml
 from hypothesis import given, settings, strategies as st
 
+from energyde.cli import main
 from energyde.config import ConfigError, read_document
 from energyde.connector.contracts import load_contracts
 from energyde.connector.node import load_node_config
@@ -77,6 +78,23 @@ def test_a_random_value_loads_or_is_a_config_error(corpus, name, data):
         load(changed)
     except ConfigError as exc:
         assert str(exc).startswith(str(changed)), exc
+
+
+@pytest.mark.parametrize("extra, message", [
+    # a node's catalog entry is derived from its graph, so a config that
+    # lists classes is refused rather than served as another catalog
+    ("classes: [http://example.org/C]\n", "top level: unknown keys ['classes']"),
+    ("listen: {hots: 127.0.0.1}\n", "listen: unknown keys ['hots']"),
+])
+def test_a_node_config_with_an_unknown_key_exits_2(corpus, capsys, extra, message):
+    source = corpus / "nodes" / "tso.yaml"
+    doc = yaml.safe_load(source.read_text(encoding="utf-8"))
+    doc.update(yaml.safe_load(extra))
+    changed = source.with_name("unknown-key-" + source.name)
+    changed.write_text(yaml.safe_dump(doc), encoding="utf-8")
+    assert main(["provenance", "audit", "--node-config", str(changed)]) == 2
+    err = capsys.readouterr().err
+    assert f"{changed}: {message}" in err, err
 
 
 @pytest.mark.parametrize("text, message", [

@@ -1,9 +1,10 @@
-"""The benchmark's tracing wrappers name energyde attributes by string.
+"""The benchmark's tracing wrappers name energyde attributes.
 
 ``perfbench/instrument.py`` wraps functions with ``tracer.wrap(module,
-"name", span)``; a rename in ``src/`` would only show when the benchmark
-runs.  This test reads the file with ``ast`` (it imports nothing from
-``perfbench/``) and checks that every wrapped attribute exists.
+"name", span)``, and reads others, such as ``node.handle``, to patch them by
+hand; a rename in ``src/`` would only show when the benchmark runs.  These
+tests read the file with ``ast`` (they import nothing from ``perfbench/``)
+and check that every wrapped or read attribute exists.
 """
 
 import ast
@@ -53,4 +54,29 @@ def test_every_wrapped_attribute_exists():
         assert isinstance(name, ast.Constant) and isinstance(name.value, str)
         if not hasattr(_resolve(owner, modules), name.value):
             missing.append(f"line {call.lineno}: {ast.unparse(owner)}.{name.value}")
+    assert not missing, missing
+
+
+def _root(node: ast.expr) -> ast.expr:
+    while isinstance(node, ast.Attribute):
+        node = node.value
+    return node
+
+
+def test_every_read_attribute_exists():
+    tree = ast.parse(INSTRUMENT.read_text(encoding="utf-8"))
+    modules = _imported_modules(tree)
+    # reads only: an assignment to a module attribute replaces it
+    reads = [node for node in ast.walk(tree)
+             if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load)
+             and isinstance(_root(node), ast.Name) and _root(node).id in modules]
+    names = {ast.unparse(node) for node in reads}
+    assert {"rdf.Graph.match", "node.handle", "node.recv_frame",
+            "framing.encode_frame"} <= names, names
+    missing = []
+    for node in reads:
+        try:
+            _resolve(node, modules)
+        except AttributeError:
+            missing.append(f"line {node.lineno}: {ast.unparse(node)}")
     assert not missing, missing

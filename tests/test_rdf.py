@@ -111,6 +111,17 @@ class TestGraph:
         g = Graph(triples)
         assert len(g) == len(set(triples))
 
+    def test_insert_idempotent_on_long_leaves(self):
+        # one subject with many objects for a predicate, and one object with
+        # many subjects
+        triples = [t(EX + "s", EX + "p", str(i)) for i in range(50)] + \
+                  [t(EX + f"s{i}", EX + "p", "0") for i in range(50)]
+        g = Graph(triples)
+        for triple in triples:
+            assert g.insert(triple) == 100 and triple in g
+        assert t(EX + "s1", EX + "p", "1") not in g
+        assert g == Graph(reversed(triples))
+
     def test_match_unbound_returns_all(self):
         g = random_graph(random.Random(1), 50)
         assert len(g.match(None, None, None)) == len(g)

@@ -83,6 +83,19 @@ class TestParser:
         assert q.patterns[0].predicate == IRI("http://example.org/p")
         assert q.patterns[0].object == IRI("http://example.org/o")
 
+    def test_a_local_name_does_not_end_in_a_dot(self):
+        q = parse_query("PREFIX ex: <http://example.org/>\n"
+                        "SELECT ?s WHERE { ?s ex:p ex:o. ?s ex:q ex:a.b }")
+        assert q.patterns == (
+            TriplePattern(Variable("s"), IRI(EX + "p"), IRI(EX + "o")),
+            TriplePattern(Variable("s"), IRI(EX + "q"), IRI(EX + "a.b")))
+
+    @pytest.mark.parametrize("label", ["_", "1x", "ex."])
+    def test_a_prefix_label_starts_with_a_letter_and_ends_in_no_dot(self, label):
+        with pytest.raises(QueryParseError):
+            parse_query(f"PREFIX {label}: <http://example.org/> "
+                        f"SELECT ?s WHERE {{ ?s {label}: ?o }}")
+
     def test_dollar_and_question_same_variable(self):
         q = parse_query("SELECT ?x WHERE { $x <http://example.org/p> ?y . }")
         assert q.patterns[0].subject == Variable("x")
@@ -109,7 +122,8 @@ class TestParser:
     @pytest.mark.parametrize("text, message", [
         # the prefixed name expands to "urnp", which has no scheme
         ("PREFIX ex: <urn> SELECT ?s WHERE { ?s ex:p ?o }", "scheme"),
-        ("SELECT ?s WHERE { ?s <http://example.org/p> _: }", "undeclared prefix"),
+        # a blank node needs a label, and "_" is no prefix label
+        ("SELECT ?s WHERE { ?s <http://example.org/p> _: }", "unexpected character ':'"),
     ])
     def test_term_that_rdf_rejects_is_a_parse_error(self, text, message):
         with pytest.raises(QueryParseError, match=message):
@@ -325,8 +339,8 @@ class TestValues:
         class LeafProbes(Graph):
             probes = 0
 
-            def leaf(self, p, o=None):
-                probe = super().leaf(p, o)
+            def leaf(self, p):
+                probe = super().leaf(p)
 
                 def counted(s):
                     self.probes += 1
@@ -383,16 +397,20 @@ def test_a_term_rdf_makes_is_read_back_from_its_text(kind, text):
 
 
 class _ProbeCountingGraph(Graph):
-    """Counts how ``_match_bgp`` joins each pattern: by an SPO or OSP leaf
-    probe, or through ``match_ids``."""
+    """Counts how ``_match_bgp`` joins each pattern: by a leaf probe for a
+    new object variable or for a constant object, or through
+    ``match_ids``.  ``joining`` is the encoded pattern being joined."""
+
+    joining = None
 
     def __init__(self, triples, counts):
         super().__init__(triples)
         self.counts = counts
 
-    def leaf(self, p, o=None):
-        self.counts["spo leaf" if o is None else "osp leaf"] += 1
-        return super().leaf(p, o)
+    def leaf(self, p):
+        constant = isinstance(self.joining[2], int)
+        self.counts["leaf, constant object" if constant else "leaf, new object"] += 1
+        return super().leaf(p)
 
     def match_ids(self, s=None, p=None, o=None):
         self.counts["match_ids"] += 1
@@ -416,7 +434,14 @@ def _random_bgp(rng, triples, variables=("x", "y", "z")):
 
 
 class TestBgpProbes:
-    def test_match_bgp_equals_nested_loop_oracle(self):
+    def test_match_bgp_equals_nested_loop_oracle(self, monkeypatch):
+        join_pattern = energyde.sparql._join_pattern
+
+        def joining(rows, columns, pattern, graph):
+            graph.joining = pattern
+            return join_pattern(rows, columns, pattern, graph)
+
+        monkeypatch.setattr(energyde.sparql, "_join_pattern", joining)
         # a small, dense graph: self-loops and shared objects are common
         rng = random.Random(17)
         nodes = [IRI(f"http://example.org/n{i}") for i in range(6)]
@@ -442,7 +467,8 @@ class TestBgpProbes:
                 shapes["constant subject"] += not isinstance(pattern.subject, Variable)
         # every way of joining a pattern was exercised on rows (the join
         # stops at the first pattern that leaves none)
-        assert min(counts["spo leaf"], counts["osp leaf"]) >= 25, counts
+        assert min(counts["leaf, new object"], counts["leaf, constant object"]) >= 25, \
+            counts
         assert counts["match_ids"] >= 400, counts
         assert min(shapes.values()) >= 30 and len(shapes) == 2, shapes
 
