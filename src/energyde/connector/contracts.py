@@ -6,7 +6,7 @@ from dataclasses import dataclass
 from datetime import datetime
 from typing import Optional
 
-from ..config import ConfigError, load_document, read_document, scalar, strings
+from ..config import ConfigError, Section, load_document, read_document, scalar, strings
 from .messages import Message, parse_rfc3339
 
 
@@ -60,9 +60,8 @@ def _timestamp(value) -> datetime:
     return moment
 
 
-def parse_contracts(text: str) -> ContractStore:
-    doc = read_document(text, ContractError)
-    return ContractStore(Contract(
+def _contract(entry: Section) -> Contract:
+    contract = Contract(
         id=entry.get("id"),
         provider=entry.get("provider"),
         consumer=entry.get("consumer"),
@@ -72,7 +71,17 @@ def parse_contracts(text: str) -> ContractStore:
         not_before=entry.get("not_before", _timestamp),
         expiry=entry.get("expiry", _timestamp),
         purpose=entry.get("purpose", default=""),
-    ) for entry in doc.sections("contracts"))
+    )
+    entry.only(("id", "provider", "consumer", "resource", "operations",
+                "not_before", "expiry", "purpose"))
+    return contract
+
+
+def parse_contracts(text: str) -> ContractStore:
+    doc = read_document(text, ContractError)
+    store = ContractStore(map(_contract, doc.sections("contracts")))
+    doc.only(("contracts",))
+    return store
 
 
 def load_contracts(path) -> ContractStore:

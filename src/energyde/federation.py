@@ -6,7 +6,7 @@ from __future__ import annotations
 from dataclasses import dataclass, replace
 from typing import Optional
 
-from .config import ConfigError, load_document, read_document, strings
+from .config import ConfigError, Section, load_document, read_document, strings
 from .rdf import IRI
 from .sparql import (AnswerTerms, Query, ResultsFormatError, SolutionSequence,
                      TriplePattern, Values, Variable, _picks, _project,
@@ -70,10 +70,8 @@ class FederationCatalog:
         raise FederationError(f"unknown source {source_id!r}")
 
 
-def parse_catalog(text: str) -> FederationCatalog:
-    doc = read_document(text, CatalogError)
-    prefixes = doc.prefixes(PREFIXES)
-    sources = [SourceDescription(
+def _source(entry: Section, prefixes: dict) -> SourceDescription:
+    source = SourceDescription(
         id=entry.get("id"),
         endpoint=entry.get("endpoint"),
         classes=frozenset(entry.expand("classes", c, prefixes)
@@ -81,9 +79,19 @@ def parse_catalog(text: str) -> FederationCatalog:
         predicates=frozenset(entry.expand("predicates", p, prefixes)
                              for p in entry.get("predicates", strings, [])),
         contract=entry.get("contract", default=None),
-    ) for entry in doc.sections("sources")]
-    return FederationCatalog(sources=sources,
-                             client_id=doc.get("client_id", default="federator"))
+    )
+    entry.only(("id", "endpoint", "classes", "predicates", "contract"))
+    return source
+
+
+def parse_catalog(text: str) -> FederationCatalog:
+    doc = read_document(text, CatalogError)
+    prefixes = doc.prefixes(PREFIXES)
+    catalog = FederationCatalog(
+        sources=[_source(entry, prefixes) for entry in doc.sections("sources")],
+        client_id=doc.get("client_id", default="federator"))
+    doc.only(("prefixes", "sources", "client_id"))
+    return catalog
 
 
 def load_catalog(path) -> FederationCatalog:

@@ -34,17 +34,25 @@ class PreprocessStep:
         step = Section(raw, where, PipelineError)
         kind = step.get("kind")
         if kind == "rename-field":
-            return cls(kind, (step.get("from"), step.get("to")))
-        if kind == "scale-numeric":
-            return cls(kind, (step.get("field"), step.get("factor", _factor)))
-        if kind == "aggregate":
+            params = (step.get("from"), step.get("to"))
+        elif kind == "scale-numeric":
+            params = (step.get("field"), step.get("factor", _factor))
+        elif kind == "aggregate":
             group_by = tuple(step.get("group_by", strings, ()))
             if not group_by:
                 raise step.fail("group_by", "aggregate needs group_by fields")
-            return cls(kind, (group_by, step.get("sum")))
-        if kind == "drop-missing":
-            return cls(kind, (step.get("field"),))
-        raise step.fail("kind", f"unknown preprocessing kind {kind!r}")
+            params = (group_by, step.get("sum"))
+        elif kind == "drop-missing":
+            params = (step.get("field"),)
+        else:
+            raise step.fail("kind", f"unknown preprocessing kind {kind!r}")
+        step.only(("kind",) + _STEP_KEYS[kind])
+        return cls(kind, params)
+
+
+# the keys each preprocessing kind reads besides ``kind``
+_STEP_KEYS = {"rename-field": ("from", "to"), "scale-numeric": ("field", "factor"),
+              "aggregate": ("group_by", "sum"), "drop-missing": ("field",)}
 
 
 def _factor(value) -> Decimal:
@@ -183,6 +191,7 @@ def _parse_pipeline_config(text: str, base: Path) -> PipelineConfig:
         reference_path=str(base / link.get("reference")),
         link_predicate=link.iri("link_predicate", PREFIXES, OWL_SAMEAS),
     ) if link.data else None
+    link.only(("label_predicate", "reference", "link_predicate"))
     sources = []
     for entry in doc.sections("sources", []):
         steps = [PreprocessStep.from_dict(s.data, s.where)
@@ -190,6 +199,7 @@ def _parse_pipeline_config(text: str, base: Path) -> PipelineConfig:
         sources.append({"path": entry.get("path"),
                         "format": entry.get("format", source_format, "csv"),
                         "steps": steps})
+        entry.only(("path", "format", "preprocess"))
     if not sources:
         raise doc.fail("sources", "pipeline config needs at least one source")
     output = base / doc.get("output")
@@ -206,6 +216,8 @@ def _parse_pipeline_config(text: str, base: Path) -> PipelineConfig:
                                 or output.with_suffix(".prov.nt").name),
         report_path=base / report if report else None,
         base_dir=base)
+    doc.only(("sources", "mapping", "shapes", "linking", "output", "on_violation",
+              "staging", "provenance", "report"))
     for required in ([config.mapping_path, config.shapes_path]
                      + [base / s["path"] for s in sources]
                      + ([Path(linking.reference_path)] if linking else [])):

@@ -6,8 +6,7 @@ import re
 import threading
 from dataclasses import dataclass
 from functools import lru_cache
-from itertools import filterfalse
-from types import MappingProxyType
+from itertools import filterfalse, repeat
 from typing import Callable, Iterable, Iterator, Optional, Sequence, TypeVar, Union
 
 from .vocab import RDF_LANGSTRING, XSD_STRING
@@ -134,7 +133,9 @@ class Triple:
 
 IdTriple = tuple[int, int, int]
 
-_NO_ENTRIES = MappingProxyType({})
+# the index entry of a term the graph does not hold: a real dict, so that
+# ``dict.get`` can read it as it reads the others; nothing writes to it
+_NO_ENTRIES: dict = {}
 
 _Derived = TypeVar("_Derived")
 
@@ -204,8 +205,9 @@ class Graph:
 
     One lock guards the indexes.  Each read takes it and materializes its
     result, so iteration stays stable while other threads insert.  A reader
-    that probes many times, such as a BGP evaluated row by row, holds
-    ``lock`` once around all its ``leaf`` probes instead.
+    that probes many times, such as a BGP evaluated a column at a time,
+    holds ``lock`` once around all its reads instead, and reads a whole
+    column of subjects' SPO entries with one ``entries`` call.
 
     Writes come one ``Triple`` at a time through ``insert``, or in a batch
     at the id level through ``insert_encoded``: the caller numbers its own
@@ -346,13 +348,15 @@ class Graph:
                         for y in by_o.get(o, ())]
             return list(self._id_triples())
 
-    def leaf(self, p: int) -> Callable[[int], Sequence[int]]:
-        """The SPO leaf of ``p`` per subject id, for a caller that binds the
-        subject row by row: ``s`` maps to the objects of ``(s, p)``, or to
-        ``()`` when there are none.  Call it under ``lock`` and do not
-        modify what it returns."""
-        spo = self._spo
-        return lambda s: spo.get(s, _NO_ENTRIES).get(p, ())
+    def entries(self, subjects: Iterable[int]) -> list[dict[int, list[int]]]:
+        """Each subject's SPO entry, in order: a dict from predicate id to
+        the subject's objects for it, empty where the graph holds no triple
+        with that subject.  A caller that binds a column of subjects reads
+        the entries once and then each predicate's objects with
+        ``map(dict.get, entries, repeat(p), repeat(()))``, with no Python
+        call per subject.  Call it under ``lock`` and do not modify what it
+        returns."""
+        return list(map(self._spo.get, subjects, repeat(_NO_ENTRIES)))
 
     def count_ids(self, s: Optional[int] = None, p: Optional[int] = None,
                   o: Optional[int] = None) -> int:

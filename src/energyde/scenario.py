@@ -52,13 +52,23 @@ def parse_scenario(text: str) -> list[ScenarioStep]:
             rq=raw.get("rq"), kind=kind, sender=raw.get("sender"),
             expect=raw.get("expect", default="allow"),
             **{key: raw.get(key, default=None) for key in _OPTIONAL_KEYS}))
+        raw.only(("rq", "kind", "sender", "expect") + _OPTIONAL_KEYS)
     if not steps:
         raise doc.fail("steps", "scenario has no steps")
+    doc.only(("steps",))
     return steps
 
 
 def load_scenario(path) -> list[ScenarioStep]:
     return load_document(path, parse_scenario)
+
+
+def _node_files(text: str) -> list[str]:
+    """The node config paths a nodes file lists."""
+    doc = read_document(text)
+    files = doc.get("nodes", strings)
+    doc.only(("nodes",))
+    return files
 
 
 class NodeSet:
@@ -68,8 +78,7 @@ class NodeSet:
         self.servers: dict[str, NodeServer] = {}
         base = Path(nodes_path).parent
         self._configs = load_document(nodes_path, lambda text: [
-            load_node_config(base / entry)
-            for entry in read_document(text).get("nodes", strings)])
+            load_node_config(base / entry) for entry in _node_files(text)])
         if port_override is not None:
             for config in self._configs:
                 config.port = port_override.get(config.id, config.port)

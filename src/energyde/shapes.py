@@ -20,7 +20,9 @@ assertion in the same graph), in (object among the listed values).
 from __future__ import annotations
 
 import json
+import operator
 from dataclasses import dataclass, field
+from itertools import chain, compress, repeat
 from typing import Optional
 
 from .config import (ConfigError, integer, load_document, one_of, read_document,
@@ -122,23 +124,23 @@ def load_shapes(path) -> list[Shape]:
     return load_document(path, parse_shapes)
 
 
-def _no_leaf(_: int) -> tuple:
-    return ()
-
-
 def _violations(graph: Graph, shape: Shape, constraint: PropertyConstraint,
                 focus_ids: list[int], type_id: Optional[int]) -> list[Violation]:
     """``constraint`` checked on each focus node, all by term id: the path
-    and value class resolve once, each focus node's values are one SPO
-    leaf, and the class check is a membership test on the value's
-    ``rdf:type`` leaf.  A term is decoded only for a datatype or node-kind
-    check, or a message.  The caller holds ``graph.lock``."""
+    and value class resolve once, the focus nodes' values are read off
+    their SPO entries, and the class check is a membership test on each
+    value's ``rdf:type`` objects, read the same way for all values at once.
+    A term is decoded only for a datatype or node-kind check, or a message.
+    The caller holds ``graph.lock``."""
     terms = graph.terms
     path_id = graph.term_id(IRI(constraint.path))
-    values = _no_leaf if path_id is None else graph.leaf(path_id)
-    class_id = None if constraint.value_class is None \
-        else graph.term_id(IRI(constraint.value_class))
-    types = _no_leaf if type_id is None else graph.leaf(type_id)
+    values = list(map(dict.get, graph.entries(focus_ids), repeat(path_id), repeat(())))
+    typed = set()
+    if constraint.value_class is not None:
+        class_id = graph.term_id(IRI(constraint.value_class))
+        objects = list(set(chain.from_iterable(values)))
+        types = map(dict.get, graph.entries(objects), repeat(type_id), repeat(()))
+        typed = set(compress(objects, map(operator.contains, types, repeat(class_id))))
     allowed = None
     if constraint.in_values is not None:
         allowed = {graph.term_id(term) for term in constraint.in_values}
@@ -151,8 +153,7 @@ def _violations(graph: Graph, shape: Shape, constraint: PropertyConstraint,
         out.append(Violation(focus=terms[focus], shape=shape.id, kind=kind,
                              path=constraint.path, message=message))
 
-    for focus in focus_ids:
-        objects = values(focus)
+    for focus, objects in zip(focus_ids, values):
         if min_count is not None and len(objects) < min_count:
             violation(focus, "min-count",
                       f"found {len(objects)} values, need at least {min_count}")
@@ -172,7 +173,7 @@ def _violations(graph: Graph, shape: Shape, constraint: PropertyConstraint,
                                                   f"is not a {constraint.node_kind}")
         if constraint.value_class is not None:
             for o in objects:
-                if class_id not in types(o):
+                if o not in typed:
                     violation(focus, "class", f"value {format_term(terms[o])} lacks "
                                               f"rdf:type <{constraint.value_class}>")
         if allowed is not None:

@@ -5,9 +5,10 @@ triple patterns, optional FILTER(var op constant), at most one
 VALUES var { constant ... } }; optional LIMIT n.  Prefixed names are
 expanded at parse time; no prefixes survive into the algebra.
 
-Evaluation is late-materializing: rows stay tuples of the graph's term ids
-from the BGP through FILTER, projection, DISTINCT and LIMIT until the response
-is written.  A cell is decoded only where a FILTER or the LIMIT sort reads
+Evaluation is late-materializing: the BGP is joined a column of the
+graph's term ids at a time and then zipped into rows, which stay tuples of
+ids through FILTER, projection, DISTINCT and LIMIT until the response is
+written.  A cell is decoded only where a FILTER or the LIMIT sort reads
 it.  What the results document needs of a term, its N-Triples sort text and
 its binding entry's JSON text, comes from the term table's memo
 (``rdf.TermTexts``).  The memo is lazy: a term's texts are made the first
@@ -31,7 +32,7 @@ import re
 from collections import Counter
 from dataclasses import dataclass
 from decimal import Decimal, InvalidOperation
-from itertools import repeat
+from itertools import chain, compress, repeat
 from json.encoder import encode_basestring_ascii as _quote
 from typing import Optional, Union
 
@@ -528,16 +529,28 @@ def _compare(value: Term, op: str, constant: Term) -> bool:
     return compare(_lexical_value(value), _lexical_value(constant))
 
 
-def _order_patterns(patterns: list, graph: Graph) -> list:
+def _order_patterns(patterns: list, graph: Graph,
+                    restrict: Optional[str] = None,
+                    listed: Optional[Counter] = None) -> list:
     """Greedy join order over encoded patterns (a term id or a variable name
     per position): most bound positions first, then the fewest triples
-    matching the pattern's constants."""
+    matching the pattern's constants.  The VALUES variable ``restrict``
+    counts as bound, and a pattern that uses it is estimated by the triples
+    matching each ``listed`` term, once per listing."""
     if len(patterns) < 2:
         return patterns
-    remaining = [(p, graph.count_ids(*[x if isinstance(x, int) else None for x in p]))
-                 for p in patterns]
+
+    def matching(pattern):
+        ids = [x if isinstance(x, int) else None for x in pattern]
+        if restrict not in pattern:
+            return graph.count_ids(*ids)
+        return sum(times * graph.count_ids(*[term if x == restrict else i
+                                             for x, i in zip(pattern, ids)])
+                   for term, times in listed.items())
+
+    remaining = [(p, matching(p)) for p in patterns]
     ordered = []
-    known: set[str] = set()
+    known = {restrict}      # None, without a VALUES block, matches no position
 
     def score(item):
         pattern, estimate = item
@@ -551,12 +564,57 @@ def _order_patterns(patterns: list, graph: Graph) -> list:
     return ordered
 
 
+class _Columns:
+    """A BGP's solutions while they are joined, a column at a time:
+    ``columns[i]`` holds the term id that variable ``names[i]`` takes in
+    each of ``size`` rows.  ``entries[i]``, once a pattern has read through
+    column ``i`` as a subject, holds each row's SPO entry for that subject
+    (``Graph.entries``), so the next pattern on the same subject reads no
+    index.  Entries are filtered and repeated with the columns."""
+
+    __slots__ = ("names", "columns", "entries", "size")
+
+    def __init__(self):
+        self.names: list[str] = []
+        self.columns: list[list[int]] = []
+        self.entries: dict[int, list[dict]] = {}
+        self.size = 1           # one empty row: the identity of the join
+
+    def add(self, name: str, column: list[int]) -> None:
+        self.names.append(name)
+        self.columns.append(column)
+
+    def keep(self, counts: list[int]) -> None:
+        """Each row kept ``counts[i]`` times, in order: 0 drops it.  A run
+        of 0s and 1s is a ``compress``; more takes an index per kept row."""
+        if counts.count(1) == self.size:
+            return
+        if max(counts, default=0) <= 1:
+            def pick(column):
+                return list(compress(column, counts))
+        else:
+            index = list(chain.from_iterable(map(repeat, range(self.size), counts)))
+
+            def pick(column):
+                return list(map(column.__getitem__, index))
+        self.columns = list(map(pick, self.columns))
+        self.entries = {i: pick(column) for i, column in self.entries.items()}
+        self.size = sum(counts)
+
+    def rows(self) -> list[tuple]:
+        return list(zip(*self.columns)) if self.columns else [()] * self.size
+
+
 def _match_bgp(query: Query, graph: Graph) -> tuple[list[str], list[tuple]]:
     """The BGP's solutions, joined with the query's VALUES, as rows of term
     ids, one column per variable.  Pattern constants and VALUES terms are
     resolved to ids once; a constant the graph does not hold matches
-    nothing.  The rows are cut to the VALUES as soon as a pattern binds
-    their variable.  The graph's lock is held once for the whole BGP."""
+    nothing.  The solutions grow one pattern at a time, kept as columns
+    (``_Columns``) and zipped into rows at the end.  The VALUES block joins
+    where the pattern order first reaches its variable: a pattern on an
+    already bound subject cuts its new column to the listed terms, and any
+    other pattern is matched once per listed term.  The graph's lock is
+    held once for the whole BGP."""
     patterns = []
     for pattern in query.patterns:
         encoded = []
@@ -573,64 +631,87 @@ def _match_bgp(query: Query, graph: Graph) -> tuple[list[str], list[tuple]]:
         listed = Counter(tid for tid in ids if tid is not None)
         if not listed:
             return [], []
-    columns: list[str] = []
-    rows: list[tuple] = [()]
+    solutions = _Columns()
     with graph.lock:
-        for pattern in _order_patterns(patterns, graph):
-            rows = _join_pattern(rows, columns, pattern, graph)
-            if restrict in columns:
-                rows = _restrict(rows, columns.index(restrict), listed)
+        for pattern in _order_patterns(patterns, graph, restrict, listed):
+            if restrict in pattern and not _on_bound_subject(pattern, solutions):
+                terms = list(listed.elements())
+                column = terms * solutions.size
+                solutions.keep([len(terms)] * solutions.size)
+                solutions.add(restrict, column)
                 restrict = None
-            if not rows:
+            _join_pattern(solutions, pattern, graph)
+            if restrict in solutions.names:
+                column = solutions.columns[solutions.names.index(restrict)]
+                solutions.keep(list(map(listed.get, column, repeat(0))))
+                restrict = None
+            if not solutions.size:
                 break
-    return columns, rows
+    return solutions.names, solutions.rows()
 
 
-def _restrict(rows: list[tuple], column: int, listed: Counter) -> list[tuple]:
-    """The rows whose cell in ``column`` is listed, each once per listing."""
-    return [row for row in rows if row[column] in listed
-            for _ in range(listed[row[column]])]
+def _on_bound_subject(pattern: list, solutions: _Columns) -> bool:
+    """Whether ``_join_pattern`` joins ``pattern`` through its subject's SPO
+    entries: a constant predicate on a subject some column binds."""
+    return pattern[0] in solutions.names and isinstance(pattern[1], int)
 
 
-def _join_pattern(rows: list[tuple], columns: list[str], pattern: list,
-                  graph: Graph) -> list[tuple]:
-    """``rows`` extended by one encoded pattern; the pattern's new variables
-    are appended to ``columns``.  A subject already bound by a column with a
-    constant predicate probes its SPO leaf once per row: a new object
-    variable takes each object, and a constant object keeps the row if the
-    leaf holds it.  Any other pattern goes through ``match_ids``."""
+def _join_pattern(solutions: _Columns, pattern: list, graph: Graph) -> None:
+    """``solutions`` joined with one encoded pattern in place; the
+    pattern's new variables get new columns.
+
+    A constant predicate on a bound subject reads the subject column's SPO
+    entries, fetched with one ``Graph.entries`` call the first time a
+    pattern uses that column as a subject and reused by every later pattern
+    on it (a star).  The pattern's objects per row are one ``map`` over
+    those entries.  A constant or bound object keeps the rows whose objects
+    hold it; a new object variable takes the objects as its column,
+    repeating a row per object where a subject has more than one.  Any
+    other pattern calls ``match_ids`` once per row."""
     s, p, o = pattern
-    if s in columns and isinstance(p, int) and (isinstance(o, int) or o not in columns):
-        col = columns.index(s)
-        objects = graph.leaf(p)
+    names, columns = solutions.names, solutions.columns
+    if _on_bound_subject(pattern, solutions):
+        col = names.index(s)
+        entries = solutions.entries.get(col)
+        if entries is None:
+            entries = solutions.entries[col] = graph.entries(columns[col])
+        objects = list(map(dict.get, entries, repeat(p), repeat(())))
         if isinstance(o, int):
-            return [row for row in rows if o in objects(row[col])]
-        columns.append(o)
-        return [row + (x,) for row in rows for x in objects(row[col])]
-    lookup = []         # per position: (constant id, None) or (None, column)
+            solutions.keep(list(map(operator.contains, objects, repeat(o))))
+        elif o in names:
+            solutions.keep(list(map(operator.contains, objects,
+                                      columns[names.index(o)])))
+        else:
+            solutions.keep(list(map(len, objects)))
+            solutions.add(o, list(chain.from_iterable(objects)))
+        return
+    lookup = []         # per position: the ids it is matched with, row by row
     take = []           # positions whose variable gets a new column
     same = []           # (position, first position) of a repeated new variable
     for i, x in enumerate(pattern):
         if isinstance(x, int):
-            lookup.append((x, None))
-        elif x in columns:
-            lookup.append((None, columns.index(x)))
+            lookup.append(repeat(x, solutions.size))
+        elif x in names:
+            lookup.append(columns[names.index(x)])
         else:
-            lookup.append((None, None))
+            lookup.append(repeat(None, solutions.size))
             first = pattern.index(x)
             if first == i:
                 take.append(i)
             else:
                 same.append((i, first))
-    columns += [pattern[i] for i in take]
-    next_rows = []
-    for row in rows:
-        ids = [row[col] if col is not None else const for const, col in lookup]
-        for triple in graph.match_ids(*ids):
-            if same and any(triple[i] != triple[j] for i, j in same):
-                continue
-            next_rows.append(row + tuple([triple[i] for i in take]))
-    return next_rows
+    counts = []
+    new = [[] for _ in take]
+    for ids in zip(*lookup):
+        found = graph.match_ids(*ids)
+        if same:
+            found = [t for t in found if all(t[i] == t[j] for i, j in same)]
+        counts.append(len(found))
+        for column, i in zip(new, take):
+            column.extend(map(operator.itemgetter(i), found))
+    solutions.keep(counts)
+    for i, column in zip(take, new):
+        solutions.add(pattern[i], column)
 
 
 def evaluate(query: Query, graph: Graph) -> SolutionSequence:

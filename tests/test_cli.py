@@ -194,6 +194,8 @@ class TestFederate:
         (lambda text: text.replace("endpoint:", "where:", 1), r"sources\[0\]\.endpoint"),
         (lambda text: text.replace("energy:", "nope:", 1), "unknown prefix 'nope'"),
         (lambda text: text + "\n  - [", "not valid YAML"),
+        (lambda text: text.replace("contract:", "contrat:", 1),
+         r"sources\[0\]: unknown keys \['contrat'\]"),
     ])
     def test_bad_catalog_config_error(self, capsys, workdir, edit, message):
         catalog = workdir / "catalog.yaml"
@@ -281,10 +283,22 @@ class TestBadConfig:
         ("shapes/capacity.yaml", _replace("min_count: 1", "min_count: one"),
          _validate, r"shapes\[0\]\.properties\[0\]\.min_count: "
                     r"expected an integer"),
+        # a misspelled key is refused, not read as its default
+        ("pipeline.yaml", _replace("on_violation: block", "on_violaton: warn"),
+         _pipeline, r"pipeline\.yaml: top level: unknown keys \['on_violaton'\]"),
+        ("pipeline.yaml", _replace("field: country}", "field: country, feild: zone}"),
+         _pipeline, r"sources\[0\]\.preprocess\[0\]: unknown keys \['feild'\]"),
+        ("contracts/contracts.yaml", _replace("    purpose: ", "    purpse: "),
+         _scenario, r"contracts\.yaml: contracts\[0\]: unknown keys \['purpse'\]"),
+        ("scenario.yaml", _replace("expect: CONTRACT_EXPIRED", "expected: CONTRACT_EXPIRED"),
+         _scenario, r"scenario\.yaml: steps\[10\]: unknown keys \['expected'\]"),
+        ("nodes.yaml", lambda text: text + "start: all\n", _scenario,
+         r"nodes\.yaml: top level: unknown keys \['start'\]"),
     ], ids=["pipeline-no-output", "pipeline-list", "factor-abc",
             "node-invalid-yaml", "node-listen-list", "contract-no-provider",
             "contract-expiry-text", "scenario-step-string", "nodes-no-nodes",
-            "shape-min-count-text"])
+            "shape-min-count-text", "pipeline-unknown-key", "step-unknown-key",
+            "contract-unknown-key", "scenario-unknown-key", "nodes-unknown-key"])
     def test_exits_2_with_the_key_path(self, capsys, workdir, path, edit,
                                        argv, message):
         target = workdir / path

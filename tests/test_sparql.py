@@ -336,18 +336,15 @@ class TestValues:
 
     def test_rows_are_cut_where_the_variable_is_bound(self):
         # the pattern after the one that binds ?t probes only the kept rows
-        class LeafProbes(Graph):
+        class EntryProbes(Graph):
             probes = 0
 
-            def leaf(self, p):
-                probe = super().leaf(p)
+            def entries(self, subjects):
+                subjects = list(subjects)
+                self.probes += len(subjects)
+                return super().entries(subjects)
 
-                def counted(s):
-                    self.probes += 1
-                    return probe(s)
-                return counted
-
-        g = LeafProbes()
+        g = EntryProbes()
         for i in range(40):
             s = IRI(EX + f"s{i}")
             g.insert(Triple(s, IRI(EX + "type"), IRI(EX + f"T{i % 10}")))
@@ -357,6 +354,38 @@ class TestValues:
         g.probes = 0
         bound = text.replace(". }", ". VALUES ?t { ex:T1 ex:T2 } }")
         assert len(evaluate(parse_query(bound), g)) == 8 == g.probes
+
+    def test_values_join_at_the_first_pattern_that_uses_them(self, monkeypatch):
+        # the VALUES variable counts as bound when the patterns are ordered,
+        # and a pattern on it is estimated by the listed terms' triples: a
+        # star is cut at its second pattern, and a seed on the variable
+        # matches the listed terms only
+        sizes = []
+        join_pattern = energyde.sparql._join_pattern
+
+        def joining(solutions, pattern, graph):
+            before = solutions.size
+            join_pattern(solutions, pattern, graph)
+            sizes.append((before, solutions.size))
+
+        monkeypatch.setattr(energyde.sparql, "_join_pattern", joining)
+        g = Graph()
+        for i in range(40):
+            s = IRI(EX + f"s{i}")
+            g.insert(Triple(s, IRI(RDF_TYPE), IRI(EX + "C")))
+            g.insert(Triple(s, IRI(EX + "type"), IRI(EX + f"T{i % 10}")))
+            g.insert(Triple(s, IRI(EX + "year"), Literal(str(2020 + i % 2))))
+        for where, joins in [
+                # ex:year "2020" (20 triples) seeds, against 6 x 4 listed
+                ('?s a ex:C . ?s ex:type ?t . ?s ex:year "2020" . '
+                 'VALUES ?t { ex:T1 ex:T2 ex:T3 ex:T4 ex:T5 ex:T6 }',
+                 [(1, 20), (20, 20), (12, 12)]),
+                ('?s ex:year "2021" . ?s ex:type ?t . VALUES ?t { ex:T1 ex:T3 }',
+                 [(2, 8), (8, 8)])]:
+            sizes.clear()
+            q = parse_query(self.PREFIX + f"SELECT ?s WHERE {{ {where} }}")
+            assert bag(evaluate(q, g)) == brute_force(q, g)
+            assert sizes == joins
 
 
 # the characters the term grammar admits, excludes, or admits in one
@@ -397,9 +426,10 @@ def test_a_term_rdf_makes_is_read_back_from_its_text(kind, text):
 
 
 class _ProbeCountingGraph(Graph):
-    """Counts how ``_match_bgp`` joins each pattern: by a leaf probe for a
-    new object variable or for a constant object, or through
-    ``match_ids``.  ``joining`` is the encoded pattern being joined."""
+    """Counts how ``_match_bgp`` joins each pattern: through its subject's
+    SPO entries, for a constant object or for an object variable (the
+    subjects whose entries are fetched), or through ``match_ids`` (the
+    calls).  ``joining`` is the encoded pattern being joined."""
 
     joining = None
 
@@ -407,10 +437,12 @@ class _ProbeCountingGraph(Graph):
         super().__init__(triples)
         self.counts = counts
 
-    def leaf(self, p):
+    def entries(self, subjects):
+        subjects = list(subjects)
         constant = isinstance(self.joining[2], int)
-        self.counts["leaf, constant object" if constant else "leaf, new object"] += 1
-        return super().leaf(p)
+        self.counts["entries, constant object" if constant
+                    else "entries, object variable"] += len(subjects)
+        return super().entries(subjects)
 
     def match_ids(self, s=None, p=None, o=None):
         self.counts["match_ids"] += 1
@@ -437,9 +469,9 @@ class TestBgpProbes:
     def test_match_bgp_equals_nested_loop_oracle(self, monkeypatch):
         join_pattern = energyde.sparql._join_pattern
 
-        def joining(rows, columns, pattern, graph):
+        def joining(solutions, pattern, graph):
             graph.joining = pattern
-            return join_pattern(rows, columns, pattern, graph)
+            return join_pattern(solutions, pattern, graph)
 
         monkeypatch.setattr(energyde.sparql, "_join_pattern", joining)
         # a small, dense graph: self-loops and shared objects are common
@@ -467,10 +499,82 @@ class TestBgpProbes:
                 shapes["constant subject"] += not isinstance(pattern.subject, Variable)
         # every way of joining a pattern was exercised on rows (the join
         # stops at the first pattern that leaves none)
-        assert min(counts["leaf, new object"], counts["leaf, constant object"]) >= 25, \
+        assert min(counts["entries, object variable"],
+                   counts["entries, constant object"]) >= 25, \
             counts
         assert counts["match_ids"] >= 400, counts
         assert min(shapes.values()) >= 30 and len(shapes) == 2, shapes
+
+
+def _star_graph() -> Graph:
+    """Stars with a multi-valued leaf (s0's ex:p), a shared object (s0 and
+    s2 have ex:q equal to ex:p), a self-loop (s3), and link targets that
+    are no subject of any triple (a literal, ex:nowhere)."""
+    lines = """
+        s0 type T . s1 type T . s2 type T . s3 type T . s4 type U .
+        s0 p a . s0 p b . s0 p c . s1 p a . s2 p c . s3 p s3 . s4 p a .
+        s0 q a . s1 q c . s2 q c . s3 q a .
+        a r a . c r b . s5 r zzz .
+        s0 link s1 . s1 link s2 . s2 link nowhere . s3 link a . s4 link s0 .
+    """.split(" .")
+    g = Graph()
+    for line in filter(str.strip, lines):
+        s, p, o = line.split()
+        g.insert(Triple(IRI(EX + s), IRI(EX + p), IRI(EX + o)))
+    g.insert(Triple(IRI(EX + "s1"), IRI(EX + "link"), Literal("lit")))
+    return g
+
+
+class TestColumnarJoin:
+    PREFIX = "PREFIX ex: <http://example.org/>\n"
+
+    @pytest.mark.parametrize("where, rows", [
+        # a multi-valued leaf inside a star repeats its row per object
+        ("?s ex:type ex:T . ?s ex:p ?x . ?s ex:q ?y .", 6),
+        # a star cut to a VALUES block that lists a term twice
+        ("?s ex:type ex:T . ?s ex:p ?x . ?s ex:q ?y . VALUES ?x { ex:a ex:c ex:a }", 6),
+        ("?s ex:p ?x . VALUES ?s { ex:s0 ex:s0 ex:s9 ex:s4 }", 7),
+        # an object bound by an earlier pattern of the star
+        ("?s ex:p ?x . ?s ex:q ?x .", 2),
+        ("?s ex:p ?x . ?s ex:q ?x . ?x ex:r ?x .", 1),
+        # ?s ex:p ?s, as the seed and on a subject already bound
+        ("?s ex:p ?s .", 1),
+        ("?s ex:type ex:T . ?s ex:p ?s .", 1),
+        # a subject first bound as an object; a literal, ex:nowhere and
+        # ex:b have no SPO entry
+        ("?a ex:link ?s . ?s ex:p ?o .", 5),
+        ("?a ex:link ?s . ?s ex:type ex:T .", 3),
+        ("?a ex:link ?s . ?s ex:p ?o . ?o ex:r ?z .", 4),
+        # an empty seed: ex:zzz is in the graph, but no ex:q triple has it
+        ("?s ex:q ex:zzz . ?s ex:p ?x .", 0),
+        ("?s ex:q ?x . ?s ex:r ex:zzz . ?s ex:p ?y .", 0),
+    ])
+    def test_matches_brute_force(self, where, rows):
+        g = _star_graph()
+        q = parse_query(self.PREFIX + "SELECT " + " ".join(
+            sorted({f"?{v}" for v in parse_query(
+                self.PREFIX + f"SELECT ?s WHERE {{ {where} }}").variables()}))
+            + f" WHERE {{ {where} }}")
+        got = bag(evaluate(q, g))
+        assert got == brute_force(q, g), format_query(q)
+        assert sum(got.values()) == rows
+
+    def test_one_entries_call_per_subject_variable(self):
+        class EntryCalls(Graph):
+            calls = []
+
+            def entries(self, subjects):
+                subjects = list(subjects)
+                self.calls.append(len(subjects))
+                return super().entries(subjects)
+
+        g = EntryCalls(_star_graph())
+        q = parse_query(self.PREFIX + "SELECT ?s ?x ?y ?z WHERE { ?s ex:type ex:T . "
+                        "?s ex:p ?x . ?s ex:q ?y . ?s ex:link ?w . ?x ex:r ?z . }")
+        assert len(evaluate(q, g)) == 5 == sum(brute_force(q, g).values())
+        # ?s's entries are read once for the three patterns on it, and
+        # ?x's once, however many rows each read covers
+        assert len(g.calls) == 2, g.calls
 
 
 _LIMIT_SCRIPT = """
