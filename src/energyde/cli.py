@@ -15,7 +15,8 @@ from pathlib import Path
 
 from . import federation, fixtures, pipeline, scenario
 from .config import ConfigError, read_text
-from .connector.client import RejectionError, SourceUnreachableError
+from .connector.client import (BadResponseError, RejectionError,
+                               SourceUnreachableError)
 from .connector.contracts import load_contracts
 from .connector.node import load_node_config, serve
 from .connector.provenance import read_log, replay_audit
@@ -206,7 +207,7 @@ def build_parser() -> argparse.ArgumentParser:
 # a bad catalog is both a config and a federation error: it exits 2
 _CONFIG_ERRORS = (ConfigError, QueryParseError, NTriplesParseError, RdfError,
                   FileNotFoundError)
-_DOMAIN_ERRORS = (RejectionError, SourceUnreachableError,
+_DOMAIN_ERRORS = (RejectionError, SourceUnreachableError, BadResponseError,
                   federation.FederationError, scenario.ScenarioError)
 
 

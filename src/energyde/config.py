@@ -1,7 +1,9 @@
 """How a configuration document is read: every YAML document goes through
 ``read_document``.  A problem raises ``ConfigError``, or the loader's subclass
 of it, as ``<where>: <problem>``.  ``<where>`` is a key path such as
-``sources[0].endpoint``, after the file path when ``load_document`` read it."""
+``sources[0].endpoint``, after the file path when ``load_document`` read it.
+A parser calls ``Section.done`` on the document after its reads, and a key
+that it never asked for, at any depth, is refused as unknown."""
 
 from __future__ import annotations
 
@@ -72,12 +74,17 @@ def strings(value) -> list[str]:
 
 class Section:
     """One mapping of a config document, with the key path that leads to it
-    and the error type its problems raise.  A null value counts as absent."""
+    and the error type its problems raise.  A null value counts as absent.
+    It remembers each key it was asked for, by ``get`` or ``in``, and each
+    section it handed out, so that ``done`` can refuse the keys nobody read."""
 
     def __init__(self, data: dict, where: str, error: type):
         self.data, self.where, self.error = data, where, error
+        self.asked: set = set()
+        self.children: list[Section] = []
 
     def __contains__(self, key) -> bool:
+        self.asked.add(key)
         return self.data.get(key) is not None
 
     def path(self, key) -> str:
@@ -88,15 +95,20 @@ class Section:
     def fail(self, key, problem: str) -> ConfigError:
         return self.error(f"{self.path(key)}: {problem}")
 
-    def only(self, allowed) -> None:
-        unknown = set(self.data) - set(allowed)
+    def done(self) -> None:
+        """Refuse any key of this section, or of a section read from it,
+        that the parser never asked for."""
+        unknown = set(self.data) - self.asked
         if unknown:
             raise self.error(f"{self.where or 'top level'}: unknown keys "
                              f"{sorted(unknown, key=str)}")
+        for child in self.children:
+            child.done()
 
     def get(self, key, kind: Callable = scalar, default=_REQUIRED):
         """The value at ``key`` converted by ``kind``; ``default`` when it is
         absent, which without a default is an error."""
+        self.asked.add(key)
         value = self.data.get(key)
         if value is None:
             if default is _REQUIRED:
@@ -111,12 +123,14 @@ class Section:
         """The mapping at ``key``; an optional absent one reads as empty."""
         value = self.get(key, lambda v: _expect(v, dict, "a mapping"),
                          _REQUIRED if required else {})
-        return Section(value, self.path(key), self.error)
+        self.children.append(Section(value, self.path(key), self.error))
+        return self.children[-1]
 
     def sections(self, key, default=_REQUIRED) -> list[Section]:
         """The mappings listed at ``key``."""
         items = self.get(key, lambda v: _expect(v, list, "a list"), default)
         listing = Section(dict(enumerate(items)), self.path(key), self.error)
+        self.children.append(listing)
         return [listing.section(i) for i in listing.data]
 
     def iri(self, key, prefixes: dict, default=_REQUIRED):

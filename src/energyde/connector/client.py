@@ -6,8 +6,8 @@ import socket
 from typing import Optional
 
 from ..sparql import SolutionSequence, solutions_from_json
-from .framing import recv_frame, send_frame
-from .messages import Message
+from .framing import FrameError, recv_frame, send_frame
+from .messages import Message, MessageError
 
 
 class RejectionError(RuntimeError):
@@ -21,6 +21,14 @@ class RejectionError(RuntimeError):
 class SourceUnreachableError(ConnectionError):
     def __init__(self, source_id: str, endpoint: str, cause: Exception):
         super().__init__(f"source {source_id!r} unreachable at {endpoint}: {cause}")
+        self.source_id = source_id
+
+
+class BadResponseError(RuntimeError):
+    """A response that is not a message envelope answering the request."""
+
+    def __init__(self, source_id: str, detail: str):
+        super().__init__(f"source {source_id!r} sent a bad response: {detail}")
         self.source_id = source_id
 
 
@@ -40,19 +48,21 @@ class NodeClient:
 
     def request(self, type: str, body: dict) -> Message:
         """Send one request under this client's sender id and return the
-        response; a Rejection raises ``RejectionError``."""
+        response; a Rejection raises ``RejectionError``, and a response that
+        is not an envelope with the request's correlation id raises
+        ``BadResponseError``."""
         request = Message(type=type, sender=self.sender_id, body=body)
         try:
             with socket.create_connection((self.host, self.port),
                                           timeout=self.timeout) as sock:
                 send_frame(sock, request.to_dict())
-                raw = recv_frame(sock)
+                response = Message.from_dict(recv_frame(sock))
         except OSError as exc:
             raise SourceUnreachableError(self.source_id, self.endpoint, exc) from None
-        response = Message.from_dict(raw)
+        except (FrameError, MessageError) as exc:
+            raise BadResponseError(self.source_id, str(exc)) from None
         if response.correlation_id != request.correlation_id:
-            raise RuntimeError(
-                f"{self.source_id}: correlation id mismatch in response")
+            raise BadResponseError(self.source_id, "correlation id mismatch")
         if response.type == "Rejection":
             raise RejectionError(self.source_id, response.body.get("reason", "?"),
                                  response.body.get("text", ""))

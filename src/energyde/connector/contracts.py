@@ -54,14 +54,11 @@ class ContractStore:
 
 
 def _timestamp(value) -> datetime:
-    moment = parse_rfc3339(scalar(value))
-    if moment.tzinfo is None:
-        raise ValueError(f"{moment.isoformat()} has no UTC offset")
-    return moment
+    return parse_rfc3339(scalar(value))
 
 
 def _contract(entry: Section) -> Contract:
-    contract = Contract(
+    return Contract(
         id=entry.get("id"),
         provider=entry.get("provider"),
         consumer=entry.get("consumer"),
@@ -72,15 +69,12 @@ def _contract(entry: Section) -> Contract:
         expiry=entry.get("expiry", _timestamp),
         purpose=entry.get("purpose", default=""),
     )
-    entry.only(("id", "provider", "consumer", "resource", "operations",
-                "not_before", "expiry", "purpose"))
-    return contract
 
 
 def parse_contracts(text: str) -> ContractStore:
     doc = read_document(text, ContractError)
     store = ContractStore(map(_contract, doc.sections("contracts")))
-    doc.only(("contracts",))
+    doc.done()
     return store
 
 

@@ -31,7 +31,11 @@ def format_rfc3339(moment: Optional[datetime] = None) -> str:
 
 
 def parse_rfc3339(text: str) -> datetime:
-    return datetime.fromisoformat(text.replace("Z", "+00:00"))
+    """The moment ``text`` names; a ``ValueError`` when it has no UTC offset."""
+    moment = datetime.fromisoformat(text.replace("Z", "+00:00"))
+    if moment.tzinfo is None:
+        raise ValueError(f"{moment.isoformat()} has no UTC offset")
+    return moment
 
 
 @dataclass

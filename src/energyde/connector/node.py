@@ -42,23 +42,19 @@ def load_node_config(path) -> NodeConfig:
 
 def _parse_node_config(text: str, base: Path) -> NodeConfig:
     doc = read_document(text, NodeConfigError)
-    doc.only(("id", "listen", "graph", "graphs", "contracts", "provenance_log",
-              "resource"))
     listen = doc.section("listen", required=False)
-    listen.only(("host", "port"))
     node_id = doc.get("id")
-    graphs = doc.get("graphs", strings, None)
-    if graphs is None:
-        graphs = [doc.get("graph")]
-    return NodeConfig(
+    config = NodeConfig(
         id=node_id,
         host=listen.get("host", default="127.0.0.1"),
         port=listen.get("port", tcp_port, 0),
-        graph_paths=[str(base / g) for g in graphs],
+        graph_paths=[str(base / g) for g in doc.get("graphs", strings)],
         contracts_path=str(base / doc.get("contracts")),
         provenance_path=str(base / doc.get("provenance_log")),
         resource=doc.get("resource", default=f"{node_id}-graph"),
     )
+    doc.done()
+    return config
 
 
 class NodeState:

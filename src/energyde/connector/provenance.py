@@ -34,6 +34,15 @@ class ProvenanceRecord:
 
     @classmethod
     def from_dict(cls, raw: dict) -> "ProvenanceRecord":
+        if not isinstance(raw["id"], int) or isinstance(raw["id"], bool):
+            raise TypeError(f"id is not an integer: {raw['id']!r}")
+        for key in ("kind", "consumer", "requestDigest", "resultDigest",
+                    "timestamp"):
+            if not isinstance(raw[key], str):
+                raise TypeError(f"{key} is not a string: {raw[key]!r}")
+        if not isinstance(raw.get("contract"), (str, type(None))):
+            raise TypeError(f"contract is neither a string nor null: "
+                            f"{raw['contract']!r}")
         return cls(id=raw["id"], kind=raw["kind"], consumer=raw["consumer"],
                    contract=raw.get("contract"),
                    request_digest=raw["requestDigest"],
@@ -112,7 +121,7 @@ def replay_audit(records, contracts, node_id: str, resource: str) -> list[str]:
             body={"contractId": record.contract})
         try:
             moment = parse_rfc3339(record.timestamp)
-        except (TypeError, AttributeError, ValueError):
+        except ValueError:
             findings.append(f"record {record.id}: unreadable timestamp "
                             f"{record.timestamp!r}")
             continue

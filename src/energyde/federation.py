@@ -71,7 +71,7 @@ class FederationCatalog:
 
 
 def _source(entry: Section, prefixes: dict) -> SourceDescription:
-    source = SourceDescription(
+    return SourceDescription(
         id=entry.get("id"),
         endpoint=entry.get("endpoint"),
         classes=frozenset(entry.expand("classes", c, prefixes)
@@ -80,8 +80,6 @@ def _source(entry: Section, prefixes: dict) -> SourceDescription:
                              for p in entry.get("predicates", strings, [])),
         contract=entry.get("contract", default=None),
     )
-    entry.only(("id", "endpoint", "classes", "predicates", "contract"))
-    return source
 
 
 def parse_catalog(text: str) -> FederationCatalog:
@@ -90,7 +88,7 @@ def parse_catalog(text: str) -> FederationCatalog:
     catalog = FederationCatalog(
         sources=[_source(entry, prefixes) for entry in doc.sections("sources")],
         client_id=doc.get("client_id", default="federator"))
-    doc.only(("prefixes", "sources", "client_id"))
+    doc.done()
     return catalog
 
 

@@ -94,19 +94,13 @@ class MappingResult:
         return len(self.errors)
 
 
-_MAP_KEYS = {"source", "filter", "subject", "po"}
-_PO_KEYS = {"predicate", "field", "constant", "template", "datatype"}
-
-
 def parse_mapping(text: str, base_dir: Optional[Path] = None) -> MappingDocument:
     """Parse a mapping document.  When ``base_dir`` is given and a CSV source
     file is readable, template field references are checked against its header."""
     doc = read_document(text, MappingError)
-    doc.only({"maps", "prefixes"})
     prefixes = doc.prefixes(PREFIXES)
     maps = []
     for entry in doc.sections("maps"):
-        entry.only(_MAP_KEYS)
         src = entry.section("source")
         flt = entry.section("filter", required=False)
         source = LogicalSource(path=src.get("path"),
@@ -119,11 +113,13 @@ def parse_mapping(text: str, base_dir: Optional[Path] = None) -> MappingDocument
             raise entry.fail("po", "must be a non-empty list")
         pos = []
         for po in po_list:
-            po.only(_PO_KEYS)
-            if sum(k in po for k in ("field", "constant", "template")) != 1:
+            predicate = po.iri("predicate", prefixes)
+            datatype = po.iri("datatype", prefixes, None)
+            objects = sum(k in po for k in ("field", "constant", "template"))
+            po.done()
+            if objects != 1:
                 raise MappingError(
                     f"{po.where}: exactly one of field/constant/template required")
-            datatype = po.iri("datatype", prefixes, None)
             if datatype == RDF_LANGSTRING:
                 raise po.fail("datatype", "rdf:langString needs a language tag")
             constant: Optional[Term] = None
@@ -137,7 +133,7 @@ def parse_mapping(text: str, base_dir: Optional[Path] = None) -> MappingDocument
                               constant=constant,
                               template=po.get("template", default=None),
                               datatype=datatype)
-            pos.append((po.iri("predicate", prefixes), spec))
+            pos.append((predicate, spec))
         tmap = TripleMap(source=source,
                          subject_template=subject.get("template"),
                          subject_class=subject.iri("class", prefixes, None),
@@ -145,6 +141,7 @@ def parse_mapping(text: str, base_dir: Optional[Path] = None) -> MappingDocument
         if base_dir is not None:
             _check_fields(tmap, Path(base_dir), entry.where)
         maps.append(tmap)
+    doc.done()
     return MappingDocument(maps=tuple(maps))
 
 

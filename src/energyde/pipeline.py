@@ -30,8 +30,7 @@ class PreprocessStep:
     params: tuple
 
     @classmethod
-    def from_dict(cls, raw: dict, where: str) -> "PreprocessStep":
-        step = Section(raw, where, PipelineError)
+    def read(cls, step: Section) -> "PreprocessStep":
         kind = step.get("kind")
         if kind == "rename-field":
             params = (step.get("from"), step.get("to"))
@@ -46,13 +45,7 @@ class PreprocessStep:
             params = (step.get("field"),)
         else:
             raise step.fail("kind", f"unknown preprocessing kind {kind!r}")
-        step.only(("kind",) + _STEP_KEYS[kind])
         return cls(kind, params)
-
-
-# the keys each preprocessing kind reads besides ``kind``
-_STEP_KEYS = {"rename-field": ("from", "to"), "scale-numeric": ("field", "factor"),
-              "aggregate": ("group_by", "sum"), "drop-missing": ("field",)}
 
 
 def _factor(value) -> Decimal:
@@ -191,15 +184,12 @@ def _parse_pipeline_config(text: str, base: Path) -> PipelineConfig:
         reference_path=str(base / link.get("reference")),
         link_predicate=link.iri("link_predicate", PREFIXES, OWL_SAMEAS),
     ) if link.data else None
-    link.only(("label_predicate", "reference", "link_predicate"))
     sources = []
     for entry in doc.sections("sources", []):
-        steps = [PreprocessStep.from_dict(s.data, s.where)
-                 for s in entry.sections("preprocess", [])]
+        steps = [PreprocessStep.read(s) for s in entry.sections("preprocess", [])]
         sources.append({"path": entry.get("path"),
                         "format": entry.get("format", source_format, "csv"),
                         "steps": steps})
-        entry.only(("path", "format", "preprocess"))
     if not sources:
         raise doc.fail("sources", "pipeline config needs at least one source")
     output = base / doc.get("output")
@@ -216,8 +206,7 @@ def _parse_pipeline_config(text: str, base: Path) -> PipelineConfig:
                                 or output.with_suffix(".prov.nt").name),
         report_path=base / report if report else None,
         base_dir=base)
-    doc.only(("sources", "mapping", "shapes", "linking", "output", "on_violation",
-              "staging", "provenance", "report"))
+    doc.done()
     for required in ([config.mapping_path, config.shapes_path]
                      + [base / s["path"] for s in sources]
                      + ([Path(linking.reference_path)] if linking else [])):

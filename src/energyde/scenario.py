@@ -52,10 +52,9 @@ def parse_scenario(text: str) -> list[ScenarioStep]:
             rq=raw.get("rq"), kind=kind, sender=raw.get("sender"),
             expect=raw.get("expect", default="allow"),
             **{key: raw.get(key, default=None) for key in _OPTIONAL_KEYS}))
-        raw.only(("rq", "kind", "sender", "expect") + _OPTIONAL_KEYS)
     if not steps:
         raise doc.fail("steps", "scenario has no steps")
-    doc.only(("steps",))
+    doc.done()
     return steps
 
 
@@ -67,7 +66,7 @@ def _node_files(text: str) -> list[str]:
     """The node config paths a nodes file lists."""
     doc = read_document(text)
     files = doc.get("nodes", strings)
-    doc.only(("nodes",))
+    doc.done()
     return files
 
 

@@ -78,8 +78,6 @@ class ValidationReport:
         }, indent=2) + "\n"
 
 
-_PROP_KEYS = {"path", "min_count", "max_count", "datatype", "node_kind",
-              "class", "in"}
 _RDF_TYPE = IRI(RDF_TYPE)
 
 
@@ -92,7 +90,6 @@ def parse_shapes(text: str) -> list[Shape]:
         shape_id = entry.get("id", default=None) or target.rsplit("/", 1)[-1]
         constraints = []
         for prop in entry.sections("properties", []):
-            prop.only(_PROP_KEYS)
             min_count = prop.get("min_count", integer, None)
             max_count = prop.get("max_count", integer, None)
             if (min_count is not None and max_count is not None
@@ -117,6 +114,7 @@ def parse_shapes(text: str) -> list[Shape]:
                 in_values=in_values))
         shapes.append(Shape(id=shape_id, target_class=target,
                             constraints=tuple(constraints)))
+    doc.done()
     return shapes
 
 

@@ -2,11 +2,16 @@ import json
 import re
 import shlex
 import shutil
+import socket
+import struct
+import threading
 from pathlib import Path
 
 import pytest
 
 from energyde.cli import main
+from energyde.connector.framing import encode_frame, recv_frame
+from energyde.connector.messages import Message
 from energyde.connector.node import NodeServer, load_node_config
 from energyde.connector.node import NodeState
 
@@ -182,6 +187,38 @@ class TestFederate:
         assert bindings[0]["productionType"]["value"] == \
             "http://w3id.org/energy/WindPower"
 
+    @pytest.mark.parametrize("reply, problem", [
+        (lambda request: struct.pack("!I", 8) + b"not json",
+         "undecodable frame payload"),
+        (lambda request: encode_frame([1, 2]), "message must be a JSON object"),
+        (lambda request: encode_frame(Message(type="QueryResult", sender="fake",
+                                              body={}).to_dict()),
+         "correlation id mismatch"),
+    ], ids=["not-json", "not-an-envelope", "other-correlation-id"])
+    def test_bad_response_domain_failure(self, capsys, tmp_path, reply, problem):
+        # a one-shot source that reads the request and sends ``reply`` to it
+        server = socket.create_server(("127.0.0.1", 0))
+
+        def answer():
+            with server, server.accept()[0] as conn:
+                conn.sendall(reply(recv_frame(conn)))
+
+        thread = threading.Thread(target=answer, daemon=True)
+        thread.start()
+        (tmp_path / "catalog.yaml").write_text(
+            "sources:\n  - id: fake\n"
+            f"    endpoint: 127.0.0.1:{server.getsockname()[1]}\n"
+            "    predicates: [http://example.org/p]\n")
+        (tmp_path / "q.rq").write_text(
+            "SELECT ?s WHERE { ?s <http://example.org/p> ?o . }")
+        code, out, err = run_cli(capsys, "federate",
+                                 "--catalog", str(tmp_path / "catalog.yaml"),
+                                 "--query", str(tmp_path / "q.rq"))
+        thread.join(5)
+        assert (code, out) == (1, "")
+        assert re.fullmatch(rf"error: source 'fake' sent a bad response: "
+                            rf"{problem}.*\n", err), err
+
     def test_unreachable_source_domain_failure(self, capsys, workdir):
         code, _, err = run_cli(
             capsys, "federate",
@@ -294,11 +331,15 @@ class TestBadConfig:
          _scenario, r"scenario\.yaml: steps\[10\]: unknown keys \['expected'\]"),
         ("nodes.yaml", lambda text: text + "start: all\n", _scenario,
          r"nodes\.yaml: top level: unknown keys \['start'\]"),
+        # read as a shape without constraints, it would pass every graph
+        ("shapes/capacity.yaml", _replace("properties:", "propertes:"), _validate,
+         r"capacity\.yaml: shapes\[0\]: unknown keys \['propertes'\]"),
     ], ids=["pipeline-no-output", "pipeline-list", "factor-abc",
             "node-invalid-yaml", "node-listen-list", "contract-no-provider",
             "contract-expiry-text", "scenario-step-string", "nodes-no-nodes",
             "shape-min-count-text", "pipeline-unknown-key", "step-unknown-key",
-            "contract-unknown-key", "scenario-unknown-key", "nodes-unknown-key"])
+            "contract-unknown-key", "scenario-unknown-key", "nodes-unknown-key",
+            "shape-unknown-key"])
     def test_exits_2_with_the_key_path(self, capsys, workdir, path, edit,
                                        argv, message):
         target = workdir / path
@@ -427,6 +468,29 @@ class TestProvenance:
                                str(workdir / "nodes" / "none.yaml"))
         assert code == 2
         assert re.search(r"^error: .*none\.yaml: cannot read", err, re.M), err
+
+
+    @pytest.mark.parametrize("change, code, message", [
+        # no UTC offset: read as no timestamp, not compared with an aware one
+        ({"timestamp": "2024-01-01T00:00:00"}, 1,
+         r"record 1: unreadable timestamp '2024-01-01T00:00:00'"),
+        ({"id": "1"}, 2,
+         r"^error: .*tso\.jsonl: line 1: not a provenance record: .*id"),
+    ], ids=["naive-timestamp", "string-id"])
+    def test_audit_of_a_bad_record(self, capsys, workdir, change, code, message):
+        # a record the node's own contract covers, but for the change
+        record = {"id": 1, "kind": "query-served", "consumer": "tso",
+                  "contract": "tso-self", "requestDigest": "0" * 64,
+                  "resultDigest": "0" * 64,
+                  "timestamp": "2024-01-01T00:00:00Z", **change}
+        log = workdir / "logs" / "tso.jsonl"
+        log.parent.mkdir(exist_ok=True)
+        log.write_text(json.dumps(record) + "\n")
+        got, out, err = run_cli(capsys, "provenance", "audit", "--node-config",
+                                str(workdir / "nodes" / "tso.yaml"))
+        assert got == code, (out, err)
+        assert re.search(message, out + err, re.M), (out, err)
+        assert "Traceback" not in err
 
 
 class TestReadme:

@@ -1,5 +1,7 @@
 import copy
 import shutil
+from functools import reduce
+from operator import getitem
 
 import pytest
 import yaml
@@ -80,11 +82,45 @@ def test_a_random_value_loads_or_is_a_config_error(corpus, name, data):
         assert str(exc).startswith(str(changed)), exc
 
 
+def where(path) -> str:
+    """A key path as a config message writes it."""
+    text = "".join(f"[{key}]" if isinstance(key, int) else f".{key}"
+                   for key in path)
+    return text.lstrip(".") or "top level"
+
+
+@pytest.mark.parametrize("name", LOADERS)
+def test_an_unknown_key_in_any_mapping_is_refused(corpus, name):
+    relative, load = LOADERS[name]
+    source = corpus / relative
+    doc = yaml.safe_load(source.read_text(encoding="utf-8"))
+    # every mapping but a ``prefixes`` map, whose keys are labels
+    paths = [path for path in [(), *key_paths(doc)]
+             if isinstance(reduce(getitem, path, doc), dict)
+             and path[-1:] != ("prefixes",)]
+    missed = []
+    for path in paths:
+        mutated = copy.deepcopy(doc)
+        reduce(getitem, path, mutated)["unread"] = 1
+        changed = source.with_name("unknown-key-" + source.name)
+        changed.write_text(yaml.safe_dump(mutated), encoding="utf-8")
+        expected = f"{where(path)}: unknown keys ['unread']"
+        try:
+            load(changed)
+            missed.append((where(path), "accepted"))
+        except ConfigError as exc:
+            if not str(exc).endswith(expected):
+                missed.append((where(path), str(exc)))
+    assert not missed
+
+
 @pytest.mark.parametrize("extra, message", [
     # a node's catalog entry is derived from its graph, so a config that
     # lists classes is refused rather than served as another catalog
     ("classes: [http://example.org/C]\n", "top level: unknown keys ['classes']"),
     ("listen: {hots: 127.0.0.1}\n", "listen: unknown keys ['hots']"),
+    # ``graphs`` is the one spelling of the node's graph files
+    ("graph: x.nt\n", "top level: unknown keys ['graph']"),
 ])
 def test_a_node_config_with_an_unknown_key_exits_2(corpus, capsys, extra, message):
     source = corpus / "nodes" / "tso.yaml"

@@ -39,7 +39,23 @@ class TestParse:
               - predicate: http://example.org/p
                 feild: id
         """
-        with pytest.raises(MappingError, match=r"maps\[0\]\.po\[0\]"):
+        with pytest.raises(MappingError,
+                           match=r"maps\[0\]\.po\[0\]: unknown keys \['feild'\]"):
+            parse_mapping(doc)
+
+    @pytest.mark.parametrize("lines, message", [
+        # read as no filter value, the filter would drop every record
+        ('subject: {template: "http://example.org/{id}"}\n'
+         '    filter: {field: year, equal: "2020"}',
+         r"maps\[0\]\.filter: unknown keys \['equal'\]"),
+        # read as no class, the rdf:type triple would be dropped
+        ('subject: {template: "http://example.org/{id}", clas: ex:C}',
+         r"maps\[0\]\.subject: unknown keys \['clas'\]"),
+    ], ids=["filter-equal", "subject-clas"])
+    def test_misspelled_key_in_a_map_section_rejected(self, lines, message):
+        doc = ("maps:\n  - source: {path: x.csv, format: csv}\n    " + lines
+               + "\n    po:\n      - {predicate: http://example.org/p, field: id}\n")
+        with pytest.raises(MappingError, match=message):
             parse_mapping(doc)
 
     def test_template_field_checked_against_header(self, tmp_path):

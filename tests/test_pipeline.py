@@ -6,6 +6,7 @@ from decimal import Decimal
 
 import pytest
 
+from energyde.config import Section
 from energyde.pipeline import (LinkingSpec, PipelineError, PreprocessStep,
                                canonical_decimal, link_entities,
                                load_pipeline_config, preprocess, run_pipeline)
@@ -17,7 +18,7 @@ EX = "http://example.org/"
 
 
 def step(kind, **raw):
-    return PreprocessStep.from_dict(dict(raw, kind=kind), "test")
+    return PreprocessStep.read(Section(dict(raw, kind=kind), "test", PipelineError))
 
 
 class TestPreprocess:
