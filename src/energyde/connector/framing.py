@@ -16,7 +16,8 @@ class ConnectionClosed(ConnectionError):
 
 
 class FrameError(ValueError):
-    """Frame decoded but the payload is not valid JSON, or the frame is oversized."""
+    """Frame decoded but the payload is not valid JSON, nests too deeply for
+    the decoder, or the frame is oversized."""
 
 
 def encode_frame(obj) -> bytes:
@@ -48,5 +49,5 @@ def recv_frame(sock):
     payload = _recvall(sock, length)
     try:
         return json.loads(payload.decode("utf-8"))
-    except (UnicodeDecodeError, json.JSONDecodeError) as exc:
+    except (UnicodeDecodeError, json.JSONDecodeError, RecursionError) as exc:
         raise FrameError(f"undecodable frame payload: {exc}") from None

@@ -58,7 +58,7 @@ class Message:
         for key in ("type", "sender", "correlationId", "issued", "body"):
             if key not in raw:
                 raise MessageError(f"message missing {key!r}")
-        if raw["type"] not in MESSAGE_TYPES:
+        if not isinstance(raw["type"], str) or raw["type"] not in MESSAGE_TYPES:
             raise MessageError(f"unknown message type {raw['type']!r}")
         if not isinstance(raw["body"], dict):
             raise MessageError("message body must be a JSON object")

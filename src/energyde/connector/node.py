@@ -97,9 +97,11 @@ def handle(state: NodeState, request: Message,
     ``contractId`` other than a string or null, or a ``QueryRequest`` without
     a ``query`` string, is rejected as ``MALFORMED`` before the contract
     check.  A ``QueryResult``'s ``results`` is the ``CanonicalJSON`` text
-    ``solutions_to_json`` wrote; the record's ``resultDigest`` hashes it
-    and the response frame splices it in, so the document is never run
-    through a JSON encoder."""
+    ``solutions_to_json(..., ids=True)`` wrote: each distinct term's binding
+    entry once, then rows of indexes into them, which
+    ``sparql.solutions_from_json`` reads.  The record's ``resultDigest``
+    hashes that text and the response frame splices it in, so the document
+    is never run through a JSON encoder."""
     if now is None:
         now = datetime.now(timezone.utc)
     # the record carries the clock the decision was made against, so a later
@@ -143,13 +145,30 @@ def handle(state: NodeState, request: Message,
     except QueryParseError as exc:
         return log_and_reject("MALFORMED", f"query does not parse: {exc}")
     try:
-        results = CanonicalJSON(solutions_to_json(evaluate(query, state.graph)))
+        results = CanonicalJSON(solutions_to_json(evaluate(query, state.graph),
+                                                  ids=True))
     except Exception as exc:  # evaluator fault: reject, still logged
         return log_and_reject("INTERNAL", f"evaluation failed: {exc}")
     record = log("query-served", digest(results))
     return Message(type="QueryResult", sender=state.node_id,
                    correlation_id=request.correlation_id,
                    body={"results": results, "provenanceRecordId": record.id})
+
+
+# how deeply a request frame may nest arrays and objects; an envelope with
+# a query body nests two deep
+MAX_REQUEST_DEPTH = 32
+
+
+def _nested_deeper(obj, limit: int) -> bool:
+    """Whether ``obj`` nests arrays and objects more than ``limit`` deep,
+    walked a level at a time, with no recursion."""
+    level = [obj] if isinstance(obj, (dict, list)) else []
+    for _ in range(limit):      # level: the containers one level deeper
+        level = [child for x in level
+                 for child in (x.values() if isinstance(x, dict) else x)
+                 if isinstance(child, (dict, list))]
+    return bool(level)
 
 
 class _Handler(socketserver.BaseRequestHandler):
@@ -164,6 +183,10 @@ class _Handler(socketserver.BaseRequestHandler):
                 # not even a JSON frame: close; nothing decoded, nothing logged
                 return
             except OSError:
+                return
+            if _nested_deeper(raw, MAX_REQUEST_DEPTH):
+                # digesting it would recurse past the interpreter's limit:
+                # refused like an undecodable frame
                 return
             try:
                 message = Message.from_dict(raw)

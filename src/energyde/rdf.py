@@ -177,18 +177,6 @@ class TermTable(TermTexts, list):
         self._memos: dict = {}
 
 
-def _push(index: dict, a: int, b: int, c: int) -> None:
-    inner = index.get(a)
-    if inner is None:
-        index[a] = {b: [c]}
-        return
-    leaf = inner.get(b)
-    if leaf is None:
-        inner[b] = [c]
-    else:
-        leaf.append(c)
-
-
 class Graph:
     """Set of triples, stored as ids into a term dictionary.
 
@@ -229,12 +217,13 @@ class Graph:
         self._ids: dict[Term, int] = {}
         self._spo: dict[int, dict[int, list[int]]] = {}
         self._pos: dict[int, dict[int, list[int]]] = {}
-        self._size = 0
+        # how many triples each predicate has; the graph's size is their sum
+        self._per_predicate: dict[int, int] = {}
         self._lock = threading.RLock()
         self.update(triples)
 
     def __len__(self) -> int:
-        return self._size
+        return sum(self._per_predicate.values())
 
     def __iter__(self) -> Iterator[Triple]:
         with self._lock:
@@ -283,7 +272,7 @@ class Graph:
         with self._lock:
             self._add(self._intern(triple.subject), self._intern(triple.predicate),
                       self._intern(triple.object))
-            return self._size
+            return len(self)
 
     def insert_encoded(self, terms: Sequence[Term],
                        triples: Iterable[IdTriple]) -> int:
@@ -306,7 +295,7 @@ class Graph:
                 if o is None:
                     o = ids[c] = intern(terms[c])
                 self._add(s, p, o)
-            return self._size
+            return len(self)
 
     def update(self, triples: Iterable[Triple]) -> int:
         if isinstance(triples, Graph):
@@ -317,7 +306,7 @@ class Graph:
             return self.insert_encoded(terms, theirs)
         for t in triples:
             self.insert(t)
-        return self._size
+        return len(self)
 
     def match(self, subject: Optional[Term] = None, predicate: Optional[Term] = None,
               object: Optional[Term] = None) -> list[Triple]:
@@ -370,12 +359,12 @@ class Graph:
                 return sum(map(len, leaves)) if o is None \
                     else sum(leaf.count(o) for leaf in leaves)
             if p is not None:
-                by_o = self._pos.get(p, _NO_ENTRIES)
-                return len(by_o.get(o, ())) if o is not None \
-                    else sum(map(len, by_o.values()))
+                if o is None:
+                    return self._per_predicate.get(p, 0)
+                return len(self._pos.get(p, _NO_ENTRIES).get(o, ()))
             if o is not None:
                 return sum(len(by_o.get(o, ())) for by_o in self._pos.values())
-            return self._size
+            return len(self)
 
     def predicates(self) -> list[Term]:
         """Every distinct predicate, read off the POS index."""
@@ -417,8 +406,17 @@ class Graph:
                 return
             else:
                 objects.append(o)
-        _push(self._pos, p, o, s)
-        self._size += 1
+        by_o = self._pos.get(p)
+        if by_o is None:
+            self._pos[p] = {o: [s]}
+            self._per_predicate[p] = 1
+            return
+        subjects = by_o.get(o)
+        if subjects is None:
+            by_o[o] = [s]
+        else:
+            subjects.append(s)
+        self._per_predicate[p] += 1
 
     def _id_triples(self) -> Iterator[IdTriple]:
         return ((s, p, o) for s, by_p in self._spo.items()

@@ -13,6 +13,7 @@ from .connector.client import NodeClient, RejectionError
 from .connector.node import NodeServer, load_node_config, serve
 from .federation import federated_query, load_catalog
 from .rdf import load_graph
+from .sparql import solutions_from_json
 
 REQUIRED_TAGS = {f"RQ-{i}" for i in range(1, 9)}
 
@@ -155,8 +156,8 @@ def run_scenario(steps: list, nodes: NodeSet, base_dir,
                     "provenance_record": response.body.get("provenanceRecordId"),
                 })
                 if response.type == "QueryResult":
-                    entry["rows"] = len(response.body["results"]["results"]
-                                        ["bindings"])
+                    entry["rows"] = len(solutions_from_json(
+                        response.body.get("results")))
                 if step.expect != "allow":
                     raise ScenarioError(
                         f"step {index} ({step.rq}): expected rejection "

@@ -9,7 +9,7 @@ Evaluation is late-materializing: the BGP is joined a column of the
 graph's term ids at a time and then zipped into rows, which stay tuples of
 ids through FILTER, projection, DISTINCT and LIMIT until the response is
 written.  A cell is decoded only where a FILTER or the LIMIT sort reads
-it.  What the results document needs of a term, its N-Triples sort text and
+it.  What a results document needs of a term, its N-Triples sort text and
 its binding entry's JSON text, comes from the term table's memo
 (``rdf.TermTexts``).  The memo is lazy: a term's texts are made the first
 time a response emits it, so it never holds more entries than the table has
@@ -17,11 +17,17 @@ terms and nothing is made when a graph loads.  It is never invalidated, as
 it needs not be: a graph only grows, ids are never reused and terms are
 immutable.
 
+``solutions_to_json`` writes two documents from the same sorted rows and
+memo.  The W3C SPARQL JSON results format is what the command line prints.
+The wire's document, after HDT's dictionary plus id triples, lists each
+distinct term's binding entry once, then the rows as indexes into that
+list: ``{"head":{"vars":[...]},"rows":[[0,1],[2,null]],"terms":[...]}``.
+
 The federator's side is late-materializing too.  ``solutions_from_json``
-reads a results document a column at a time into cells over an
-``AnswerTerms`` table, making one term, and one id, per distinct term
-however it was spelled.  Unions and joins work on those ids, and
-``SolutionSequence.rows`` decodes them when it is first read.
+reads the wire's document into cells over an ``AnswerTerms`` table, making
+each listed entry a term once, so that entries spelling one term share one
+id.  Unions and joins work on those ids, and ``SolutionSequence.rows``
+decodes them when it is first read.
 """
 
 from __future__ import annotations
@@ -786,24 +792,42 @@ def _sorted_rows(rows: list[tuple], terms: TermTexts) -> tuple[list[tuple], set]
     return [rows[i] for i in sorted(range(len(rows)), key=keys.__getitem__)], cells
 
 
-def solutions_to_json(solutions: SolutionSequence) -> str:
-    """The W3C SPARQL JSON results document as canonical JSON text: sorted
-    keys and no whitespace, as ``json.dumps(doc, sort_keys=True,
-    separators=(",", ":"))`` writes it, with rows sorted by their cells'
-    N-Triples text.  A cell's N-Triples text and its binding entry's JSON
-    text come from the term table's memo, so they are made once per term,
-    not per response, and the document is joined from those fragments with
-    no JSON encoder run over the rows."""
+def solutions_to_json(solutions: SolutionSequence, ids: bool = False) -> str:
+    """The solutions as canonical JSON text: sorted keys and no whitespace,
+    as ``json.dumps(doc, sort_keys=True, separators=(",", ":"))`` writes it,
+    with rows sorted by their cells' N-Triples text.  A cell's N-Triples
+    text and its binding entry's JSON text come from the term table's memo,
+    so they are made once per term, not per response, and the document is
+    joined from those fragments with no JSON encoder run over the rows.
+
+    By default the document is the W3C SPARQL JSON results format.  With
+    ``ids`` it is the wire's: ``{"head":{"vars":[...]},"rows":[...],
+    "terms":[...]}``, where ``terms`` lists each distinct cell's binding
+    entry once, sorted by N-Triples text, and each row holds one index into
+    ``terms``, or null where unbound, per distinct name of ``head.vars``.
+    Neither text depends on how the term table numbered its terms."""
     variables = solutions.variables
     rows, cells = _sorted_rows(solutions.cells, solutions.terms)
     fragments = solutions.terms.texts(_binding_text, cells)
+    head = '{"head":{"vars":[' + ",".join(map(_quote, variables)) + "]},"
+    if ids:
+        order = sorted(cells, key=solutions.terms.texts(format_term, cells).__getitem__)
+        index = dict(zip(order, map(str, range(len(order)))))
+        index[None] = "null"
+        # one column per distinct name, from its first column
+        names = dict.fromkeys(variables)
+        # every row through one format string, with one "%s" per cell
+        row_format = "[" + ",".join(["%s"] * len(names)) + "]"
+        return (head + '"rows":[' + ",".join([row_format] * len(rows))
+                % tuple(map(index.__getitem__, chain.from_iterable(
+                    _project(rows, _picks(variables, names)))))
+                + '],"terms":[' + ",".join(map(fragments.__getitem__, order)) + "]}")
     # a variable projected twice binds one key, from its first column
     keyed = sorted((v, variables.index(v)) for v in dict.fromkeys(variables))
     # a row that binds every key is written through one format string
     row_format = "{" + ",".join(_quote(v).replace("%", "%%") + ":%s"
                                 for v, _ in keyed) + "}"
-    return ('{"head":{"vars":[' + ",".join(map(_quote, variables))
-            + ']},"results":{"bindings":['
+    return (head + '"results":{"bindings":['
             + ",".join([row_format % tuple(map(fragments.__getitem__, row))
                         if None not in row else
                         "{" + ",".join([_quote(v) + ":" + fragments[cell]
@@ -820,24 +844,24 @@ def serialize_results(solutions: SolutionSequence) -> str:
                       sort_keys=True) + "\n"
 
 
-# the entry fields a term is read from, in ``_entry_term``'s argument order
-_ENTRY_FIELDS = ("type", "value", "datatype", "xml:lang")
-# what a binding without the variable reads as: no results document spells it
-_UNBOUND_TYPE = object()
-_UNBOUND = {"type": _UNBOUND_TYPE}
+_STRING_OR_NULL = (str, type(None))
 
 
-def _entry_term(kind, value, datatype, lang) -> Term:
-    """The term a binding entry's fields spell.  Fields of the wrong JSON
-    type raise ``ResultsFormatError`` here; the term's constructor checks
-    the rest."""
+def _entry_term(entry) -> Term:
+    """The term a binding entry spells.  An entry that is not an object, or
+    a field of the wrong JSON type, raises ``ResultsFormatError`` here; the
+    term's constructor checks the rest."""
+    if not isinstance(entry, dict):
+        raise ResultsFormatError("not an object of strings")
+    kind, value = entry.get("type"), entry.get("value")
+    datatype, lang = entry.get("datatype"), entry.get("xml:lang")
     if not isinstance(value, str):
         raise ResultsFormatError("value is not a string")
+    if not (isinstance(datatype, _STRING_OR_NULL) and isinstance(lang, _STRING_OR_NULL)):
+        raise ResultsFormatError("not an object of strings")
     if kind == "literal":
         if lang is None:
             return Literal(value, XSD_STRING if datatype is None else datatype)
-        if not isinstance(lang, str):
-            raise ResultsFormatError("xml:lang is not a string")
         return Literal(value, lang=lang)
     if kind == "uri":
         return IRI(value)
@@ -846,57 +870,47 @@ def _entry_term(kind, value, datatype, lang) -> Term:
     raise ResultsFormatError(f"unknown type {kind!r}")
 
 
-def _column(table: AnswerTerms, bindings: list[dict], var: str) -> list:
-    """One variable's cells.  The rows' entries are read field by field, a
-    column at a time, and the term of each distinct spelling is made, and
-    added to ``table``, once; spellings of one term get one id.  When every
-    entry has one type, datatype and language, as in a typed column, a
-    spelling is known by its value alone."""
-    entries = list(map(dict.get, bindings, repeat(var), repeat(_UNBOUND)))
-    try:
-        fields = [list(map(dict.get, entries, repeat(name))) for name in _ENTRY_FIELDS]
-        kinds, values, datatypes, langs = fields
-        if len(set(kinds)) == len(set(datatypes)) == len(set(langs)) == 1:
-            spellings = values
-            spelled = {value: (kinds[0], value, datatypes[0], langs[0])
-                       for value in set(values)}
-        else:
-            spellings = list(zip(*fields))
-            spelled = {spelling: spelling for spelling in set(spellings)}
-        ids = {spelling: None if full[0] is _UNBOUND_TYPE
-               else table.add(_entry_term(*full)) for spelling, full in spelled.items()}
-    except TypeError:           # an entry that is not an object, or holds one
-        raise ResultsFormatError(f"binding of ?{var}: not an object of "
-                                 "strings") from None
-    except ValueError as exc:   # a ResultsFormatError, or a term's RdfError
-        raise ResultsFormatError(f"binding of ?{var}: {exc}") from None
-    return list(map(ids.__getitem__, spellings))
-
-
-def _results_parts(doc) -> tuple[list, list]:
+def solutions_from_json(doc) -> SolutionSequence:
+    """The solutions of a results document in the wire's shape, as
+    ``solutions_to_json(..., ids=True)`` writes it, as cells over a new
+    ``AnswerTerms``.  A document that is not one raises
+    ``ResultsFormatError``: a row that is not a list, or not one cell per
+    distinct name of ``head.vars``, or a cell that is neither null nor an
+    int indexing ``terms``, or an entry that spells no term."""
     if not isinstance(doc, dict):
         raise ResultsFormatError("the results are not a JSON object")
-    head, results = doc.get("head"), doc.get("results")
+    head, rows, entries = doc.get("head"), doc.get("rows"), doc.get("terms")
     variables = head.get("vars") if isinstance(head, dict) else None
-    bindings = results.get("bindings") if isinstance(results, dict) else None
     if not (isinstance(variables, list) and all(isinstance(v, str) for v in variables)):
         raise ResultsFormatError("head.vars is not a list of variable names")
-    if not (isinstance(bindings, list) and all(map(isinstance, bindings, repeat(dict)))):
-        raise ResultsFormatError("results.bindings is not a list of objects")
-    return variables, bindings
-
-
-def solutions_from_json(doc) -> SolutionSequence:
-    """The solutions of a SPARQL JSON results document, as cells over a new
-    ``AnswerTerms``.  Cells are read a column at a time, and each distinct
-    spelling is turned into a term, and checked, once.  A binding of a
-    variable that ``head.vars`` does not list is ignored.  A document that
-    is not a results document raises ``ResultsFormatError``."""
-    variables, bindings = _results_parts(doc)
+    if not isinstance(rows, list):
+        raise ResultsFormatError("rows is not a list")
+    if not isinstance(entries, list):
+        raise ResultsFormatError("terms is not a list")
     names = list(dict.fromkeys(variables))
+    width = len(names)
+    if not set(map(type, rows)) <= {list}:
+        raise ResultsFormatError("a row is not a list")
+    if not set(map(len, rows)) <= {width}:
+        raise ResultsFormatError(f"a row does not hold {width} cells, one per "
+                                 "distinct variable")
+    flat = list(chain.from_iterable(rows))
+    # exactly int or null: JSON true and 1.0 would look up index 1
+    if not set(map(type, flat)) <= {int, type(None)}:
+        raise ResultsFormatError("a cell is neither null nor an index into terms")
+    # each entry is made a term once; entries spelling one term share an id
     table = AnswerTerms()
-    columns = [_column(table, bindings, var) for var in names]
-    cells = list(zip(*columns)) if names else [()] * len(bindings)
+    ids = {None: None}
+    for i, entry in enumerate(entries):
+        try:
+            ids[i] = table.add(_entry_term(entry))
+        except ValueError as exc:   # a ResultsFormatError, or a term's RdfError
+            raise ResultsFormatError(f"terms[{i}]: {exc}") from None
+    try:
+        cells = list(map(ids.__getitem__, flat))
+    except KeyError as exc:
+        raise ResultsFormatError(f"cell {exc} is not an index into terms") from None
+    cells = list(zip(*[iter(cells)] * width)) if width else [()] * len(rows)
     # a variable listed twice binds each of its columns
     return SolutionSequence(variables, cells=_project(cells, _picks(names, variables)),
                             terms=table)

@@ -5,6 +5,7 @@ escaping, and an in-process source for the federation engine."""
 
 from __future__ import annotations
 
+import json
 import random
 from collections import Counter
 from dataclasses import replace
@@ -331,6 +332,28 @@ def oracle_solutions_to_json(solutions: SolutionSequence) -> dict:
             {v: _oracle_entry(row[v]) for v in solutions.variables if v in row}
             for row in rows
         ]},
+    }
+
+
+def oracle_ids_document(solutions: SolutionSequence) -> dict:
+    """The wire's results document, built from ``oracle_solutions_to_json``:
+    each distinct binding entry once in ``terms``, sorted by its term's
+    N-Triples text, and each binding as a row of indexes into ``terms``, one
+    per distinct variable, None where the binding lacks it."""
+    doc = oracle_solutions_to_json(solutions)
+    names = list(dict.fromkeys(doc["head"]["vars"]))
+    ntriples = {}       # an entry's JSON text -> its term's N-Triples text
+    for row in solutions.rows:
+        for term in row.values():
+            ntriples[json.dumps(_oracle_entry(term), sort_keys=True)] = format_term(term)
+    order = sorted(ntriples, key=ntriples.get)
+    index = {text: i for i, text in enumerate(order)}
+    return {
+        "head": doc["head"],
+        "rows": [[index[json.dumps(binding[v], sort_keys=True)] if v in binding
+                  else None for v in names]
+                 for binding in doc["results"]["bindings"]],
+        "terms": [json.loads(text) for text in order],
     }
 
 

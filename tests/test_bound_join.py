@@ -201,9 +201,10 @@ def test_an_answer_no_query_can_spell_is_malformed():
     class OddSource(RecordingClient):
         def query(self, query_text):
             self.sent.append((self.source_id, query_text))
-            return solutions_from_json({"head": {"vars": ["s", "v"]}, "results": {
-                "bindings": [{"s": {"type": "uri", "value": EX + "{odd}"},
-                              "v": {"type": "literal", "value": "1"}}]}})
+            return solutions_from_json({
+                "head": {"vars": ["s", "v"]}, "rows": [[0, 1]],
+                "terms": [{"type": "uri", "value": EX + "{odd}"},
+                          {"type": "literal", "value": "1"}]})
 
     sent = []
     clients = {"a": OddSource(Graph(), "a", sent), "b": RecordingClient(Graph(), "b", sent),

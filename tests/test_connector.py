@@ -9,7 +9,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from conftest import make_node, open_contract
-from genutil import bag
+from genutil import bag, oracle_evaluate, oracle_ids_document
 from energyde.connector.client import (NodeClient, RejectionError,
                                        SourceUnreachableError)
 from energyde.connector.contracts import (Contract, ContractError,
@@ -20,11 +20,12 @@ from energyde.connector.framing import (MAX_FRAME, ConnectionClosed, FrameError,
 from energyde.connector.messages import (CanonicalJSON, Message, MessageError,
                                          canonical_json, digest, format_rfc3339,
                                          rejection)
+from energyde.connector import client, node
 from energyde.connector.node import handle
 from energyde.connector.provenance import (ProvenanceLog, read_log,
                                            replay_audit)
 from energyde.rdf import BlankNode, Graph, IRI, Literal, Triple, parse_ntriples
-from energyde.sparql import SolutionSequence, solutions_to_json
+from energyde.sparql import SolutionSequence, parse_query, solutions_to_json
 
 EX = "http://example.org/"
 UTC = timezone.utc
@@ -266,7 +267,7 @@ class TestHandle:
         state = make_node(tmp_path, "tso", small_graph())
         response = handle(state, query_request(contract="tso-open"))
         assert response.type == "QueryResult"
-        assert len(json.loads(response.body["results"])["results"]["bindings"]) == 5
+        assert len(json.loads(response.body["results"])["rows"]) == 5
         records = read_log(tmp_path / "tso.jsonl")
         assert [r.kind for r in records] == ["query-served"]
 
@@ -376,40 +377,47 @@ _:b1 <http://example.org/label> "" .
 
 class TestWireFormat:
     """The response frame's sha256 and the provenance resultDigest, pinned
-    to the values of the code that encoded the results twice (once for the
-    digest, once for the frame): one encoding changes no byte."""
+    to the bytes of the wire's results document as ``genutil``'s oracle
+    writes it (a term table plus rows of indexes), and checked against that
+    oracle too.  The results are encoded once: what a receiver decodes is
+    the document that was digested."""
 
     @pytest.mark.parametrize("query, rows, frame_sha, result_digest", [
         ("SELECT ?s ?p ?o WHERE { ?s ?p ?o . }", 10,
-         "231c0bc862e703ca0c795dda9806e3f81a6ae3b479443227c195b7fe8d8a58bb",
-         "5b4bd9ef1aad712ebdd415b2d21cf2a7c75dc6daef7f741b80ce40e267098e50"),
+         "98ad929f368ecbc59f02303dab74cd4ccb5d9f51aa40fa41ed894b2758c6e2f3",
+         "5c900da73e887d16dc8c88abc8bbba6598a6bca528d123a3f60948b0a0b011fc"),
         ("SELECT ?s ?label ?v WHERE { ?s a <http://example.org/Thing> . "
          "?s <http://example.org/label> ?label . "
          "?s <http://example.org/value> ?v . }", 4,
-         "b839e2d14101c2c518d163d4e6c5422a7a696e34c8549c2f9de5ffb8286ef152",
-         "4d8743ff90b999d6e01b7588a83410004eedcbb70acc2c97de9218b5df330a88"),
+         "a67524715a1be387a3193f7981597dab8ea3985ca4aad4f78a9fc02474077f3c",
+         "e74945a7b13afe25505e9e2e984a12c7110eaf722ce796b4d956473c2fb44341"),
     ], ids=["all-triples", "star-join"])
     def test_query_result_bytes(self, tmp_path, query, rows, frame_sha,
                                 result_digest):
-        state = make_node(tmp_path, "tso", parse_ntriples(_PINNED_GRAPH))
+        graph = parse_ntriples(_PINNED_GRAPH)
+        state = make_node(tmp_path, "tso", graph)
         request = Message(type="QueryRequest", sender="fed",
                           correlation_id="corr-1", issued="2024-06-01T00:00:00Z",
                           body={"contractId": "tso-open", "query": query})
         response = handle(state, request, now=IN_WINDOW)
         response.issued = "2024-06-01T00:00:01Z"
-        assert len(json.loads(response.body["results"])["results"]["bindings"]) == rows
+        expected = oracle_ids_document(oracle_evaluate(parse_query(query), graph))
+        assert len(expected["rows"]) == rows
+        assert json.loads(response.body["results"]) == expected
         frame = encode_frame(response.to_dict())
         assert hashlib.sha256(frame).hexdigest() == frame_sha
         assert read_log(tmp_path / "tso.jsonl")[0].result_digest == result_digest
+        assert digest(expected) == result_digest
         # what a receiver decodes is the plain document that was digested
         assert digest(json.loads(frame[4:])["body"]["results"]) == result_digest
 
     def test_unbound_column_bytes(self):
-        rows = [{"x": IRI("http://example.org/a"), "y": Literal("1")},
-                {"x": BlankNode("z")},
-                {"y": Literal("é", lang="fr")}]
-        results = solutions_to_json(SolutionSequence(variables=["x", "y"],
-                                                     rows=rows))
+        solutions = SolutionSequence(variables=["x", "y"], rows=[
+            {"x": IRI("http://example.org/a"), "y": Literal("1")},
+            {"x": BlankNode("z")},
+            {"y": Literal("é", lang="fr")}])
+        results = solutions_to_json(solutions, ids=True)
+        assert json.loads(results) == oracle_ids_document(solutions)
         for body_results in (json.loads(results), CanonicalJSON(results)):
             message = Message(type="QueryResult", sender="tso",
                               correlation_id="corr-2",
@@ -417,9 +425,12 @@ class TestWireFormat:
                               body={"results": body_results,
                                     "provenanceRecordId": 3})
             assert digest(body_results) == \
-                "d54d7d12f57b19581c569495e5783008922dbc0add89aeec8e829b12154036f8"
+                "52a1e0d975c842cac47588f88ec832dde654d22d8fb8eb11a4729abfdef8a2bb"
             assert hashlib.sha256(encode_frame(message.to_dict())).hexdigest() == \
-                "8c32bd5f6c60a0540bcd3c094f736331a258bbb174a4ddd898fb7d39a265d057"
+                "9210ced3e6482b1cbcc28950744559857a1a0c6b517f918cf1b67e909bb443cd"
+        # the W3C text energyde query prints is unchanged
+        assert digest(CanonicalJSON(solutions_to_json(solutions))) == \
+            "d54d7d12f57b19581c569495e5783008922dbc0add89aeec8e829b12154036f8"
 
 
 class TestProvenance:
@@ -528,6 +539,54 @@ class TestWire:
         assert raw["type"] == "Rejection"
         assert raw["body"]["reason"] == "MALFORMED"
         assert len(read_log(tmp_path / "tso.jsonl")) == 1
+
+    def test_unhashable_message_type_gets_rejection(self, start_node, tmp_path):
+        server = start_node("tso", small_graph())
+        host, port = server.endpoint.rsplit(":", 1)
+        with socket.create_connection((host, int(port)), timeout=5) as sock:
+            send_frame(sock, {"type": ["QueryRequest"], "sender": "fed",
+                              "correlationId": "c", "issued": "x", "body": {}})
+            raw = recv_frame(sock)
+        assert raw["type"] == "Rejection"
+        assert raw["body"]["reason"] == "MALFORMED"
+        assert read_log(tmp_path / "tso.jsonl") == []
+
+    @pytest.mark.parametrize("depth", [600, 900, 200_000])
+    def test_deeply_nested_request_closes_the_connection(self, start_node, tmp_path,
+                                                         capsys, depth):
+        # 600 and 900 levels decode, but no digest could hash them; 200,000
+        # are past the decoder's own limit
+        server = start_node("tso", small_graph())
+        host, port = server.endpoint.rsplit(":", 1)
+        payload = ('{"body":{"contractId":"tso-open","query":' + "[" * depth
+                   + "]" * depth + '},"correlationId":"c","issued":"x",'
+                   '"sender":"fed","type":"QueryRequest"}').encode()
+        with socket.create_connection((host, int(port)), timeout=5) as sock:
+            sock.sendall(len(payload).to_bytes(4, "big") + payload)
+            assert sock.recv(1) == b""
+        # nothing decoded, nothing logged; the node serves the next request
+        source = NodeClient(endpoint=server.endpoint, sender_id="fed",
+                            contract_id="tso-open", source_id="tso")
+        assert len(source.query("SELECT ?s WHERE { ?s <http://example.org/p> ?o . }")) == 5
+        assert [r.kind for r in read_log(tmp_path / "tso.jsonl")] == ["query-served"]
+        assert "Traceback" not in capsys.readouterr().err
+
+    def test_one_served_query_writes_and_reads_its_answer_once(self, start_node,
+                                                               monkeypatch):
+        # the benchmark times these two names as the wire's results writer
+        # and reader
+        calls = []
+        for module, name in ((node, "solutions_to_json"),
+                             (client, "solutions_from_json")):
+            def counted(*args, _original=getattr(module, name), _name=name, **kwargs):
+                calls.append(_name)
+                return _original(*args, **kwargs)
+            monkeypatch.setattr(module, name, counted)
+        server = start_node("tso", small_graph())
+        source = NodeClient(endpoint=server.endpoint, sender_id="fed",
+                            contract_id="tso-open", source_id="tso")
+        assert len(source.query("SELECT ?s WHERE { ?s <http://example.org/p> ?o . }")) == 5
+        assert sorted(calls) == ["solutions_from_json", "solutions_to_json"]
 
     def test_fifty_concurrent_identical_requests(self, start_node, tmp_path):
         server = start_node("busy", small_graph())

@@ -14,7 +14,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from conftest import make_node
-from genutil import (oracle_apply_modifiers, oracle_evaluate,
+from genutil import (oracle_apply_modifiers, oracle_evaluate, oracle_ids_document,
                      oracle_solutions_to_json)
 from energyde import sparql
 from energyde.connector.framing import encode_frame
@@ -131,7 +131,7 @@ def test_handle_matches_the_term_level_oracle(log_dir, seed):
     query = rich_query(rng, graph)
     state = make_node(log_dir, f"n{seed}", graph)
     results = query_handled(state, format_query(query)).body["results"]
-    expected = oracle_solutions_to_json(oracle_evaluate(query, graph))
+    expected = oracle_ids_document(oracle_evaluate(query, graph))
     assert json.loads(results) == expected
     assert results == json.dumps(expected, **CANONICAL)
     # the public surface: rows are term dicts, in the oracle's order
@@ -242,16 +242,17 @@ def test_flagship_subquery_work_counts(fixture_dir, tmp_path, monkeypatch):
     monkeypatch.undo()
 
     results = response.body["results"]
-    bindings = json.loads(results)["results"]["bindings"]
-    assert len(bindings) == 20
+    doc = json.loads(results)
+    assert len(doc["rows"]) == 20
     # the only term hashes are the lookups of the query's own constants
     constants = [t for p in query.patterns for t in p if not isinstance(t, Variable)]
     assert len(hashes) == len(constants)
-    # one fragment per distinct term, and fewer terms than cells
-    distinct = {json.dumps(entry, **CANONICAL)
-                for row in bindings for entry in row.values()}
+    # one fragment per distinct term, each listed once, and fewer terms than
+    # cells
+    distinct = {json.dumps(entry, **CANONICAL) for entry in doc["terms"]}
     assert sorted(fragments) == sorted(distinct)
-    assert len(distinct) < sum(map(len, bindings))
+    assert len(doc["terms"]) == len(distinct)
+    assert len(distinct) < sum(cell is not None for row in doc["rows"] for cell in row)
     # no encoder ran over the results; the frame carries their text
     assert results not in encoded
-    assert results in frame.decode("utf-8")
+    assert results in frame[4:].decode("utf-8")

@@ -4,8 +4,9 @@ table, unioned and joined as ids, and a malformed answer failing cleanly.
 Equivalence: over random partitions of random graphs, with sources that
 answer in-process (graph ids) and sources whose answers cross JSON spelled
 in other ways, the federated answer equals central ``evaluate`` as a
-multiset.  Robustness: each kind of malformed results document makes
-``energyde federate`` exit 1 with a message naming the source."""
+multiset; and a node's answer, read back off its response frame, is the
+answer it evaluated.  Robustness: each kind of malformed results document
+makes ``energyde federate`` exit 1 with a message naming the source."""
 
 import json
 import random
@@ -17,9 +18,12 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import genutil
+from conftest import make_node
 from genutil import LocalClient
 from energyde.cli import main
-from energyde.connector.framing import recv_frame, send_frame
+from energyde.connector.framing import encode_frame, recv_frame, send_frame
+from energyde.connector.messages import Message
+from energyde.connector.node import handle
 from energyde.federation import (FederationError, MalformedAnswerError,
                                  federated_query, hash_join, parse_catalog)
 from energyde.rdf import BlankNode, Graph, IRI, Literal, Triple
@@ -49,23 +53,37 @@ def mixed_graph(rng: random.Random, size: int) -> Graph:
 
 
 class RespellingClient:
-    """Answers as a node does, then spells each binding another way before
-    the federator decodes it: a plain literal with its ``xsd:string``
-    datatype written out, and entry keys in another order."""
+    """Answers as a node does, then spells the answer's terms another way
+    before the federator decodes it: a plain literal with its
+    ``xsd:string`` datatype written out, entry keys in another order, and
+    some entries listed twice, with some of the cells that use the entry
+    pointing at the second listing."""
 
     def __init__(self, graph: Graph, rng: random.Random):
         self.graph = graph
         self.rng = rng
 
+    def respell(self, entry: dict) -> dict:
+        entry = dict(entry)
+        if (entry["type"] == "literal" and len(entry) == 2
+                and self.rng.random() < 0.5):
+            entry["datatype"] = XSD_STRING
+        if self.rng.random() < 0.5:
+            entry = dict(reversed(list(entry.items())))
+        return entry
+
     def query(self, text: str) -> SolutionSequence:
-        doc = json.loads(solutions_to_json(evaluate(parse_query(text), self.graph)))
-        for row in doc["results"]["bindings"]:
-            for var, entry in row.items():
-                if (entry["type"] == "literal" and len(entry) == 2
-                        and self.rng.random() < 0.5):
-                    entry["datatype"] = XSD_STRING
-                if self.rng.random() < 0.5:
-                    row[var] = dict(reversed(list(entry.items())))
+        doc = json.loads(solutions_to_json(evaluate(parse_query(text), self.graph),
+                                           ids=True))
+        terms = doc["terms"]
+        copies = {}         # an entry's index -> the index of its second listing
+        for i in range(len(terms)):
+            terms[i] = self.respell(terms[i])
+            if self.rng.random() < 0.3:
+                copies[i] = len(terms)
+                terms.append(self.respell(terms[i]))
+        doc["rows"] = [[copies[cell] if cell in copies and self.rng.random() < 0.5
+                        else cell for cell in row] for row in doc["rows"]]
         return solutions_from_json(doc)
 
 
@@ -99,14 +117,13 @@ def test_federated_answer_equals_central_evaluation(seed):
 
 
 def test_spellings_of_one_term_share_a_cell():
-    doc = {"head": {"vars": ["x", "y"]}, "results": {"bindings": [
-        {"x": {"type": "literal", "value": "a"},
-         "y": {"value": "a", "type": "literal", "datatype": XSD_STRING}},
-        {"x": {"value": "a", "type": "literal"},
-         "y": {"xml:lang": "en", "value": "a", "type": "literal"}},
-        {"x": {"type": "literal", "value": "a", "datatype": XSD_STRING,
-               "xml:lang": "en"}},
-    ]}}
+    doc = {"head": {"vars": ["x", "y"]}, "rows": [[0, 1], [4, 2], [3, None]],
+           "terms": [{"type": "literal", "value": "a"},
+                     {"value": "a", "type": "literal", "datatype": XSD_STRING},
+                     {"xml:lang": "en", "value": "a", "type": "literal"},
+                     {"type": "literal", "value": "a", "datatype": XSD_STRING,
+                      "xml:lang": "en"},
+                     {"value": "a", "type": "literal"}]}
     solutions = solutions_from_json(doc)
     (x0, y0), (x1, y1), (x2, y2) = solutions.cells
     assert x0 == y0 == x1 and x2 == y1 != x0 and y2 is None
@@ -114,6 +131,49 @@ def test_spellings_of_one_term_share_a_cell():
                               {"x": Literal("a"), "y": Literal("a", lang="en")},
                               {"x": Literal("a", lang="en")}]
     assert len(solutions.terms) == 2
+
+
+# --- the answer across the wire --------------------------------------------------
+
+def _served(state, text: str) -> Message:
+    """``handle``'s answer to ``text``."""
+    response = handle(state, Message(
+        type="QueryRequest", sender="fed",
+        body={"contractId": f"{state.node_id}-open", "query": text}))
+    assert response.type == "QueryResult", response.body
+    return response
+
+
+@pytest.fixture(scope="module")
+def log_dir(tmp_path_factory):
+    return tmp_path_factory.mktemp("wire")
+
+
+@settings(max_examples=80, deadline=None)
+@given(seed=st.integers(0, 2 ** 32 - 1))
+def test_an_answer_read_off_its_frame_is_the_answer_evaluated(log_dir, seed):
+    rng = random.Random(seed)
+    graph = genutil.random_graph(rng, rng.randrange(10, 80))
+    query = genutil.random_query(rng, graph)
+    if rng.random() < 0.3:
+        query = genutil.with_values(rng, graph, query)
+    response = _served(make_node(log_dir, f"n{seed}", graph), format_query(query))
+    frame = encode_frame(response.to_dict())
+    back = solutions_from_json(json.loads(frame[4:])["body"]["results"])
+    assert genutil.bag(back) == genutil.brute_force(query, graph), format_query(query)
+    # and it prints as the local answer does
+    assert solutions_to_json(back) == solutions_to_json(evaluate(query, graph))
+
+
+def test_the_results_text_does_not_depend_on_the_load_order(tmp_path):
+    rng = random.Random(3)
+    triples = list(mixed_graph(rng, 80))
+    forward, backward = Graph(triples), Graph(reversed(triples))
+    assert forward.terms != backward.terms      # numbered differently
+    for _ in range(10):
+        text = format_query(genutil.random_query(rng, forward))
+        assert _served(make_node(tmp_path, "f", forward), text).body["results"] == \
+            _served(make_node(tmp_path, "b", backward), text).body["results"], text
 
 
 def by_name(solutions) -> Counter:
@@ -127,7 +187,7 @@ def test_join_across_tables_keeps_bag_semantics():
     graph = Graph([Triple(IRI(f"{EX}s{i}"), IRI(f"{EX}p"), Literal(str(i % 2)))
                    for i in range(4)])
     left = evaluate(parse_query(f"SELECT ?s ?o WHERE {{ ?s <{EX}p> ?o . }}"), graph)
-    right = solutions_from_json(json.loads(solutions_to_json(left)))
+    right = solutions_from_json(json.loads(solutions_to_json(left, ids=True)))
     as_rows = SolutionSequence(["o", "s"], rows=left.rows)
     for a, b in [(left, right), (right, left), (left, as_rows), (as_rows, right),
                  (left, left)]:
@@ -146,10 +206,16 @@ def test_join_across_tables_keeps_bag_semantics():
 # --- malformed answers ---------------------------------------------------------
 
 class _OddNode(socketserver.BaseRequestHandler):
-    """Answers every request with the ``body`` of its server."""
+    """Answers every request with the ``body`` of its server, or with its
+    ``payload`` text, framed as it is, the request's correlation id put in
+    for its "%s"."""
 
     def handle(self):
         request = recv_frame(self.request)
+        if self.server.payload is not None:
+            payload = (self.server.payload % request["correlationId"]).encode()
+            self.request.sendall(len(payload).to_bytes(4, "big") + payload)
+            return
         send_frame(self.request, {
             "type": "QueryResult", "sender": "odd",
             "correlationId": request["correlationId"],
@@ -168,8 +234,9 @@ def odd_node(tmp_path):
         f"    predicates: [{EX}p]\n")
     (tmp_path / "query.rq").write_text(f"SELECT ?s WHERE {{ ?s <{EX}p> ?o . }}")
 
-    def federate(results, capsys):
+    def federate(results, capsys, payload=None):
         server.body = {"results": results} if results is not None else {}
+        server.payload = payload
         code = main(["federate", "--catalog", str(tmp_path / "catalog.yaml"),
                      "--query", str(tmp_path / "query.rq")])
         captured = capsys.readouterr()
@@ -180,36 +247,52 @@ def odd_node(tmp_path):
     server.server_close()
 
 
-def _answer(*bindings):
-    return {"head": {"vars": ["o", "s"]}, "results": {"bindings": list(bindings)}}
+def _answer(*entries, rows=None):
+    """An answer over ``?o ?s`` that lists ``entries`` as its terms; by
+    default each binds ``?s`` in one row of its own."""
+    if rows is None:
+        rows = [[None, i] for i in range(len(entries))]
+    return {"head": {"vars": ["o", "s"]}, "rows": rows, "terms": list(entries)}
 
 
 _IRI = {"type": "uri", "value": EX + "a"}
+_IRI_B = {"type": "uri", "value": EX + "b"}
 
 
 @pytest.mark.parametrize("results, detail", [
-    (_answer({"s": {"type": "uri", "value": 5}}), "value is not a string"),
-    (_answer({"s": {"value": EX + "a"}}), "unknown type None"),
-    (_answer({"s": EX + "a"}), "not an object"),
-    (_answer(EX + "a"), "not a list of objects"),
-    ({"head": {"vars": ["s"]}}, "results.bindings"),
+    (_answer({"type": "uri", "value": 5}), "value is not a string"),
+    (_answer({"value": EX + "a"}), "unknown type None"),
+    (_answer(EX + "a"), "not an object"),
+    (_answer(_IRI, rows=[EX + "a"]), "a row is not a list"),
+    ({"head": {"vars": ["s"]}, "terms": []}, "rows is not a list"),
     (None, "not a JSON object"),
-    (_answer({"s": {"type": "uri", "value": "no scheme"}}), "IRI missing scheme"),
-    (_answer({"s": {"type": "literal", "value": "a", "datatype": "x y"}}),
+    (_answer({"type": "uri", "value": "no scheme"}), "IRI missing scheme"),
+    (_answer({"type": "literal", "value": "a", "datatype": "x y"}),
      "IRI missing scheme"),
-    (_answer({"s": {"type": "literal", "value": "a", "xml:lang": ["en"]}}),
+    (_answer({"type": "literal", "value": "a", "xml:lang": ["en"]}),
      "not an object of strings"),
-    (_answer({"s": {"type": "typed-literal", "value": "a"}}), "unknown type"),
+    (_answer({"type": "typed-literal", "value": "a"}), "unknown type"),
     # terms outside the one term grammar
-    (_answer({"s": {"type": "uri", "value": EX + "{a}"}}), "forbidden character"),
-    (_answer({"s": {"type": "bnode", "value": "a b"}}), "invalid blank node label"),
-    (_answer({"s": {"type": "literal", "value": "a", "xml:lang": "en_GB"}}),
+    (_answer({"type": "uri", "value": EX + "{a}"}), "forbidden character"),
+    (_answer({"type": "bnode", "value": "a b"}), "invalid blank node label"),
+    (_answer({"type": "literal", "value": "a", "xml:lang": "en_GB"}),
      "invalid language tag"),
-    (_answer({"s": {"type": "literal", "value": "a", "datatype": [EX + "t"]}}),
+    (_answer({"type": "literal", "value": "a", "datatype": [EX + "t"]}),
      "not an object of strings"),
+    # cells: exactly an int indexing terms, or null
+    (_answer(_IRI, _IRI_B, rows=[[None, True]]), "neither null nor an index"),
+    (_answer(_IRI, _IRI_B, rows=[[None, 1.0]]), "neither null nor an index"),
+    (_answer(_IRI, rows=[[None, "0"]]), "neither null nor an index"),
+    (_answer(_IRI, rows=[[None, -1]]), "cell -1 is not an index into terms"),
+    (_answer(_IRI, rows=[[None, 1]]), "cell 1 is not an index into terms"),
+    (_answer(_IRI, rows=[[0]]), "a row does not hold 2 cells"),
+    (_answer(_IRI, rows=[{"s": 0}]), "a row is not a list"),
+    ({"head": {"vars": ["s"]}, "rows": [], "terms": {}}, "terms is not a list"),
 ], ids=["value-number", "no-type", "entry-string", "binding-string", "no-results",
         "no-document", "bad-iri", "bad-datatype", "lang-list", "unknown-type",
-        "iri-brace", "bnode-space", "lang-underscore", "datatype-list"])
+        "iri-brace", "bnode-space", "lang-underscore", "datatype-list",
+        "cell-bool", "cell-float", "cell-string", "cell-negative",
+        "cell-out-of-range", "row-width", "row-object", "terms-object"])
 def test_malformed_answer_exits_1_naming_the_source(odd_node, capsys, results, detail):
     code, out, err = odd_node(results, capsys)
     assert code == 1, err
@@ -217,26 +300,39 @@ def test_malformed_answer_exits_1_naming_the_source(odd_node, capsys, results, d
     assert "Traceback" not in err and out == ""
 
 
+@pytest.mark.parametrize("depth", [600, 900, 200_000])
+def test_an_answer_nested_too_deep_exits_1(odd_node, capsys, depth):
+    # the frame does not decode, or its results are no results document
+    payload = ('{"body":{"results":' + "[" * depth + "]" * depth + '},'
+               '"correlationId":"%s","issued":"x","sender":"odd","type":"QueryResult"}')
+    code, out, err = odd_node(None, capsys, payload=payload)
+    assert code == 1, err
+    assert "source 'odd' sent a" in err and "Traceback" not in err and out == ""
+
+
 @pytest.mark.parametrize("entry", [
     {"type": "literal", "value": "a", "xml:lang": ""},
     {"type": "literal", "value": "a", "datatype": RDF_LANGSTRING},
 ], ids=["empty-lang", "langstring-without-lang"])
 def test_language_string_without_a_tag_is_malformed(odd_node, capsys, entry):
-    with pytest.raises(ResultsFormatError, match=r"binding of \?s: .*language tag"):
-        solutions_from_json(_answer({"s": entry}))
-    code, out, err = odd_node(_answer({"s": entry}), capsys)
+    with pytest.raises(ResultsFormatError, match=r"terms\[0\]: .*language tag"):
+        solutions_from_json(_answer(entry))
+    code, out, err = odd_node(_answer(entry), capsys)
     assert code == 1, err
     assert "source 'odd' sent a malformed answer" in err and "language tag" in err, err
     assert "Traceback" not in err and out == ""
 
 
-def test_binding_of_an_unlisted_variable_is_ignored(odd_node, capsys):
-    code, out, err = odd_node(_answer({"s": _IRI, "extra": 5}), capsys)
+def test_fields_the_reader_does_not_read_are_ignored(odd_node, capsys):
+    # an unknown key, an entry field of any type, and a term no row uses
+    results = dict(_answer(dict(_IRI, extra=5), _IRI_B, rows=[[None, 0]]),
+                   results={"bindings": 5})
+    code, out, err = odd_node(results, capsys)
     assert code == 0, err
     assert json.loads(out)["results"]["bindings"] == [{"s": _IRI}]
 
 
 def test_malformed_answer_is_a_federation_error():
     assert issubclass(MalformedAnswerError, FederationError)
-    with pytest.raises(ResultsFormatError, match=r"binding of \?s: value is not a string"):
-        solutions_from_json(_answer({"s": {"type": "uri", "value": 5}}))
+    with pytest.raises(ResultsFormatError, match=r"terms\[0\]: value is not a string"):
+        solutions_from_json(_answer({"type": "uri", "value": 5}))

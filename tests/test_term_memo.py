@@ -14,7 +14,7 @@ import threading
 from datetime import datetime, timezone
 
 from conftest import make_node
-from genutil import oracle_evaluate, oracle_solutions_to_json
+from genutil import oracle_evaluate, oracle_ids_document
 from energyde import pipeline, sparql
 from energyde.connector.framing import encode_frame
 from energyde.connector.messages import Message
@@ -75,7 +75,7 @@ def test_term_interned_after_a_query_is_written_correctly(tmp_path):
                              Literal("7", f"{EX}unit")]):
         graph.insert(Triple(IRI(f"{EX}t{i}"), IRI(f"{EX}p"), obj))
         results = ask(state, text).body["results"]
-        assert json.loads(results) == oracle_solutions_to_json(oracle_evaluate(query, graph))
+        assert json.loads(results) == oracle_ids_document(oracle_evaluate(query, graph))
     assert serialize_ntriples(graph) == serialize_ntriples(Graph(list(graph)))
 
 
