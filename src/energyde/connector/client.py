@@ -9,6 +9,8 @@ from ..sparql import SolutionSequence, solutions_from_json
 from .framing import FrameError, recv_frame, send_frame
 from .messages import Message, MessageError
 
+TIMEOUT_S = 10.0                # to connect, and for each send and receive
+
 
 class RejectionError(RuntimeError):
     def __init__(self, source_id: str, reason: str, text: str):
@@ -37,14 +39,13 @@ class NodeClient:
     A fresh connection per request keeps the client thread-safe."""
 
     def __init__(self, endpoint: str, sender_id: str, contract_id: str,
-                 source_id: Optional[str] = None, timeout: float = 10.0):
+                 source_id: Optional[str] = None):
         host, _, port = endpoint.rpartition(":")
         self.host, self.port = host, int(port)
         self.endpoint = endpoint
         self.sender_id = sender_id
         self.contract_id = contract_id
         self.source_id = source_id or endpoint
-        self.timeout = timeout
 
     def request(self, type: str, body: dict) -> Message:
         """Send one request under this client's sender id and return the
@@ -54,7 +55,7 @@ class NodeClient:
         request = Message(type=type, sender=self.sender_id, body=body)
         try:
             with socket.create_connection((self.host, self.port),
-                                          timeout=self.timeout) as sock:
+                                          timeout=TIMEOUT_S) as sock:
                 send_frame(sock, request.to_dict())
                 response = Message.from_dict(recv_frame(sock))
         except OSError as exc:

@@ -17,7 +17,8 @@ class ConnectionClosed(ConnectionError):
 
 class FrameError(ValueError):
     """Frame decoded but the payload is not valid JSON, nests too deeply for
-    the decoder, or the frame is oversized."""
+    the decoder, holds an integer too long to convert, or the frame is
+    oversized."""
 
 
 def encode_frame(obj) -> bytes:
@@ -49,5 +50,5 @@ def recv_frame(sock):
     payload = _recvall(sock, length)
     try:
         return json.loads(payload.decode("utf-8"))
-    except (UnicodeDecodeError, json.JSONDecodeError, RecursionError) as exc:
+    except (ValueError, RecursionError) as exc:  # bad UTF-8 or JSON, huge int
         raise FrameError(f"undecodable frame payload: {exc}") from None

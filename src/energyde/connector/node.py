@@ -15,7 +15,7 @@ from ..rdf import Graph, IRI, load_graph
 from ..sparql import evaluate, parse_query, solutions_to_json, QueryParseError
 from ..vocab import RDF_TYPE
 from .contracts import ContractStore, authorize, load_contracts
-from .framing import ConnectionClosed, FrameError, recv_frame, send_frame
+from .framing import FrameError, recv_frame, send_frame
 from .messages import (CanonicalJSON, Message, MessageError, digest,
                        format_rfc3339, rejection)
 from .provenance import ProvenanceLog
@@ -97,11 +97,11 @@ def handle(state: NodeState, request: Message,
     ``contractId`` other than a string or null, or a ``QueryRequest`` without
     a ``query`` string, is rejected as ``MALFORMED`` before the contract
     check.  A ``QueryResult``'s ``results`` is the ``CanonicalJSON`` text
-    ``solutions_to_json(..., ids=True)`` wrote: each distinct term's binding
-    entry once, then rows of indexes into them, which
-    ``sparql.solutions_from_json`` reads.  The record's ``resultDigest``
-    hashes that text and the response frame splices it in, so the document
-    is never run through a JSON encoder."""
+    ``solutions_to_json`` wrote: each distinct term's binding entry once,
+    then rows of indexes into them, which ``sparql.solutions_from_json``
+    reads.  The record's ``resultDigest`` hashes that text and the response
+    frame splices it in, so the document is never run through a JSON
+    encoder."""
     if now is None:
         now = datetime.now(timezone.utc)
     # the record carries the clock the decision was made against, so a later
@@ -145,8 +145,7 @@ def handle(state: NodeState, request: Message,
     except QueryParseError as exc:
         return log_and_reject("MALFORMED", f"query does not parse: {exc}")
     try:
-        results = CanonicalJSON(solutions_to_json(evaluate(query, state.graph),
-                                                  ids=True))
+        results = CanonicalJSON(solutions_to_json(evaluate(query, state.graph)))
     except Exception as exc:  # evaluator fault: reject, still logged
         return log_and_reject("INTERNAL", f"evaluation failed: {exc}")
     record = log("query-served", digest(results))
@@ -177,12 +176,9 @@ class _Handler(socketserver.BaseRequestHandler):
         while True:
             try:
                 raw = recv_frame(self.request)
-            except ConnectionClosed:
-                return
-            except FrameError:
-                # not even a JSON frame: close; nothing decoded, nothing logged
-                return
-            except OSError:
+            except (FrameError, OSError):
+                # closed, or not even a JSON frame: close; nothing decoded,
+                # nothing logged
                 return
             if _nested_deeper(raw, MAX_REQUEST_DEPTH):
                 # digesting it would recurse past the interpreter's limit:

@@ -149,6 +149,15 @@ def load_mapping(path) -> MappingDocument:
     return load_document(path, parse_mapping, Path(path).parent)
 
 
+def _json_object(line: str) -> Optional[dict]:
+    """The JSON object ``line`` holds, or None if it holds none."""
+    try:
+        obj = json.loads(line)
+    except (ValueError, RecursionError):
+        return None
+    return obj if isinstance(obj, dict) else None
+
+
 def _source_header(source: LogicalSource, base_dir: Path,
                    where: str) -> Optional[set[str]]:
     path = base_dir / source.path
@@ -163,11 +172,8 @@ def _source_header(source: LogicalSource, base_dir: Path,
         raise MappingError(f"{where}.source: cannot read {path}: {exc}") from None
     if not first:
         return None  # an empty json-lines file has no schema to check
-    try:
-        header = json.loads(first)
-    except ValueError:
-        header = None
-    if not isinstance(header, dict):
+    header = _json_object(first)
+    if header is None:
         raise MappingError(f"{where}.source: first line of {path} is not a "
                            f"JSON object")
     return set(header)
@@ -194,11 +200,13 @@ def read_records(source: LogicalSource, base_dir: Path) -> list[RawRecord]:
                     records.append({k: (v if v != "" else None)
                                     for k, v in row.items()})
             else:
-                for line in fh:
+                for number, line in enumerate(fh, 1):
                     line = line.strip()
                     if not line:
                         continue
-                    obj = json.loads(line)
+                    obj = _json_object(line)
+                    if obj is None:
+                        raise MappingError(f"{path}: line {number}: not a JSON object")
                     records.append({k: (None if v is None else str(v))
                                     for k, v in obj.items()})
     except UnicodeDecodeError as exc:

@@ -17,11 +17,11 @@ terms and nothing is made when a graph loads.  It is never invalidated, as
 it needs not be: a graph only grows, ids are never reused and terms are
 immutable.
 
-``solutions_to_json`` writes two documents from the same sorted rows and
-memo.  The W3C SPARQL JSON results format is what the command line prints.
-The wire's document, after HDT's dictionary plus id triples, lists each
-distinct term's binding entry once, then the rows as indexes into that
+``solutions_to_json`` writes the one results document, which nodes send
+and the federator reads.  After HDT's dictionary plus id triples, it lists
+each distinct term's binding entry once, then the rows as indexes into that
 list: ``{"head":{"vars":[...]},"rows":[[0,1],[2,null]],"terms":[...]}``.
+The W3C SPARQL JSON results that the command line prints are read off it.
 
 The federator's side is late-materializing too.  ``solutions_from_json``
 reads the wire's document into cells over an ``AnswerTerms`` table, making
@@ -792,56 +792,44 @@ def _sorted_rows(rows: list[tuple], terms: TermTexts) -> tuple[list[tuple], set]
     return [rows[i] for i in sorted(range(len(rows)), key=keys.__getitem__)], cells
 
 
-def solutions_to_json(solutions: SolutionSequence, ids: bool = False) -> str:
-    """The solutions as canonical JSON text: sorted keys and no whitespace,
-    as ``json.dumps(doc, sort_keys=True, separators=(",", ":"))`` writes it,
-    with rows sorted by their cells' N-Triples text.  A cell's N-Triples
-    text and its binding entry's JSON text come from the term table's memo,
-    so they are made once per term, not per response, and the document is
-    joined from those fragments with no JSON encoder run over the rows.
-
-    By default the document is the W3C SPARQL JSON results format.  With
-    ``ids`` it is the wire's: ``{"head":{"vars":[...]},"rows":[...],
-    "terms":[...]}``, where ``terms`` lists each distinct cell's binding
-    entry once, sorted by N-Triples text, and each row holds one index into
-    ``terms``, or null where unbound, per distinct name of ``head.vars``.
-    Neither text depends on how the term table numbered its terms."""
+def solutions_to_json(solutions: SolutionSequence) -> str:
+    """The solutions as the results document, ``{"head":{"vars":[...]},
+    "rows":[...],"terms":[...]}``, in canonical JSON text (sorted keys, no
+    whitespace).  ``terms`` lists each distinct cell's binding entry once,
+    sorted by N-Triples text.  Each row, sorted by its cells' N-Triples
+    text, holds one index into ``terms``, or null where unbound, per
+    distinct name of ``head.vars``.  So the text does not depend on how the
+    term table numbered its terms.  Both texts of a cell come from the term
+    table's memo, and the document is joined from those fragments with no
+    JSON encoder run over the rows."""
     variables = solutions.variables
     rows, cells = _sorted_rows(solutions.cells, solutions.terms)
     fragments = solutions.terms.texts(_binding_text, cells)
-    head = '{"head":{"vars":[' + ",".join(map(_quote, variables)) + "]},"
-    if ids:
-        order = sorted(cells, key=solutions.terms.texts(format_term, cells).__getitem__)
-        index = dict(zip(order, map(str, range(len(order)))))
-        index[None] = "null"
-        # one column per distinct name, from its first column
-        names = dict.fromkeys(variables)
-        # every row through one format string, with one "%s" per cell
-        row_format = "[" + ",".join(["%s"] * len(names)) + "]"
-        return (head + '"rows":[' + ",".join([row_format] * len(rows))
-                % tuple(map(index.__getitem__, chain.from_iterable(
-                    _project(rows, _picks(variables, names)))))
-                + '],"terms":[' + ",".join(map(fragments.__getitem__, order)) + "]}")
-    # a variable projected twice binds one key, from its first column
-    keyed = sorted((v, variables.index(v)) for v in dict.fromkeys(variables))
-    # a row that binds every key is written through one format string
-    row_format = "{" + ",".join(_quote(v).replace("%", "%%") + ":%s"
-                                for v, _ in keyed) + "}"
-    return (head + '"results":{"bindings":['
-            + ",".join([row_format % tuple(map(fragments.__getitem__, row))
-                        if None not in row else
-                        "{" + ",".join([_quote(v) + ":" + fragments[cell]
-                                        for (v, _), cell in zip(keyed, row)
-                                        if cell is not None]) + "}"
-                        for row in _project(rows, [i for _, i in keyed])])
-            + "]}}")
+    order = sorted(cells, key=solutions.terms.texts(format_term, cells).__getitem__)
+    index = dict(zip(order, map(str, range(len(order)))))
+    index[None] = "null"
+    # one column per distinct name, from its first column
+    names = dict.fromkeys(variables)
+    # every row through one format string, with one "%s" per cell
+    row_format = "[" + ",".join(["%s"] * len(names)) + "]"
+    return ('{"head":{"vars":[' + ",".join(map(_quote, variables)) + ']},"rows":['
+            + ",".join([row_format] * len(rows))
+            % tuple(map(index.__getitem__, chain.from_iterable(
+                _project(rows, _picks(variables, names)))))
+            + '],"terms":[' + ",".join(map(fragments.__getitem__, order)) + "]}")
 
 
 def serialize_results(solutions: SolutionSequence) -> str:
-    """W3C SPARQL Query Results JSON Format; rows sorted lexicographically by
-    projected values for determinism."""
-    return json.dumps(json.loads(solutions_to_json(solutions)), indent=2,
-                      sort_keys=True) + "\n"
+    """The W3C SPARQL 1.1 Query Results JSON that ``energyde query`` and
+    ``energyde federate`` print, read off the results document: each row,
+    in order, binds each distinct name of ``head.vars`` to the entry in
+    ``terms`` its cell indexes, unless the cell is null."""
+    doc = json.loads(solutions_to_json(solutions))
+    names, terms = dict.fromkeys(doc["head"]["vars"]), doc["terms"]
+    bindings = [{name: terms[i] for name, i in zip(names, row) if i is not None}
+                for row in doc["rows"]]
+    return json.dumps({"head": doc["head"], "results": {"bindings": bindings}},
+                      indent=2, sort_keys=True) + "\n"
 
 
 _STRING_OR_NULL = (str, type(None))
@@ -871,9 +859,8 @@ def _entry_term(entry) -> Term:
 
 
 def solutions_from_json(doc) -> SolutionSequence:
-    """The solutions of a results document in the wire's shape, as
-    ``solutions_to_json(..., ids=True)`` writes it, as cells over a new
-    ``AnswerTerms``.  A document that is not one raises
+    """The solutions of a results document, as ``solutions_to_json`` writes
+    it, as cells over a new ``AnswerTerms``.  A document that is not one raises
     ``ResultsFormatError``: a row that is not a list, or not one cell per
     distinct name of ``head.vars``, or a cell that is neither null nor an
     int indexing ``terms``, or an entry that spells no term."""

@@ -127,6 +127,29 @@ maps:
         assert "Traceback" not in err
         assert not (tmp_path / "out.nt").exists()
 
+    @pytest.mark.parametrize("bad_line", ['{"id": ',     # not JSON
+                                          "[1,2]"],      # JSON, not an object
+                             ids=["not-json", "json-list"])
+    def test_json_lines_record_not_an_object_exits_2(self, capsys, tmp_path,
+                                                     bad_line):
+        # the first line passes the header check; the third does not parse
+        (tmp_path / "data.jsonl").write_text(
+            '{"country": "RS", "type": "Wind"}\n\n' + bad_line + "\n")
+        mapping = tmp_path / "m.yaml"
+        mapping.write_text("""
+maps:
+  - source: {path: data.jsonl, format: json-lines}
+    subject: {template: "http://example.org/{country}"}
+    po:
+      - {predicate: http://example.org/type, field: type}
+""")
+        code, out, err = run_cli(capsys, "rdfize", "--mapping", str(mapping),
+                                 "--output", str(tmp_path / "out.nt"))
+        assert code == 2, (out, err)
+        assert re.fullmatch(r"error: .*data\.jsonl: line 3: not a JSON object\n",
+                            err), err
+        assert not (tmp_path / "out.nt").exists()
+
 
 class TestPipeline:
     def test_run_reports_stages(self, capsys, workdir):
@@ -190,11 +213,14 @@ class TestFederate:
     @pytest.mark.parametrize("reply, problem", [
         (lambda request: struct.pack("!I", 8) + b"not json",
          "undecodable frame payload"),
+        # past the interpreter's limit on the digits of an int it converts
+        (lambda request: struct.pack("!I", 5000) + b"9" * 5000,
+         "undecodable frame payload"),
         (lambda request: encode_frame([1, 2]), "message must be a JSON object"),
         (lambda request: encode_frame(Message(type="QueryResult", sender="fake",
                                               body={}).to_dict()),
          "correlation id mismatch"),
-    ], ids=["not-json", "not-an-envelope", "other-correlation-id"])
+    ], ids=["not-json", "huge-int", "not-an-envelope", "other-correlation-id"])
     def test_bad_response_domain_failure(self, capsys, tmp_path, reply, problem):
         # a one-shot source that reads the request and sends ``reply`` to it
         server = socket.create_server(("127.0.0.1", 0))

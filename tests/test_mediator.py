@@ -73,8 +73,7 @@ class RespellingClient:
         return entry
 
     def query(self, text: str) -> SolutionSequence:
-        doc = json.loads(solutions_to_json(evaluate(parse_query(text), self.graph),
-                                           ids=True))
+        doc = json.loads(solutions_to_json(evaluate(parse_query(text), self.graph)))
         terms = doc["terms"]
         copies = {}         # an entry's index -> the index of its second listing
         for i in range(len(terms)):
@@ -161,7 +160,7 @@ def test_an_answer_read_off_its_frame_is_the_answer_evaluated(log_dir, seed):
     frame = encode_frame(response.to_dict())
     back = solutions_from_json(json.loads(frame[4:])["body"]["results"])
     assert genutil.bag(back) == genutil.brute_force(query, graph), format_query(query)
-    # and it prints as the local answer does
+    # and its results text is the local answer's
     assert solutions_to_json(back) == solutions_to_json(evaluate(query, graph))
 
 
@@ -187,7 +186,7 @@ def test_join_across_tables_keeps_bag_semantics():
     graph = Graph([Triple(IRI(f"{EX}s{i}"), IRI(f"{EX}p"), Literal(str(i % 2)))
                    for i in range(4)])
     left = evaluate(parse_query(f"SELECT ?s ?o WHERE {{ ?s <{EX}p> ?o . }}"), graph)
-    right = solutions_from_json(json.loads(solutions_to_json(left, ids=True)))
+    right = solutions_from_json(json.loads(solutions_to_json(left)))
     as_rows = SolutionSequence(["o", "s"], rows=left.rows)
     for a, b in [(left, right), (right, left), (left, as_rows), (as_rows, right),
                  (left, left)]:

@@ -2,7 +2,8 @@
 
 The digests were taken before mapping and validation moved to term ids, so
 a change to either that alters one byte of the pipeline's output, report or
-PROV file, or of ``energyde validate``'s report, fails here.  The pipeline
+PROV file, or of ``energyde validate``'s report, fails here, as does a
+change to one byte of what ``energyde query`` prints.  The pipeline
 runs in its own directory with relative paths, so the run id and the paths
 in the report do not depend on where the test runs.  PROV timestamps are
 masked.
@@ -12,9 +13,17 @@ import hashlib
 import re
 import shutil
 
+import pytest
+
 from energyde.cli import main
 from energyde.pipeline import load_pipeline_config, run_pipeline
 
+QUERY_OUTPUT = {  # graph, query -> sha256 of what ``energyde query`` prints
+    ("tso.nt", "sq1.rq"):
+        "989959c8c3257f7a244b93034180ef54dfed2ce32647ecf4f8a69a3d0da07ce7",
+    ("reference.nt", "sq2.rq"):
+        "f66523c47b603641636503793d10619d85bad170a48d76ecd3d756d11561598d",
+}
 PIPELINE_OUTPUT = "bfccc5373353475fa7af345c5dc1087e6f7fd3445d99992883defffcf7d1465d"
 PIPELINE_REPORT = "ab1183a43129e8140078d57b963ee50ff89f8affaf38e7ef85449ba8fc1ec76d"
 PIPELINE_PROV = "82c09b8d183fa400df077c29e970367c0d28e8bb32241d39c874dacee6a29f93"
@@ -47,3 +56,11 @@ def test_validate_report_bytes(fixture_dir, capsys):
                  "--shapes", str(fixture_dir / "shapes" / "capacity.yaml")])
     assert code == 1
     assert sha256(capsys.readouterr().out.encode()) == VALIDATE_DEFECTIVE
+
+
+@pytest.mark.parametrize("graph, query", sorted(QUERY_OUTPUT))
+def test_query_output_bytes(fixture_dir, capsys, graph, query):
+    code = main(["query", "--graph", str(fixture_dir / "graphs" / graph),
+                 "--query", str(fixture_dir / "queries" / query)])
+    assert code == 0
+    assert sha256(capsys.readouterr().out.encode()) == QUERY_OUTPUT[graph, query]

@@ -19,7 +19,8 @@ from energyde.sparql import (Query, QueryParseError, SolutionSequence,
                              solutions_from_json, solutions_to_json)
 from energyde.vocab import (RDF_TYPE, RENEWABLE_ENERGY, SUBCLASS_OF,
                             WIND_POWER, XSD_DECIMAL, XSD_INTEGER)
-from genutil import bag, brute_force, random_graph, random_query, with_values
+from genutil import (bag, brute_force, oracle_ids_document, oracle_solutions_to_json,
+                     random_graph, random_query, with_values)
 
 EX = "http://example.org/"
 
@@ -632,7 +633,13 @@ class TestDeterministicLimit:
 
 
 def results_doc(solutions: SolutionSequence) -> dict:
-    return json.loads(solutions_to_json(solutions))
+    """The W3C document ``energyde query`` prints, once the results text
+    and the printed document have each matched their oracle."""
+    assert solutions_to_json(solutions) == json.dumps(
+        oracle_ids_document(solutions), sort_keys=True, separators=(",", ":"))
+    doc = json.loads(serialize_results(solutions))
+    assert doc == oracle_solutions_to_json(solutions)
+    return doc
 
 
 class TestResults:
@@ -665,12 +672,12 @@ class TestResults:
         g = random_graph(rng, 80)
         q = random_query(rng, g)
         sols = evaluate(q, g)
-        back = solutions_from_json(json.loads(solutions_to_json(sols, ids=True)))
+        back = solutions_from_json(json.loads(solutions_to_json(sols)))
         assert bag(back) == bag(sols)
         g.insert(Triple(BlankNode("b0"), IRI("http://example.org/p0"),
                         Literal("x", lang="en")))
         sols = evaluate(parse_query("SELECT ?s ?p ?o WHERE { ?s ?p ?o . }"), g)
-        back = solutions_from_json(json.loads(solutions_to_json(sols, ids=True)))
+        back = solutions_from_json(json.loads(solutions_to_json(sols)))
         assert bag(back) == bag(sols)
         assert solutions_to_json(back) == solutions_to_json(sols)
         # one term object per distinct binding, shared by every row
