@@ -6,7 +6,7 @@ import json
 import threading
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Optional
+from typing import Iterator, Optional
 
 from ..config import ConfigError
 
@@ -58,9 +58,9 @@ class ProvenanceLog:
         self._lock = threading.Lock()
         self._next_id = 1
         if self.path.exists():
-            existing = read_log(self.path)
-            if existing:
-                self._next_id = existing[-1].id + 1
+            # every record is read and checked; only the last one is kept
+            for record in iter_log(self.path):
+                self._next_id = record.id + 1
         else:
             self.path.parent.mkdir(parents=True, exist_ok=True)
             self.path.touch()
@@ -80,24 +80,29 @@ class ProvenanceLog:
             return record
 
 
-def read_log(path) -> list[ProvenanceRecord]:
-    """The records of the log at ``path``; a ``ProvenanceLogError`` names
-    the file and line of one that cannot be read."""
+def iter_log(path) -> Iterator[ProvenanceRecord]:
+    """The records of the log at ``path``, read a line at a time; a
+    ``ProvenanceLogError`` names the file and line of one that cannot be
+    read."""
     try:
         with open(path, encoding="utf-8") as fh:
-            lines = fh.read().split("\n")
-    except UnicodeDecodeError as exc:
+            for line_no, line in enumerate(fh, start=1):
+                line = line.strip()
+                if not line:
+                    continue
+                try:
+                    record = ProvenanceRecord.from_dict(json.loads(line))
+                except (ValueError, KeyError, TypeError, AttributeError) as exc:
+                    raise ProvenanceLogError(f"{path}: line {line_no}: not a "
+                                             f"provenance record: {exc!r}") from None
+                yield record
+    except (OSError, UnicodeDecodeError) as exc:
         raise ProvenanceLogError(f"{path}: cannot read: {exc}") from None
-    records = []
-    for line_no, line in enumerate(lines, start=1):
-        line = line.strip()
-        if line:
-            try:
-                records.append(ProvenanceRecord.from_dict(json.loads(line)))
-            except (ValueError, KeyError, TypeError, AttributeError) as exc:
-                raise ProvenanceLogError(f"{path}: line {line_no}: not a "
-                                         f"provenance record: {exc!r}") from None
-    return records
+
+
+def read_log(path) -> list[ProvenanceRecord]:
+    """Every record of the log at ``path``, as ``iter_log`` reads them."""
+    return list(iter_log(path))
 
 
 def replay_audit(records, contracts, node_id: str, resource: str) -> list[str]:

@@ -6,7 +6,8 @@ import re
 import threading
 from dataclasses import dataclass
 from functools import lru_cache
-from itertools import filterfalse, repeat
+from itertools import chain, filterfalse, repeat
+from pathlib import Path
 from typing import Callable, Iterable, Iterator, Optional, Sequence, TypeVar, Union
 
 from .vocab import RDF_LANGSTRING, XSD_STRING
@@ -191,6 +192,15 @@ class Graph:
     one object in practice.  The duplicate check scans the shorter of the
     triple's SPO and POS leaves.
 
+    Leaves are read-only sequences to every reader; ``_add`` is the one
+    writer.  Most subjects have one object per predicate, so an SPO leaf
+    that holds one object is a 1-tuple shared by every leaf that holds just
+    that object, kept in one dict per graph (``_single``), as HDT's compact
+    triples share what repeats.  ``_add`` replaces such a leaf with a list
+    when a second object arrives; it never modifies a tuple.  POS leaves
+    stay lists: one that holds one subject is rare, and a subject seldom
+    shares it, so sharing them would not pay.
+
     One lock guards the indexes.  Each read takes it and materializes its
     result, so iteration stays stable while other threads insert.  A reader
     that probes many times, such as a BGP evaluated a column at a time,
@@ -215,8 +225,10 @@ class Graph:
     def __init__(self, triples: Iterable[Triple] = ()):
         self._terms = TermTable()
         self._ids: dict[Term, int] = {}
-        self._spo: dict[int, dict[int, list[int]]] = {}
+        self._spo: dict[int, dict[int, Sequence[int]]] = {}
         self._pos: dict[int, dict[int, list[int]]] = {}
+        # object id -> the shared SPO leaf that holds that object alone
+        self._single: dict[int, tuple[int]] = {}
         # how many triples each predicate has; the graph's size is their sum
         self._per_predicate: dict[int, int] = {}
         self._lock = threading.RLock()
@@ -337,7 +349,7 @@ class Graph:
                         for y in by_o.get(o, ())]
             return list(self._id_triples())
 
-    def entries(self, subjects: Iterable[int]) -> list[dict[int, list[int]]]:
+    def entries(self, subjects: Iterable[int]) -> list[dict[int, Sequence[int]]]:
         """Each subject's SPO entry, in order: a dict from predicate id to
         the subject's objects for it, empty where the graph holds no triple
         with that subject.  A caller that binds a column of subjects reads
@@ -397,15 +409,16 @@ class Graph:
         the lock."""
         by_p = self._spo.get(s)
         if by_p is None:
-            self._spo[s] = {p: [o]}
+            by_p = self._spo[s] = {}
+        objects = by_p.get(p)
+        if objects is None:
+            by_p[p] = self._single.get(o) or self._single.setdefault(o, (o,))
+        elif self._has(s, p, o):
+            return
+        elif type(objects) is tuple:
+            by_p[p] = [objects[0], o]
         else:
-            objects = by_p.get(p)
-            if objects is None:
-                by_p[p] = [o]
-            elif self._has(s, p, o):
-                return
-            else:
-                objects.append(o)
+            objects.append(o)
         by_o = self._pos.get(p)
         if by_o is None:
             self._pos[p] = {o: [s]}
@@ -596,22 +609,36 @@ def _token_term(token: str) -> Term:
     return _LineScanner(token, 0).term()
 
 
-def parse_ntriples(text: str) -> Graph:
-    """Parse N-Triples text, one statement per line.  Fails fast on the first
-    syntax error, reporting its line number.
+# how many token texts the parser remembers the term ids of: a token
+# repeats mostly on nearby lines (a subject) or on many lines (a predicate,
+# a class), so the table is emptied when full, which bounds the load's
+# memory whatever the number of distinct terms
+_TOKEN_CACHE = 4096
 
-    Lines the fast-path regex accepts go straight to term ids: each distinct
-    token text is turned into a term, checked and interned once.  Every other
-    line, and every error, goes through ``_scan_line``."""
+
+def _parse_lines(lines: Iterable[str]) -> Graph:
+    """The graph of N-Triples ``lines``, each without its line separator.
+    Fails fast on the first syntax error, reporting its line number.
+
+    Lines the fast-path regex accepts go straight to term ids: a token text
+    is turned into a term, checked and interned once while it stays in the
+    token table.  Every other line, and every error, goes through
+    ``_scan_line``."""
     graph = Graph()                 # no other thread sees it yet: no lock
-    ids: dict[str, int] = {}        # token text -> term id
+    ids: dict[str, int] = {}        # token text -> term id, at most _TOKEN_CACHE
+
+    def token_id(token: str) -> int:
+        if len(ids) >= _TOKEN_CACHE:
+            ids.clear()
+        tid = ids[token] = graph._intern(_token_term(token))
+        return tid
+
     fast_line = _NT_LINE.fullmatch
-    for line_no, line in enumerate(text.splitlines(), start=1):
+    for line_no, line in enumerate(lines, start=1):
         match = fast_line(line)
         if match is not None:
             try:
-                s, p, o = [ids[token] if token in ids
-                           else ids.setdefault(token, graph._intern(_token_term(token)))
+                s, p, o = [ids[token] if token in ids else token_id(token)
                            for token in match.groups()]
             except RdfError:
                 match = None
@@ -622,6 +649,33 @@ def parse_ntriples(text: str) -> Graph:
             s, p, o = (graph._intern(term) for term in triple)
         graph._add(s, p, o)
     return graph
+
+
+def parse_ntriples(text: str) -> Graph:
+    """Parse N-Triples text, one statement per line, split as
+    ``str.splitlines`` splits it."""
+    return _parse_lines(text.splitlines())
+
+
+# how many characters load_graph reads at a time: its temporary memory is a
+# buffer's text and lines, whatever the size of the file
+_LOAD_BUFFER = 1 << 16
+# the characters str.splitlines ends a line at, but "\r": a file read with
+# universal newlines holds none, since "\r\n" and "\r" come back as "\n"
+_LINE_ENDS = frozenset("\n\x0b\x0c\x1c\x1d\x1e\x85\u2028\u2029")
+
+
+def _buffered_lines(fh) -> Iterator[list[str]]:
+    """The lines of the text file ``fh``, opened with universal newlines, a
+    buffer at a time: together they are the lines ``str.splitlines`` makes
+    of its whole text.  A line that a buffer cuts is carried into the next."""
+    carry = ""
+    while chunk := fh.read(_LOAD_BUFFER):
+        lines = (carry + chunk).splitlines()
+        carry = "" if chunk[-1] in _LINE_ENDS else lines.pop()
+        yield lines
+    if carry:
+        yield [carry]
 
 
 def format_term(term: Term) -> str:
@@ -652,12 +706,29 @@ def serialize_ntriples(graph: Graph) -> str:
 
 
 def load_graph(path) -> Graph:
+    """The graph of the N-Triples file at ``path``, parsed a buffer at a
+    time as ``parse_ntriples`` parses its text.  An ``RdfError`` names the
+    file when it cannot be opened or read, or holds a byte that is not
+    UTF-8, even after a syntax error."""
     try:
         with open(path, encoding="utf-8") as fh:
-            text = fh.read()
+            try:
+                return _parse_lines(chain.from_iterable(_buffered_lines(fh)))
+            except NTriplesParseError:
+                while fh.read(_LOAD_BUFFER):    # an undecodable byte outranks it
+                    pass
+                raise
+    except OSError as exc:
+        error = exc
     except UnicodeDecodeError as exc:
-        raise RdfError(f"{path}: cannot read: {exc}") from None
-    return parse_ntriples(text)
+        # the decoder counts a byte's position from the chunk it was given;
+        # the file's bytes, decoded whole, give the byte's place in the file
+        error = exc
+        try:
+            Path(path).read_bytes().decode("utf-8")
+        except (OSError, UnicodeDecodeError) as whole:
+            error = whole
+    raise RdfError(f"{path}: cannot read: {error}") from None
 
 
 def save_graph(graph: Graph, path) -> None:

@@ -429,6 +429,18 @@ class TestBadConfig:
         assert "Traceback" not in err
         assert not (workdir / "out.nt").exists()
 
+    @pytest.mark.parametrize("argv", [
+        lambda work: ("query", "--graph", str(work / "graphs"),
+                      "--query", str(work / "queries" / "sq2.rq")),
+        lambda work: ("serve", "--config", str(work / "nodes" / "tso.yaml")),
+    ], ids=["query", "serve"])
+    def test_graph_path_that_is_a_directory_exits_2(self, capsys, workdir, argv):
+        config = workdir / "nodes" / "tso.yaml"
+        config.write_text(_replace("../graphs/tso.nt", "../graphs")(config.read_text()))
+        code, out, err = run_cli(capsys, *argv(workdir))
+        assert code == 2 and out == ""
+        assert re.fullmatch(r"error: \S*graphs: cannot read: .*\n", err), err
+
     def test_scenario_rejection_mismatch_is_a_domain_failure(self, capsys,
                                                             workdir):
         script = workdir / "scenario.yaml"

@@ -22,8 +22,8 @@ from energyde.connector.messages import (CanonicalJSON, Message, MessageError,
                                          rejection)
 from energyde.connector import client, node
 from energyde.connector.node import handle
-from energyde.connector.provenance import (ProvenanceLog, read_log,
-                                           replay_audit)
+from energyde.connector.provenance import (ProvenanceLog, ProvenanceLogError,
+                                           read_log, replay_audit)
 from energyde.rdf import BlankNode, Graph, IRI, Literal, Triple, parse_ntriples
 from energyde.sparql import (SolutionSequence, parse_query, serialize_results,
                              solutions_to_json)
@@ -452,6 +452,27 @@ class TestProvenance:
             kind="query-rejected", consumer="fed", contract="c",
             request_digest="r", result_digest="s", timestamp=format_rfc3339())
         assert record.id == 2
+
+    def test_resume_reads_and_checks_every_record(self, tmp_path):
+        path = tmp_path / "p.jsonl"
+        log = ProvenanceLog(path)
+        for _ in range(7):
+            log.append(kind="query-served", consumer="fed", contract="c",
+                       request_digest="r", result_digest="s",
+                       timestamp=format_rfc3339())
+        record = ProvenanceLog(path).append(
+            kind="query-rejected", consumer="fed", contract=None,
+            request_digest="r", result_digest="s", timestamp=format_rfc3339())
+        assert record.id == 8
+        # a corrupt record in the middle fails start-up, though the last
+        # record is sound
+        lines = path.read_text(encoding="utf-8").split("\n")
+        lines[3] = lines[3].replace('"consumer": "fed"', '"consumer": 5')
+        path.write_text("\n".join(lines), encoding="utf-8")
+        with pytest.raises(ProvenanceLogError,
+                           match=r"p\.jsonl: line 4: not a provenance record: "
+                                 r"TypeError\('consumer is not a string"):
+            ProvenanceLog(path)
 
     def test_replay_audit_clean_log(self, tmp_path):
         state = make_node(tmp_path, "tso", small_graph())

@@ -1,17 +1,21 @@
+import gc
 import hashlib
 import itertools
 import random
 import re
 import sys
+import tracemalloc
+from unittest import mock
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from energyde import rdf, sparql
 from energyde.rdf import (BlankNode, Graph, IRI, Literal, NTriplesParseError,
-                          RdfError, Triple, parse_ntriples,
-                          serialize_ntriples)
-from energyde.vocab import (GENERATION_CAPACITY, RDF_LANGSTRING, RDF_TYPE,
+                          RdfError, Triple, format_term, load_graph, parse_ntriples,
+                          save_graph, serialize_ntriples)
+from energyde.vocab import (AGG_YEAR, COUNTRY, ENERGY, GENERATION_CAPACITY, MEASURE,
+                            PRODUCTION_TYPE, RDF_LANGSTRING, RDF_TYPE, XSD_DECIMAL,
                             XSD_INTEGER, XSD_STRING)
 from genutil import oracle_escape, random_graph
 
@@ -266,11 +270,70 @@ _triple = st.builds(Triple,
                     object=_term)
 
 
-@given(st.lists(_triple, max_size=40))
+# few subjects, predicates and objects: most SPO leaves start as a shared
+# one-object tuple, and many are then promoted to a list
+_promoting_triple = st.builds(
+    Triple,
+    subject=st.sampled_from([IRI(f"{EX}n{i}") for i in range(3)] + [BlankNode("b")]),
+    predicate=st.sampled_from([IRI(f"{EX}p{i}") for i in range(2)]),
+    object=st.sampled_from([IRI(f"{EX}n{i}") for i in range(3)]
+                           + [Literal(str(i)) for i in range(3)]))
+
+
+@given(st.lists(_triple, max_size=40) | st.lists(_promoting_triple, max_size=40))
 def test_round_trip_property(triples):
     g = Graph(triples)
     assert parse_ntriples(serialize_ntriples(g)) == g
     assert len(g) == len(set(triples))
+
+
+def assert_agrees_with_set(g: Graph, triples: set) -> None:
+    """``g`` holds exactly ``triples``, as ``match_ids``, ``count_ids``,
+    ``entries``, ``==`` and ``serialize_ntriples`` each tell it."""
+    assert len(g) == len(triples)
+    assert g == Graph(sorted(triples, key=repr, reverse=True))
+    assert serialize_ntriples(g) == "".join(sorted(
+        f"{format_term(s)} {format_term(p)} {format_term(o)} .\n" for s, p, o in triples))
+    assert parse_ntriples(serialize_ntriples(g)) == g
+    positions = [[None] + sorted(set(terms), key=repr) for terms in zip(*triples)] \
+        if triples else [[None]] * 3
+    for pattern in itertools.product(*positions):
+        ids = [None if x is None else g.term_id(x) for x in pattern]
+        found = g.match_ids(*ids)
+        assert g.count_ids(*ids) == len(found) == len(set(found)), pattern
+        assert {Triple(*(g.terms[i] for i in tr)) for tr in found} == \
+            {tr for tr in triples
+             if all(x is None or x == y for x, y in zip(pattern, tr))}, pattern
+    subjects = positions[0][1:]
+    with g.lock:
+        entries = g.entries([g.term_id(s) for s in subjects])
+    for s, entry in zip(subjects, entries):
+        assert {Triple(s, g.terms[p], g.terms[o]) for p, objects in entry.items()
+                for o in objects} == {tr for tr in triples if tr.subject == s}
+
+
+class TestSharedLeaves:
+    def test_a_second_object_replaces_the_shared_leaf(self):
+        s1, s2, p = IRI(EX + "s1"), IRI(EX + "s2"), IRI(EX + "p")
+        o, o2 = Literal("o"), Literal("o2")
+        g = Graph([Triple(s1, p, o), Triple(s2, p, o)])
+        g.insert(Triple(s1, p, o2))
+        assert g.match(s2, p) == [Triple(s2, p, o)]
+        assert set(g.match(s1, p)) == {Triple(s1, p, o), Triple(s1, p, o2)}
+        assert_agrees_with_set(g, {Triple(s1, p, o), Triple(s2, p, o),
+                                   Triple(s1, p, o2)})
+        # a duplicate goes into neither leaf
+        assert g.insert(Triple(s1, p, o2)) == g.insert(Triple(s2, p, o)) == 3
+        assert g.match(s2, p) == [Triple(s2, p, o)]
+
+    @settings(max_examples=200)
+    @given(st.lists(_promoting_triple, max_size=30))
+    def test_promoted_leaves_agree_with_a_set(self, triples):
+        g = Graph(triples)
+        assert_agrees_with_set(g, set(triples))
+        copy = Graph()                      # insert_encoded, from another graph
+        copy.update(g)
+        assert_agrees_with_set(copy, set(triples))
 
 
 # sha256 of the files generate_fixtures(1) writes and of tricky_graph()'s
@@ -408,3 +471,147 @@ def test_escape_matches_the_character_loop(text):
         assert escaped is text      # the fast path: nothing to rewrite
     assert parse_ntriples(f'<{EX}s> <{EX}p> "{escaped}" .\n') == \
         Graph([Triple(IRI(EX + "s"), IRI(EX + "p"), Literal(text))])
+
+
+# --- load_graph: the file a buffer at a time --------------------------------
+
+def test_line_ends_are_those_of_splitlines_but_cr():
+    every = map(chr, range(sys.maxunicode + 1))
+    assert {c for c in every if len(f"a{c}b".splitlines()) == 2} == \
+        rdf._LINE_ENDS | {"\r"}
+
+
+_SEPARATORS = ["\n", "\r\n", "\r", "\x85", "\u2028", "\x0b", "\x0c", "\x1c", "\u2029"]
+_BAD_LINE = f'<{EX}s> <{EX}p> "unterminated'
+_load_line = st.one_of(
+    st.builds(lambda s, o: f"<{EX}s{s}> <{EX}p> {o} .", st.integers(0, 3),
+              st.sampled_from(['"a"', '"\u00e9\u4e2d"', '"q\\"\\u00e9"', "_:b1",
+                               f"<{EX}o>", '"x"@en'])),
+    st.sampled_from(["", " ", "\t", "# comment", " # \u00e9"]))
+
+
+@pytest.fixture(scope="module")
+def nt_file(tmp_path_factory):
+    return tmp_path_factory.mktemp("load") / "g.nt"
+
+
+def assert_loads_as_parsed(path, text: str) -> None:
+    """``load_graph`` on ``text`` written to ``path`` gives the graph, or the
+    error with its line number, that ``parse_ntriples(text)`` gives."""
+    path.write_bytes(text.encode("utf-8"))
+    try:
+        expected, error = parse_ntriples(text), None
+    except NTriplesParseError as exc:
+        expected, error = None, exc
+    try:
+        loaded = load_graph(path)
+    except NTriplesParseError as exc:
+        assert error is not None and exc.line_no == error.line_no, (exc, error)
+        assert str(exc) == str(error)
+    else:
+        assert error is None, error
+        assert loaded == expected and len(loaded) == len(expected)
+
+
+@settings(max_examples=300)
+@given(lines=st.lists(st.tuples(_load_line, st.sampled_from(_SEPARATORS)), max_size=30),
+       last_ends=st.booleans(), bad=st.none() | st.integers(0, 30),
+       buffer=st.integers(1, 12), cache=st.integers(1, 4))
+def test_load_graph_parses_as_parse_ntriples(nt_file, lines, last_ends, bad, buffer,
+                                             cache):
+    """Statement, blank and comment lines, joined by any line separator:
+    small buffers cut lines, "\r\n" pairs and UTF-8 sequences anywhere,
+    and a small token table is emptied often."""
+    if bad is not None:
+        lines.insert(min(bad, len(lines)), (_BAD_LINE, "\n"))
+    pieces = [line + sep for line, sep in lines]
+    if lines and not last_ends:
+        pieces[-1] = lines[-1][0]
+    with mock.patch.object(rdf, "_LOAD_BUFFER", buffer), \
+            mock.patch.object(rdf, "_TOKEN_CACHE", cache):
+        assert_loads_as_parsed(nt_file, "".join(pieces))
+
+
+class TestLoadAcrossBuffers:
+    """A file longer than one buffer, with a "\\r\\n" whose "\\r" is the
+    last character of the first buffer."""
+
+    def text(self, *tail: str) -> str:
+        head = "".join(f"<{EX}s{i}> <{EX}p> \"{i}\" .\n" for i in range(100))
+        pad = "#" * (rdf._LOAD_BUFFER - len(head) - 1)
+        text = head + pad + "\r\n" + "".join(line + "\u2028" for line in tail)
+        assert text.index("\r") == rdf._LOAD_BUFFER - 1
+        return text
+
+    def test_graph(self, tmp_path):
+        text = self.text(f"<{EX}s> <{EX}p> \"after\" .", "", "# c")
+        assert_loads_as_parsed(tmp_path / "g.nt", text)
+        assert len(load_graph(tmp_path / "g.nt")) == 101
+
+    def test_bad_line(self, tmp_path):
+        text = self.text(f"<{EX}s> <{EX}p> \"after\" .", "", _BAD_LINE)
+        assert_loads_as_parsed(tmp_path / "g.nt", text)
+        with pytest.raises(NTriplesParseError) as exc:
+            load_graph(tmp_path / "g.nt")
+        assert exc.value.line_no == 104
+
+    @pytest.mark.parametrize("tail", [[], [_BAD_LINE]], ids=["sound", "after-a-bad-line"])
+    def test_byte_that_is_not_utf8(self, tmp_path, tail):
+        # two buffers of comments before the byte: the parser meets the bad
+        # line well before the byte is decoded
+        filler = ("#" * 99 + "\n") * (2 * rdf._LOAD_BUFFER // 100)
+        data = (self.text(*tail) + filler).encode("utf-8") + b'<urn:s> <urn:p> "\xff" .\n'
+        (tmp_path / "g.nt").write_bytes(data)
+        at = data.index(0xFF)           # past the decoder's first chunk of bytes
+        with pytest.raises(RdfError, match=r"g\.nt: cannot read: 'utf-8' codec can't "
+                                           rf"decode byte 0xff in position {at}:") as exc:
+            load_graph(tmp_path / "g.nt")
+        assert not isinstance(exc.value, NTriplesParseError)
+
+
+# --- memory -------------------------------------------------------------------
+
+def capacity_graph(records: int) -> Graph:
+    """Six triples per record, shaped as the pipeline's capacity records:
+    a type, a country, a production type, a year and a source shared by
+    many records, and a measure that two or three records share, as in the
+    benchmark's TSO graph (4,451 distinct objects in 60,040 triples)."""
+    graph = Graph()
+    for i in range(records):
+        s = IRI(f"{ENERGY}capacity/{i}")
+        graph.insert(Triple(s, IRI(RDF_TYPE), IRI(GENERATION_CAPACITY)))
+        graph.insert(Triple(s, IRI(COUNTRY), IRI(f"{ENERGY}country/C{i % 100}")))
+        graph.insert(Triple(s, IRI(PRODUCTION_TYPE), IRI(f"{ENERGY}type/T{i % 20}")))
+        graph.insert(Triple(s, IRI(AGG_YEAR), Literal(str(2018 + i % 5), XSD_INTEGER)))
+        graph.insert(Triple(s, IRI(MEASURE), Literal(f"{i * 7 % 1459}.5", XSD_DECIMAL)))
+        graph.insert(Triple(s, IRI(ENERGY + "sourceDataset"), IRI(ENERGY + "entsoe")))
+    return graph
+
+
+def traced_load(path) -> tuple[Graph, int, int]:
+    """The graph at ``path``, the bytes its load left allocated, and the
+    most it had allocated at once, by ``tracemalloc``."""
+    gc.collect()
+    tracemalloc.start()
+    try:
+        graph = load_graph(path)
+        gc.collect()
+        retained, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    return graph, retained, peak
+
+
+def test_load_memory_is_the_graph(tmp_path):
+    """(a) the load's temporary memory is a buffer's lines and the token
+    table, not the file's text; (b) the graph keeps one shared tuple per
+    object, not a list per one-object leaf."""
+    path = tmp_path / "capacity.nt"
+    save_graph(capacity_graph(3400), path)
+    size = path.stat().st_size
+    graph, retained, peak = traced_load(path)
+    assert len(graph) == 20400
+    # measured: 0.21 of the file and 145 B per triple; a token table with
+    # no bound takes 0.35, and a list per one-object leaf 202 B
+    assert peak - retained < 0.3 * size, (peak - retained, size)
+    assert retained / len(graph) < 170, retained / len(graph)
