@@ -14,7 +14,7 @@ from dataclasses import replace
 from pathlib import Path
 
 from . import federation, fixtures, pipeline, scenario
-from .config import ConfigError, read_text
+from .config import ConfigError, read_text, write_text
 from .connector.client import (BadResponseError, RejectionError,
                                SourceUnreachableError)
 from .connector.contracts import load_contracts
@@ -54,7 +54,7 @@ def cmd_validate(args) -> int:
     report = validate(graph, shape_list)
     text = report.to_json()
     if args.report:
-        Path(args.report).write_text(text, encoding="utf-8")
+        write_text(args.report, text)
     sys.stdout.write(text)
     return 0 if report.conforms else 1
 

@@ -171,6 +171,18 @@ def read_text(path) -> str:
         raise ConfigError(f"{path}: cannot read: {exc}") from None
 
 
+def write_text(path, text: str) -> None:
+    """Write ``text`` as UTF-8 to the file at ``path``, making its missing
+    parent directories; a ``ConfigError`` that names the file when it
+    cannot be written."""
+    path = Path(path)
+    try:
+        path.parent.mkdir(parents=True, exist_ok=True)
+        path.write_text(text, encoding="utf-8")
+    except OSError as exc:
+        raise ConfigError(f"{path}: cannot write: {exc}") from None
+
+
 def load_document(path, parse: Callable, *args):
     """``parse(text, *args)`` over the file at ``path``, whose path then
     leads the message of any ``ConfigError``."""

@@ -15,6 +15,7 @@ from decimal import Decimal
 from pathlib import Path
 
 from . import vocab
+from .config import write_text
 from .mapping import load_mapping, apply_mapping
 from .pipeline import LinkingSpec, canonical_decimal, link_entities
 from .rdf import Graph, IRI, Literal, Triple, serialize_ntriples
@@ -35,12 +36,6 @@ CIM_STATUS = CIM + "status"
 _OTHER_TYPES = ["Hydro", "Solar", "Gas", "Biomass"]
 _COUNTRIES = ["RS", "DE", "AT", "HU"]
 _ZONES = ["Z1", "Z2", "Z3"]
-
-
-def _write(path: Path, text: str) -> None:
-    """Write ``text`` to ``path``, creating its parent directories."""
-    path.parent.mkdir(parents=True, exist_ok=True)
-    path.write_text(text, encoding="utf-8")
 
 
 def _add(graph: Graph, s: str, p: str, o) -> None:
@@ -75,7 +70,7 @@ def _write_csv(path: Path, header: list, rows: list) -> None:
     writer = csv.DictWriter(buffer, fieldnames=header, lineterminator="\n")
     writer.writeheader()
     writer.writerows(rows)
-    _write(path, buffer.getvalue())
+    write_text(path, buffer.getvalue())
 
 
 _CAPACITY_MAPPING = """\
@@ -445,13 +440,13 @@ def generate_fixtures(seed: int, out_dir) -> Path:
     _write_csv(out / "raw" / "plant_production.csv",
                ["plant", "date", "hour", "measure"], production_rows)
 
-    _write(out / "mappings" / "capacity.yaml", _CAPACITY_MAPPING)
-    _write(out / "mappings" / "pipeline.yaml", _PIPELINE_MAPPING)
-    _write(out / "shapes" / "capacity.yaml", _CAPACITY_SHAPES)
-    _write(out / "contracts" / "contracts.yaml", _CONTRACTS)
+    write_text(out / "mappings" / "capacity.yaml", _CAPACITY_MAPPING)
+    write_text(out / "mappings" / "pipeline.yaml", _PIPELINE_MAPPING)
+    write_text(out / "shapes" / "capacity.yaml", _CAPACITY_SHAPES)
+    write_text(out / "contracts" / "contracts.yaml", _CONTRACTS)
 
     reference = _reference_graph()
-    _write(out / "graphs" / "reference.nt", serialize_ntriples(reference))
+    write_text(out / "graphs" / "reference.nt", serialize_ntriples(reference))
 
     # materialize the TSO graph exactly as the pipeline would: mapping + linking
     doc = load_mapping(out / "mappings" / "pipeline.yaml")
@@ -459,36 +454,36 @@ def generate_fixtures(seed: int, out_dir) -> Path:
     link_entities(tso_graph, reference,
                   LinkingSpec(label_predicate=RDFS_LABEL,
                               reference_path=str(out / "graphs" / "reference.nt")))
-    _write(out / "graphs" / "tso.nt", serialize_ntriples(tso_graph))
+    write_text(out / "graphs" / "tso.nt", serialize_ntriples(tso_graph))
 
     capacity_only = apply_mapping(load_mapping(out / "mappings" / "capacity.yaml"),
                                   base_dir=out / "mappings").graph
     defective, manifest = _seed_defects(capacity_only)
-    _write(out / "graphs" / "capacity_defective.nt",
-           serialize_ntriples(defective))
-    _write(out / "defects.json", json.dumps(manifest, indent=2) + "\n")
+    write_text(out / "graphs" / "capacity_defective.nt",
+               serialize_ntriples(defective))
+    write_text(out / "defects.json", json.dumps(manifest, indent=2) + "\n")
 
     # the graph builders draw from rng in this order
     for name, build in (("supplier", _supplier_graph), ("producer", _producer_graph),
                         ("tso_load", _tso_load_graph), ("forecast", _forecast_graph)):
-        _write(out / "graphs" / f"{name}.nt", serialize_ntriples(build(rng)))
+        write_text(out / "graphs" / f"{name}.nt", serialize_ntriples(build(rng)))
 
     for node_id, graphs in _NODE_GRAPHS.items():
-        _write(out / "nodes" / f"{node_id}.yaml", _node_config(node_id, graphs))
-    _write(out / "nodes.yaml", _NODES_FILE)
+        write_text(out / "nodes" / f"{node_id}.yaml", _node_config(node_id, graphs))
+    write_text(out / "nodes.yaml", _NODES_FILE)
 
-    _write(out / "catalog.yaml", _catalog("tso", "wiki"))
-    _write(out / "catalog_full.yaml", _catalog("tso", "wiki", "supplier"))
+    write_text(out / "catalog.yaml", _catalog("tso", "wiki"))
+    write_text(out / "catalog_full.yaml", _catalog("tso", "wiki", "supplier"))
 
-    _write(out / "queries" / "federated.rq", _FEDERATED_QUERY)
-    _write(out / "queries" / "federated_verbatim.rq", _FEDERATED_QUERY_VERBATIM)
-    _write(out / "queries" / "sq1.rq", _SQ1)
-    _write(out / "queries" / "sq2.rq", _SQ2)
+    write_text(out / "queries" / "federated.rq", _FEDERATED_QUERY)
+    write_text(out / "queries" / "federated_verbatim.rq", _FEDERATED_QUERY_VERBATIM)
+    write_text(out / "queries" / "sq1.rq", _SQ1)
+    write_text(out / "queries" / "sq2.rq", _SQ2)
     for name, text in _SCENARIO_QUERIES.items():
-        _write(out / "queries" / name, text)
+        write_text(out / "queries" / name, text)
 
-    _write(out / "scenario.yaml", _SCENARIO)
-    _write(out / "pipeline.yaml", _PIPELINE_CONFIG)
+    write_text(out / "scenario.yaml", _SCENARIO)
+    write_text(out / "pipeline.yaml", _PIPELINE_CONFIG)
     (out / "logs").mkdir(exist_ok=True)
     return out
 

@@ -4,6 +4,7 @@ linking, validation, and load, with a provenance graph alongside the output."""
 from __future__ import annotations
 
 import hashlib
+import heapq
 import json
 import shutil
 from dataclasses import dataclass
@@ -12,10 +13,11 @@ from pathlib import Path
 from typing import Iterable, Optional
 
 from .config import (ConfigError, Section, load_document, one_of, read_document,
-                     scalar, strings)
+                     scalar, strings, write_text)
 from .connector.messages import format_rfc3339
 from .mapping import LogicalSource, RawRecord, load_mapping, read_records, source_format
-from .rdf import Graph, IRI, Literal, Triple, load_graph, save_graph, serialize_ntriples
+from .rdf import (Graph, IRI, Literal, Triple, format_term, load_graph, save_graph,
+                  serialize_ntriples)
 from .shapes import load_shapes, validate
 from .vocab import OWL_SAMEAS, PREFIXES, PROV, RDF_TYPE, XSD_DATETIME
 
@@ -132,16 +134,17 @@ class LinkingSpec:
 
 
 def link_entities(graph: Graph, reference: Graph,
-                  spec: LinkingSpec) -> tuple[int, list]:
+                  spec: LinkingSpec) -> tuple[list[Triple], list]:
     """Exact-label linking: for each local node and reference node carrying an
-    equal label, add a sameAs link into ``graph``.  Returns the link count and
-    the ambiguous labels (one local label matching several reference nodes)."""
+    equal label, add a sameAs link into ``graph``.  Returns the links the
+    graph did not hold yet, as triples in the order they went in, and the
+    ambiguous labels (one local label matching several reference nodes)."""
     label = IRI(spec.label_predicate)
     by_label: dict[str, list] = {}
     for triple in reference.match(None, label, None):
         if isinstance(triple.object, Literal):
             by_label.setdefault(triple.object.lexical, []).append(triple.subject)
-    links = 0
+    links = []
     ambiguous = []
     link_pred = IRI(spec.link_predicate)
     for triple in list(graph.match(None, label, None)):
@@ -152,8 +155,9 @@ def link_entities(graph: Graph, reference: Graph,
             ambiguous.append(triple.object.lexical)
         for target in matches:
             before = len(graph)
-            if graph.insert(Triple(triple.subject, link_pred, target)) > before:
-                links += 1
+            link = Triple(triple.subject, link_pred, target)
+            if graph.insert(link) > before:
+                links.append(link)
     return links, sorted(set(ambiguous))
 
 
@@ -314,20 +318,25 @@ def run_pipeline(config: PipelineConfig) -> dict:
     mapped_size = len(graph)
     report["stages"]["mapping"] = {"triples": mapped_size,
                                    "record_errors": len(map_errors)}
-    mapped_digest = hashlib.sha256(
-        serialize_ntriples(graph).encode()).hexdigest()
+    mapped_text = serialize_ntriples(graph)
+    mapped_digest = hashlib.sha256(mapped_text.encode()).hexdigest()
     prov.activity("mapping", used=[s["digest"] for s in staged],
                   generated=[mapped_digest], started=started, ended=format_rfc3339())
 
     # linking / enrichment
     started = format_rfc3339()
-    link_count = 0
+    links: list = []
     ambiguous: list = []
     if config.linking is not None:
         reference = load_graph(config.linking.reference_path)
-        link_count, ambiguous = link_entities(graph, reference, config.linking)
-    report["stages"]["linking"] = {"links": link_count, "ambiguous": ambiguous}
-    linked_text = serialize_ntriples(graph)
+        links, ambiguous = link_entities(graph, reference, config.linking)
+    report["stages"]["linking"] = {"links": len(links), "ambiguous": ambiguous}
+    # linking only adds triples, so serialize_ntriples(graph) is the mapped
+    # lines with the links' lines, their texts off the memo, merged in
+    texts = graph.terms.texts(format_term, range(len(graph.terms)))
+    lines = list(heapq.merge(mapped_text.splitlines(), sorted(
+        " ".join(texts[graph.term_id(term)] for term in link) + " ." for link in links)))
+    linked_text = "\n".join(lines) + "\n" if lines else ""
     linked_digest = hashlib.sha256(linked_text.encode()).hexdigest()
     prov.activity("linking", used=[mapped_digest], generated=[linked_digest],
                   started=started, ended=format_rfc3339())
@@ -354,9 +363,8 @@ def run_pipeline(config: PipelineConfig) -> dict:
         report["stages"]["load"] = {"skipped": True,
                                     "reason": "validation failed, policy=block"}
     else:
-        config.output_path.parent.mkdir(parents=True, exist_ok=True)
         # the output file holds exactly the text linked_digest was taken over
-        config.output_path.write_text(linked_text, encoding="utf-8")
+        write_text(config.output_path, linked_text)
         report["loaded"] = True
         report["stages"]["load"] = {"skipped": False, "triples": len(graph),
                                     "output": str(config.output_path),
@@ -370,6 +378,5 @@ def _finish(report: dict, config: PipelineConfig, prov: _ProvBuilder) -> dict:
     save_graph(prov.graph, config.provenance_path)
     report["provenance"] = str(config.provenance_path)
     if config.report_path is not None:
-        config.report_path.write_text(json.dumps(report, indent=2) + "\n",
-                                      encoding="utf-8")
+        write_text(config.report_path, json.dumps(report, indent=2) + "\n")
     return report

@@ -134,10 +134,6 @@ class Triple:
 
 IdTriple = tuple[int, int, int]
 
-# the index entry of a term the graph does not hold: a real dict, so that
-# ``dict.get`` can read it as it reads the others; nothing writes to it
-_NO_ENTRIES: dict = {}
-
 _Derived = TypeVar("_Derived")
 
 
@@ -178,22 +174,48 @@ class TermTable(TermTexts, list):
         self._memos: dict = {}
 
 
+class _Predicate:
+    """One predicate's triples, as ids: ``objects[s]`` lists the objects of
+    subject ``s`` (its PSO table), ``subjects[o]`` the subjects of object
+    ``o`` (its POS table), and ``size`` counts the triples."""
+
+    __slots__ = ("objects", "subjects", "size")
+
+    def __init__(self):
+        self.objects: dict[int, Sequence[int]] = {}
+        self.subjects: dict[int, list[int]] = {}
+        self.size = 0
+
+    def holds(self, s: int, o: int) -> bool:
+        # the triple is in both its leaves, so scan the shorter one: a
+        # subject may have many objects, and an object many subjects
+        objects = self.objects.get(s, ())
+        subjects = self.subjects.get(o, ())
+        return o in objects if len(objects) <= len(subjects) else s in subjects
+
+
+# the tables of a predicate the graph does not hold; nothing writes to it
+_NO_TRIPLES = _Predicate()
+
+
 class Graph:
     """Set of triples, stored as ids into a term dictionary.
 
-    Each distinct term gets an int id once (``terms[id]`` is the term), and
-    every triple is kept in two nested indexes over ids, in the spirit of
-    HDT's bitmap triples: ``_spo[s][p]`` lists the objects and ``_pos[p][o]``
-    the subjects.  A pattern that binds its subject reads SPO, and one that
-    binds only its predicate, or its predicate and object, reads POS.  One
-    that binds only its object scans the predicates, looking the object up
-    in each one's POS entry; a graph has few predicates.  A pattern that
-    binds its object along with its subject scans the SPO leaf, which holds
-    one object in practice.  The duplicate check scans the shorter of the
-    triple's SPO and POS leaves.
+    Each distinct term gets an int id once (``terms[id]`` is the term).
+    The triples are partitioned by predicate, the vertical partitioning of
+    Abadi et al. (VLDB 2007): each predicate keeps a table from subject to
+    objects (PSO), one from object to subjects (POS), in the spirit of
+    HDT's bitmap triples, and its triple count (``_Predicate``), so no dict
+    is kept per subject.  A pattern with a constant predicate reads its
+    tables.  One that binds its subject or object but not its predicate
+    probes every predicate's table in turn; that is the accepted trade-off,
+    since a graph has few predicates, and star joins, lookups and shapes
+    all name theirs.  A pattern that binds its object along with its
+    subject scans the PSO leaf, which holds one object in practice.  The
+    duplicate check scans the shorter of the triple's PSO and POS leaves.
 
     Leaves are read-only sequences to every reader; ``_add`` is the one
-    writer.  Most subjects have one object per predicate, so an SPO leaf
+    writer.  Most subjects have one object per predicate, so a PSO leaf
     that holds one object is a 1-tuple shared by every leaf that holds just
     that object, kept in one dict per graph (``_single``), as HDT's compact
     triples share what repeats.  ``_add`` replaces such a leaf with a list
@@ -204,8 +226,9 @@ class Graph:
     One lock guards the indexes.  Each read takes it and materializes its
     result, so iteration stays stable while other threads insert.  A reader
     that probes many times, such as a BGP evaluated a column at a time,
-    holds ``lock`` once around all its reads instead, and reads a whole
-    column of subjects' SPO entries with one ``entries`` call.
+    holds ``lock`` once around all its reads instead, and reads one
+    predicate's objects for a whole column of subjects with one ``leaves``
+    call.
 
     Writes come one ``Triple`` at a time through ``insert``, or in a batch
     at the id level through ``insert_encoded``: the caller numbers its own
@@ -225,17 +248,14 @@ class Graph:
     def __init__(self, triples: Iterable[Triple] = ()):
         self._terms = TermTable()
         self._ids: dict[Term, int] = {}
-        self._spo: dict[int, dict[int, Sequence[int]]] = {}
-        self._pos: dict[int, dict[int, list[int]]] = {}
-        # object id -> the shared SPO leaf that holds that object alone
+        self._predicates: dict[int, _Predicate] = {}
+        # object id -> the shared PSO leaf that holds that object alone
         self._single: dict[int, tuple[int]] = {}
-        # how many triples each predicate has; the graph's size is their sum
-        self._per_predicate: dict[int, int] = {}
         self._lock = threading.RLock()
         self.update(triples)
 
     def __len__(self) -> int:
-        return sum(self._per_predicate.values())
+        return sum(table.size for table in self._predicates.values())
 
     def __iter__(self) -> Iterator[Triple]:
         with self._lock:
@@ -335,29 +355,26 @@ class Graph:
                   o: Optional[int] = None) -> list[IdTriple]:
         """``match`` over term ids: the id triples matching the bound ids."""
         with self._lock:
+            tables = self._predicates.items() if p is None \
+                else [(p, self._predicates.get(p, _NO_TRIPLES))]
             if s is not None:
-                by_p = self._spo.get(s, _NO_ENTRIES)
-                leaves = by_p.items() if p is None else [(p, by_p.get(p, ()))]
-                return [(s, x, y) for x, ys in leaves for y in ys if o is None or y == o]
-            if p is not None:
-                by_o = self._pos.get(p, _NO_ENTRIES)
-                if o is not None:
-                    return [(x, p, o) for x in by_o.get(o, ())]
-                return [(y, p, x) for x, ys in by_o.items() for y in ys]
+                return [(s, x, y) for x, table in tables
+                        for y in table.objects.get(s, ()) if o is None or y == o]
             if o is not None:
-                return [(y, x, o) for x, by_o in self._pos.items()
-                        for y in by_o.get(o, ())]
-            return list(self._id_triples())
+                return [(y, x, o) for x, table in tables
+                        for y in table.subjects.get(o, ())]
+            return [(y, x, z) for x, table in tables
+                    for y, objects in table.objects.items() for z in objects]
 
-    def entries(self, subjects: Iterable[int]) -> list[dict[int, Sequence[int]]]:
-        """Each subject's SPO entry, in order: a dict from predicate id to
-        the subject's objects for it, empty where the graph holds no triple
-        with that subject.  A caller that binds a column of subjects reads
-        the entries once and then each predicate's objects with
-        ``map(dict.get, entries, repeat(p), repeat(()))``, with no Python
-        call per subject.  Call it under ``lock`` and do not modify what it
-        returns."""
-        return list(map(self._spo.get, subjects, repeat(_NO_ENTRIES)))
+    def leaves(self, p: Optional[int], subjects: Iterable[int]) -> list[Sequence[int]]:
+        """The objects predicate ``p`` gives each of ``subjects``, in order:
+        empty where the graph holds no such triple.  One C-level ``map`` of
+        the predicate's PSO table over the subjects, with no Python call
+        per subject, for a caller that binds a column of subjects, such as
+        a BGP's star join.  Call it under ``lock`` and do not modify what
+        it returns."""
+        objects = self._predicates.get(p, _NO_TRIPLES).objects
+        return list(map(objects.get, subjects, repeat(())))
 
     def count_ids(self, s: Optional[int] = None, p: Optional[int] = None,
                   o: Optional[int] = None) -> int:
@@ -365,29 +382,27 @@ class Graph:
         them (the join-order estimate).  Must agree with ``match_ids``; a
         test checks the two on every combination of bound positions."""
         with self._lock:
+            tables = self._predicates.values() if p is None \
+                else [self._predicates.get(p, _NO_TRIPLES)]
             if s is not None:
-                by_p = self._spo.get(s, _NO_ENTRIES)
-                leaves = by_p.values() if p is None else [by_p.get(p, ())]
+                leaves = [table.objects.get(s, ()) for table in tables]
                 return sum(map(len, leaves)) if o is None \
                     else sum(leaf.count(o) for leaf in leaves)
-            if p is not None:
-                if o is None:
-                    return self._per_predicate.get(p, 0)
-                return len(self._pos.get(p, _NO_ENTRIES).get(o, ()))
             if o is not None:
-                return sum(len(by_o.get(o, ())) for by_o in self._pos.values())
-            return len(self)
+                return sum(len(table.subjects.get(o, ())) for table in tables)
+            return sum(table.size for table in tables)
 
     def predicates(self) -> list[Term]:
-        """Every distinct predicate, read off the POS index."""
+        """Every distinct predicate."""
         with self._lock:
-            return [self._terms[p] for p in self._pos]
+            return [self._terms[p] for p in self._predicates]
 
     def objects(self, predicate: Term) -> list[Term]:
-        """Every distinct object of ``predicate``, read off the POS index."""
+        """Every distinct object of ``predicate``, read off its POS table."""
         pid = self._ids.get(predicate)
         with self._lock:
-            return [self._terms[o] for o in self._pos.get(pid, ())]
+            return [self._terms[o]
+                    for o in self._predicates.get(pid, _NO_TRIPLES).subjects]
 
     def _intern(self, term: Term) -> int:
         tid = self._ids.get(term)
@@ -397,43 +412,33 @@ class Graph:
         return tid
 
     def _has(self, s: int, p: int, o: int) -> bool:
-        # the triple is in both its leaves, so scan the shorter one: a
-        # subject may have many objects for one predicate, and an object
-        # many subjects
-        objects = self._spo.get(s, _NO_ENTRIES).get(p, ())
-        subjects = self._pos.get(p, _NO_ENTRIES).get(o, ())
-        return o in objects if len(objects) <= len(subjects) else s in subjects
+        return self._predicates.get(p, _NO_TRIPLES).holds(s, o)
 
     def _add(self, s: int, p: int, o: int) -> None:
         """Add one id triple unless the graph already holds it.  Callers hold
         the lock."""
-        by_p = self._spo.get(s)
-        if by_p is None:
-            by_p = self._spo[s] = {}
-        objects = by_p.get(p)
+        table = self._predicates.get(p)
+        if table is None:
+            table = self._predicates[p] = _Predicate()
+        objects = table.objects.get(s)
         if objects is None:
-            by_p[p] = self._single.get(o) or self._single.setdefault(o, (o,))
-        elif self._has(s, p, o):
+            table.objects[s] = self._single.get(o) or self._single.setdefault(o, (o,))
+        elif table.holds(s, o):
             return
         elif type(objects) is tuple:
-            by_p[p] = [objects[0], o]
+            table.objects[s] = [objects[0], o]
         else:
             objects.append(o)
-        by_o = self._pos.get(p)
-        if by_o is None:
-            self._pos[p] = {o: [s]}
-            self._per_predicate[p] = 1
-            return
-        subjects = by_o.get(o)
+        subjects = table.subjects.get(o)
         if subjects is None:
-            by_o[o] = [s]
+            table.subjects[o] = [s]
         else:
             subjects.append(s)
-        self._per_predicate[p] += 1
+        table.size += 1
 
     def _id_triples(self) -> Iterator[IdTriple]:
-        return ((s, p, o) for s, by_p in self._spo.items()
-                for p, objects in by_p.items() for o in objects)
+        return ((s, p, o) for p, table in self._predicates.items()
+                for s, objects in table.objects.items() for o in objects)
 
     def _decode(self, id_triples: Iterable[IdTriple]) -> list[Triple]:
         terms = self._terms
@@ -732,5 +737,10 @@ def load_graph(path) -> Graph:
 
 
 def save_graph(graph: Graph, path) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write(serialize_ntriples(graph))
+    """Write ``graph`` to the file at ``path`` as ``serialize_ntriples``
+    writes it.  An ``RdfError`` names the file when it cannot be written."""
+    try:
+        with open(path, "w", encoding="utf-8") as fh:
+            fh.write(serialize_ntriples(graph))
+    except OSError as exc:
+        raise RdfError(f"{path}: cannot write: {exc}") from None

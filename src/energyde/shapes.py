@@ -125,19 +125,19 @@ def load_shapes(path) -> list[Shape]:
 def _violations(graph: Graph, shape: Shape, constraint: PropertyConstraint,
                 focus_ids: list[int], type_id: Optional[int]) -> list[Violation]:
     """``constraint`` checked on each focus node, all by term id: the path
-    and value class resolve once, the focus nodes' values are read off
-    their SPO entries, and the class check is a membership test on each
-    value's ``rdf:type`` objects, read the same way for all values at once.
-    A term is decoded only for a datatype or node-kind check, or a message.
-    The caller holds ``graph.lock``."""
+    and value class resolve once, the focus nodes' values are read off the
+    path's PSO table with one ``Graph.leaves`` call, and the class check is
+    a membership test on each value's ``rdf:type`` objects, read the same
+    way for all values at once.  A term is decoded only for a datatype or
+    node-kind check, or a message.  The caller holds ``graph.lock``."""
     terms = graph.terms
     path_id = graph.term_id(IRI(constraint.path))
-    values = list(map(dict.get, graph.entries(focus_ids), repeat(path_id), repeat(())))
+    values = graph.leaves(path_id, focus_ids)
     typed = set()
     if constraint.value_class is not None:
         class_id = graph.term_id(IRI(constraint.value_class))
         objects = list(set(chain.from_iterable(values)))
-        types = map(dict.get, graph.entries(objects), repeat(type_id), repeat(()))
+        types = graph.leaves(type_id, objects)
         typed = set(compress(objects, map(operator.contains, types, repeat(class_id))))
     allowed = None
     if constraint.in_values is not None:

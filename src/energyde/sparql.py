@@ -573,17 +573,13 @@ def _order_patterns(patterns: list, graph: Graph,
 class _Columns:
     """A BGP's solutions while they are joined, a column at a time:
     ``columns[i]`` holds the term id that variable ``names[i]`` takes in
-    each of ``size`` rows.  ``entries[i]``, once a pattern has read through
-    column ``i`` as a subject, holds each row's SPO entry for that subject
-    (``Graph.entries``), so the next pattern on the same subject reads no
-    index.  Entries are filtered and repeated with the columns."""
+    each of ``size`` rows."""
 
-    __slots__ = ("names", "columns", "entries", "size")
+    __slots__ = ("names", "columns", "size")
 
     def __init__(self):
         self.names: list[str] = []
         self.columns: list[list[int]] = []
-        self.entries: dict[int, list[dict]] = {}
         self.size = 1           # one empty row: the identity of the join
 
     def add(self, name: str, column: list[int]) -> None:
@@ -604,7 +600,6 @@ class _Columns:
             def pick(column):
                 return list(map(column.__getitem__, index))
         self.columns = list(map(pick, self.columns))
-        self.entries = {i: pick(column) for i, column in self.entries.items()}
         self.size = sum(counts)
 
     def rows(self) -> list[tuple]:
@@ -657,8 +652,8 @@ def _match_bgp(query: Query, graph: Graph) -> tuple[list[str], list[tuple]]:
 
 
 def _on_bound_subject(pattern: list, solutions: _Columns) -> bool:
-    """Whether ``_join_pattern`` joins ``pattern`` through its subject's SPO
-    entries: a constant predicate on a subject some column binds."""
+    """Whether ``_join_pattern`` joins ``pattern`` through ``Graph.leaves``:
+    a constant predicate on a subject some column binds."""
     return pattern[0] in solutions.names and isinstance(pattern[1], int)
 
 
@@ -666,22 +661,17 @@ def _join_pattern(solutions: _Columns, pattern: list, graph: Graph) -> None:
     """``solutions`` joined with one encoded pattern in place; the
     pattern's new variables get new columns.
 
-    A constant predicate on a bound subject reads the subject column's SPO
-    entries, fetched with one ``Graph.entries`` call the first time a
-    pattern uses that column as a subject and reused by every later pattern
-    on it (a star).  The pattern's objects per row are one ``map`` over
-    those entries.  A constant or bound object keeps the rows whose objects
-    hold it; a new object variable takes the objects as its column,
-    repeating a row per object where a subject has more than one.  Any
-    other pattern calls ``match_ids`` once per row."""
+    A constant predicate on a bound subject reads each row's objects off
+    the predicate's PSO table with one ``Graph.leaves`` call over the
+    subject column, so each pattern of a star costs one C-level ``map``.
+    A constant or bound object keeps the rows whose objects hold it; a new
+    object variable takes the objects as its column, repeating a row per
+    object where a subject has more than one.  Any other pattern calls
+    ``match_ids`` once per row."""
     s, p, o = pattern
     names, columns = solutions.names, solutions.columns
     if _on_bound_subject(pattern, solutions):
-        col = names.index(s)
-        entries = solutions.entries.get(col)
-        if entries is None:
-            entries = solutions.entries[col] = graph.entries(columns[col])
-        objects = list(map(dict.get, entries, repeat(p), repeat(())))
+        objects = graph.leaves(p, columns[names.index(s)])
         if isinstance(o, int):
             solutions.keep(list(map(operator.contains, objects, repeat(o))))
         elif o in names:

@@ -441,6 +441,23 @@ class TestBadConfig:
         assert code == 2 and out == ""
         assert re.fullmatch(r"error: \S*graphs: cannot read: .*\n", err), err
 
+    @pytest.mark.parametrize("argv", [
+        lambda work: ("rdfize", "--mapping", str(work / "mappings" / "capacity.yaml"),
+                      "--output", str(work / "graphs")),
+        lambda work: _validate(work) + ("--report", str(work / "graphs")),
+        lambda work: _pipeline(work),
+        lambda work: ("fixtures", "generate", "--seed", "1",
+                      "--out", str(work / "graphs" / "tso.nt")),
+    ], ids=["rdfize", "validate", "pipeline", "fixtures"])
+    def test_output_path_that_cannot_be_written_exits_2(self, capsys, workdir, argv):
+        # a directory where a file goes, or a file where a directory goes
+        config = workdir / "pipeline.yaml"
+        config.write_text(_replace("output: graphs/tso.nt", "output: graphs")(
+            config.read_text()))
+        code, out, err = run_cli(capsys, *argv(workdir))
+        assert code == 2 and out == "", (out, err)
+        assert re.fullmatch(r"error: \S*graphs\S*: cannot write: .*\n", err), err
+
     def test_scenario_rejection_mismatch_is_a_domain_failure(self, capsys,
                                                             workdir):
         script = workdir / "scenario.yaml"

@@ -6,6 +6,7 @@ from decimal import Decimal
 
 import pytest
 
+from energyde import pipeline
 from energyde.config import Section
 from energyde.pipeline import (LinkingSpec, PipelineError, PreprocessStep,
                                canonical_decimal, link_entities,
@@ -110,7 +111,8 @@ class TestLinking:
         local = self.ref(("mine", "Wind"))
         links, ambiguous = link_entities(local, self.ref(("theirs", "Wind")),
                                          self.SPEC)
-        assert links == 1 and not ambiguous
+        assert links == [Triple(IRI(EX + "mine"), IRI(OWL_SAMEAS), IRI(EX + "theirs"))]
+        assert not ambiguous
         assert list(local.match(IRI(EX + "mine"), IRI(OWL_SAMEAS),
                                 IRI(EX + "theirs")))
 
@@ -118,19 +120,19 @@ class TestLinking:
         local = self.ref(("mine", "Wind"))
         links, _ = link_entities(local, self.ref(("theirs", "Solar")),
                                  self.SPEC)
-        assert links == 0
+        assert links == []
 
     def test_case_sensitive(self):
         local = self.ref(("mine", "wind"))
         links, _ = link_entities(local, self.ref(("theirs", "Wind")),
                                  self.SPEC)
-        assert links == 0
+        assert links == []
 
     def test_ambiguous_label_reported_and_linked_to_all(self):
         local = self.ref(("mine", "Wind"))
         reference = self.ref(("t1", "Wind"), ("t2", "Wind"))
         links, ambiguous = link_entities(local, reference, self.SPEC)
-        assert links == 2
+        assert sorted(link.object.value for link in links) == [EX + "t1", EX + "t2"]
         assert ambiguous == ["Wind"]
 
     def test_rerun_adds_nothing(self):
@@ -139,7 +141,7 @@ class TestLinking:
         link_entities(local, reference, self.SPEC)
         size = len(local)
         links, _ = link_entities(local, reference, self.SPEC)
-        assert links == 0 and len(local) == size
+        assert links == [] and len(local) == size
 
 
 class TestRunPipeline:
@@ -167,6 +169,23 @@ class TestRunPipeline:
         output = (workdir / "graphs" / "tso.nt").read_bytes()
         assert second["stages"]["load"]["digest"] == \
             hashlib.sha256(output).hexdigest()
+
+    def test_the_graph_is_serialized_once(self, workdir, monkeypatch):
+        # the linked text is the mapped lines with the links' lines merged
+        # in: the bytes a second serialization of the whole graph would give
+        serialize = pipeline.serialize_ntriples
+        sizes = []
+
+        def counting(graph):
+            sizes.append(len(graph))
+            return serialize(graph)
+
+        monkeypatch.setattr(pipeline, "serialize_ntriples", counting)
+        report = run_pipeline(load_pipeline_config(workdir / "pipeline.yaml"))
+        links = report["stages"]["linking"]["links"]
+        assert links > 0 and sizes == [report["stages"]["load"]["triples"] - links]
+        output = (workdir / "graphs" / "tso.nt").read_text(encoding="utf-8")
+        assert serialize(parse_ntriples(output)) == output
 
     def test_output_equals_manual_stage_composition(self, workdir):
         from energyde.mapping import (LogicalSource, apply_triple_map,

@@ -289,7 +289,7 @@ def test_round_trip_property(triples):
 
 def assert_agrees_with_set(g: Graph, triples: set) -> None:
     """``g`` holds exactly ``triples``, as ``match_ids``, ``count_ids``,
-    ``entries``, ``==`` and ``serialize_ntriples`` each tell it."""
+    ``leaves``, ``==`` and ``serialize_ntriples`` each tell it."""
     assert len(g) == len(triples)
     assert g == Graph(sorted(triples, key=repr, reverse=True))
     assert serialize_ntriples(g) == "".join(sorted(
@@ -304,12 +304,16 @@ def assert_agrees_with_set(g: Graph, triples: set) -> None:
         assert {Triple(*(g.terms[i] for i in tr)) for tr in found} == \
             {tr for tr in triples
              if all(x is None or x == y for x, y in zip(pattern, tr))}, pattern
-    subjects = positions[0][1:]
-    with g.lock:
-        entries = g.entries([g.term_id(s) for s in subjects])
-    for s, entry in zip(subjects, entries):
-        assert {Triple(s, g.terms[p], g.terms[o]) for p, objects in entry.items()
-                for o in objects} == {tr for tr in triples if tr.subject == s}
+    # every subject of the graph, and one term that is no subject
+    subjects = positions[0][1:] + [IRI(EX + "nowhere")]
+    ids = [g.term_id(s) for s in subjects]
+    for p in positions[1][1:] + [IRI(EX + "nowhere")]:
+        with g.lock:
+            leaves = g.leaves(g.term_id(p), ids)
+        assert len(leaves) == len(subjects)
+        for s, objects in zip(subjects, leaves):
+            assert sorted(objects) == sorted(g.term_id(tr.object) for tr in triples
+                                             if tr.subject == s and tr.predicate == p)
 
 
 class TestSharedLeaves:
@@ -605,13 +609,15 @@ def traced_load(path) -> tuple[Graph, int, int]:
 def test_load_memory_is_the_graph(tmp_path):
     """(a) the load's temporary memory is a buffer's lines and the token
     table, not the file's text; (b) the graph keeps one shared tuple per
-    object, not a list per one-object leaf."""
+    object, not a list per one-object leaf, and a table per predicate, not
+    a dict per subject."""
     path = tmp_path / "capacity.nt"
     save_graph(capacity_graph(3400), path)
     size = path.stat().st_size
     graph, retained, peak = traced_load(path)
     assert len(graph) == 20400
-    # measured: 0.21 of the file and 145 B per triple; a token table with
-    # no bound takes 0.35, and a list per one-object leaf 202 B
+    # measured: 0.23 of the file and 123 B per triple; a token table with
+    # no bound takes 0.35, a list per one-object leaf 202 B, and a dict per
+    # subject (subject-major SPO in place of one table per predicate) 145 B
     assert peak - retained < 0.3 * size, (peak - retained, size)
-    assert retained / len(graph) < 170, retained / len(graph)
+    assert retained / len(graph) < 135, retained / len(graph)

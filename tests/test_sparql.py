@@ -337,15 +337,15 @@ class TestValues:
 
     def test_rows_are_cut_where_the_variable_is_bound(self):
         # the pattern after the one that binds ?t probes only the kept rows
-        class EntryProbes(Graph):
+        class LeafProbes(Graph):
             probes = 0
 
-            def entries(self, subjects):
+            def leaves(self, p, subjects):
                 subjects = list(subjects)
                 self.probes += len(subjects)
-                return super().entries(subjects)
+                return super().leaves(p, subjects)
 
-        g = EntryProbes()
+        g = LeafProbes()
         for i in range(40):
             s = IRI(EX + f"s{i}")
             g.insert(Triple(s, IRI(EX + "type"), IRI(EX + f"T{i % 10}")))
@@ -427,10 +427,10 @@ def test_a_term_rdf_makes_is_read_back_from_its_text(kind, text):
 
 
 class _ProbeCountingGraph(Graph):
-    """Counts how ``_match_bgp`` joins each pattern: through its subject's
-    SPO entries, for a constant object or for an object variable (the
-    subjects whose entries are fetched), or through ``match_ids`` (the
-    calls).  ``joining`` is the encoded pattern being joined."""
+    """Counts how ``_match_bgp`` joins each pattern: through ``leaves`` on
+    its bound subject column, for a constant object or for an object
+    variable (the subjects passed), or through ``match_ids`` (the calls).
+    ``joining`` is the encoded pattern being joined."""
 
     joining = None
 
@@ -438,12 +438,12 @@ class _ProbeCountingGraph(Graph):
         super().__init__(triples)
         self.counts = counts
 
-    def entries(self, subjects):
+    def leaves(self, p, subjects):
         subjects = list(subjects)
         constant = isinstance(self.joining[2], int)
-        self.counts["entries, constant object" if constant
-                    else "entries, object variable"] += len(subjects)
-        return super().entries(subjects)
+        self.counts["leaves, constant object" if constant
+                    else "leaves, object variable"] += len(subjects)
+        return super().leaves(p, subjects)
 
     def match_ids(self, s=None, p=None, o=None):
         self.counts["match_ids"] += 1
@@ -500,11 +500,47 @@ class TestBgpProbes:
                 shapes["constant subject"] += not isinstance(pattern.subject, Variable)
         # every way of joining a pattern was exercised on rows (the join
         # stops at the first pattern that leaves none)
-        assert min(counts["entries, object variable"],
-                   counts["entries, constant object"]) >= 25, \
+        assert min(counts["leaves, object variable"],
+                   counts["leaves, constant object"]) >= 25, \
             counts
         assert counts["match_ids"] >= 400, counts
         assert min(shapes.values()) >= 30 and len(shapes) == 2, shapes
+
+
+_WIDE_NODES = [IRI(f"{EX}n{i}") for i in range(6)]
+_WIDE_OBJECTS = _WIDE_NODES + [Literal(str(i)) for i in range(3)]
+# up to 50 predicates: a pattern that binds its subject but not its
+# predicate reads every predicate's table
+_wide_triple = st.builds(Triple, subject=st.sampled_from(_WIDE_NODES),
+                         predicate=st.integers(0, 49).map(lambda i: IRI(f"{EX}p{i}")),
+                         object=st.sampled_from(_WIDE_OBJECTS))
+
+
+@settings(max_examples=150)
+@given(st.lists(_wide_triple, min_size=1, max_size=80), st.data())
+def test_bound_subject_with_a_variable_predicate_matches_brute_force(triples, data):
+    """A subject bound by a constant or by an earlier pattern, with a
+    variable predicate and a constant, variable or repeated object: the
+    answer is the brute-force bag, and ``count_ids`` agrees with
+    ``match_ids`` on the pattern's bound positions."""
+    g = Graph(triples)
+    subject = data.draw(st.sampled_from(_WIDE_NODES))
+    obj = data.draw(st.sampled_from(_WIDE_OBJECTS))
+    seed = TriplePattern(Variable("s"), data.draw(st.sampled_from(triples)).predicate,
+                         Variable("x"))
+    for s, o in [(subject, Variable("o")), (subject, obj), (subject, Variable("p")),
+                 (Variable("s"), Variable("o")), (Variable("s"), obj),
+                 (Variable("s"), Variable("x"))]:
+        patterns = (TriplePattern(s, Variable("p"), o),)
+        if isinstance(s, Variable):
+            patterns = (seed,) + patterns
+        names = tuple(sorted({v for pattern in patterns for v in pattern.variables()}))
+        q = Query(projected=names, distinct=False, patterns=patterns)
+        assert bag(evaluate(q, g)) == brute_force(q, g), format_query(q)
+    sid, oid = g.term_id(subject), g.term_id(obj)
+    for o in {None, oid} if sid is not None else ():
+        assert g.count_ids(sid, None, o) == len(g.match_ids(sid, None, o)) == sum(
+            t.subject == subject and (o is None or t.object == obj) for t in set(triples))
 
 
 def _star_graph() -> Graph:
@@ -542,7 +578,7 @@ class TestColumnarJoin:
         ("?s ex:p ?s .", 1),
         ("?s ex:type ex:T . ?s ex:p ?s .", 1),
         # a subject first bound as an object; a literal, ex:nowhere and
-        # ex:b have no SPO entry
+        # ex:b are the subject of no triple
         ("?a ex:link ?s . ?s ex:p ?o .", 5),
         ("?a ex:link ?s . ?s ex:type ex:T .", 3),
         ("?a ex:link ?s . ?s ex:p ?o . ?o ex:r ?z .", 4),
@@ -560,22 +596,26 @@ class TestColumnarJoin:
         assert got == brute_force(q, g), format_query(q)
         assert sum(got.values()) == rows
 
-    def test_one_entries_call_per_subject_variable(self):
-        class EntryCalls(Graph):
-            calls = []
+    def test_one_leaves_call_per_pattern_on_a_bound_subject(self):
+        class Calls(Graph):
+            calls = Counter()
 
-            def entries(self, subjects):
-                subjects = list(subjects)
-                self.calls.append(len(subjects))
-                return super().entries(subjects)
+            def leaves(self, p, subjects):
+                self.calls["leaves"] += 1
+                return super().leaves(p, subjects)
 
-        g = EntryCalls(_star_graph())
+            def match_ids(self, s=None, p=None, o=None):
+                self.calls["match_ids"] += 1
+                return super().match_ids(s, p, o)
+
+        g = Calls(_star_graph())
         q = parse_query(self.PREFIX + "SELECT ?s ?x ?y ?z WHERE { ?s ex:type ex:T . "
                         "?s ex:p ?x . ?s ex:q ?y . ?s ex:link ?w . ?x ex:r ?z . }")
         assert len(evaluate(q, g)) == 5 == sum(brute_force(q, g).values())
-        # ?s's entries are read once for the three patterns on it, and
-        # ?x's once, however many rows each read covers
-        assert len(g.calls) == 2, g.calls
+        # the seed is matched once; each of the four patterns on a bound
+        # subject (three on ?s, one on ?x) reads its objects with one
+        # leaves call, however many rows that call covers
+        assert g.calls == {"match_ids": 1, "leaves": 4}, g.calls
 
 
 _LIMIT_SCRIPT = """

@@ -3,8 +3,8 @@ results-JSON binding are made once per table, lazily, and never go stale.
 
 A node answers byte for byte as it would with no memo (cold against warm,
 concurrent against serial, after inserts), the memo holds no more entries
-than the table has terms, and a second serialization of a grown graph
-formats only the new terms."""
+than the table has terms, and a second serialization of a grown graph, or
+the pipeline's linked text, formats only the new terms."""
 
 import json
 import random
@@ -151,14 +151,18 @@ def test_pipeline_digests_format_each_mapped_term_once(fixture_dir, tmp_path, mo
     def serialize(graph):
         before = dict(graph.terms.texts(format_term, ()))
         text = original(graph)
-        seen.append((before, dict(graph.terms.texts(format_term, ())), len(graph.terms)))
+        seen.append((graph, before, dict(graph.terms.texts(format_term, ())),
+                     len(graph.terms)))
         return text
 
     monkeypatch.setattr(pipeline, "serialize_ntriples", serialize)
     report = pipeline.run_pipeline(pipeline.load_pipeline_config("pipeline.yaml"))
     assert report["loaded"] is True
-    (first_before, mapped, mapped_terms), (second_before, linked, linked_terms) = seen
-    assert first_before == {} and len(mapped) == mapped_terms
-    # the linking digest reuses every text the mapping digest made
-    assert all(second_before[i] is text for i, text in mapped.items())
-    assert len(linked) == linked_terms > mapped_terms
+    # one serialization, the mapping digest's
+    (graph, before, mapped, mapped_terms), = seen
+    assert before == {} and len(mapped) == mapped_terms
+    # the linked text's new lines take their texts from the same memo: the
+    # mapped terms' texts are reused, and only the new terms are formatted
+    linked = graph.terms.texts(format_term, ())
+    assert all(linked[i] is text for i, text in mapped.items())
+    assert len(linked) == len(graph.terms) > mapped_terms
