@@ -44,7 +44,7 @@ def cmd_rdfize(args) -> int:
         print(f"record {index}: {message}", file=sys.stderr)
     save_graph(result.graph, args.output)
     print(json.dumps({"triples": len(result.graph),
-                      "record_errors": result.error_count}))
+                      "record_errors": len(result.errors)}))
     return 0 if not result.errors else 1
 
 

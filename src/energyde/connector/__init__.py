@@ -1,14 +1,2 @@
 """IDS-style data-space connector: framed messages, usage contracts,
 provenance logging, node server and client."""
-
-from .contracts import Contract, ContractStore, authorize, load_contracts
-from .messages import Message, MessageError, REJECTION_REASONS, canonical_json, digest
-from .node import NodeConfig, NodeServer, NodeState, handle, load_node_config, serve
-from .client import NodeClient, RejectionError
-
-__all__ = [
-    "Contract", "ContractStore", "authorize", "load_contracts",
-    "Message", "MessageError", "REJECTION_REASONS", "canonical_json", "digest",
-    "NodeConfig", "NodeServer", "NodeState", "handle", "load_node_config", "serve",
-    "NodeClient", "RejectionError",
-]

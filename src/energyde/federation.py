@@ -4,7 +4,7 @@ into per-source subqueries, remote execution, and join of the results."""
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
-from typing import Optional
+from typing import Iterable, Optional
 
 from .config import ConfigError, Section, load_document, read_document, strings
 from .rdf import IRI
@@ -63,12 +63,6 @@ class FederationCatalog:
         if len(set(ids)) != len(ids):
             raise CatalogError("duplicate source ids in catalog")
 
-    def source(self, source_id: str) -> SourceDescription:
-        for s in self.sources:
-            if s.id == source_id:
-                return s
-        raise FederationError(f"unknown source {source_id!r}")
-
 
 def _source(entry: Section, prefixes: dict) -> SourceDescription:
     return SourceDescription(
@@ -124,25 +118,19 @@ class Subquery:
     sources: tuple  # source ids this subquery is dispatched to (results unioned)
     query: Query
     pattern_indexes: tuple
-    bind_on: Optional[str] = None   # the variable its bound join sends values of
-
-
-@dataclass
-class JoinEdge:
-    left: int
-    right: int
-    shared: frozenset
+    join_on: tuple = ()     # the variables its answer is joined on, sorted
 
     @property
-    def cartesian(self) -> bool:
-        return not self.shared
+    def bind_on(self) -> Optional[str]:
+        """The variable its bound join sends values of: the first of
+        ``join_on``, or None."""
+        return self.join_on[0] if self.join_on else None
 
 
 @dataclass
 class DecomposedQuery:
     query: Query             # the federated query (projection/distinct/limit)
     subqueries: list
-    join_edges: list
     order: list              # subquery indexes in dispatch order
 
     def to_dict(self) -> dict:
@@ -154,10 +142,15 @@ class DecomposedQuery:
                 "query": format_query(sq.query),
                 "bindOn": sq.bind_on,
             } for sq in self.subqueries],
+            # the hash joins execute_federated runs, in order: each answer
+            # but the first joins the rows before it, and the first joins
+            # the query's VALUES rows, if it has any
             "joins": [{
-                "left": e.left, "right": e.right,
-                "vars": sorted(e.shared), "cartesian": e.cartesian,
-            } for e in self.join_edges],
+                "left": self.order[:k], "right": i,
+                "vars": list(self.subqueries[i].join_on),
+                "cartesian": not self.subqueries[i].join_on,
+            } for k, i in enumerate(self.order)
+                if k or self.query.values is not None],
             "order": list(self.order),
         }
 
@@ -214,15 +207,7 @@ def decompose(query: Query, selection: dict[int, set[str]]) -> DecomposedQuery:
             query=Query(projected=projected, distinct=True, patterns=patterns,
                         filters=pushed),
             pattern_indexes=indexes))
-
-    join_edges = []
-    for a in range(len(subqueries)):
-        for b in range(a + 1, len(subqueries)):
-            join_edges.append(JoinEdge(
-                left=a, right=b,
-                shared=frozenset(group_vars[a] & group_vars[b])))
     return DecomposedQuery(query=query, subqueries=subqueries,
-                           join_edges=join_edges,
                            order=_bind_order(subqueries, _inline(query)))
 
 
@@ -236,8 +221,8 @@ def _bind_order(subqueries: list, joined: set[str]) -> list[int]:
     next comes a subquery that shares a variable with those before it, or
     with ``joined``, the variables bound before the first; then the one
     with fewest variables not yet joined; then the lowest index.  Each
-    subquery that shares a variable gets ``bind_on``, the alphabetically
-    first one it shares."""
+    subquery gets ``join_on``, the projected variables it shares with the
+    rows joined before it: what its answer is hash joined on."""
     order: list[int] = []
     joined = set(joined)
     remaining = list(range(len(subqueries)))
@@ -249,15 +234,15 @@ def _bind_order(subqueries: list, joined: set[str]) -> list[int]:
     while remaining:
         best = min(remaining, key=cost)
         remaining.remove(best)
-        shared = joined & set(subqueries[best].query.projected)
-        subqueries[best].bind_on = min(shared) if shared else None
-        joined |= set(subqueries[best].query.projected)
+        projected = set(subqueries[best].query.projected)
+        subqueries[best].join_on = tuple(sorted(joined & projected))
+        joined |= projected
         order.append(best)
     return order
 
 
 def hash_join(left: SolutionSequence, right: SolutionSequence,
-              shared: set[str]) -> SolutionSequence:
+              shared: Iterable[str]) -> SolutionSequence:
     """Join two solution sequences on their shared variables; with no shared
     variables this is the Cartesian product.  Rows stay ids: both sides
     are put in one ``AnswerTerms``, so that equal ids are equal terms.  The
@@ -292,13 +277,15 @@ def hash_join(left: SolutionSequence, right: SolutionSequence,
 def execute_federated(plan: DecomposedQuery, clients: dict) -> SolutionSequence:
     """Dispatch the subqueries one after another in the plan's order, union
     each multi-source answer, and hash join each answer to the rows joined
-    so far on their shared variables; the query's VALUES block, if it has
-    one, is the first rows.  Then apply the query's solution modifiers as
-    local evaluation does.  A subquery with ``bind_on`` is a bound join: it
-    goes out with a VALUES block of the distinct values the rows joined so
-    far hold for that variable, so each source ships only rows the join
-    can keep.  The block may be empty.  Rows stay ids throughout;
-    ``rows`` of the answer decodes them when it is first read."""
+    so far on its ``join_on``; the query's VALUES block, if it has one, is
+    the first rows.  An answer whose variables are not its subquery's
+    projection is malformed, so the plan's joins are the ones that run.
+    Then apply the query's solution modifiers as local evaluation does.  A
+    subquery with ``bind_on`` is a bound join: it goes out with a VALUES
+    block of the distinct values the rows joined so far hold for that
+    variable, so each source ships only rows the join can keep.  The block
+    may be empty.  Rows stay ids throughout; ``rows`` of the answer decodes
+    them when it is first read."""
     for sq in plan.subqueries:
         for source_id in sq.sources:
             if source_id not in clients:
@@ -309,9 +296,14 @@ def execute_federated(plan: DecomposedQuery, clients: dict) -> SolutionSequence:
         answers = []
         for source_id in sq.sources:
             try:
-                answers.append(clients[source_id].query(text))
+                answer = clients[source_id].query(text)
             except ResultsFormatError as exc:
                 raise MalformedAnswerError(source_id, str(exc)) from None
+            if set(answer.variables) != set(sq.query.projected):
+                raise MalformedAnswerError(
+                    source_id, f"head.vars {answer.variables} are not the "
+                               f"projection {list(sq.query.projected)}")
+            answers.append(answer)
         if len(answers) == 1:
             return answers[0]  # the source applied the subquery's modifiers
         # the subquery's DISTINCT makes this a union of the sources' rows
@@ -330,8 +322,7 @@ def execute_federated(plan: DecomposedQuery, clients: dict) -> SolutionSequence:
         sq = plan.subqueries[index]
         query = sq.query if sq.bind_on is None else _bound(sq.query, sq.bind_on, joined)
         answer = run_subquery(sq, query)
-        joined = answer if joined is None else hash_join(
-            joined, answer, set(joined.variables) & set(answer.variables))
+        joined = answer if joined is None else hash_join(joined, answer, sq.join_on)
     if joined is None:          # no patterns: the empty BGP's one solution
         joined = SolutionSequence([], rows=[{}])
     return apply_modifiers(joined, plan.query)
@@ -339,27 +330,20 @@ def execute_federated(plan: DecomposedQuery, clients: dict) -> SolutionSequence:
 
 def _bound(query: Query, variable: str, joined: SolutionSequence) -> Query:
     """``query`` with a VALUES block of the distinct values ``joined`` binds
-    ``variable`` to, in the order they first appear; ``query`` itself when
-    ``joined`` lacks the variable."""
-    column = _picks(joined.variables, [variable])[0]
-    if column is None:
-        return query
+    ``variable`` to, in the order they first appear."""
+    column = joined.variables.index(variable)
     cells = dict.fromkeys(row[column] for row in joined.cells)
     terms = joined.terms
     return replace(query, values=Values(Variable(variable), tuple(
         terms[cell] for cell in cells if cell is not None)))
 
 
-def build_clients(catalog: FederationCatalog, client_factory=None) -> dict:
-    """Default clients speak the connector wire protocol using each source's
-    endpoint, which must be ``host:port``, and default contract.  Clients
-    from ``client_factory`` may read the endpoint as they like."""
+def build_clients(catalog: FederationCatalog) -> dict:
+    """Clients that speak the connector wire protocol using each source's
+    endpoint, which must be ``host:port``, and default contract."""
     from .connector.client import NodeClient
     clients = {}
     for i, source in enumerate(catalog.sources):
-        if client_factory is not None:
-            clients[source.id] = client_factory(source)
-            continue
         host, _, port = source.endpoint.rpartition(":")
         if not (host and port.isascii() and port.isdigit() and int(port) <= 65535):
             raise CatalogError(f"sources[{i}].endpoint: expected host:port, "

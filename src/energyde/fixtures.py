@@ -28,7 +28,6 @@ PORTS = {"tso": 39471, "supplier": 39472, "producer": 39473, "wiki": 39474}
 LOAD_MEASUREMENT = ENERGY + "LoadMeasurement"
 WEATHER_OBSERVATION = ENERGY + "WeatherObservation"
 ZONE = ENERGY + "zone"
-SOURCE_DATASET = ENERGY + "sourceDataset"
 CIM_AMOUNT = CIM + "amount"
 CIM_VALUE = CIM + "value"
 CIM_STATUS = CIM + "status"

@@ -89,10 +89,6 @@ class MappingResult:
     graph: Graph
     errors: list  # (record index, message)
 
-    @property
-    def error_count(self) -> int:
-        return len(self.errors)
-
 
 def parse_mapping(text: str, base_dir: Optional[Path] = None) -> MappingDocument:
     """Parse a mapping document.  When ``base_dir`` is given and a CSV source
@@ -168,7 +164,7 @@ def _source_header(source: LogicalSource, base_dir: Path,
             if source.format == "csv":
                 return set(next(csv.reader(fh), []))
             first = fh.readline().strip()
-    except UnicodeDecodeError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         raise MappingError(f"{where}.source: cannot read {path}: {exc}") from None
     if not first:
         return None  # an empty json-lines file has no schema to check
@@ -209,7 +205,7 @@ def read_records(source: LogicalSource, base_dir: Path) -> list[RawRecord]:
                         raise MappingError(f"{path}: line {number}: not a JSON object")
                     records.append({k: (None if v is None else str(v))
                                     for k, v in obj.items()})
-    except UnicodeDecodeError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         raise MappingError(f"{path}: cannot read: {exc}") from None
     return records
 

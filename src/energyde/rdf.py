@@ -137,19 +137,34 @@ IdTriple = tuple[int, int, int]
 _Derived = TypeVar("_Derived")
 
 
-class TermTexts:
-    """A lazy memo of what is derived from a term table's terms, such as
-    each term's N-Triples text: ``texts(make, ids)`` maps an id to
+class TermTable(list):
+    """A term dictionary: ``table[id]`` is the term, and ``add`` gives each
+    distinct term one id, the next free one when the term is new.  It is
+    append-only: an id is never reused or renumbered and a term never
+    changes.
+
+    It keeps a lazy memo of what is derived from its terms, such as each
+    term's N-Triples text: ``texts(make, ids)`` maps an id to
     ``make(self[id])``, made the first time some caller asks for that id
     and kept for as long as the table lives.  So a memo never holds more
-    entries than the table has terms, and nothing is made at load.
+    entries than the table has terms, nothing is made when a term is
+    added, and a kept text is never stale, so nothing is ever invalidated.
+    Two threads that fill the same id write equal values; each store is
+    one dict assignment."""
 
-    A table that mixes this in is append-only: an id is never reused or
-    renumbered and a term never changes, so a kept text is never stale and
-    nothing is ever invalidated.  Two threads that fill the same id write
-    equal values; each store is one dict assignment."""
+    __slots__ = ("_ids", "_memos")
 
-    __slots__ = ()
+    def __init__(self):
+        super().__init__()
+        self._ids: dict[Term, int] = {}
+        self._memos: dict = {}
+
+    def add(self, term: Term) -> int:
+        """The id of ``term``, appended if it is new."""
+        i = self._ids.setdefault(term, len(self))
+        if i == len(self):
+            self.append(term)
+        return i
 
     def texts(self, make: Callable[[Term], _Derived],
               ids: Iterable[int]) -> dict[int, _Derived]:
@@ -161,17 +176,6 @@ class TermTexts:
         for i in list(filterfalse(memo.__contains__, ids)):
             memo[i] = make(self[i])
         return memo
-
-
-class TermTable(TermTexts, list):
-    """A graph's term dictionary: ``table[id]`` is the term.  The graph
-    appends to it; nothing else may modify it."""
-
-    __slots__ = ("_memos",)
-
-    def __init__(self):
-        super().__init__()
-        self._memos: dict = {}
 
 
 class _Predicate:
@@ -237,7 +241,7 @@ class Graph:
     by the first triple that uses it.  So no ``Triple`` is built per row,
     and ``term_id`` still knows only terms that some triple uses.
 
-    The term table keeps a memo of each term's derived text (``TermTexts``):
+    The term table keeps a memo of each term's derived text (``TermTable.texts``):
     its N-Triples text, and its SPARQL JSON binding and that binding's JSON
     text.  The memo is lazy: a term's text is made the first time a
     response or a serialization emits it, never at load, so it holds at
@@ -247,7 +251,6 @@ class Graph:
 
     def __init__(self, triples: Iterable[Triple] = ()):
         self._terms = TermTable()
-        self._ids: dict[Term, int] = {}
         self._predicates: dict[int, _Predicate] = {}
         # object id -> the shared PSO leaf that holds that object alone
         self._single: dict[int, tuple[int]] = {}
@@ -262,7 +265,7 @@ class Graph:
             return iter(self._decode(self._id_triples()))
 
     def __contains__(self, triple: Triple) -> bool:
-        ids = [self._ids.get(term) for term in triple]
+        ids = [self.term_id(term) for term in triple]
         return None not in ids and self._has(*ids)
 
     def __eq__(self, other) -> bool:
@@ -274,7 +277,7 @@ class Graph:
         if len(theirs) != len(self):
             return False
         # the two graphs number their terms independently
-        ours = [self._ids.get(term) for term in terms]
+        ours = [self.term_id(term) for term in terms]
         with self._lock:
             return all(None not in (ours[s], ours[p], ours[o])
                        and self._has(ours[s], ours[p], ours[o])
@@ -283,8 +286,7 @@ class Graph:
     @property
     def terms(self) -> TermTable:
         """The term dictionary, indexed by id, with its memo of derived
-        text.  Ids are never reused or renumbered; callers must not modify
-        the list."""
+        text.  The graph adds to it; nothing else may."""
         return self._terms
 
     @property
@@ -295,15 +297,15 @@ class Graph:
 
     def term_id(self, term: Term) -> Optional[int]:
         """The id of ``term``, or None if no triple of the graph uses it."""
-        return self._ids.get(term)
+        return self._terms._ids.get(term)
 
     def insert(self, triple: Triple) -> int:
         """Insert one triple (set semantics); returns the new graph size."""
         if not isinstance(triple, Triple):
             raise RdfError(f"not a triple: {triple!r}")
+        add = self._terms.add
         with self._lock:
-            self._add(self._intern(triple.subject), self._intern(triple.predicate),
-                      self._intern(triple.object))
+            self._add(add(triple.subject), add(triple.predicate), add(triple.object))
             return len(self)
 
     def insert_encoded(self, terms: Sequence[Term],
@@ -314,18 +316,18 @@ class Graph:
         must be one ``Triple`` accepts: no literal subject, an IRI
         predicate.  Returns the new graph size."""
         ids: list[Optional[int]] = [None] * len(terms)
-        intern = self._intern
+        add = self._terms.add
         with self._lock:
             for a, b, c in triples:
                 s = ids[a]
                 if s is None:
-                    s = ids[a] = intern(terms[a])
+                    s = ids[a] = add(terms[a])
                 p = ids[b]
                 if p is None:
-                    p = ids[b] = intern(terms[b])
+                    p = ids[b] = add(terms[b])
                 o = ids[c]
                 if o is None:
-                    o = ids[c] = intern(terms[c])
+                    o = ids[c] = add(terms[c])
                 self._add(s, p, o)
             return len(self)
 
@@ -345,7 +347,7 @@ class Graph:
         """All triples matching the bound positions."""
         ids = []
         for term in (subject, predicate, object):
-            tid = None if term is None else self._ids.get(term)
+            tid = None if term is None else self.term_id(term)
             if term is not None and tid is None:
                 return []
             ids.append(tid)
@@ -399,17 +401,10 @@ class Graph:
 
     def objects(self, predicate: Term) -> list[Term]:
         """Every distinct object of ``predicate``, read off its POS table."""
-        pid = self._ids.get(predicate)
+        pid = self.term_id(predicate)
         with self._lock:
             return [self._terms[o]
                     for o in self._predicates.get(pid, _NO_TRIPLES).subjects]
-
-    def _intern(self, term: Term) -> int:
-        tid = self._ids.get(term)
-        if tid is None:
-            tid = self._ids[term] = len(self._terms)
-            self._terms.append(term)
-        return tid
 
     def _has(self, s: int, p: int, o: int) -> bool:
         return self._predicates.get(p, _NO_TRIPLES).holds(s, o)
@@ -630,12 +625,13 @@ def _parse_lines(lines: Iterable[str]) -> Graph:
     token table.  Every other line, and every error, goes through
     ``_scan_line``."""
     graph = Graph()                 # no other thread sees it yet: no lock
+    add = graph.terms.add
     ids: dict[str, int] = {}        # token text -> term id, at most _TOKEN_CACHE
 
     def token_id(token: str) -> int:
         if len(ids) >= _TOKEN_CACHE:
             ids.clear()
-        tid = ids[token] = graph._intern(_token_term(token))
+        tid = ids[token] = add(_token_term(token))
         return tid
 
     fast_line = _NT_LINE.fullmatch
@@ -651,7 +647,7 @@ def _parse_lines(lines: Iterable[str]) -> Graph:
             triple = _scan_line(line, line_no)
             if triple is None:
                 continue
-            s, p, o = (graph._intern(term) for term in triple)
+            s, p, o = map(add, triple)
         graph._add(s, p, o)
     return graph
 

@@ -8,7 +8,7 @@ from dataclasses import dataclass, replace
 from pathlib import Path
 from typing import Optional
 
-from .config import load_document, one_of, read_document, strings
+from .config import load_document, one_of, read_document, read_text, strings
 from .connector.client import NodeClient, RejectionError
 from .connector.node import NodeServer, load_node_config, serve
 from .federation import federated_query, load_catalog
@@ -133,7 +133,7 @@ def run_scenario(steps: list, nodes: NodeSet, base_dir,
                 replace(source, endpoint=nodes.servers[source.id].endpoint)
                 if source.id in nodes.servers else source
                 for source in catalog.sources]
-            query_text = (base / step.query).read_text(encoding="utf-8")
+            query_text = read_text(base / step.query)
             solutions = federated_query(query_text, catalog)
             entry.update({"response": "QueryResult", "rows": len(solutions)})
         elif step.kind in ("catalog", "query"):
@@ -147,7 +147,7 @@ def run_scenario(steps: list, nodes: NodeSet, base_dir,
                     response = client.request("CatalogRequest",
                                               {"contractId": step.contract})
                 else:
-                    query_text = (base / step.query).read_text(encoding="utf-8")
+                    query_text = read_text(base / step.query)
                     response = client.request("QueryRequest",
                                               {"contractId": client.contract_id,
                                                "query": query_text})

@@ -11,7 +11,7 @@ ids through FILTER, projection, DISTINCT and LIMIT until the response is
 written.  A cell is decoded only where a FILTER or the LIMIT sort reads
 it.  What a results document needs of a term, its N-Triples sort text and
 its binding entry's JSON text, comes from the term table's memo
-(``rdf.TermTexts``).  The memo is lazy: a term's texts are made the first
+(``rdf.TermTable``).  The memo is lazy: a term's texts are made the first
 time a response emits it, so it never holds more entries than the table has
 terms and nothing is made when a graph loads.  It is never invalidated, as
 it needs not be: a graph only grows, ids are never reused and terms are
@@ -43,7 +43,7 @@ from json.encoder import encode_basestring_ascii as _quote
 from typing import Optional, Union
 
 from .rdf import (BLANK_NODE_LABEL, IRIREF, LANGTAG, Graph, IRI, Literal,
-                  BlankNode, RdfError, Term, TermTexts, _unescape, format_term)
+                  BlankNode, RdfError, Term, TermTable, _unescape, format_term)
 from .vocab import (RDF_TYPE, XSD, XSD_DECIMAL, XSD_INTEGER, XSD_STRING)
 
 
@@ -407,7 +407,7 @@ class SolutionSequence:
 
     def __init__(self, variables, rows: Optional[list[dict[str, Term]]] = None,
                  cells: Optional[list[tuple]] = None,
-                 terms: Optional[TermTexts] = None):
+                 terms: Optional[TermTable] = None):
         self.variables = list(variables)
         self._rows = rows
         if cells is None:
@@ -436,29 +436,16 @@ class ResultsFormatError(ValueError):
     """A SPARQL JSON results document that cannot be read."""
 
 
-class AnswerTerms(TermTexts, list):
+class AnswerTerms(TermTable):
     """The term table of answers the federator decoded, unioned and joined:
     ``table[id]`` is the term.  Each term has one id, however the answers
     spelled it, so ids compare as their terms do and the federator joins
-    and deduplicates ids.  Like a graph's table it is append-only and keeps
-    a lazy memo of derived text; unlike one, the federator may add the terms
-    of other answers to it (``cells_of``), one thread at a time: each answer
-    gets its own table, and a union or join adds to the table of its own
-    inputs only."""
+    and deduplicates ids.  Unlike a graph's table, the federator may add
+    the terms of other answers to it (``cells_of``), one thread at a time:
+    each answer gets its own table, and a union or join adds to the table
+    of its own inputs only."""
 
-    __slots__ = ("_ids", "_memos")
-
-    def __init__(self):
-        super().__init__()
-        self._ids: dict[Term, int] = {}
-        self._memos: dict = {}
-
-    def add(self, term: Term) -> int:
-        """The id of ``term``, appended if it is new."""
-        i = self._ids.setdefault(term, len(self))
-        if i == len(self):
-            self.append(term)
-        return i
+    __slots__ = ()
 
     def cells_of(self, solutions: SolutionSequence) -> list[tuple]:
         """The cells of ``solutions`` as ids of this table, adding the terms
@@ -764,7 +751,7 @@ def _binding_text(term: Term) -> str:
     return "{" + text + "}"
 
 
-def _sorted_rows(rows: list[tuple], terms: TermTexts) -> tuple[list[tuple], set]:
+def _sorted_rows(rows: list[tuple], terms: TermTable) -> tuple[list[tuple], set]:
     """``rows`` sorted by their cells' N-Triples text, which comes from the
     memo of ``terms``; an unbound cell is "", which sorts first.  Also
     returns the distinct bound cells.  The sort keys are built a column at

@@ -23,8 +23,6 @@ OWL_SAMEAS = OWL + "sameAs"
 XSD_STRING = XSD + "string"
 XSD_INTEGER = XSD + "integer"
 XSD_DECIMAL = XSD + "decimal"
-XSD_DOUBLE = XSD + "double"
-XSD_BOOLEAN = XSD + "boolean"
 XSD_DATETIME = XSD + "dateTime"
 RDF_LANGSTRING = RDF + "langString"
 
@@ -37,12 +35,6 @@ AGG_YEAR = ENERGY + "agg_year"
 
 # CIM-derived classes
 CIM_POWER_SYSTEM_RESOURCE = CIM + "PowerSystemResource"
-CIM_EQUIPMENT_CONTAINER = CIM + "EquipmentContainer"
-CIM_REGISTERED_RESOURCE = CIM + "RegisteredResource"
-CIM_HOST_CONTROL_AREA = CIM + "HostControlArea"
-CIM_CONTROL_AREA_OPERATOR = CIM + "ControlAreaOperator"
-CIM_FREQUENCY = CIM + "Frequency"
-CIM_PLANT = CIM + "Plant"
 CIM_ACTIVE_POWER = CIM + "ActivePower"
 CIM_RESERVE_REQ = CIM + "ReserveReq"
 CIM_AGREEMENT = CIM + "Agreement"

@@ -17,10 +17,12 @@ from energyde.connector.client import NodeClient
 from energyde.connector.messages import digest
 from energyde.connector.node import NodeServer, NodeState, load_node_config
 from energyde.connector.provenance import read_log
-from energyde.federation import (MalformedAnswerError, decompose, federated_query,
-                                 load_catalog, parse_catalog, plan_query,
-                                 select_sources)
-from energyde.rdf import Graph, IRI, Literal, Triple
+from energyde import federation
+from energyde.federation import (MalformedAnswerError, UnanswerablePatternError,
+                                 decompose, execute_federated, federated_query,
+                                 hash_join, load_catalog, parse_catalog,
+                                 plan_query, select_sources)
+from energyde.rdf import Graph, IRI, Literal, Triple, load_graph
 from energyde.sparql import evaluate, format_query, parse_query, solutions_from_json
 
 EX = "http://example.org/"
@@ -102,6 +104,65 @@ def test_query_values_bind_the_first_subquery():
     assert plan.order == [1, 0]
     assert [sq.bind_on for sq in plan.subqueries] == ["x", "b"]
     assert plan.subqueries[1].query.projected == ("b", "x")
+
+
+def test_rq4_plan_lists_five_joins_none_cartesian(fixture_dir):
+    plan = plan_query((fixture_dir / "queries" / "rq4_federated.rq").read_text(),
+                      load_catalog(fixture_dir / "catalog_full.yaml"))
+    joins = plan.to_dict()["joins"]
+    assert len(joins) == 5 and not any(join["cartesian"] for join in joins)
+    # left-deep: each answer after the first joins every answer before it
+    assert [(join["left"], join["right"]) for join in joins] == \
+        [(plan.order[:k], i) for k, i in enumerate(plan.order) if k]
+
+
+# --- the printed joins are the joins that run ---------------------------------------
+
+def fixture_sources(fixture_dir):
+    """The full catalog's sources, each a local graph of its node's files."""
+    files = {"tso": ["tso.nt", "tso_load.nt"], "wiki": ["reference.nt"],
+             "supplier": ["supplier.nt"]}
+    return load_catalog(fixture_dir / "catalog_full.yaml"), {
+        source: union_of(load_graph(fixture_dir / "graphs" / name) for name in names)
+        for source, names in files.items()}
+
+
+@pytest.mark.parametrize("catalog_name", ["catalog_full", "three_sources"])
+def test_the_printed_joins_are_the_hash_joins_that_run(catalog_name, fixture_dir,
+                                                       monkeypatch):
+    calls = []
+
+    def recording(left, right, shared):
+        calls.append((set(left.variables), set(right.variables), list(shared)))
+        return hash_join(left, right, shared)
+    monkeypatch.setattr(federation, "hash_join", recording)
+
+    rng = random.Random(2311)
+    runs = {False: 0, True: 0}      # plans with a join, by VALUES block
+    settings = [fixture_sources(fixture_dir)] * 10 if catalog_name == "catalog_full" \
+        else [three_way(rng, genutil.random_graph(rng, 150)) for _ in range(10)]
+    for catalog, parts in settings:
+        graph = union_of(parts.values())
+        clients = {s: LocalClient(g, source_id=s) for s, g in parts.items()}
+        for _ in range(15):
+            query = genutil.random_query(rng, graph, max_patterns=5)
+            if rng.random() < 0.4:
+                query = genutil.with_values(rng, graph, query)
+            try:
+                plan = plan_query(format_query(query), catalog)
+            except UnanswerablePatternError:
+                continue
+            calls.clear()
+            answer = execute_federated(plan, clients)
+            assert genutil.bag(answer) == genutil.bag(evaluate(query, graph))
+            values = set() if query.values is None else {query.values.variable.name}
+            projected = [set(sq.query.projected) for sq in plan.subqueries]
+            assert calls == [
+                (values.union(*(projected[i] for i in join["left"])),
+                 projected[join["right"]], join["vars"])
+                for join in plan.to_dict()["joins"]], format_query(query)
+            runs[query.values is not None] += bool(calls)
+    assert runs[False] >= 30 and runs[True] >= 20, runs
 
 
 # --- execution -------------------------------------------------------------------

@@ -441,6 +441,27 @@ class TestBadConfig:
         assert code == 2 and out == ""
         assert re.fullmatch(r"error: \S*graphs: cannot read: .*\n", err), err
 
+    @pytest.mark.parametrize("edit, argv, path", [
+        (None, lambda work: ("rdfize", "--mapping",
+                             str(work / "mappings" / "capacity.yaml"),
+                             "--input", str(work / "raw"),
+                             "--output", str(work / "out.nt")), "raw"),
+        (_replace("query: queries/balancing_plans.rq", "query: queries"),
+         _scenario, "queries"),
+        (_replace("query: queries/rq4_federated.rq", "query: queries"),
+         _scenario, "queries"),
+    ], ids=["rdfize-input", "scenario-query", "scenario-federated"])
+    def test_input_path_that_is_a_directory_exits_2(self, capsys, workdir, edit,
+                                                    argv, path):
+        script = workdir / "scenario.yaml"
+        if edit is not None:
+            script.write_text(edit(script.read_text()))
+        _ephemeral_ports(workdir)
+        code, out, err = run_cli(capsys, *argv(workdir))
+        assert code == 2 and out == "", (out, err)
+        assert re.fullmatch(rf"error: \S*{path}: cannot read: .*\n", err), err
+        assert not (workdir / "out.nt").exists()
+
     @pytest.mark.parametrize("argv", [
         lambda work: ("rdfize", "--mapping", str(work / "mappings" / "capacity.yaml"),
                       "--output", str(work / "graphs")),

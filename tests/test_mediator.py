@@ -287,11 +287,15 @@ _IRI_B = {"type": "uri", "value": EX + "b"}
     (_answer(_IRI, rows=[[0]]), "a row does not hold 2 cells"),
     (_answer(_IRI, rows=[{"s": 0}]), "a row is not a list"),
     ({"head": {"vars": ["s"]}, "rows": [], "terms": {}}, "terms is not a list"),
+    # head.vars, as a set, must be the subquery's projection
+    ({"head": {"vars": ["s", "x"]}, "rows": [[0, None]], "terms": [_IRI]},
+     "head.vars ['s', 'x'] are not the projection ['o', 's']"),
 ], ids=["value-number", "no-type", "entry-string", "binding-string", "no-results",
         "no-document", "bad-iri", "bad-datatype", "lang-list", "unknown-type",
         "iri-brace", "bnode-space", "lang-underscore", "datatype-list",
         "cell-bool", "cell-float", "cell-string", "cell-negative",
-        "cell-out-of-range", "row-width", "row-object", "terms-object"])
+        "cell-out-of-range", "row-width", "row-object", "terms-object",
+        "head-vars"])
 def test_malformed_answer_exits_1_naming_the_source(odd_node, capsys, results, detail):
     code, out, err = odd_node(results, capsys)
     assert code == 1, err
