@@ -11,7 +11,6 @@ import argparse
 import json
 import sys
 from dataclasses import replace
-from pathlib import Path
 
 from . import federation, fixtures, pipeline, scenario
 from .config import ConfigError, read_text, write_text
@@ -21,7 +20,7 @@ from .connector.contracts import load_contracts
 from .connector.node import load_node_config, serve
 from .connector.provenance import read_log, replay_audit
 from .mapping import apply_mapping, load_mapping, read_records
-from .rdf import NTriplesParseError, RdfError, load_graph, save_graph
+from .rdf import RdfError, load_graph, save_graph
 from .shapes import load_shapes, validate
 from .sparql import QueryParseError, evaluate, parse_query, serialize_results
 
@@ -35,11 +34,10 @@ def cmd_rdfize(args) -> int:
     if args.input:
         # the first map's source settings, read from the given file
         records = [] if not doc.maps else read_records(
-            replace(doc.maps[0].source, path=Path(args.input).name),
-            Path(args.input).parent)
+            replace(doc.maps[0].source, path=args.input))
         result = apply_mapping(doc, records=records)
     else:
-        result = apply_mapping(doc, base_dir=Path(args.mapping).parent)
+        result = apply_mapping(doc)
     for index, message in result.errors:
         print(f"record {index}: {message}", file=sys.stderr)
     save_graph(result.graph, args.output)
@@ -100,10 +98,9 @@ def cmd_federate(args) -> int:
 
 
 def cmd_scenario_run(args) -> int:
-    base = Path(args.nodes).parent
     steps = scenario.load_scenario(args.script)
     with scenario.NodeSet(args.nodes) as nodes:
-        transcript = scenario.run_scenario(steps, nodes, base,
+        transcript = scenario.run_scenario(steps, nodes,
                                            transcript_path=args.transcript)
     for entry in transcript:
         print(json.dumps(entry, sort_keys=True))
@@ -205,8 +202,7 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 # a bad catalog is both a config and a federation error: it exits 2
-_CONFIG_ERRORS = (ConfigError, QueryParseError, NTriplesParseError, RdfError,
-                  FileNotFoundError)
+_CONFIG_ERRORS = (ConfigError, QueryParseError, RdfError, FileNotFoundError)
 _DOMAIN_ERRORS = (RejectionError, SourceUnreachableError, BadResponseError,
                   federation.FederationError, scenario.ScenarioError)
 

@@ -13,7 +13,8 @@ from typing import Callable
 
 import yaml
 
-from .rdf import IRI, RdfError
+from .rdf import IRI, Literal, RdfError, Term
+from .vocab import XSD_STRING
 
 
 class ConfigError(ValueError):
@@ -145,6 +146,15 @@ class Section:
             return IRI(full).value
         except RdfError as exc:
             raise self.fail(key, str(exc)) from None
+
+    def term(self, key, value: str, prefixes: dict, datatype: str = XSD_STRING) -> Term:
+        """``value``, read at ``key``, as an RDF term: a value with a ``:``
+        that does not start with ``"`` is an IRI, expanded as ``expand``
+        does; any other is a ``datatype`` literal of its text between the
+        quotes, so a quoted value is a literal even when it holds a ``:``."""
+        if ":" in value and not value.startswith('"'):
+            return IRI(self.expand(key, value, prefixes))
+        return Literal(value.strip('"'), datatype)
 
     def prefixes(self, base: dict) -> dict:
         """``base`` and the document's own ``prefixes`` mapping."""

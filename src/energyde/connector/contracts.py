@@ -7,7 +7,7 @@ from datetime import datetime
 from typing import Optional
 
 from ..config import ConfigError, Section, load_document, read_document, scalar, strings
-from .messages import Message, parse_rfc3339
+from .messages import parse_rfc3339
 
 
 class ContractError(ConfigError):
@@ -82,25 +82,20 @@ def load_contracts(path) -> ContractStore:
     return load_document(path, parse_contracts)
 
 
-_OPERATION_FOR_TYPE = {"CatalogRequest": "catalog", "QueryRequest": "query"}
-
-
-def authorize(request: Message, contracts: ContractStore, node_id: str,
-              resource: str, now: datetime):
-    """Decide a CatalogRequest/QueryRequest.  Returns ``None`` to allow, else
-    ``(reason, text)`` with the most specific rejection reason
-    (unknown < consumer mismatch < window < operation)."""
-    operation = _OPERATION_FOR_TYPE.get(request.type)
-    if operation is None:
-        return ("MALFORMED", f"{request.type} is not an authorizable request")
-    contract_id = request.body.get("contractId")
+def authorize(contracts: ContractStore, contract_id: Optional[str], consumer: str,
+              operation: str, node_id: str, resource: str, now: datetime):
+    """Decide whether ``consumer`` may run ``operation`` (``"catalog"`` or
+    ``"query"``) on ``resource`` at ``node_id`` under ``contract_id`` at
+    ``now``.  Returns ``None`` to allow, else ``(reason, text)`` with the most
+    specific rejection reason (unknown < consumer mismatch < window <
+    operation)."""
     contract = contracts.get(contract_id) if contract_id else None
     if contract is None:
         return ("UNKNOWN_CONTRACT", f"no contract {contract_id!r}")
-    if contract.consumer != request.sender or contract.provider != node_id \
+    if contract.consumer != consumer or contract.provider != node_id \
             or contract.resource != resource:
         return ("NOT_AUTHORIZED",
-                f"contract {contract.id} does not grant {request.sender!r} "
+                f"contract {contract.id} does not grant {consumer!r} "
                 f"access to {resource!r} at {node_id!r}")
     if now < contract.not_before:
         return ("CONTRACT_NOT_YET_VALID",

@@ -130,8 +130,9 @@ def handle(state: NodeState, request: Message,
         return log_and_reject("MALFORMED", "'contractId' must be a string")
     if request.type == "QueryRequest" and not isinstance(query_text, str):
         return log_and_reject("MALFORMED", "QueryRequest body needs a 'query' string")
-    decision = authorize(request, state.contracts, state.node_id,
-                         state.resource, now)
+    operation = "catalog" if request.type == "CatalogRequest" else "query"
+    decision = authorize(state.contracts, contract_id, request.sender, operation,
+                         state.node_id, state.resource, now)
     if decision is not None:
         return log_and_reject(*decision)
     if request.type == "CatalogRequest":

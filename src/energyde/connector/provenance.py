@@ -109,7 +109,7 @@ def replay_audit(records, contracts, node_id: str, resource: str) -> list[str]:
     """Re-check every served record against the contract store; returns a list
     of findings (empty means the log shows no leak)."""
     from .contracts import authorize
-    from .messages import Message, parse_rfc3339
+    from .messages import parse_rfc3339
 
     findings = []
     last_id = 0
@@ -120,17 +120,14 @@ def replay_audit(records, contracts, node_id: str, resource: str) -> list[str]:
         if record.kind == "query-rejected":
             continue
         operation = "query" if record.kind == "query-served" else "catalog"
-        probe = Message(
-            type="QueryRequest" if operation == "query" else "CatalogRequest",
-            sender=record.consumer,
-            body={"contractId": record.contract})
         try:
             moment = parse_rfc3339(record.timestamp)
         except ValueError:
             findings.append(f"record {record.id}: unreadable timestamp "
                             f"{record.timestamp!r}")
             continue
-        decision = authorize(probe, contracts, node_id, resource, moment)
+        decision = authorize(contracts, record.contract, record.consumer,
+                             operation, node_id, resource, moment)
         if decision is not None:
             findings.append(
                 f"record {record.id}: served {operation} for {record.consumer} "

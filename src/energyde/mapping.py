@@ -16,6 +16,11 @@ predicate-object structure of the usual mapping languages:
           - {predicate: energy:measure, field: measure, datatype: xsd:decimal}
           - {predicate: energy:source, constant: energy:transparency}
           - {predicate: energy:productionType, template: "http://w3id.org/energy/{type}"}
+
+A source ``path`` is relative to the mapping file's directory, and is joined
+with it when the file is read, so a parsed ``LogicalSource`` names its file
+wherever the program runs.  A ``constant`` with a ``:`` is an IRI or
+prefixed name; quote it (``'"12:30"'``) to make it a literal.
 """
 
 from __future__ import annotations
@@ -90,16 +95,17 @@ class MappingResult:
     errors: list  # (record index, message)
 
 
-def parse_mapping(text: str, base_dir: Optional[Path] = None) -> MappingDocument:
-    """Parse a mapping document.  When ``base_dir`` is given and a CSV source
-    file is readable, template field references are checked against its header."""
+def parse_mapping(text: str, base_dir: Path) -> MappingDocument:
+    """Parse a mapping document whose source paths are relative to
+    ``base_dir``.  When a source file exists, the fields the map reads are
+    checked against its header."""
     doc = read_document(text, MappingError)
     prefixes = doc.prefixes(PREFIXES)
     maps = []
     for entry in doc.sections("maps"):
         src = entry.section("source")
         flt = entry.section("filter", required=False)
-        source = LogicalSource(path=src.get("path"),
+        source = LogicalSource(path=str(base_dir / src.get("path")),
                                format=src.get("format", source_format, "csv"),
                                filter_field=flt.get("field", default=None),
                                filter_equals=flt.get("equals", default=None))
@@ -118,13 +124,10 @@ def parse_mapping(text: str, base_dir: Optional[Path] = None) -> MappingDocument
                     f"{po.where}: exactly one of field/constant/template required")
             if datatype == RDF_LANGSTRING:
                 raise po.fail("datatype", "rdf:langString needs a language tag")
-            constant: Optional[Term] = None
-            if "constant" in po:
-                raw = po.get("constant")
-                if ":" in raw and not raw.startswith('"'):
-                    constant = IRI(po.iri("constant", prefixes))
-                else:
-                    constant = Literal(raw.strip('"'), datatype or XSD_STRING)
+            constant = po.get("constant", default=None)
+            if constant is not None:
+                constant = po.term("constant", constant, prefixes,
+                                   datatype or XSD_STRING)
             spec = ObjectSpec(field=po.get("field", default=None),
                               constant=constant,
                               template=po.get("template", default=None),
@@ -134,8 +137,7 @@ def parse_mapping(text: str, base_dir: Optional[Path] = None) -> MappingDocument
                          subject_template=subject.get("template"),
                          subject_class=subject.iri("class", prefixes, None),
                          predicate_objects=tuple(pos))
-        if base_dir is not None:
-            _check_fields(tmap, Path(base_dir), entry.where)
+        _check_fields(tmap, entry.where)
         maps.append(tmap)
     doc.done()
     return MappingDocument(maps=tuple(maps))
@@ -154,9 +156,8 @@ def _json_object(line: str) -> Optional[dict]:
     return obj if isinstance(obj, dict) else None
 
 
-def _source_header(source: LogicalSource, base_dir: Path,
-                   where: str) -> Optional[set[str]]:
-    path = base_dir / source.path
+def _source_header(source: LogicalSource, where: str) -> Optional[set[str]]:
+    path = Path(source.path)
     if not path.is_file():
         return None
     try:
@@ -175,8 +176,8 @@ def _source_header(source: LogicalSource, base_dir: Path,
     return set(header)
 
 
-def _check_fields(tmap: TripleMap, base_dir: Path, where: str) -> None:
-    header = _source_header(tmap.source, base_dir, where)
+def _check_fields(tmap: TripleMap, where: str) -> None:
+    header = _source_header(tmap.source, where)
     if header is None:
         return
     missing = tmap.referenced_fields() - header
@@ -186,8 +187,8 @@ def _check_fields(tmap: TripleMap, base_dir: Path, where: str) -> None:
             f"{tmap.source.path}")
 
 
-def read_records(source: LogicalSource, base_dir: Path) -> list[RawRecord]:
-    path = Path(base_dir) / source.path
+def read_records(source: LogicalSource) -> list[RawRecord]:
+    path = source.path
     records: list[RawRecord] = []
     try:
         with open(path, encoding="utf-8") as fh:
@@ -318,19 +319,13 @@ def apply_triple_map(tmap: TripleMap, records: Iterable[RawRecord],
 
 
 def apply_mapping(doc: MappingDocument,
-                  records: Optional[Iterable[RawRecord]] = None,
-                  base_dir: Optional[Path] = None) -> MappingResult:
+                  records: Optional[Iterable[RawRecord]] = None) -> MappingResult:
     """Apply every triple map.  With ``records`` given, all maps run over that
-    stream; otherwise each map loads its own logical source under ``base_dir``."""
+    stream; otherwise each map loads its own logical source."""
     graph = Graph()
     errors: list = []
     shared = list(records) if records is not None else None
     for tmap in doc.maps:
-        if shared is not None:
-            rows = shared
-        else:
-            if base_dir is None:
-                raise MappingError("base_dir required to load logical sources")
-            rows = read_records(tmap.source, base_dir)
+        rows = shared if shared is not None else read_records(tmap.source)
         apply_triple_map(tmap, rows, graph, errors)
     return MappingResult(graph=graph, errors=errors)

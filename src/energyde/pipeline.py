@@ -71,7 +71,7 @@ def canonical_decimal(value: Decimal) -> str:
 def preprocess(records: Iterable[RawRecord],
                steps: list) -> tuple[list[RawRecord], list[str]]:
     """Apply steps in order; returns (records, tally of record-level errors)."""
-    rows = [dict(r) for r in records]
+    rows = list(records)  # each step that changes a record makes a new one
     errors: list[str] = []
     for step in steps:
         if step.kind == "rename-field":
@@ -163,7 +163,7 @@ def link_entities(graph: Graph, reference: Graph,
 
 @dataclass
 class PipelineConfig:
-    sources: list            # [{path, format, preprocess: [...]}, ...]
+    sources: list            # [(LogicalSource, [PreprocessStep, ...]), ...]
     mapping_path: Path
     shapes_path: Path
     linking: Optional[LinkingSpec]
@@ -172,7 +172,6 @@ class PipelineConfig:
     staging_dir: Path
     provenance_path: Path
     report_path: Optional[Path]
-    base_dir: Path
 
 
 def load_pipeline_config(path) -> PipelineConfig:
@@ -191,9 +190,9 @@ def _parse_pipeline_config(text: str, base: Path) -> PipelineConfig:
     sources = []
     for entry in doc.sections("sources", []):
         steps = [PreprocessStep.read(s) for s in entry.sections("preprocess", [])]
-        sources.append({"path": entry.get("path"),
-                        "format": entry.get("format", source_format, "csv"),
-                        "steps": steps})
+        sources.append((LogicalSource(
+            path=str(base / entry.get("path")),
+            format=entry.get("format", source_format, "csv")), steps))
     if not sources:
         raise doc.fail("sources", "pipeline config needs at least one source")
     output = base / doc.get("output")
@@ -208,11 +207,10 @@ def _parse_pipeline_config(text: str, base: Path) -> PipelineConfig:
         staging_dir=base / doc.get("staging", default="staging"),
         provenance_path=base / (doc.get("provenance", default=None)
                                 or output.with_suffix(".prov.nt").name),
-        report_path=base / report if report else None,
-        base_dir=base)
+        report_path=base / report if report else None)
     doc.done()
     for required in ([config.mapping_path, config.shapes_path]
-                     + [base / s["path"] for s in sources]
+                     + [source.path for source, _ in sources]
                      + ([Path(linking.reference_path)] if linking else [])):
         if not Path(required).is_file():
             raise PipelineError(f"referenced file does not exist: {required}")
@@ -265,13 +263,12 @@ def run_pipeline(config: PipelineConfig) -> dict:
     started = format_rfc3339()
     config.staging_dir.mkdir(parents=True, exist_ok=True)
     staged = []
-    for source in config.sources:
-        src = config.base_dir / source["path"]
-        digest = _sha256_file(src)
-        target = config.staging_dir / f"{digest}{Path(source['path']).suffix}"
+    for source, _ in config.sources:
+        digest = _sha256_file(source.path)
+        target = config.staging_dir / f"{digest}{Path(source.path).suffix}"
         if not target.exists():
-            shutil.copyfile(src, target)
-        staged.append({"source": source["path"], "digest": digest})
+            shutil.copyfile(source.path, target)
+        staged.append({"source": source.path, "digest": digest})
     report["stages"]["staging"] = {"files": staged}
     prov.activity("staging", used=[s["digest"] for s in staged],
                   generated=[s["digest"] for s in staged],
@@ -279,18 +276,15 @@ def run_pipeline(config: PipelineConfig) -> dict:
 
     # preprocessing
     started = format_rfc3339()
-    records_by_path: dict[str, list] = {}
+    records_by_path: dict[Path, list] = {}
     total_in = total_out = 0
-    for source in config.sources:
-        rows = read_records(LogicalSource(path=source["path"],
-                                          format=source["format"]),
-                            config.base_dir)
+    for source, steps in config.sources:
+        rows = read_records(source)
         total_in += len(rows)
-        rows, errors = preprocess(rows, source["steps"])
+        rows, errors = preprocess(rows, steps)
         report["errors"].extend(errors)
         total_out += len(rows)
-        resolved = (config.base_dir / source["path"]).resolve()
-        records_by_path[str(resolved)] = rows
+        records_by_path[Path(source.path).resolve()] = rows
     report["stages"]["preprocess"] = {"records_in": total_in,
                                       "records_out": total_out}
     prov.activity("preprocess", used=[s["digest"] for s in staged], generated=[],
@@ -307,12 +301,10 @@ def run_pipeline(config: PipelineConfig) -> dict:
     graph = Graph()
     map_errors: list = []
     from .mapping import apply_triple_map
-    mapping_base = config.mapping_path.parent
     for tmap in doc.maps:
-        resolved = (mapping_base / tmap.source.path).resolve()
-        rows = records_by_path.get(str(resolved))
+        rows = records_by_path.get(Path(tmap.source.path).resolve())
         if rows is None:
-            rows = read_records(tmap.source, mapping_base)
+            rows = read_records(tmap.source)
         apply_triple_map(tmap, rows, graph, map_errors)
     report["errors"].extend(f"mapping: record {i}: {m}" for i, m in map_errors)
     mapped_size = len(graph)

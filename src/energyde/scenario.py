@@ -8,7 +8,7 @@ from dataclasses import dataclass, replace
 from pathlib import Path
 from typing import Optional
 
-from .config import load_document, one_of, read_document, read_text, strings
+from .config import load_document, one_of, read_document, read_text, strings, write_text
 from .connector.client import NodeClient, RejectionError
 from .connector.node import NodeServer, load_node_config, serve
 from .federation import federated_query, load_catalog
@@ -39,9 +39,12 @@ class ScenarioStep:
 _STEP_KEYS = {"catalog": ("receiver",), "query": ("receiver", "query"),
               "federated": ("catalog", "query"), "publish": ("graph",)}
 _OPTIONAL_KEYS = ("receiver", "contract", "query", "graph", "catalog")
+_FILE_KEYS = ("query", "graph", "catalog")
 
 
-def parse_scenario(text: str) -> list[ScenarioStep]:
+def parse_scenario(text: str, base_dir: Path) -> list[ScenarioStep]:
+    """Parse a scenario script whose step files (``query``, ``graph`` and
+    ``catalog``) are relative to ``base_dir``."""
     doc = read_document(text)
     steps = []
     for raw in doc.sections("steps"):
@@ -49,10 +52,12 @@ def parse_scenario(text: str) -> list[ScenarioStep]:
         for key in _STEP_KEYS[kind]:
             if key not in raw:
                 raise raw.fail(key, f"missing; a {kind} step needs it")
+        fields = {key: raw.get(key, default=None) for key in _OPTIONAL_KEYS}
+        fields.update({key: str(base_dir / fields[key])
+                       for key in _FILE_KEYS if fields[key] is not None})
         steps.append(ScenarioStep(
             rq=raw.get("rq"), kind=kind, sender=raw.get("sender"),
-            expect=raw.get("expect", default="allow"),
-            **{key: raw.get(key, default=None) for key in _OPTIONAL_KEYS}))
+            expect=raw.get("expect", default="allow"), **fields))
     if not steps:
         raise doc.fail("steps", "scenario has no steps")
     doc.done()
@@ -60,7 +65,7 @@ def parse_scenario(text: str) -> list[ScenarioStep]:
 
 
 def load_scenario(path) -> list[ScenarioStep]:
-    return load_document(path, parse_scenario)
+    return load_document(path, parse_scenario, Path(path).parent)
 
 
 def _node_files(text: str) -> list[str]:
@@ -109,31 +114,30 @@ class NodeSet:
         return self.servers[node_id]
 
 
-def run_scenario(steps: list, nodes: NodeSet, base_dir,
+def run_scenario(steps: list, nodes: NodeSet,
                  transcript_path=None) -> list[dict]:
     """Execute the steps in order; a rejection at a step expecting 'allow'
     fails the scenario with that step's requirement tag."""
-    base = Path(base_dir)
     transcript: list[dict] = []
     for index, step in enumerate(steps):
         entry: dict = {"step": index, "rq": step.rq, "kind": step.kind,
                        "sender": step.sender}
         if step.kind == "publish":
-            payload = load_graph(base / step.graph)
+            payload = load_graph(step.graph)
             node = nodes.server(step.sender).state
             before = len(node.graph)
             node.graph.update(payload)
             entry.update({"response": "inserted",
                           "triples_added": len(node.graph) - before})
         elif step.kind == "federated":
-            catalog = load_catalog(base / step.catalog)
+            catalog = load_catalog(step.catalog)
             # endpoints in the catalog may be stale if nodes were started on
             # ephemeral ports; rewrite from the running set
             catalog.sources = [
                 replace(source, endpoint=nodes.servers[source.id].endpoint)
                 if source.id in nodes.servers else source
                 for source in catalog.sources]
-            query_text = read_text(base / step.query)
+            query_text = read_text(step.query)
             solutions = federated_query(query_text, catalog)
             entry.update({"response": "QueryResult", "rows": len(solutions)})
         elif step.kind in ("catalog", "query"):
@@ -147,7 +151,7 @@ def run_scenario(steps: list, nodes: NodeSet, base_dir,
                     response = client.request("CatalogRequest",
                                               {"contractId": step.contract})
                 else:
-                    query_text = read_text(base / step.query)
+                    query_text = read_text(step.query)
                     response = client.request("QueryRequest",
                                               {"contractId": client.contract_id,
                                                "query": query_text})
@@ -174,9 +178,8 @@ def run_scenario(steps: list, nodes: NodeSet, base_dir,
                         f"got {exc.reason}") from None
         transcript.append(entry)
     if transcript_path is not None:
-        with open(transcript_path, "w", encoding="utf-8") as fh:
-            for entry in transcript:
-                fh.write(json.dumps(entry, sort_keys=True) + "\n")
+        write_text(transcript_path, "".join(json.dumps(entry, sort_keys=True) + "\n"
+                                            for entry in transcript))
     return transcript
 
 

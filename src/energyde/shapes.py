@@ -11,10 +11,14 @@ structure:
           - {path: energy:productionType, min_count: 1, node_kind: IRI}
           - {path: energy:plant, class: cim:Plant}
           - {path: energy:agg_year, in: ["2019", "2020", "2021"]}
+          - {path: energy:slot, in: ['"12:30"', energy:Peak]}
 
 Checks implemented: min_count, max_count, datatype (literal datatype IRI
 equality), node_kind (IRI | Literal), class (object has an explicit rdf:type
-assertion in the same graph), in (object among the listed values).
+assertion in the same graph), in (object among the listed values).  An
+``in`` value reads as a mapping's ``constant`` does: a value with a ``:`` is
+an IRI or prefixed name unless it is quoted, and any other is a string
+literal.
 """
 
 from __future__ import annotations
@@ -100,11 +104,7 @@ def parse_shapes(text: str) -> list[Shape]:
                 raw = prop.get("in", strings)
                 if not raw:
                     raise prop.fail("in", "must be a non-empty list")
-                in_values = tuple(
-                    IRI(prop.expand("in", v, prefixes)) if "://" in v or (
-                        ":" in v and v.split(":", 1)[0] in prefixes)
-                    else Literal(v)
-                    for v in raw)
+                in_values = tuple(prop.term("in", v, prefixes) for v in raw)
             constraints.append(PropertyConstraint(
                 path=prop.iri("path", prefixes),
                 min_count=min_count, max_count=max_count,

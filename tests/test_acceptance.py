@@ -19,8 +19,7 @@ from energyde.connector.provenance import read_log, replay_audit
 from energyde.federation import (FederationCatalog, federated_query,
                                  load_catalog, plan_query)
 from energyde.fixtures import PORTS
-from energyde.mapping import (LogicalSource, apply_mapping, load_mapping,
-                              read_records)
+from energyde.mapping import apply_mapping, load_mapping, read_records
 from energyde.pipeline import (link_entities, load_pipeline_config,
                                preprocess, run_pipeline)
 from energyde.rdf import Graph, IRI, Literal, load_graph, parse_ntriples
@@ -158,8 +157,7 @@ def test_4_parser_fixpoint(fixture_dir):
 
 def test_5_mapping_round_trip(fixture_dir):
     doc = load_mapping(fixture_dir / "mappings" / "capacity.yaml")
-    base = fixture_dir / "mappings"
-    records = read_records(doc.maps[0].source, base)
+    records = read_records(doc.maps[0].source)
     graph = apply_mapping(doc, records=records).graph
 
     # analytic triple count: one rdf:type per record plus one triple per
@@ -213,7 +211,7 @@ def test_7_sovereignty(fixture_dir, tmp_path):
     shutil.copytree(fixture_dir, work)
     steps = load_scenario(work / "scenario.yaml")
     with NodeSet(work / "nodes.yaml", port_override=dict.fromkeys(PORTS, 0)) as nodes:
-        transcript = run_scenario(steps, nodes, work)
+        transcript = run_scenario(steps, nodes)
     assert coverage(transcript) >= REQUIRED_TAGS
 
     contracts = load_contracts(work / "contracts" / "contracts.yaml")
@@ -264,7 +262,9 @@ def test_7_sovereignty(fixture_dir, tmp_path):
             assert response.type == "Rejection"
             assert response.body["reason"] == "MALFORMED"
             continue
-        decision = authorize(request, contracts, "tso", "tso-graph", now)
+        operation = "catalog" if request.type == "CatalogRequest" else "query"
+        decision = authorize(contracts, body["contractId"], request.sender,
+                             operation, "tso", "tso-graph", now)
         if response.type in ("QueryResult", "CatalogResponse"):
             if decision is not None:
                 leaks += 1
@@ -332,11 +332,8 @@ def test_9_pipeline_idempotence(fixture_dir, tmp_path):
 
     # orchestrated output == manual stage composition
     from energyde.mapping import apply_triple_map
-    source = config.sources[0]
-    rows = read_records(LogicalSource(path=source["path"],
-                                      format=source["format"]),
-                        config.base_dir)
-    rows, _ = preprocess(rows, source["steps"])
+    source, steps = config.sources[0]
+    rows, _ = preprocess(read_records(source), steps)
     doc = load_mapping(config.mapping_path)
     manual = Graph()
     errors = []

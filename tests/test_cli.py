@@ -360,12 +360,16 @@ class TestBadConfig:
         # read as a shape without constraints, it would pass every graph
         ("shapes/capacity.yaml", _replace("properties:", "propertes:"), _validate,
          r"capacity\.yaml: shapes\[0\]: unknown keys \['propertes'\]"),
+        # a value with a ':' is an IRI; a literal holding one is quoted
+        ("shapes/capacity.yaml", _replace("datatype: xsd:string}",
+                                          'datatype: xsd:string, in: ["12:30"]}'),
+         _validate, r"shapes\[0\]\.properties\[\d\]\.in: unknown prefix '12'"),
     ], ids=["pipeline-no-output", "pipeline-list", "factor-abc",
             "node-invalid-yaml", "node-listen-list", "contract-no-provider",
             "contract-expiry-text", "scenario-step-string", "nodes-no-nodes",
             "shape-min-count-text", "pipeline-unknown-key", "step-unknown-key",
             "contract-unknown-key", "scenario-unknown-key", "nodes-unknown-key",
-            "shape-unknown-key"])
+            "shape-unknown-key", "shape-in-unknown-prefix"])
     def test_exits_2_with_the_key_path(self, capsys, workdir, path, edit,
                                        argv, message):
         target = workdir / path
@@ -469,12 +473,14 @@ class TestBadConfig:
         lambda work: _pipeline(work),
         lambda work: ("fixtures", "generate", "--seed", "1",
                       "--out", str(work / "graphs" / "tso.nt")),
-    ], ids=["rdfize", "validate", "pipeline", "fixtures"])
+        lambda work: _scenario(work) + ("--transcript", str(work / "graphs")),
+    ], ids=["rdfize", "validate", "pipeline", "fixtures", "scenario-transcript"])
     def test_output_path_that_cannot_be_written_exits_2(self, capsys, workdir, argv):
         # a directory where a file goes, or a file where a directory goes
         config = workdir / "pipeline.yaml"
         config.write_text(_replace("output: graphs/tso.nt", "output: graphs")(
             config.read_text()))
+        _ephemeral_ports(workdir)
         code, out, err = run_cli(capsys, *argv(workdir))
         assert code == 2 and out == "", (out, err)
         assert re.fullmatch(r"error: \S*graphs\S*: cannot write: .*\n", err), err

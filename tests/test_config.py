@@ -2,6 +2,7 @@ import copy
 import shutil
 from functools import reduce
 from operator import getitem
+from pathlib import Path
 
 import pytest
 import yaml
@@ -27,6 +28,23 @@ LOADERS = {
     "catalog": ("catalog_full.yaml", load_catalog),
     "scenario": ("scenario.yaml", load_scenario),
     "nodes file": ("nodes.yaml", NodeSet),
+}
+
+# each loader's parsed document -> the input files it names
+INPUTS = {
+    "mapping": lambda doc: [tmap.source.path for tmap in doc.maps],
+    "shapes": lambda shapes: [],
+    "contracts": lambda store: [],
+    "node config": lambda config: config.graph_paths + [config.contracts_path],
+    "pipeline config": lambda config: (
+        [config.mapping_path, config.shapes_path, config.linking.reference_path]
+        + [source.path for source, _ in config.sources]),
+    "catalog": lambda catalog: [],
+    "scenario": lambda steps: [path for step in steps
+                               for path in (step.query, step.graph, step.catalog)
+                               if path is not None],
+    "nodes file": lambda nodes: [path for config in nodes._configs
+                                 for path in INPUTS["node config"](config)],
 }
 
 _leaf = st.one_of(st.none(), st.booleans(), st.integers(), st.text(max_size=12))
@@ -58,6 +76,18 @@ def corpus(fixture_dir, tmp_path_factory):
 def test_fixture_documents_load(corpus, name):
     relative, load = LOADERS[name]
     load(corpus / relative)
+
+
+@pytest.mark.parametrize("name", LOADERS)
+def test_every_input_path_a_document_names_exists(corpus, name, tmp_path,
+                                                  monkeypatch):
+    # each path is joined with its document's directory when it is read,
+    # so it names its file from any working directory
+    relative, load = LOADERS[name]
+    monkeypatch.chdir(tmp_path)
+    names = INPUTS[name](load((corpus / relative).resolve()))
+    missing = [str(path) for path in names if not Path(path).is_file()]
+    assert not missing
 
 
 @pytest.mark.parametrize("name", LOADERS)

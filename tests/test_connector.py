@@ -200,8 +200,9 @@ class TestAuthorize:
         expiry=datetime(2025, 1, 1, tzinfo=UTC))])
 
     def decide(self, request, now=IN_WINDOW, node_id="tso",
-               resource="tso-graph"):
-        return authorize(request, self.CONTRACTS, node_id, resource, now)
+               resource="tso-graph", operation="query"):
+        return authorize(self.CONTRACTS, request.body["contractId"],
+                         request.sender, operation, node_id, resource, now)
 
     def test_allow_in_window(self):
         assert self.decide(query_request(contract="c1")) is None
@@ -235,9 +236,8 @@ class TestAuthorize:
         assert reason == "CONTRACT_EXPIRED"
 
     def test_operation_not_permitted(self):
-        req = Message(type="CatalogRequest", sender="fed",
-                      body={"contractId": "c1"})
-        reason, _ = self.decide(req)
+        reason, _ = self.decide(query_request(contract="c1"),
+                                operation="catalog")
         assert reason == "OPERATION_NOT_PERMITTED"
 
     def test_wrong_consumer_outranks_window(self):
@@ -323,6 +323,22 @@ class TestHandle:
         response = handle(state, req)
         assert response.type == "CatalogResponse"
         assert EX + "p" in response.body["source"]["predicates"]
+
+    @pytest.mark.parametrize("allowed,request_type", [
+        ("query", "CatalogRequest"), ("catalog", "QueryRequest"),
+    ], ids=["catalog-under-query-only", "query-under-catalog-only"])
+    def test_request_type_outside_the_contract_is_refused(
+            self, tmp_path, allowed, request_type):
+        contracts = ContractStore([open_contract(
+            "tso-open", "tso", "fed", "tso-graph", operations=(allowed,))])
+        state = make_node(tmp_path, "tso", small_graph(), contracts=contracts)
+        req = (query_request(contract="tso-open")
+               if request_type == "QueryRequest" else
+               Message(type="CatalogRequest", sender="fed",
+                       body={"contractId": "tso-open"}))
+        response = handle(state, req)
+        assert response.type == "Rejection"
+        assert response.body["reason"] == "OPERATION_NOT_PERMITTED"
 
     def test_every_request_logged_exactly_once(self, tmp_path):
         state = make_node(tmp_path, "tso", small_graph())

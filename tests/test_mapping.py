@@ -1,4 +1,5 @@
 import random
+from pathlib import Path
 
 import pytest
 
@@ -41,7 +42,7 @@ class TestParse:
         """
         with pytest.raises(MappingError,
                            match=r"maps\[0\]\.po\[0\]: unknown keys \['feild'\]"):
-            parse_mapping(doc)
+            parse_mapping(doc, Path())
 
     @pytest.mark.parametrize("lines, message", [
         # read as no filter value, the filter would drop every record
@@ -56,7 +57,7 @@ class TestParse:
         doc = ("maps:\n  - source: {path: x.csv, format: csv}\n    " + lines
                + "\n    po:\n      - {predicate: http://example.org/p, field: id}\n")
         with pytest.raises(MappingError, match=message):
-            parse_mapping(doc)
+            parse_mapping(doc, Path())
 
     def test_template_field_checked_against_header(self, tmp_path):
         (tmp_path / "d.csv").write_text("id,name\n1,a\n")
@@ -82,7 +83,7 @@ class TestParse:
                 constant: http://example.org/c
         """
         with pytest.raises(MappingError, match="exactly one"):
-            parse_mapping(doc)
+            parse_mapping(doc, Path())
 
     @pytest.mark.parametrize("value", ["field: id", 'constant: \'"x"\''])
     def test_language_string_datatype_rejected(self, value):
@@ -98,7 +99,7 @@ class TestParse:
         """
         with pytest.raises(MappingError,
                            match=r"maps\[0\]\.po\[0\]\.datatype: rdf:langString"):
-            parse_mapping(doc)
+            parse_mapping(doc, Path())
 
     def test_unknown_prefix_rejected(self):
         doc = """
@@ -110,7 +111,7 @@ class TestParse:
                 field: id
         """
         with pytest.raises(MappingError, match="nope"):
-            parse_mapping(doc)
+            parse_mapping(doc, Path())
 
 
 class TestApply:
@@ -153,7 +154,7 @@ class TestApply:
               - predicate: http://example.org/p
                 field: id
         """
-        m = parse_mapping(doc)
+        m = parse_mapping(doc, Path())
         result = apply_mapping(m, records=[{"id": "a b/c"}])
         assert {t.subject.value for t in result.graph} == \
             {"http://example.org/a%20b%2Fc"}
@@ -167,7 +168,7 @@ class TestApply:
               - predicate: http://example.org/p
                 field: id
         """
-        m = parse_mapping(doc)
+        m = parse_mapping(doc, Path())
         result = apply_mapping(m, records=[{"id": "1"}, {"id": "2"}])
         assert len(result.errors) == 2
         assert result.errors[0][0] == 0 and result.errors[1][0] == 1
@@ -183,7 +184,7 @@ class TestApply:
               - predicate: http://example.org/kind
                 field: kind
         """
-        m = parse_mapping(doc)
+        m = parse_mapping(doc, tmp_path)
         records = [{"id": "1", "kind": "a"}, {"id": "2", "kind": "b"}]
         g = apply_mapping(m, records=records).graph
         assert {t.subject.value for t in g} == {"http://example.org/1"}
@@ -192,12 +193,12 @@ class TestApply:
         from energyde.mapping import LogicalSource
         p = tmp_path / "r.csv"
         p.write_text("a,b\n1,\n")
-        source = LogicalSource(path="r.csv", format="csv")
-        assert read_records(source, tmp_path) == [{"a": "1", "b": None}]
+        source = LogicalSource(path=str(p), format="csv")
+        assert read_records(source) == [{"a": "1", "b": None}]
 
     def test_fixture_csv_mapping_counts(self, fixture_dir, capacity_mapping):
         source = capacity_mapping.maps[0].source
-        records = read_records(source, fixture_dir / "mappings")
+        records = read_records(source)
         result = apply_mapping(capacity_mapping, records=records)
         assert not result.errors
         # each record carries every field, so 6 triples apiece, all distinct
@@ -226,14 +227,14 @@ class TestProperties:
                 for _ in range(n)]
 
     def test_deterministic(self):
-        m = parse_mapping(self.DOC)
+        m = parse_mapping(self.DOC, Path())
         records = self._random_records(random.Random(3), 50)
         g1 = apply_mapping(m, records=records).graph
         g2 = apply_mapping(m, records=records).graph
         assert triples(g1) == triples(g2)
 
     def test_monotone_in_records(self):
-        m = parse_mapping(self.DOC)
+        m = parse_mapping(self.DOC, Path())
         records = self._random_records(random.Random(7), 40)
         full = apply_mapping(m, records=records).graph
         sub = apply_mapping(m, records=records[:20]).graph
@@ -241,14 +242,13 @@ class TestProperties:
 
     def test_triple_count_bound(self):
         # each record yields at most one type triple plus one per po entry
-        m = parse_mapping(self.DOC)
+        m = parse_mapping(self.DOC, Path())
         records = self._random_records(random.Random(13), 60)
         g = apply_mapping(m, records=records).graph
         assert len(g) <= len(records) * 3
 
     def test_serialization_round_trip(self, fixture_dir, capacity_mapping):
-        g = apply_mapping(capacity_mapping,
-                          base_dir=fixture_dir / "mappings").graph
+        g = apply_mapping(capacity_mapping).graph
         back = parse_ntriples(serialize_ntriples(g))
         assert triples(back) == triples(g)
 

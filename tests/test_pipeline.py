@@ -1,3 +1,4 @@
+import copy
 import csv
 import hashlib
 import json
@@ -83,6 +84,20 @@ class TestPreprocess:
         for s in steps:
             staged, _ = preprocess(staged, [s])
         assert combined == staged == [{"v": "6"}]
+
+    @pytest.mark.parametrize("kinds", [
+        ["rename-field"], ["scale-numeric"], ["aggregate"], ["drop-missing"],
+        ["rename-field", "scale-numeric", "aggregate", "drop-missing"]])
+    def test_input_records_are_left_as_they_were(self, kinds):
+        made = {"rename-field": step("rename-field", **{"from": "x", "to": "y"}),
+                "scale-numeric": step("scale-numeric", field="v", factor=2),
+                "aggregate": step("aggregate", group_by=["k"], sum="v"),
+                "drop-missing": step("drop-missing", field="v")}
+        records = [{"k": "a", "x": "1", "v": "2"}, {"k": "a", "x": None, "v": "3"},
+                   {"k": "b", "x": "4", "v": None}, {"k": "b", "v": "z"}]
+        before = copy.deepcopy(records)
+        preprocess(records, [made[kind] for kind in kinds])
+        assert records == before
 
     def test_zero_scale_factor_rejected(self):
         with pytest.raises(PipelineError):
@@ -188,17 +203,13 @@ class TestRunPipeline:
         assert serialize(parse_ntriples(output)) == output
 
     def test_output_equals_manual_stage_composition(self, workdir):
-        from energyde.mapping import (LogicalSource, apply_triple_map,
-                                      load_mapping, read_records)
+        from energyde.mapping import apply_triple_map, load_mapping, read_records
         config = load_pipeline_config(workdir / "pipeline.yaml")
         run_pipeline(config)
         loaded = load_graph(workdir / "graphs" / "tso.nt")
 
-        source = config.sources[0]
-        rows = read_records(LogicalSource(path=source["path"],
-                                          format=source["format"]),
-                            config.base_dir)
-        rows, _ = preprocess(rows, source["steps"])
+        source, steps = config.sources[0]
+        rows, _ = preprocess(read_records(source), steps)
         doc = load_mapping(config.mapping_path)
         manual = Graph()
         errors = []

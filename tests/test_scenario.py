@@ -1,5 +1,6 @@
 import filecmp
 import json
+from pathlib import Path
 
 import pytest
 
@@ -59,11 +60,11 @@ class TestParse:
 
     def test_empty_script_rejected(self):
         with pytest.raises(Exception):
-            parse_scenario("steps: []")
+            parse_scenario("steps: []", Path())
 
     def test_unknown_kind_rejected(self):
         with pytest.raises(Exception):
-            parse_scenario("steps:\n  - {rq: RQ-1, kind: teleport, sender: a}")
+            parse_scenario("steps:\n  - {rq: RQ-1, kind: teleport, sender: a}", Path())
 
 
 class TestRun:
@@ -76,7 +77,7 @@ class TestRun:
                                                running_nodes):
         steps = load_scenario(fixture_dir / "scenario.yaml")
         transcript_path = tmp_path / "transcript.jsonl"
-        transcript = run_scenario(steps, running_nodes, fixture_dir,
+        transcript = run_scenario(steps, running_nodes,
                                   transcript_path=transcript_path)
         assert len(transcript) == len(steps)
         assert coverage(transcript) >= REQUIRED_TAGS
@@ -92,9 +93,9 @@ class TestRun:
         steps:
           - {rq: RQ-1, kind: query, sender: intruder, receiver: supplier,
              contract: tso-supplier-2020, query: queries/bids.rq}
-        """)
+        """, fixture_dir)
         with pytest.raises(ScenarioError, match="NOT_AUTHORIZED"):
-            run_scenario(steps, running_nodes, fixture_dir)
+            run_scenario(steps, running_nodes)
 
     def test_expected_rejection_reason_must_match(self, fixture_dir,
                                                   running_nodes):
@@ -103,9 +104,34 @@ class TestRun:
           - {rq: RQ-1, kind: query, sender: tso, receiver: supplier,
              contract: no-such-contract, query: queries/bids.rq,
              expect: CONTRACT_EXPIRED}
-        """)
+        """, fixture_dir)
         with pytest.raises(ScenarioError, match="UNKNOWN_CONTRACT"):
-            run_scenario(steps, running_nodes, fixture_dir)
+            run_scenario(steps, running_nodes)
+
+    def test_step_files_are_relative_to_the_script(self, fixture_dir, tmp_path,
+                                                   running_nodes):
+        # the script and its files sit apart from the nodes file, under
+        # names that the nodes file's directory does not hold
+        other = tmp_path / "other"
+        for copy, original in (("queries/own_bids.rq", "queries/bids.rq"),
+                               ("queries/own_rq4.rq", "queries/rq4_federated.rq"),
+                               ("graphs/own.nt", "graphs/forecast.nt"),
+                               ("own_catalog.yaml", "catalog_full.yaml")):
+            (other / copy).parent.mkdir(parents=True, exist_ok=True)
+            (other / copy).write_bytes((fixture_dir / original).read_bytes())
+        (other / "scenario.yaml").write_text("""
+        steps:
+          - {rq: RQ-2, kind: query, sender: tso, receiver: supplier,
+             contract: tso-supplier-2020, query: queries/own_bids.rq}
+          - {rq: RQ-4, kind: federated, sender: tso, catalog: own_catalog.yaml,
+             query: queries/own_rq4.rq}
+          - {rq: RQ-7, kind: publish, sender: supplier, graph: graphs/own.nt}
+        """)
+        steps = load_scenario(other / "scenario.yaml")
+        transcript = run_scenario(steps, running_nodes)
+        assert [entry["response"] for entry in transcript] == \
+            ["QueryResult", "QueryResult", "inserted"]
+        assert transcript[0]["rows"] > 0 and transcript[1]["rows"] > 0
 
     def test_publish_then_query_sees_new_data(self, fixture_dir,
                                               running_nodes):
@@ -117,7 +143,7 @@ class TestRun:
              graph: graphs/forecast.nt}
           - {rq: RQ-7, kind: query, sender: tso, receiver: supplier,
              contract: tso-supplier-2020, query: queries/forecasts.rq}
-        """)
-        transcript = run_scenario(steps, running_nodes, fixture_dir)
+        """, fixture_dir)
+        transcript = run_scenario(steps, running_nodes)
         assert transcript[0]["rows"] == 0
         assert transcript[2]["rows"] > 0

@@ -60,6 +60,28 @@ class TestParse:
         assert parse_shapes(doc)[0].id == "Widget"
 
 
+class TestInValues:
+    """An ``in`` value reads as a mapping's ``constant`` does."""
+
+    def shapes(self, values):
+        return parse_shapes(f"""
+        shapes:
+          - target_class: http://example.org/C
+            properties:
+              - {{path: http://example.org/p, in: {json.dumps(values)}}}
+        """)
+
+    def test_an_iri_and_a_quoted_literal_with_a_colon(self):
+        shapes = self.shapes(["urn:a", '"x:y"'])
+        a, c = IRI(EX + "a"), IRI(EX + "C")
+        for allowed in (IRI("urn:a"), Literal("x:y")):
+            g = g_with((a, IRI(RDF_TYPE), c), (a, IRI(EX + "p"), allowed))
+            assert validate(g, shapes).conforms, allowed
+        for refused in (Literal("urn:a"), Literal('"x:y"'), IRI("urn:b")):
+            g = g_with((a, IRI(RDF_TYPE), c), (a, IRI(EX + "p"), refused))
+            assert [v.kind for v in validate(g, shapes).violations] == ["in"]
+
+
 class TestValidate:
     SHAPE = """
     shapes:
