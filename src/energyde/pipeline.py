@@ -168,6 +168,7 @@ class PipelineConfig:
     shapes_path: Path
     linking: Optional[LinkingSpec]
     output_path: Path
+    run_id: str              # of ``output`` as the file writes it
     on_violation: str        # block | warn
     staging_dir: Path
     provenance_path: Path
@@ -195,7 +196,8 @@ def _parse_pipeline_config(text: str, base: Path) -> PipelineConfig:
             format=entry.get("format", source_format, "csv")), steps))
     if not sources:
         raise doc.fail("sources", "pipeline config needs at least one source")
-    output = base / doc.get("output")
+    written_output = doc.get("output")
+    output = base / written_output
     report = doc.get("report", default=None)
     config = PipelineConfig(
         sources=sources,
@@ -203,6 +205,9 @@ def _parse_pipeline_config(text: str, base: Path) -> PipelineConfig:
         shapes_path=base / doc.get("shapes"),
         linking=linking,
         output_path=output,
+        # deterministic, so re-runs of an unchanged config are idempotent,
+        # and one id however the config's own path is written
+        run_id=hashlib.sha256(written_output.encode()).hexdigest()[:12],
         on_violation=policy,
         staging_dir=base / doc.get("staging", default="staging"),
         provenance_path=base / (doc.get("provenance", default=None)
@@ -255,9 +260,7 @@ def run_pipeline(config: PipelineConfig) -> dict:
     load.  Returns the run report (also written to ``report`` if configured)."""
     report: dict = {"stages": {}, "errors": [], "aborted_stage": None,
                     "conforms": None, "loaded": False}
-    # deterministic run id so re-runs of an unchanged config are idempotent
-    run_id = hashlib.sha256(str(config.output_path).encode()).hexdigest()[:12]
-    prov = _ProvBuilder(run_id)
+    prov = _ProvBuilder(config.run_id)
 
     # staging: content-addressed copies of the raw inputs
     started = format_rfc3339()

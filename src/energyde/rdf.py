@@ -2,11 +2,12 @@
 
 from __future__ import annotations
 
+import io
 import re
 import threading
 from dataclasses import dataclass
 from functools import lru_cache
-from itertools import chain, filterfalse, repeat
+from itertools import filterfalse, repeat
 from pathlib import Path
 from typing import Callable, Iterable, Iterator, Optional, Sequence, TypeVar, Union
 
@@ -30,8 +31,9 @@ class NTriplesParseError(RdfError):
 # the term constructors are all built from these patterns, so a term that
 # can be made can be written and read back by both.  Where the two grammars
 # differ, the narrower rule holds: a blank node label has no ":" (SPARQL's
-# PN_CHARS_U), and an IRI has no whitespace at all, since parse_ntriples
-# splits its input on line separators such as \x85 and \u2028.
+# PN_CHARS_U), and an IRI has no whitespace at all.  So serialized text
+# holds no line break but "\n", not even one str.splitlines sees, such as
+# \x85 or \u2028: the pipeline merges serialized lines with splitlines.
 
 # the characters an IRI may not hold; for str patterns \s is exactly the
 # characters str.isspace() accepts
@@ -479,8 +481,9 @@ def _unescape(raw: str, line_no: int) -> str:
 
 
 # exactly the characters N-Triples output escapes: the two that end or
-# start an escape, and the control and line-separator characters that would
-# break the one-statement-per-line framing
+# start an escape, and the control and line-separator characters, so output
+# holds no line break but "\n" (the pipeline merges serialized lines with
+# str.splitlines, which also breaks at \x85, \u2028 and \u2029)
 _NEEDS_ESCAPE = re.compile(r'[\\"\x00-\x1f\x85\u2028\u2029]')
 _SHORT_ESCAPES = {"\\": "\\\\", '"': '\\"', "\n": "\\n", "\r": "\\r", "\t": "\\t"}
 
@@ -616,9 +619,11 @@ def _token_term(token: str) -> Term:
 _TOKEN_CACHE = 4096
 
 
-def _parse_lines(lines: Iterable[str]) -> Graph:
-    """The graph of N-Triples ``lines``, each without its line separator.
-    Fails fast on the first syntax error, reporting its line number.
+def _parse_lines(stream) -> Graph:
+    """The graph of the N-Triples text stream ``stream``, read with
+    universal newlines: its lines end at "\n", "\r\n" or "\r", N-Triples'
+    EOL, and at nothing else.  Fails fast on the first syntax error,
+    reporting its line number.
 
     Lines the fast-path regex accepts go straight to term ids: a token text
     is turned into a term, checked and interned once while it stays in the
@@ -635,6 +640,7 @@ def _parse_lines(lines: Iterable[str]) -> Graph:
         return tid
 
     fast_line = _NT_LINE.fullmatch
+    lines = map(str.removesuffix, stream, repeat("\n"))
     for line_no, line in enumerate(lines, start=1):
         match = fast_line(line)
         if match is not None:
@@ -653,30 +659,9 @@ def _parse_lines(lines: Iterable[str]) -> Graph:
 
 
 def parse_ntriples(text: str) -> Graph:
-    """Parse N-Triples text, one statement per line, split as
-    ``str.splitlines`` splits it."""
-    return _parse_lines(text.splitlines())
-
-
-# how many characters load_graph reads at a time: its temporary memory is a
-# buffer's text and lines, whatever the size of the file
-_LOAD_BUFFER = 1 << 16
-# the characters str.splitlines ends a line at, but "\r": a file read with
-# universal newlines holds none, since "\r\n" and "\r" come back as "\n"
-_LINE_ENDS = frozenset("\n\x0b\x0c\x1c\x1d\x1e\x85\u2028\u2029")
-
-
-def _buffered_lines(fh) -> Iterator[list[str]]:
-    """The lines of the text file ``fh``, opened with universal newlines, a
-    buffer at a time: together they are the lines ``str.splitlines`` makes
-    of its whole text.  A line that a buffer cuts is carried into the next."""
-    carry = ""
-    while chunk := fh.read(_LOAD_BUFFER):
-        lines = (carry + chunk).splitlines()
-        carry = "" if chunk[-1] in _LINE_ENDS else lines.pop()
-        yield lines
-    if carry:
-        yield [carry]
+    """Parse N-Triples text, one statement per line; a line ends at "\n",
+    "\r\n" or "\r"."""
+    return _parse_lines(io.StringIO(text, newline=None))
 
 
 def format_term(term: Term) -> str:
@@ -707,16 +692,16 @@ def serialize_ntriples(graph: Graph) -> str:
 
 
 def load_graph(path) -> Graph:
-    """The graph of the N-Triples file at ``path``, parsed a buffer at a
-    time as ``parse_ntriples`` parses its text.  An ``RdfError`` names the
-    file when it cannot be opened or read, or holds a byte that is not
-    UTF-8, even after a syntax error."""
+    """The graph of the N-Triples file at ``path``, parsed a line at a time
+    as ``parse_ntriples`` parses its text.  An ``RdfError`` names the file
+    when it cannot be opened or read, or holds a byte that is not UTF-8,
+    even after a syntax error."""
     try:
         with open(path, encoding="utf-8") as fh:
             try:
-                return _parse_lines(chain.from_iterable(_buffered_lines(fh)))
+                return _parse_lines(fh)
             except NTriplesParseError:
-                while fh.read(_LOAD_BUFFER):    # an undecodable byte outranks it
+                for _ in fh:                # an undecodable byte outranks it
                     pass
                 raise
     except OSError as exc:

@@ -14,6 +14,8 @@ from energyde.connector.framing import encode_frame, recv_frame
 from energyde.connector.messages import Message
 from energyde.connector.node import NodeServer, load_node_config
 from energyde.connector.node import NodeState
+from energyde.rdf import IRI, Literal, load_graph
+from energyde.vocab import ENERGY, RDFS_LABEL
 
 
 @pytest.fixture()
@@ -149,6 +151,27 @@ maps:
         assert re.fullmatch(r"error: .*data\.jsonl: line 3: not a JSON object\n",
                             err), err
         assert not (tmp_path / "out.nt").exists()
+
+
+    def test_input_file_feeds_every_map(self, capsys, workdir, tmp_path):
+        # the fixture's pipeline mapping has two maps over one CSV source:
+        # one triple per row and field from the first, a label per type
+        # from the second, all from the given file's rows
+        (tmp_path / "other.csv").write_text(
+            "country,type,measure,year\nXX,Tidal,1.5,2030\nYY,Tidal,2,2031\n")
+        out_path = tmp_path / "out.nt"
+        code, out, _ = run_cli(
+            capsys, "rdfize",
+            "--mapping", str(workdir / "mappings" / "pipeline.yaml"),
+            "--input", str(tmp_path / "other.csv"), "--output", str(out_path))
+        assert code == 0
+        graph = load_graph(out_path)
+        assert json.loads(out) == {"triples": len(graph), "record_errors": 0}
+        assert {t.object for t in graph.match(predicate=IRI(ENERGY + "country"))} == \
+            {Literal("XX"), Literal("YY")}
+        assert [t.subject for t in graph.match(predicate=IRI(RDFS_LABEL))] == \
+            [IRI(ENERGY + "Tidal")]
+        assert len(graph) == 2 * 6 + 1
 
 
 class TestPipeline:
@@ -403,6 +426,21 @@ class TestBadConfig:
         assert json.loads((workdir / "report.json").read_text()) == report
         assert "/mapping>" not in (workdir / "graphs" / "tso.prov.nt").read_text()
         assert "/preprocess>" in (workdir / "graphs" / "tso.prov.nt").read_text()
+
+    def test_bad_shapes_abort_the_pipeline_at_validation(self, capsys, workdir):
+        shapes = workdir / "shapes" / "capacity.yaml"
+        shapes.write_text(_replace("min_count: 1", "min_count: one")(shapes.read_text()))
+        for written in ("report.json", "graphs/tso.prov.nt"):
+            (workdir / written).unlink(missing_ok=True)
+        code, out, _ = run_cli(capsys, *_pipeline(workdir))
+        assert code == 1
+        report = json.loads(out)
+        assert report["aborted_stage"] == "validation"
+        assert "min_count: expected an integer" in report["errors"][-1]
+        assert report["loaded"] is False
+        assert json.loads((workdir / "report.json").read_text()) == report
+        prov = (workdir / "graphs" / "tso.prov.nt").read_text()
+        assert "/linking>" in prov and "/validation>" not in prov
 
     @pytest.mark.parametrize("path, argv, message", [
         ("raw/capacity.csv",

@@ -324,6 +324,33 @@ class TestHandle:
         assert response.type == "CatalogResponse"
         assert EX + "p" in response.body["source"]["predicates"]
 
+    @staticmethod
+    def assert_one_logged_rejection(tmp_path, response, reason):
+        assert response.type == "Rejection"
+        assert response.body["reason"] == reason
+        assert "results" not in response.body
+        (record,) = read_log(tmp_path / "tso.jsonl")
+        assert record.kind == "query-rejected"
+        assert record.id == response.body["provenanceRecordId"]
+
+    def test_envelope_that_is_not_a_request_is_malformed(self, tmp_path):
+        state = make_node(tmp_path, "tso", small_graph())
+        req = Message(type="QueryResult", sender="fed",
+                      body={"contractId": "tso-open", "results": "{}"})
+        response = handle(state, req)
+        self.assert_one_logged_rejection(tmp_path, response, "MALFORMED")
+        assert "QueryResult" in response.body["text"]
+
+    def test_evaluator_fault_is_internal(self, tmp_path, monkeypatch):
+        def fault(query, graph):
+            raise RuntimeError("index corrupted")
+
+        monkeypatch.setattr(node, "evaluate", fault)
+        state = make_node(tmp_path, "tso", small_graph())
+        response = handle(state, query_request(contract="tso-open"))
+        self.assert_one_logged_rejection(tmp_path, response, "INTERNAL")
+        assert "index corrupted" in response.body["text"]
+
     @pytest.mark.parametrize("allowed,request_type", [
         ("query", "CatalogRequest"), ("catalog", "QueryRequest"),
     ], ids=["catalog-under-query-only", "query-under-catalog-only"])

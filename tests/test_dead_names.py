@@ -1,12 +1,13 @@
-"""Every module-level name that ``src/energyde`` defines is used.
+"""Every name that ``src/energyde`` defines is used.
 
 Each function, class and constant defined at module level in
-``src/energyde`` (found with ``ast``) must be named somewhere in ``src/``
-or ``perfbench/`` outside the lines of its own definition.  Any mention
-counts, code or prose: ``parse_ntriples`` is named only in comments and
-docstrings, as the inverse that ``serialize_ntriples`` promises.  Tests do
-not count: a name that only a test reads is dead code the test keeps
-alive.  Dunder names such as ``__all__`` are the language's, not the
+``src/energyde``, and each function defined in a class body (found with
+``ast``), must be named somewhere in ``src/`` or ``perfbench/`` outside
+the lines of its own definition.  Any mention counts, code or prose:
+``parse_ntriples`` is named only in comments and docstrings, as the
+inverse that ``serialize_ntriples`` promises.  Tests do not count: a name
+that only a test reads is dead code the test keeps alive.  Dunder names
+such as ``__all__`` or ``__post_init__`` are the language's, not the
 project's.
 """
 
@@ -18,36 +19,54 @@ ROOT = Path(__file__).resolve().parent.parent
 PACKAGE = ROOT / "src" / "energyde"
 READERS = [ROOT / "src", ROOT / "perfbench"]
 WORD = re.compile(r"\w+")
+FUNCTIONS = (ast.FunctionDef, ast.AsyncFunctionDef)
 
 
-def _defined(tree: ast.Module) -> list:
-    """(name, first line, last line) of each module-level function, class
-    and constant."""
+def _module_level(tree: ast.Module) -> list:
+    """(name, definition) of each module-level function, class and
+    constant."""
     found = []
     for stmt in tree.body:
-        if isinstance(stmt, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
-            names = [stmt.name]
+        if isinstance(stmt, FUNCTIONS + (ast.ClassDef,)):
+            found.append((stmt.name, stmt))
         elif isinstance(stmt, (ast.Assign, ast.AnnAssign)):
             targets = stmt.targets if isinstance(stmt, ast.Assign) else [stmt.target]
-            names = [node.id for target in targets for node in ast.walk(target)
-                     if isinstance(node, ast.Name)]
-        else:
-            continue
-        found += [(name, stmt.lineno, stmt.end_lineno) for name in names
-                  if not (name.startswith("__") and name.endswith("__"))]
+            found += [(node.id, stmt) for target in targets
+                      for node in ast.walk(target) if isinstance(node, ast.Name)]
     return found
 
 
-def test_every_module_level_name_is_used():
+def _methods(tree: ast.Module) -> list:
+    """(name, definition) of each function defined in a class body, at any
+    depth."""
+    return [(stmt.name, stmt) for cls in ast.walk(tree) if isinstance(cls, ast.ClassDef)
+            for stmt in cls.body if isinstance(stmt, FUNCTIONS)]
+
+
+def _dead(defined) -> list:
+    """Each name ``defined(tree)`` finds in ``src/energyde`` that nothing
+    outside its own definition names."""
     texts = {path: path.read_text(encoding="utf-8")
              for root in READERS for path in sorted(root.rglob("*.py"))}
     words = {path: set(WORD.findall(text)) for path, text in texts.items()}
     dead = []
     for path in sorted(PACKAGE.rglob("*.py")):
         lines = texts[path].splitlines()
-        for name, first, last in _defined(ast.parse(texts[path])):
-            outside = "\n".join(lines[:first - 1] + lines[last:])
+        for name, node in defined(ast.parse(texts[path])):
+            if name.startswith("__") and name.endswith("__"):
+                continue
+            outside = "\n".join(lines[:node.lineno - 1] + lines[node.end_lineno:])
             if name not in WORD.findall(outside) and not any(
                     name in names for other, names in words.items() if other != path):
-                dead.append(f"{path.relative_to(ROOT)}: {name}")
+                dead.append(f"{path.relative_to(ROOT)}:{node.lineno}: {name}")
+    return dead
+
+
+def test_every_module_level_name_is_used():
+    dead = _dead(_module_level)
+    assert not dead, dead
+
+
+def test_every_method_is_used():
+    dead = _dead(_methods)
     assert not dead, dead

@@ -273,6 +273,38 @@ class TestRunPipeline:
         digest = hashlib.sha256(src.read_bytes()).hexdigest()
         assert (workdir / "staging" / f"{digest}.csv").exists()
 
+    def test_one_run_id_however_the_config_path_is_written(self, workdir,
+                                                            monkeypatch):
+        monkeypatch.chdir(workdir)
+        activities = []
+        for path in ("pipeline.yaml", workdir / "pipeline.yaml"):
+            report = run_pipeline(load_pipeline_config(path))
+            prov = load_graph(report["provenance"])
+            activities.append({t.subject for t in prov
+                               if t.predicate.value.endswith("startedAtTime")})
+        assert len(activities[0]) >= 5 and activities[0] == activities[1]
+
+    def test_map_over_a_file_no_source_names_reads_its_raw_records(self, workdir):
+        # the row with no country would fall to the pipeline source's
+        # drop-missing step; this file is no pipeline source, so it stays
+        (workdir / "raw" / "extra.csv").write_text(
+            "country,type,measure,year\n,WindPower,5,2020\nRS,Solar,7,2021\n")
+        mapping = workdir / "mappings" / "pipeline.yaml"
+        mapping.write_text(mapping.read_text() + """
+  - source: {path: ../raw/extra.csv, format: csv}
+    subject: {template: "http://example.org/extra/{type}"}
+    po:
+      - {predicate: http://example.org/measure, field: measure}
+""")
+        report = run_pipeline(load_pipeline_config(workdir / "pipeline.yaml"))
+        assert report["loaded"] is True
+        loaded = load_graph(workdir / "graphs" / "tso.nt")
+        assert {(t.subject.value, t.object.lexical)
+                for t in loaded.match(predicate=IRI(EX + "measure"))} == \
+            {(EX + "extra/WindPower", "5"), (EX + "extra/Solar", "7")}
+        records = (workdir / "raw" / "capacity.csv").read_text().count("\n") - 1
+        assert report["stages"]["preprocess"]["records_in"] == records
+
     def test_missing_input_rejected_at_config_load(self, workdir):
         (workdir / "raw" / "capacity.csv").unlink()
         with pytest.raises(Exception):

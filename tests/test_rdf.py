@@ -477,21 +477,39 @@ def test_escape_matches_the_character_loop(text):
         Graph([Triple(IRI(EX + "s"), IRI(EX + "p"), Literal(text))])
 
 
-# --- load_graph: the file a buffer at a time --------------------------------
+# --- load_graph: the file a line at a time --------------------------------
 
-def test_line_ends_are_those_of_splitlines_but_cr():
-    every = map(chr, range(sys.maxunicode + 1))
-    assert {c for c in every if len(f"a{c}b".splitlines()) == 2} == \
-        rdf._LINE_ENDS | {"\r"}
+# the characters str.splitlines breaks a line at that N-Triples' EOL,
+# [#xD#xA]+, does not
+_NOT_EOL = ["\x0b", "\x0c", "\x1c", "\x1d", "\x1e", "\x85", "\u2028", "\u2029"]
 
 
-_SEPARATORS = ["\n", "\r\n", "\r", "\x85", "\u2028", "\x0b", "\x0c", "\x1c", "\u2029"]
+@pytest.mark.parametrize("char", _NOT_EOL, ids=lambda c: f"U+{ord(c):04X}")
+def test_a_line_ends_only_at_cr_or_lf(tmp_path, char):
+    """Each character inside a literal stays in it, through both readers,
+    and between two statements it is no line break."""
+    path = tmp_path / "g.nt"
+    line = f'<urn:s> <urn:p> "a{char}b" .\n'
+    expected = Graph([Triple(IRI("urn:s"), IRI("urn:p"), Literal(f"a{char}b"))])
+    path.write_bytes(line.encode("utf-8"))
+    assert parse_ntriples(line) == expected and len(expected) == 1
+    assert load_graph(path) == expected
+    two = f"<urn:s> <urn:p> <urn:o> .{char}<urn:s> <urn:p> <urn:q> .\n"
+    path.write_bytes(two.encode("utf-8"))
+    for parse in (lambda: parse_ntriples(two), lambda: load_graph(path)):
+        with pytest.raises(NTriplesParseError) as exc:
+            parse()
+        assert exc.value.line_no == 1
+
+
+_SEPARATORS = ["\n", "\r\n", "\r"]
 _BAD_LINE = f'<{EX}s> <{EX}p> "unterminated'
 _load_line = st.one_of(
     st.builds(lambda s, o: f"<{EX}s{s}> <{EX}p> {o} .", st.integers(0, 3),
               st.sampled_from(['"a"', '"\u00e9\u4e2d"', '"q\\"\\u00e9"', "_:b1",
-                               f"<{EX}o>", '"x"@en'])),
-    st.sampled_from(["", " ", "\t", "# comment", " # \u00e9"]))
+                               f"<{EX}o>", '"x"@en']
+                              + [f'"a{c}b"' for c in _NOT_EOL])),
+    st.sampled_from(["", " ", "\t", "# comment", " # \u00e9", "# \u2028 \x85"]))
 
 
 @pytest.fixture(scope="module")
@@ -520,31 +538,34 @@ def assert_loads_as_parsed(path, text: str) -> None:
 @settings(max_examples=300)
 @given(lines=st.lists(st.tuples(_load_line, st.sampled_from(_SEPARATORS)), max_size=30),
        last_ends=st.booleans(), bad=st.none() | st.integers(0, 30),
-       buffer=st.integers(1, 12), cache=st.integers(1, 4))
-def test_load_graph_parses_as_parse_ntriples(nt_file, lines, last_ends, bad, buffer,
-                                             cache):
-    """Statement, blank and comment lines, joined by any line separator:
-    small buffers cut lines, "\r\n" pairs and UTF-8 sequences anywhere,
-    and a small token table is emptied often."""
+       cache=st.integers(1, 4))
+def test_load_graph_parses_as_parse_ntriples(nt_file, lines, last_ends, bad, cache):
+    """Statement, blank and comment lines, joined by "\n", "\r\n" or "\r",
+    with the characters that are no line break inside lines, and a small
+    token table that is emptied often."""
     if bad is not None:
         lines.insert(min(bad, len(lines)), (_BAD_LINE, "\n"))
     pieces = [line + sep for line, sep in lines]
     if lines and not last_ends:
         pieces[-1] = lines[-1][0]
-    with mock.patch.object(rdf, "_LOAD_BUFFER", buffer), \
-            mock.patch.object(rdf, "_TOKEN_CACHE", cache):
+    with mock.patch.object(rdf, "_TOKEN_CACHE", cache):
         assert_loads_as_parsed(nt_file, "".join(pieces))
 
 
+# many times the bytes a text file decodes at once (8 KiB), so a file of
+# it is read in many chunks
+_FILLER = 1 << 17
+
+
 class TestLoadAcrossBuffers:
-    """A file longer than one buffer, with a "\\r\\n" whose "\\r" is the
-    last character of the first buffer."""
+    """A file of many chunks, with a "\\r\\n" whose "\\r" is the last of
+    ``_FILLER`` ASCII characters, so a chunk ends between the two."""
 
     def text(self, *tail: str) -> str:
         head = "".join(f"<{EX}s{i}> <{EX}p> \"{i}\" .\n" for i in range(100))
-        pad = "#" * (rdf._LOAD_BUFFER - len(head) - 1)
-        text = head + pad + "\r\n" + "".join(line + "\u2028" for line in tail)
-        assert text.index("\r") == rdf._LOAD_BUFFER - 1
+        pad = "#" * (_FILLER - len(head) - 1)
+        text = head + pad + "\r\n" + "".join(line + "\n" for line in tail)
+        assert text.index("\r") == _FILLER - 1
         return text
 
     def test_graph(self, tmp_path):
@@ -561,9 +582,9 @@ class TestLoadAcrossBuffers:
 
     @pytest.mark.parametrize("tail", [[], [_BAD_LINE]], ids=["sound", "after-a-bad-line"])
     def test_byte_that_is_not_utf8(self, tmp_path, tail):
-        # two buffers of comments before the byte: the parser meets the bad
+        # two fillers of comments before the byte: the parser meets the bad
         # line well before the byte is decoded
-        filler = ("#" * 99 + "\n") * (2 * rdf._LOAD_BUFFER // 100)
+        filler = ("#" * 99 + "\n") * (2 * _FILLER // 100)
         data = (self.text(*tail) + filler).encode("utf-8") + b'<urn:s> <urn:p> "\xff" .\n'
         (tmp_path / "g.nt").write_bytes(data)
         at = data.index(0xFF)           # past the decoder's first chunk of bytes
