@@ -29,6 +29,7 @@ import csv
 import json
 import re
 from dataclasses import dataclass
+from itertools import chain, compress, repeat
 from pathlib import Path
 from typing import Callable, Iterable, Optional, Union
 
@@ -46,7 +47,6 @@ RawRecord = dict  # field name -> string value (None for missing)
 
 source_format = one_of("csv", "json-lines")
 _PLACEHOLDER_RE = re.compile(r"\{([^{}]+)\}")
-_RDF_TYPE = IRI(RDF_TYPE)
 
 
 @dataclass(frozen=True)
@@ -193,9 +193,7 @@ def read_records(source: LogicalSource) -> list[RawRecord]:
     try:
         with open(path, encoding="utf-8") as fh:
             if source.format == "csv":
-                for row in csv.DictReader(fh):
-                    records.append({k: (v if v != "" else None)
-                                    for k, v in row.items()})
+                records = _csv_records(csv.reader(fh))
             else:
                 for number, line in enumerate(fh, 1):
                     line = line.strip()
@@ -208,6 +206,30 @@ def read_records(source: LogicalSource) -> list[RawRecord]:
                                     for k, v in obj.items()})
     except (OSError, UnicodeDecodeError) as exc:
         raise MappingError(f"{path}: cannot read: {exc}") from None
+    return records
+
+
+# an empty CSV cell reads as None; ``get(v, v)`` leaves every other cell as is
+_EMPTY_IS_NULL = {"": None}
+
+
+def _csv_records(reader) -> list[RawRecord]:
+    """The records of CSV rows whose first row is the header, as
+    ``csv.DictReader`` gives them, each empty cell None: a blank row is
+    skipped, a short row's missing fields are None, and a long row keeps
+    its extra cells, as they are, in a list under the key None."""
+    header = next(reader, [])
+    width = len(header)
+    records = []
+    for row in reader:
+        if not row:
+            continue
+        record = dict(zip(header, map(_EMPTY_IS_NULL.get, row, row)))
+        if len(row) < width:
+            record.update(dict.fromkeys(header[len(row):]))
+        elif len(row) > width:
+            record[None] = row[width:]
+        records.append(record)
     return records
 
 
@@ -237,85 +259,126 @@ def apply_triple_map(tmap: TripleMap, records: Iterable[RawRecord],
     """Add the triples ``tmap`` makes of ``records`` to ``graph``.  A null
     field skips the triple it feeds (the whole record, for the subject), and
     an invalid rendered subject or object IRI appends ``(record index,
-    message)`` to ``errors``.
+    message)`` to ``errors``: in record order, counted before filtering, and
+    within a record the subject before the objects, in ``po`` order.
 
-    Work is done per distinct value, not per record: each field value is
-    percent-encoded once, each rendered IRI built and checked once, and each
-    literal built once per object spec.  Records become triples of indexes
-    into this call's term table, which ``Graph.insert_encoded`` adds in one
-    batch."""
+    The map runs a column at a time, not a record at a time.  Each field it
+    reads is one column of every record's value, percent-encoded once per
+    distinct value through a memo.  A template's texts are one C-level
+    ``map`` of ``str.format`` over its fields' columns; each distinct text
+    is checked and built into an IRI once, and each distinct literal built
+    once, through a memo, so a column of terms is one ``map`` of a memo
+    over a column of values.  Nulls are found in the memos, and errors as
+    an IRI is built, once per distinct value; only a column that holds
+    either is filtered cell by cell.  The subject column and each
+    predicate's object columns, as indexes into this call's term table, go
+    to ``Graph.insert_encoded`` as one ``(predicate, subjects, objects)``
+    batch per predicate."""
     terms: list[Term] = []
 
     def add(term: Term) -> int:
         terms.append(term)
         return len(terms) - 1
 
-    def iri(text: str) -> Union[int, str]:
+    failed: list = []                       # (record index, place, message)
+    invalid: list = []                      # the rendered texts no IRI accepts
+
+    def iri(text: Optional[str]) -> Union[int, str, None]:
+        if text is None:
+            return None
         try:
             return add(IRI(text))
         except RdfError as exc:
+            invalid.append(text)
             return str(exc)
 
-    encoded = _Memo(lambda value: quote(value, safe=""))
     iris = _Memo(iri)                       # rendered text -> index, or its error
 
-    def renderer(template: str) -> Callable:
-        """Record -> the index of the IRI ``template`` renders, the text of
-        the error that IRI raises, or None when a field it needs is null."""
+    rows = records if isinstance(records, list) else list(records)
+    where = range(len(rows))                # each row's index in ``records``
+    source = tmap.source
+    if source.filter_field is not None:
+        where = [i for i, value in enumerate(_column(rows, source.filter_field))
+                 if value == source.filter_equals]
+        rows = list(map(rows.__getitem__, where))
+
+    def encoded(name: str) -> tuple[list, bool]:
+        """Each row's value of field ``name``, percent-encoded, or None; and
+        whether any is None."""
+        memo = _Memo(lambda value: None if value is None else quote(str(value), safe=""))
+        return list(map(memo.__getitem__, _column(rows, name))), None in memo
+
+    def rendered(template: str) -> tuple[list, bool]:
+        """Each row's index of the IRI ``template`` renders, the text of the
+        error that IRI raises, or None when a field it needs is null; and
+        whether any may not be an index (a text of another column that no
+        IRI accepts counts too)."""
         pattern, fields = _template_parts(template)
+        columns, nulls = zip(*map(encoded, fields)) if fields else ((), ())
+        if any(nulls):
+            texts = [None if None in values else pattern.format(*values)
+                     for values in zip(*columns)]
+        else:
+            texts = list(map(pattern.format, *columns)) if fields \
+                else [pattern.format()] * len(rows)
+        return list(map(iris.__getitem__, texts)), any(nulls) or bool(invalid)
 
-        def render(record):
-            values = []
-            for name in fields:
-                value = record.get(name)
-                if value is None:
-                    return None
-                values.append(encoded[str(value)])
-            return iris[pattern.format(*values)]
-        return render
+    def literal(name: str, datatype: str) -> tuple[list, bool]:
+        memo = _Memo(lambda raw: None if raw is None else add(Literal(str(raw), datatype)))
+        return list(map(memo.__getitem__, _column(rows, name))), None in memo
 
-    def literal(name: str, datatype: str) -> Callable:
-        made = _Memo(lambda lexical: add(Literal(lexical, datatype)))
-
-        def value(record):
-            raw = record.get(name)
-            return None if raw is None else made[str(raw)]
-        return value
-
-    def object_of(spec: ObjectSpec) -> Callable:
+    def object_column(spec: ObjectSpec) -> tuple[list, bool]:
         if spec.constant is not None:
-            index = add(spec.constant)
-            return lambda record: index
+            return [add(spec.constant)] * len(rows), False
         if spec.field is not None:
             return literal(spec.field, spec.datatype or XSD_STRING)
-        return renderer(spec.template)
+        return rendered(spec.template)
 
-    subject = renderer(tmap.subject_template)
-    typed = (add(_RDF_TYPE), add(IRI(tmap.subject_class))) \
-        if tmap.subject_class else None
-    objects = [(add(IRI(p)), object_of(spec)) for p, spec in tmap.predicate_objects]
-    filter_field, filter_equals = tmap.source.filter_field, tmap.source.filter_equals
-    triples: list[tuple[int, int, int]] = []
-    for index, record in enumerate(records):
-        if filter_field is not None and record.get(filter_field) != filter_equals:
-            continue
-        s = subject(record)
-        if s is None:
-            continue  # skip-null subject: record contributes nothing for this map
-        if isinstance(s, str):
-            errors.append((index, f"invalid subject IRI: {s}"))
-            continue
-        if typed:
-            triples.append((s, *typed))
-        for p, value_of in objects:
-            o = value_of(record)
-            if o is None:
-                continue  # skip-null
-            if isinstance(o, str):
-                errors.append((index, f"invalid object IRI: {o}"))
-            else:
-                triples.append((s, p, o))
-    graph.insert_encoded(terms, triples)
+    def valid(cells: list, unclean: bool, place: int, what: str) -> Optional[list]:
+        """None when every one of ``cells`` is an index; otherwise which
+        are, with the errors noted as at ``place`` in their record."""
+        if not unclean:
+            return None
+        failed.extend((where[at], place, f"invalid {what} IRI: {value}")
+                      for at, value in enumerate(cells) if type(value) is str)
+        return [type(value) is int for value in cells]
+
+    subjects, unclean = rendered(tmap.subject_template)
+    keep = valid(subjects, unclean, 0, "subject")
+    if keep is not None:                    # rows with no subject drop out
+        where, rows, subjects = (list(compress(cells, keep))
+                                 for cells in (where, rows, subjects))
+    # each predicate's object columns, each with which of its cells to keep
+    by_predicate: dict[int, list] = {}
+    predicates = _Memo(lambda p: add(IRI(p)))
+    if tmap.subject_class:
+        by_predicate[predicates[RDF_TYPE]] = [([add(IRI(tmap.subject_class))] * len(rows), None)]
+    for place, (p, spec) in enumerate(tmap.predicate_objects, 1):
+        objects, unclean = object_column(spec)
+        keep = valid(objects, unclean, place, "object")
+        by_predicate.setdefault(predicates[p], []).append((objects, keep))
+    errors.extend((index, message) for index, _, message in sorted(failed))
+
+    def interleave(parts: list) -> list:
+        """The parts' cells row by row: a record's triples of one predicate
+        keep their ``po`` order."""
+        return parts[0] if len(parts) == 1 else list(chain.from_iterable(zip(*parts)))
+
+    batches = []
+    for p, parts in by_predicate.items():
+        owners = interleave([subjects] * len(parts))
+        objects = interleave([objects for objects, _ in parts])
+        if any(keep is not None for _, keep in parts):
+            keep = interleave([keep or [True] * len(rows) for _, keep in parts])
+            owners, objects = list(compress(owners, keep)), list(compress(objects, keep))
+        batches.append((p, owners, objects))
+    graph.insert_encoded(terms, batches)
+
+
+def _column(records: list, name: str) -> list:
+    """The value of field ``name`` in each of ``records``, None where the
+    record has none."""
+    return list(map(dict.get, records, repeat(name)))
 
 
 def apply_mapping(doc: MappingDocument,

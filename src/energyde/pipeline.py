@@ -4,7 +4,6 @@ linking, validation, and load, with a provenance graph alongside the output."""
 from __future__ import annotations
 
 import hashlib
-import heapq
 import json
 import shutil
 from dataclasses import dataclass
@@ -327,10 +326,13 @@ def run_pipeline(config: PipelineConfig) -> dict:
         links, ambiguous = link_entities(graph, reference, config.linking)
     report["stages"]["linking"] = {"links": len(links), "ambiguous": ambiguous}
     # linking only adds triples, so serialize_ntriples(graph) is the mapped
-    # lines with the links' lines, their texts off the memo, merged in
+    # lines and the links' lines, their texts off the memo, sorted together
+    # (the mapped lines are one sorted run, which the sort finds as such)
     texts = graph.terms.texts(format_term, range(len(graph.terms)))
-    lines = list(heapq.merge(mapped_text.splitlines(), sorted(
-        " ".join(texts[graph.term_id(term)] for term in link) + " ." for link in links)))
+    lines = mapped_text.splitlines()
+    lines += (" ".join(texts[graph.term_id(term)] for term in link) + " ."
+              for link in links)
+    lines.sort()
     linked_text = "\n".join(lines) + "\n" if lines else ""
     linked_digest = hashlib.sha256(linked_text.encode()).hexdigest()
     prov.activity("linking", used=[mapped_digest], generated=[linked_digest],

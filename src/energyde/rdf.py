@@ -5,9 +5,10 @@ from __future__ import annotations
 import io
 import re
 import threading
+from collections import deque
 from dataclasses import dataclass
 from functools import lru_cache
-from itertools import filterfalse, repeat
+from itertools import chain, filterfalse, repeat
 from pathlib import Path
 from typing import Callable, Iterable, Iterator, Optional, Sequence, TypeVar, Union
 
@@ -33,7 +34,7 @@ class NTriplesParseError(RdfError):
 # differ, the narrower rule holds: a blank node label has no ":" (SPARQL's
 # PN_CHARS_U), and an IRI has no whitespace at all.  So serialized text
 # holds no line break but "\n", not even one str.splitlines sees, such as
-# \x85 or \u2028: the pipeline merges serialized lines with splitlines.
+# \x85 or \u2028: the pipeline splits serialized text with splitlines.
 
 # the characters an IRI may not hold; for str patterns \s is exactly the
 # characters str.isspace() accepts
@@ -135,6 +136,8 @@ class Triple:
 
 
 IdTriple = tuple[int, int, int]
+# a predicate and its subjects' and objects' columns, as ids or indexes
+IdBatch = tuple[int, Sequence[int], Sequence[int]]
 
 _Derived = TypeVar("_Derived")
 
@@ -192,6 +195,12 @@ class _Predicate:
         self.subjects: dict[int, list[int]] = {}
         self.size = 0
 
+    def columns(self) -> tuple[list[int], list[int]]:
+        """The triples as a subject column and an object column."""
+        leaves = self.objects.values()
+        return (list(chain.from_iterable(map(repeat, self.objects, map(len, leaves)))),
+                list(chain.from_iterable(leaves)))
+
     def holds(self, s: int, o: int) -> bool:
         # the triple is in both its leaves, so scan the shorter one: a
         # subject may have many objects, and an object many subjects
@@ -221,9 +230,10 @@ class Graph:
     duplicate check scans the shorter of the triple's PSO and POS leaves.
 
     Leaves are read-only sequences to every reader; ``_add`` is the one
-    writer.  Most subjects have one object per predicate, so a PSO leaf
-    that holds one object is a 1-tuple shared by every leaf that holds just
-    that object, kept in one dict per graph (``_single``), as HDT's compact
+    writer, but for ``_fill``, which builds a new predicate's tables whole.
+    Most subjects have one object per predicate, so a PSO leaf that holds
+    one object is a 1-tuple shared by every leaf that holds just that
+    object, kept in one dict per graph (``_single``), as HDT's compact
     triples share what repeats.  ``_add`` replaces such a leaf with a list
     when a second object arrives; it never modifies a tuple.  POS leaves
     stay lists: one that holds one subject is rare, and a subject seldom
@@ -236,12 +246,17 @@ class Graph:
     predicate's objects for a whole column of subjects with one ``leaves``
     call.
 
-    Writes come one ``Triple`` at a time through ``insert``, or in a batch
-    at the id level through ``insert_encoded``: the caller numbers its own
-    terms, once each, and hands over triples of those numbers.  The batch
-    takes the lock once, and each term is hashed into the dictionary once,
-    by the first triple that uses it.  So no ``Triple`` is built per row,
-    and ``term_id`` still knows only terms that some triple uses.
+    Writes come one ``Triple`` at a time through ``insert``, or a column at
+    a time through ``insert_encoded``: the caller numbers its own terms,
+    once each, and hands over one ``(predicate, subjects, objects)`` batch
+    per predicate, two columns of those numbers.  The call takes the lock
+    once, each distinct number is hashed into the dictionary once, by the
+    first batch that uses it, and each batch fills its predicate's tables
+    in one loop over its distinct pairs (or, for a new predicate with
+    distinct subjects, builds them whole).  So no ``Triple`` or id triple
+    is built per row, and ``term_id`` still knows only terms that some
+    triple uses.  ``update`` from another graph hands over that graph's
+    tables as such batches.
 
     The term table keeps a memo of each term's derived text (``TermTable.texts``):
     its N-Triples text, and its SPARQL JSON binding and that binding's JSON
@@ -311,35 +326,41 @@ class Graph:
             return len(self)
 
     def insert_encoded(self, terms: Sequence[Term],
-                       triples: Iterable[IdTriple]) -> int:
-        """Insert triples given as ``(s, p, o)`` indexes into ``terms``, the
-        caller's own term table, under one lock (set semantics).  Each term
-        is interned when the first triple that uses it goes in.  Each triple
-        must be one ``Triple`` accepts: no literal subject, an IRI
-        predicate.  Returns the new graph size."""
-        ids: list[Optional[int]] = [None] * len(terms)
+                       batches: Iterable[IdBatch]) -> int:
+        """Insert batches of triples given as indexes into ``terms``, the
+        caller's own term table, under one lock (set semantics).  A batch
+        ``(p, subjects, objects)`` holds the triples ``(subjects[i], p,
+        objects[i])``.  Each distinct index is interned once, when the
+        first batch that uses it goes in, so ``term_id`` still knows only
+        terms that some triple uses.  Each triple must be one ``Triple``
+        accepts: no literal subject, an IRI predicate.  Returns the new
+        graph size."""
+        ids: dict[int, int] = {}
         add = self._terms.add
+
+        def intern(column: Sequence[int]) -> list[int]:
+            for i in filterfalse(ids.__contains__, dict.fromkeys(column)):
+                ids[i] = add(terms[i])
+            return list(map(ids.__getitem__, column))
+
         with self._lock:
-            for a, b, c in triples:
-                s = ids[a]
-                if s is None:
-                    s = ids[a] = add(terms[a])
-                p = ids[b]
-                if p is None:
-                    p = ids[b] = add(terms[b])
-                o = ids[c]
-                if o is None:
-                    o = ids[c] = add(terms[c])
-                self._add(s, p, o)
+            owners: tuple = (None, None)    # batches often share a subject column
+            for p, subjects, objects in batches:
+                if subjects:
+                    if subjects is not owners[0]:
+                        owners = subjects, intern(subjects)
+                    self._fill(intern((p,))[0], owners[1], intern(objects))
             return len(self)
 
     def update(self, triples: Iterable[Triple]) -> int:
         if isinstance(triples, Graph):
-            # the other graph's ids index its own term table
+            # the other graph's ids index its own term table, and each of its
+            # predicates is one batch
             with triples._lock:
                 terms = list(triples._terms)
-                theirs = list(triples._id_triples())
-            return self.insert_encoded(terms, theirs)
+                batches = [(p, *table.columns())
+                           for p, table in triples._predicates.items()]
+            return self.insert_encoded(terms, batches)
         for t in triples:
             self.insert(t)
         return len(self)
@@ -433,6 +454,28 @@ class Graph:
             subjects.append(s)
         table.size += 1
 
+    def _fill(self, p: int, subjects: Sequence[int], objects: Sequence[int]) -> None:
+        """Add the id triples ``(subjects[i], p, objects[i])``, each pair
+        once, with ``_add``.  The tables of a predicate the graph does not
+        hold yet, given distinct subjects, are built whole instead, with no
+        Python loop per triple, to what ``_add`` would build.  Callers hold
+        the lock."""
+        if p not in self._predicates:
+            pso = dict(zip(subjects, objects))
+            if len(pso) == len(subjects):
+                single = self._single
+                leaf = {o: single.get(o) or single.setdefault(o, (o,))
+                        for o in dict.fromkeys(objects)}
+                pso.update(zip(subjects, map(leaf.__getitem__, objects)))
+                pos = {o: [] for o in leaf}
+                # pos[o].append(s) for each triple, as one C-level map
+                deque(map(list.append, map(pos.__getitem__, objects), subjects), 0)
+                table = self._predicates[p] = _Predicate()
+                table.objects, table.subjects, table.size = pso, pos, len(subjects)
+                return
+        for s, o in dict.fromkeys(zip(subjects, objects)):
+            self._add(s, p, o)
+
     def _id_triples(self) -> Iterator[IdTriple]:
         return ((s, p, o) for p, table in self._predicates.items()
                 for s, objects in table.objects.items() for o in objects)
@@ -482,7 +525,7 @@ def _unescape(raw: str, line_no: int) -> str:
 
 # exactly the characters N-Triples output escapes: the two that end or
 # start an escape, and the control and line-separator characters, so output
-# holds no line break but "\n" (the pipeline merges serialized lines with
+# holds no line break but "\n" (the pipeline splits serialized text with
 # str.splitlines, which also breaks at \x85, \u2028 and \u2029)
 _NEEDS_ESCAPE = re.compile(r'[\\"\x00-\x1f\x85\u2028\u2029]')
 _SHORT_ESCAPES = {"\\": "\\\\", '"': '\\"', "\n": "\\n", "\r": "\\r", "\t": "\\t"}
@@ -575,8 +618,9 @@ class _LineScanner:
 
 def _scan_line(line: str, line_no: int) -> Optional[Triple]:
     """The general line parser: any escape, and every error message.  None
-    for a blank or comment line."""
-    stripped = line.strip()
+    for a blank or comment line.  Whitespace is space and tab, as in the
+    N-Triples grammar; any other character is content."""
+    stripped = line.strip(" \t")
     if not stripped or stripped.startswith("#"):
         return None
     scanner = _LineScanner(line, line_no)
@@ -588,7 +632,7 @@ def _scan_line(line: str, line_no: int) -> Optional[Triple]:
         raise NTriplesParseError(line_no, 'missing terminal "."')
     scanner.pos += 1
     scanner.skip_ws()
-    if not scanner.at_end() and not scanner.line[scanner.pos:].lstrip().startswith("#"):
+    if not scanner.at_end() and not scanner.line.startswith("#", scanner.pos):
         raise NTriplesParseError(line_no, "trailing content after terminal \".\"")
     try:
         return Triple(s, p, o)

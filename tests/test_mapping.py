@@ -1,3 +1,4 @@
+import csv
 import random
 from pathlib import Path
 
@@ -196,6 +197,34 @@ class TestApply:
         source = LogicalSource(path=str(p), format="csv")
         assert read_records(source) == [{"a": "1", "b": None}]
 
+    def test_csv_rows_read_as_dict_reader_reads_them(self, tmp_path):
+        # a blank line is skipped, a short row's missing fields are None,
+        # and a long row keeps its extra cells in a list under None
+        from energyde.mapping import LogicalSource
+        p = tmp_path / "r.csv"
+        p.write_text('a,b,c\n1,,x\n\n2\n3,4,5,,7\n"",b2\n,,\n', encoding="utf-8")
+        with open(p, encoding="utf-8") as fh:
+            expected = [{k: (v if v != "" else None) for k, v in row.items()}
+                        for row in csv.DictReader(fh)]
+        assert expected == [{"a": "1", "b": None, "c": "x"},
+                            {"a": "2", "b": None, "c": None},
+                            {"a": "3", "b": "4", "c": "5", None: ["", "7"]},
+                            {"a": None, "b": "b2", "c": None},
+                            {"a": None, "b": None, "c": None}]
+        records = read_records(LogicalSource(path=str(p), format="csv"))
+        assert records == expected
+        assert [list(r) for r in records] == [list(r) for r in expected]
+
+    @pytest.mark.parametrize("text", ["", "\n", "a,a\n1,2\n3\n"], ids=repr)
+    def test_csv_header_edges_read_as_dict_reader_reads_them(self, tmp_path, text):
+        from energyde.mapping import LogicalSource
+        p = tmp_path / "r.csv"
+        p.write_text(text, encoding="utf-8")
+        with open(p, encoding="utf-8") as fh:
+            expected = [{k: (v if v != "" else None) for k, v in row.items()}
+                        for row in csv.DictReader(fh)]
+        assert read_records(LogicalSource(path=str(p), format="csv")) == expected
+
     def test_fixture_csv_mapping_counts(self, fixture_dir, capacity_mapping):
         source = capacity_mapping.maps[0].source
         records = read_records(source)
@@ -255,7 +284,7 @@ class TestProperties:
 
 # --- differential: the id-level mapping against the Term-level oracle --------
 
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from energyde.mapping import LogicalSource, ObjectSpec, TripleMap, apply_triple_map
 from energyde.rdf import Graph
@@ -296,9 +325,39 @@ _triple_maps = st.builds(
         min_size=1, max_size=5).map(tuple))
 
 
+def _tmap(subject, po, class_=None, filter_equals=None):
+    return TripleMap(source=LogicalSource(path="x.csv", format="csv",
+                                          filter_field=filter_equals and "c",
+                                          filter_equals=filter_equals),
+                     subject_template=subject, subject_class=class_,
+                     predicate_objects=tuple(po))
+
+
+def _rows(*values):
+    return [dict(zip("abc", row)) for row in values]
+
+
 @settings(max_examples=300, deadline=None)
 @given(st.lists(_triple_maps, min_size=1, max_size=3), _records,
        st.lists(st.integers(0, 24), max_size=5))
+# no records, and a subject template with no field
+@example(tmaps=[_tmap(EX + "fixed", [(EX + "p", ObjectSpec(constant=IRI(EX + "const")))],
+                      class_=EX + "C")], records=[], repeats=[])
+# a column that is all null, as a literal and in a template
+@example(tmaps=[_tmap(EX + "s/{a}", [(EX + "p", ObjectSpec(field="b")),
+                                     (EX + "q", ObjectSpec(template=EX + "o/{b}"))])],
+         records=_rows(("1", None, "k"), ("2", None, None)), repeats=[0])
+# invalid IRIs between null cells, in the subject and in two object columns
+@example(tmaps=[_tmap(EX + "s/{a}", [(EX + "p", ObjectSpec(template="bad {b}")),
+                                     (EX + "p", ObjectSpec(field="a")),
+                                     (EX + "q", ObjectSpec(template="{a}"))]),
+                _tmap("not an iri {b}", [(EX + "p", ObjectSpec(field="a"))])],
+         records=_rows(("1", None, None), (None, "2", None), ("3", "4", "k"),
+                       ("5", None, None), (None, None, "m")), repeats=[2])
+# a filter that keeps nothing
+@example(tmaps=[_tmap(EX + "s/{a}", [(EX + "p", ObjectSpec(field="b"))],
+                      class_=EX + "C", filter_equals="k")],
+         records=_rows(("1", "2", "m"), ("3", "4", None)), repeats=[])
 def test_apply_triple_map_matches_term_level_oracle(tmaps, records, repeats):
     # duplicate records, each a fresh dict with the same content
     records = records + [dict(records[i]) for i in repeats if i < len(records)]
@@ -312,3 +371,19 @@ def test_apply_triple_map_matches_term_level_oracle(tmaps, records, repeats):
     assert errors == expected_errors
     # a term gets an id only with a triple that uses it
     assert len(graph.terms) == len({term for triple in graph for term in triple})
+
+
+@settings(max_examples=100, deadline=None)
+@given(_triple_maps, _records)
+@example(tmap=_tmap(EX + "s/{c}", [(EX + "p", ObjectSpec(field="a")),
+                                   (EX + "p", ObjectSpec(field="b"))]),
+         records=_rows(("1", "2", "k"), ("3", "4", "k")))
+def test_apply_triple_map_keeps_each_leaf_in_record_order(tmap, records):
+    # a subject's objects of one predicate are in the order the records,
+    # and within a record the po entries, give them
+    graph, expected = Graph(), Graph()
+    apply_triple_map(tmap, records, graph, [])
+    oracle_apply_triple_map(tmap, records, expected, [])
+    for s, p in {(t.subject, t.predicate) for t in expected}:
+        assert graph.match(s, p) == expected.match(s, p)
+

@@ -3,11 +3,12 @@ import csv
 import hashlib
 import json
 import shutil
+from collections import Counter
 from decimal import Decimal
 
 import pytest
 
-from energyde import pipeline
+from energyde import mapping, pipeline
 from energyde.config import Section
 from energyde.pipeline import (LinkingSpec, PipelineError, PreprocessStep,
                                canonical_decimal, link_entities,
@@ -201,6 +202,26 @@ class TestRunPipeline:
         assert links > 0 and sizes == [report["stages"]["load"]["triples"] - links]
         output = (workdir / "graphs" / "tso.nt").read_text(encoding="utf-8")
         assert serialize(parse_ntriples(output)) == output
+
+    # the pipeline-side names the benchmark's tracer wraps, each a module
+    # attribute the pipeline must call through, or its per-layer time reads 0
+    TRACED = [(pipeline, "read_records"), (pipeline, "preprocess"),
+              (mapping, "apply_triple_map"), (pipeline, "link_entities"),
+              (pipeline, "load_graph"), (pipeline, "validate"),
+              (pipeline, "serialize_ntriples")]
+
+    def test_every_traced_name_is_called(self, workdir, monkeypatch):
+        calls = Counter()
+        for module, name in self.TRACED:
+            def counting(*args, _call=getattr(module, name),
+                         _name=f"{module.__name__}.{name}", **kwargs):
+                calls[_name] += 1
+                return _call(*args, **kwargs)
+            monkeypatch.setattr(module, name, counting)
+        report = run_pipeline(load_pipeline_config(workdir / "pipeline.yaml"))
+        assert report["loaded"] and report["stages"]["linking"]["links"] > 0
+        assert sorted(calls) == sorted(f"{module.__name__}.{name}"
+                                       for module, name in self.TRACED)
 
     def test_output_equals_manual_stage_composition(self, workdir):
         from energyde.mapping import apply_triple_map, load_mapping, read_records

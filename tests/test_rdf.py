@@ -8,7 +8,7 @@ import tracemalloc
 from unittest import mock
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from energyde import rdf, sparql
 from energyde.rdf import (BlankNode, Graph, IRI, Literal, NTriplesParseError,
@@ -224,6 +224,21 @@ class TestNTriples:
                            '<http://example.org/s> <http://example.org/p> "x" .\n')
         assert len(g) == 1
 
+    @pytest.mark.parametrize("text", [
+        "\x0c\n", "\u3000\n", "\x0b\n", "\u2028\n",
+        "<urn:s> <urn:p> <urn:o> .\x0c# c\n",
+        "<urn:s> <urn:p> <urn:o> .\u3000\n",
+    ], ids=repr)
+    def test_whitespace_is_only_space_and_tab(self, text):
+        # N-Triples' whitespace is [ \t]; other characters str.isspace
+        # accepts make neither a blank line nor the gap before a comment
+        with pytest.raises(NTriplesParseError) as exc:
+            parse_ntriples(text)
+        assert exc.value.line_no == 1
+
+    def test_space_and_tab_are_whitespace(self):
+        assert len(parse_ntriples(" \t\n\t# c\n<urn:s> <urn:p> <urn:o> . \t# c\n")) == 1
+
     def test_blank_node_and_lang_literal(self):
         g = parse_ntriples('_:b1 <http://example.org/p> "ja"@de .\n')
         triple = next(iter(g))
@@ -338,6 +353,70 @@ class TestSharedLeaves:
         copy = Graph()                      # insert_encoded, from another graph
         copy.update(g)
         assert_agrees_with_set(copy, set(triples))
+
+
+# --- insert_encoded: per-predicate batches --------------------------------
+
+_BATCH_SUBJECTS = [IRI(f"{EX}n{i}") for i in range(3)] + [BlankNode("b")]
+_BATCH_PREDICATES = [IRI(f"{EX}p{i}") for i in range(3)]
+_BATCH_OBJECTS = [IRI(f"{EX}n{i}") for i in range(3)] + [Literal(str(i)) for i in range(3)]
+# the caller's term table: every subject twice, so two indexes name one term,
+# and a term no triple uses
+_BATCH_TERMS = (_BATCH_SUBJECTS + _BATCH_PREDICATES + _BATCH_OBJECTS
+                + _BATCH_SUBJECTS + [IRI(EX + "unused")])
+_S = [i for i, t in enumerate(_BATCH_TERMS) if t in _BATCH_SUBJECTS]
+_P = [_BATCH_TERMS.index(t) for t in _BATCH_PREDICATES]
+_O = [_BATCH_TERMS.index(t) for t in _BATCH_OBJECTS]
+
+
+@st.composite
+def _batches(draw):
+    """Batches over few terms, so subjects and pairs repeat; a batch may
+    reuse the subject column of the one before it."""
+    batches = []
+    for _ in range(draw(st.integers(0, 5))):
+        if batches and draw(st.booleans()):
+            subjects = batches[-1][1]
+        else:
+            subjects = draw(st.lists(st.sampled_from(_S), max_size=12))
+        objects = draw(st.lists(st.sampled_from(_O), min_size=len(subjects),
+                                max_size=len(subjects)))
+        batches.append((draw(st.sampled_from(_P)), subjects, objects))
+    return batches
+
+
+# a shared one-object leaf, (o,) for n0 and n1, and then a second object for n0
+_SHARED_THEN_SECOND = [(_P[0], [_S[0], _S[1], _S[0], _S[0]], [_O[3], _O[3], _O[4], _O[3]])]
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(_promoting_triple, max_size=12), _batches())
+@example(before=[], batches=_SHARED_THEN_SECOND)
+@example(before=[Triple(_BATCH_SUBJECTS[0], _BATCH_PREDICATES[0], _BATCH_OBJECTS[3]),
+                 Triple(_BATCH_SUBJECTS[1], _BATCH_PREDICATES[0], _BATCH_OBJECTS[3])],
+         batches=[(_P[0], [_S[1]], [_O[4]])] + _SHARED_THEN_SECOND)
+def test_insert_encoded_matches_per_triple_insert(before, batches):
+    """A batch insert builds the graph per-triple ``insert`` builds, for a
+    predicate the graph holds already or not, and leaves the shared
+    one-object leaves as they were."""
+    graph, expected = Graph(before), Graph(before)
+    shared = dict(graph._single)
+    size = graph.insert_encoded(_BATCH_TERMS, batches)
+    for p, subjects, objects in batches:
+        for s, o in zip(subjects, objects):
+            expected.insert(Triple(_BATCH_TERMS[s], _BATCH_TERMS[p], _BATCH_TERMS[o]))
+    assert graph == expected and size == len(graph) == len(expected)
+    assert serialize_ntriples(graph) == serialize_ntriples(expected)
+    for p in _BATCH_PREDICATES:
+        assert graph.count_ids(p=graph.term_id(p)) == expected.count_ids(p=expected.term_id(p))
+    for o, leaf in graph._single.items():
+        assert leaf == (o,)
+        assert shared.get(o, leaf) is leaf
+    for table in graph._predicates.values():
+        assert all(leaf is graph._single[leaf[0]] for leaf in table.objects.values()
+                   if type(leaf) is tuple)
+    # a term gets an id only with a triple that uses it
+    assert len(graph.terms) == len({term for triple in graph for term in triple})
 
 
 # sha256 of the files generate_fixtures(1) writes and of tricky_graph()'s
