@@ -154,7 +154,10 @@ class Section:
         quotes, so a quoted value is a literal even when it holds a ``:``."""
         if ":" in value and not value.startswith('"'):
             return IRI(self.expand(key, value, prefixes))
-        return Literal(value.strip('"'), datatype)
+        try:
+            return Literal(value.strip('"'), datatype)
+        except RdfError as exc:
+            raise self.fail(key, str(exc)) from None
 
     def prefixes(self, base: dict) -> dict:
         """``base`` and the document's own ``prefixes`` mapping."""

@@ -34,7 +34,7 @@ from pathlib import Path
 from typing import Callable, Iterable, Optional, Union
 
 from .config import ConfigError, load_document, one_of, read_document
-from .rdf import Graph, IRI, Literal, RdfError, Term
+from .rdf import _SURROGATE, Graph, IRI, Literal, RdfError, Term
 from .vocab import PREFIXES, RDF_LANGSTRING, RDF_TYPE, XSD_STRING
 from urllib.parse import quote
 
@@ -202,8 +202,11 @@ def read_records(source: LogicalSource) -> list[RawRecord]:
                     obj = _json_object(line)
                     if obj is None:
                         raise MappingError(f"{path}: line {number}: not a JSON object")
-                    records.append({k: (None if v is None else str(v))
-                                    for k, v in obj.items()})
+                    record = {k: (None if v is None else str(v)) for k, v in obj.items()}
+                    if _SURROGATE.search("".join(chain(record, filter(None, record.values())))):
+                        raise MappingError(f"{path}: line {number}: a key or value "
+                                           f"holds a surrogate code point")
+                    records.append(record)
     except (OSError, UnicodeDecodeError) as exc:
         raise MappingError(f"{path}: cannot read: {exc}") from None
     return records

@@ -100,9 +100,7 @@ def preprocess(records: Iterable[RawRecord],
             rows = out
         elif step.kind == "aggregate":
             group_by, sum_field = step.params
-            sums: dict[tuple, Decimal] = {}
-            templates: dict[tuple, RawRecord] = {}
-            order: list[tuple] = []
+            sums: dict[tuple, Decimal] = {}     # in the order groups first appear
             for i, r in enumerate(rows):
                 value = r.get(sum_field)
                 try:
@@ -112,16 +110,9 @@ def preprocess(records: Iterable[RawRecord],
                                   f"non-numeric {sum_field}={value!r}")
                     continue
                 key = tuple(r.get(g) for g in group_by)
-                if key not in sums:
-                    sums[key] = Decimal(0)
-                    templates[key] = {g: r.get(g) for g in group_by}
-                    order.append(key)
-                sums[key] += amount
-            rows = []
-            for key in order:
-                record = dict(templates[key])
-                record[sum_field] = canonical_decimal(sums[key])
-                rows.append(record)
+                sums[key] = sums.get(key, 0) + amount
+            rows = [{**dict(zip(group_by, key)), sum_field: canonical_decimal(total)}
+                    for key, total in sums.items()]
     return rows, errors
 
 

@@ -37,8 +37,10 @@ class NTriplesParseError(RdfError):
 # \x85 or \u2028: the pipeline splits serialized text with splitlines.
 
 # the characters an IRI may not hold; for str patterns \s is exactly the
-# characters str.isspace() accepts
-_IRI_EXCLUDED = r'\x00-\x20<>"{}|^`\\\s'
+# characters str.isspace() accepts.  No term holds a surrogate code point
+# (U+D800-U+DFFF): UTF-8 cannot encode one, so no such term can be written.
+_SURROGATES = r"\uD800-\uDFFF"
+_IRI_EXCLUDED = r'\x00-\x20<>"{}|^`\\\s' + _SURROGATES
 IRIREF = rf"<[^{_IRI_EXCLUDED}]*>"
 LANGTAG = r"[A-Za-z]+(?:-[A-Za-z0-9]+)*"
 # BLANK_NODE_LABEL is (PN_CHARS_U | [0-9]) ((PN_CHARS | ".")* PN_CHARS)?,
@@ -55,6 +57,7 @@ _LABEL = rf"(?![-.\u00B7\u0300-\u036F\u203F\u2040])[^{_NOT_LABEL_CHARS}]+(?<!\.)
 BLANK_NODE_LABEL = "_:" + _LABEL
 
 _IRI_FORBIDDEN = re.compile(f"[{_IRI_EXCLUDED}]")
+_SURROGATE = re.compile(f"[{_SURROGATES}]")
 _LANGTAG_RE = re.compile(LANGTAG)
 _LABEL_RE = re.compile(_LABEL)
 
@@ -100,6 +103,8 @@ class Literal:
         elif self.datatype == RDF_LANGSTRING:
             raise RdfError("rdf:langString literal without a language tag")
         _check_datatype(self.datatype)
+        if not self.lexical.isascii() and _SURROGATE.search(self.lexical):
+            raise RdfError(f"literal contains a surrogate code point: {self.lexical!r}")
 
     def __repr__(self):
         if self.lang:
@@ -489,38 +494,29 @@ class Graph:
 
 _ESCAPES = {"t": "\t", "b": "\b", "n": "\n", "r": "\r", "f": "\f",
             '"': '"', "'": "'", "\\": "\\"}
+# UCHAR is exactly four or eight hex digits; any other character after a
+# backslash is an ECHAR or an error, and a lone backslash is an error
+_ESCAPE_RE = re.compile(r"\\(?:u([0-9A-Fa-f]{4})|U([0-9A-Fa-f]{8})|(.?))", re.DOTALL)
 
 
 def _unescape(raw: str, line_no: int) -> str:
     if "\\" not in raw:
         return raw
-    out = []
-    i = 0
-    while i < len(raw):
-        c = raw[i]
-        if c != "\\":
-            out.append(c)
-            i += 1
-            continue
-        if i + 1 >= len(raw):
-            raise NTriplesParseError(line_no, "dangling escape")
-        e = raw[i + 1]
-        if e in _ESCAPES:
-            out.append(_ESCAPES[e])
-            i += 2
-        elif e == "u" or e == "U":
-            width = 4 if e == "u" else 8
-            hexpart = raw[i + 2:i + 2 + width]
-            if len(hexpart) != width:
-                raise NTriplesParseError(line_no, f"bad \\{e} escape")
+
+    def resolve(match: re.Match) -> str:
+        digits, e = match.group(1) or match.group(2), match.group(3)
+        if digits is not None:
             try:
-                out.append(chr(int(hexpart, 16)))
-            except ValueError:
-                raise NTriplesParseError(line_no, f"bad \\{e} escape") from None
-            i += 2 + width
-        else:
-            raise NTriplesParseError(line_no, f"unknown escape \\{e}")
-    return "".join(out)
+                return chr(int(digits, 16))
+            except ValueError:      # beyond U+10FFFF
+                raise NTriplesParseError(line_no, "bad \\U escape") from None
+        if e in _ESCAPES:
+            return _ESCAPES[e]
+        if not e:
+            raise NTriplesParseError(line_no, "dangling escape")
+        raise NTriplesParseError(line_no, f"bad \\{e} escape" if e in "uU"
+                                 else f"unknown escape \\{e}")
+    return _ESCAPE_RE.sub(resolve, raw)
 
 
 # exactly the characters N-Triples output escapes: the two that end or

@@ -26,7 +26,7 @@ from __future__ import annotations
 import json
 import operator
 from dataclasses import dataclass, field
-from itertools import chain, compress, repeat
+from itertools import chain, compress, filterfalse, repeat
 from typing import Optional
 
 from .config import (ConfigError, integer, load_document, one_of, read_document,
@@ -124,61 +124,56 @@ def load_shapes(path) -> list[Shape]:
 
 def _violations(graph: Graph, shape: Shape, constraint: PropertyConstraint,
                 focus_ids: list[int], type_id: Optional[int]) -> list[Violation]:
-    """``constraint`` checked on each focus node, all by term id: the path
-    and value class resolve once, the focus nodes' values are read off the
-    path's PSO table with one ``Graph.leaves`` call, and the class check is
-    a membership test on each value's ``rdf:type`` objects, read the same
-    way for all values at once.  A term is decoded only for a datatype or
-    node-kind check, or a message.  The caller holds ``graph.lock``."""
+    """``constraint`` checked on each focus node, all by term id.  The
+    values come off the path's PSO table with one ``Graph.leaves`` call.
+    Counts are compared a column at a time; each value check is decided
+    once per distinct value, into the set of those that fail it.  Only a
+    failing check walks the focus nodes.  The caller holds ``graph.lock``."""
     terms = graph.terms
-    path_id = graph.term_id(IRI(constraint.path))
-    values = graph.leaves(path_id, focus_ids)
-    typed = set()
-    if constraint.value_class is not None:
-        class_id = graph.term_id(IRI(constraint.value_class))
-        objects = list(set(chain.from_iterable(values)))
-        types = graph.leaves(type_id, objects)
-        typed = set(compress(objects, map(operator.contains, types, repeat(class_id))))
-    allowed = None
-    if constraint.in_values is not None:
-        allowed = {graph.term_id(term) for term in constraint.in_values}
-    want = {"IRI": IRI, "Literal": Literal, None: None}[constraint.node_kind]
-    datatype, min_count, max_count = \
-        constraint.datatype, constraint.min_count, constraint.max_count
+    values = graph.leaves(graph.term_id(IRI(constraint.path)), focus_ids)
     out = []
 
     def violation(focus: int, kind: str, message: str):
         out.append(Violation(focus=terms[focus], shape=shape.id, kind=kind,
                              path=constraint.path, message=message))
 
-    for focus, objects in zip(focus_ids, values):
-        if min_count is not None and len(objects) < min_count:
-            violation(focus, "min-count",
-                      f"found {len(objects)} values, need at least {min_count}")
-        if max_count is not None and len(objects) > max_count:
-            violation(focus, "max-count",
-                      f"found {len(objects)} values, allowed at most {max_count}")
-        if datatype is not None:
-            for o in objects:
-                obj = terms[o]
-                if not isinstance(obj, Literal) or obj.datatype != datatype:
-                    violation(focus, "datatype",
-                              f"value {format_term(obj)} is not typed <{datatype}>")
-        if want is not None:
-            for o in objects:
-                if not isinstance(terms[o], want):
-                    violation(focus, "node-kind", f"value {format_term(terms[o])} "
-                                                  f"is not a {constraint.node_kind}")
-        if constraint.value_class is not None:
-            for o in objects:
-                if o not in typed:
-                    violation(focus, "class", f"value {format_term(terms[o])} lacks "
-                                              f"rdf:type <{constraint.value_class}>")
-        if allowed is not None:
-            for o in objects:
-                if o not in allowed:
-                    violation(focus, "in",
-                              f"value {format_term(terms[o])} not in allowed list")
+    low, high = constraint.min_count, constraint.max_count
+    counts = list(map(len, values))
+    if (low is not None and min(counts, default=low) < low) or \
+            (high is not None and max(counts, default=high) > high):
+        for focus, n in zip(focus_ids, counts):
+            if low is not None and n < low:
+                violation(focus, "min-count", f"found {n} values, need at least {low}")
+            if high is not None and n > high:
+                violation(focus, "max-count", f"found {n} values, allowed at most {high}")
+    # each value check: its kind, the test a conforming value id passes,
+    # and the end of its message
+    checks = []
+    datatype, node_kind = constraint.datatype, constraint.node_kind
+    if datatype is not None:
+        checks.append(("datatype", lambda o: isinstance(terms[o], Literal)
+                       and terms[o].datatype == datatype, f"is not typed <{datatype}>"))
+    if node_kind is not None:
+        want = IRI if node_kind == "IRI" else Literal
+        checks.append(("node-kind", lambda o: isinstance(terms[o], want),
+                       f"is not a {node_kind}"))
+    objects = list(set(chain.from_iterable(values)))
+    if constraint.value_class is not None:
+        class_id = graph.term_id(IRI(constraint.value_class))
+        types = graph.leaves(type_id, objects)
+        typed = set(compress(objects, map(operator.contains, types, repeat(class_id))))
+        checks.append(("class", typed.__contains__,
+                       f"lacks rdf:type <{constraint.value_class}>"))
+    if constraint.in_values is not None:
+        allowed = {graph.term_id(term) for term in constraint.in_values}
+        checks.append(("in", allowed.__contains__, "not in allowed list"))
+    for kind, conforms, message in checks:
+        failing = set(filterfalse(conforms, objects))
+        if failing:
+            for focus, objs in zip(focus_ids, values):
+                for o in objs:
+                    if o in failing:
+                        violation(focus, kind, f"value {format_term(terms[o])} {message}")
     return out
 
 

@@ -96,6 +96,15 @@ class TestQuery:
         assert first == second
 
 
+_JSON_LINES_ID_MAPPING = """
+maps:
+  - source: {path: data.jsonl, format: json-lines}
+    subject: {template: "http://example.org/{id}"}
+    po:
+      - {predicate: http://example.org/id, field: id}
+"""
+
+
 class TestRdfize:
     def test_mapping_applied(self, capsys, workdir, tmp_path):
         out_path = tmp_path / "out.nt"
@@ -152,6 +161,42 @@ maps:
                             err), err
         assert not (tmp_path / "out.nt").exists()
 
+    @pytest.mark.parametrize("line", ['{"id": "a\\ud800b"}', '{"id": "a\\udfff"}',
+                                      '{"id": "x", "a\\ud83d": "b"}'],
+                             ids=["high", "low", "key"])
+    def test_json_lines_surrogate_exits_2(self, capsys, tmp_path, line):
+        (tmp_path / "data.jsonl").write_text('{"id": "ok"}\n' + line + "\n")
+        mapping = tmp_path / "m.yaml"
+        mapping.write_text(_JSON_LINES_ID_MAPPING)
+        code, out, err = run_cli(capsys, "rdfize", "--mapping", str(mapping),
+                                 "--output", str(tmp_path / "out.nt"))
+        assert code == 2, (out, err)
+        assert re.fullmatch(r"error: .*data\.jsonl: line 2: a key or value holds "
+                            r"a surrogate code point\n", err), err
+        assert not (tmp_path / "out.nt").exists()
+
+    def test_json_lines_surrogate_pair_is_one_character(self, capsys, tmp_path):
+        (tmp_path / "data.jsonl").write_text('{"id": "a\\ud83d\\ude00b"}\n')
+        mapping = tmp_path / "m.yaml"
+        mapping.write_text(_JSON_LINES_ID_MAPPING)
+        code, out, err = run_cli(capsys, "rdfize", "--mapping", str(mapping),
+                                 "--output", str(tmp_path / "out.nt"))
+        assert code == 0, (out, err)
+        triple, = load_graph(tmp_path / "out.nt")
+        assert triple.object == Literal("a\U0001F600b")
+
+    def test_surrogate_constant_exits_2(self, capsys, tmp_path):
+        (tmp_path / "data.jsonl").write_text('{"id": "ok"}\n')
+        mapping = tmp_path / "m.yaml"
+        mapping.write_text(_JSON_LINES_ID_MAPPING.replace(
+            "field: id", 'constant: "\\ud800"'))
+        code, out, err = run_cli(capsys, "rdfize", "--mapping", str(mapping),
+                                 "--output", str(tmp_path / "out.nt"))
+        assert code == 2, (out, err)
+        assert re.search(r"^error: .*m\.yaml: maps\[0\]\.po\[0\]\.constant: "
+                         r"literal contains a surrogate", err, re.M), err
+        assert "Traceback" not in err
+        assert not (tmp_path / "out.nt").exists()
 
     def test_input_file_feeds_every_map(self, capsys, workdir, tmp_path):
         # the fixture's pipeline mapping has two maps over one CSV source:

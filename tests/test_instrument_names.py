@@ -4,12 +4,20 @@
 "name", span)``, and reads others, such as ``node.handle``, to patch them by
 hand; a rename in ``src/`` would only show when the benchmark runs.  These
 tests read the file with ``ast`` (they import nothing from ``perfbench/``)
-and check that every wrapped or read attribute exists.
+and check that every wrapped or read attribute exists.  A wrapper only
+times what is called through the attribute it replaced, so the last test
+checks that the node and the federator still call each traced name.
 """
 
 import ast
 import importlib
+import shutil
+from collections import Counter
+from dataclasses import replace
 from pathlib import Path
+
+from energyde import federation
+from energyde.connector import client, node, provenance
 
 INSTRUMENT = Path(__file__).resolve().parent.parent / "perfbench" / "instrument.py"
 
@@ -80,3 +88,44 @@ def test_every_read_attribute_exists():
         except AttributeError:
             missing.append(f"line {node.lineno}: {ast.unparse(node)}")
     assert not missing, missing
+
+
+# the names perfbench/instrument.py replaces on the node and the client side.
+# Left out: rdf.Graph.match, which the node never calls (so the benchmark's
+# rdf.match_calls reads 0), and federation.ThreadPoolExecutor, which is only
+# stored.  The pipeline's names are checked in test_pipeline.py.
+TRACED = [(node, "handle"), (node, "recv_frame"), (node, "send_frame"),
+          (node, "parse_query"), (node, "evaluate"), (node, "solutions_to_json"),
+          (node, "digest"), (node, "load_graph"), (provenance.ProvenanceLog, "append"),
+          (federation, "plan_query"), (federation, "execute_federated"),
+          (federation, "hash_join"), (client.NodeClient, "query"),
+          (client.NodeClient, "catalog"), (client, "solutions_from_json")]
+
+
+def test_every_traced_name_is_called(fixture_dir, tmp_path, monkeypatch):
+    # a flagship-shaped federated query and one catalog request, over the
+    # tso and wiki nodes on loopback TCP
+    calls = Counter()
+    for owner, name in TRACED:
+        def counting(*args, _call=getattr(owner, name),
+                     _name=f"{owner.__name__}.{name}", **kwargs):
+            calls[_name] += 1
+            return _call(*args, **kwargs)
+        monkeypatch.setattr(owner, name, counting)
+    work = tmp_path / "work"
+    shutil.copytree(fixture_dir, work)
+    servers = {name: node.NodeServer(node.NodeState.from_config(
+        node.load_node_config(work / "nodes" / f"{name}.yaml"))).start()
+        for name in ("tso", "wiki")}
+    try:
+        catalog = federation.load_catalog(work / "catalog.yaml")
+        catalog.sources = [replace(s, endpoint=servers[s.id].endpoint)
+                           for s in catalog.sources]
+        answer = federation.federated_query(
+            (work / "queries" / "federated.rq").read_text(), catalog)
+        assert len(answer) == 1
+        assert federation.build_clients(catalog)["tso"].catalog()["id"] == "tso"
+    finally:
+        for server in servers.values():
+            server.stop()
+    assert sorted(calls) == sorted(f"{owner.__name__}.{name}" for owner, name in TRACED)

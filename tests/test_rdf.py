@@ -70,7 +70,20 @@ class TestTerms:
         by_regex = set(rdf._IRI_FORBIDDEN.findall(every))
         # IRIREF's exclusions, and every other whitespace character
         assert by_regex == {c for c in every
-                            if c <= " " or c.isspace() or c in '<>"{}|^`\\'}
+                            if c <= " " or c.isspace() or c in '<>"{}|^`\\'
+                            or "\ud800" <= c <= "\udfff"}
+
+    @pytest.mark.parametrize("make", [lambda s: IRI(f"urn:a{s}"), lambda s: Literal(f"a{s}b"),
+                                      lambda s: Literal("1", f"urn:t{s}")],
+                             ids=["iri", "literal", "datatype"])
+    @pytest.mark.parametrize("surrogate", ["\ud800", "\udbff", "\udc00", "\udfff"])
+    def test_no_term_holds_a_surrogate(self, make, surrogate):
+        # UTF-8 cannot encode a surrogate code point, so no such term could
+        # be written; a character beyond U+FFFF is one code point and is kept
+        with pytest.raises(RdfError, match="surrogate|forbidden character"):
+            make(surrogate)
+        g = Graph([Triple(IRI(EX + "s"), IRI(EX + "p"), make("\U0001F600"))])
+        assert parse_ntriples(serialize_ntriples(g)) == g
 
     def test_blank_node_label_characters_on_every_code_point(self):
         # the grammar's own lists: PN_CHARS_BASE, then what PN_CHARS_U and
@@ -255,6 +268,40 @@ class TestNTriples:
         lit = Literal('quote " backslash \\ newline \n tab \t')
         g = Graph([Triple(IRI(EX + "s"), IRI(EX + "p"), lit)])
         assert parse_ntriples(serialize_ntriples(g)) == g
+
+    # int(..., 16) alone would also take a sign, spaces and underscores
+    @pytest.mark.parametrize("body", [r"x\u+041y", r"x\u 041y", r"x\u0_41y",
+                                      r"x\U+0000041y", r"x\U 0000041y", r"x\U0_000041y"])
+    @pytest.mark.parametrize("where", ['<urn:s> <urn:p> "{}" .', "<urn:s> <urn:p> <urn:{}> ."],
+                             ids=["literal", "iri"])
+    def test_uchar_is_exactly_four_or_eight_hex_digits(self, where, body):
+        with pytest.raises(NTriplesParseError, match=r"bad \\[uU] escape"):
+            parse_ntriples(where.format(body) + "\n")
+
+    @pytest.mark.parametrize("body, message", [("x\\", "dangling escape"),
+                                               (r"x\qy", r"unknown escape \\q"),
+                                               (r"x\u41y", r"bad \\u escape"),
+                                               (r"x\U00110000y", r"bad \\U escape")])
+    def test_escape_errors_name_the_escape(self, body, message):
+        with pytest.raises(NTriplesParseError, match=message):
+            parse_ntriples(f"<urn:s> <urn:p> <urn:{body}> .\n")
+
+    @pytest.mark.parametrize("body, value", [(r"x\u0041y", "xAy"), (r"x\u00e9", "x\u00e9"),
+                                             (r"\U0001F600", "\U0001F600"),
+                                             (r"\t\b\n\r\f\"\'\\", "\t\b\n\r\f\"'\\")])
+    def test_escapes_resolve(self, body, value):
+        triple, = parse_ntriples(f'<urn:s> <urn:p> "{body}" .\n')
+        assert triple.object == Literal(value)
+
+    @pytest.mark.parametrize("line", ['<urn:s> <urn:p> "a\\uD800b" .',
+                                      '<urn:s> <urn:p> "a\\uD83D\\uDE00b" .',
+                                      "<urn:s> <urn:p> <urn:a\\uDFFF> .",
+                                      '<urn:s> <urn:p> "a\ud800b" .'],
+                             ids=["literal", "escaped-pair", "iri", "raw-literal"])
+    def test_surrogate_is_a_parse_error(self, line):
+        # a UCHAR is a code point, so "\uD83D\uDE00" is two lone surrogates
+        with pytest.raises(NTriplesParseError, match="line 2: .*(surrogate|forbidden)"):
+            parse_ntriples("<urn:s> <urn:p> <urn:o> .\n" + line + "\n")
 
     def test_empty_graph_serializes_empty(self):
         assert serialize_ntriples(Graph()) == ""

@@ -205,7 +205,7 @@ class TestProperties:
 
 # --- differential: id-level validation against the Term-level oracle ---------
 
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from energyde.rdf import BlankNode
 from energyde.shapes import PropertyConstraint, Shape
@@ -243,8 +243,40 @@ _shapes = st.lists(st.builds(Shape, id=st.sampled_from(["S1", "S2"]),
                    min_size=1, max_size=3)
 
 
+def _typed(*names, cls="C"):
+    return [(IRI(EX + n), IRI(RDF_TYPE), IRI(EX + cls)) for n in names]
+
+
+def _p(subject, obj):
+    return (IRI(EX + subject), IRI(EX + "p"), obj)
+
+
 @settings(max_examples=300, deadline=None)
 @given(st.lists(_triple, min_size=4, max_size=40), _shapes)
+# one failing value shared by several focus nodes, for each value check
+@example(_typed("n0", "n1", "n2") + [_p(n, Literal("1")) for n in ("n0", "n1", "n2")]
+         + [_p("n3", Literal("1"))],
+         [Shape("S1", EX + "C", (PropertyConstraint(
+             EX + "p", datatype=XSD_INTEGER, node_kind="IRI", value_class=EX + "C",
+             in_values=(IRI(EX + "n0"),)),))])
+# one focus node with two failing values of one kind: value order
+@example(_typed("n0", "n1") + [_p("n0", IRI(EX + "n3")), _p("n0", IRI(EX + "n2")),
+                               _p("n0", IRI(EX + "n1")), _p("n1", IRI(EX + "n2"))],
+         [Shape("S1", EX + "C", (PropertyConstraint(EX + "p", node_kind="Literal",
+                                                    in_values=(IRI(EX + "n1"),)),))])
+# two constraints of one shape on one path fail with one kind: constraint order
+@example(_typed("n0", "n1") + [_p("n0", Literal("1")), _p("n0", Literal("1", XSD_INTEGER)),
+                               _p("n1", Literal("2", XSD_DECIMAL))],
+         [Shape("S1", EX + "C", (
+             PropertyConstraint(EX + "p", max_count=1, datatype=XSD_INTEGER),
+             PropertyConstraint(EX + "p", min_count=2, max_count=1, datatype=XSD_STRING)))])
+# a constraint whose focus nodes all conform, beside one that fails
+@example(_typed("n0", "n1", "n2") + _typed("n1", "n2", cls="D")
+         + [_p(n, IRI(EX + "n1")) for n in ("n0", "n1", "n2")],
+         [Shape("S1", EX + "C", (
+             PropertyConstraint(EX + "p", min_count=1, max_count=1, node_kind="IRI",
+                                value_class=EX + "D", in_values=(IRI(EX + "n1"),)),
+             PropertyConstraint(EX + "q", min_count=1)))])
 def test_validate_matches_term_level_oracle(spo, shapes):
     graph = g_with(*spo)
     assert validate(graph, shapes).to_json() == oracle_validate(graph, shapes).to_json()

@@ -120,6 +120,21 @@ class TestParser:
         with pytest.raises(QueryParseError, match=message):
             parse_query(f"SELECT ?s WHERE {{ ?s <http://example.org/p> {literal} . }}")
 
+    # a string literal's escapes are N-Triples' own: a UCHAR is exactly four
+    # or eight hex digits, and its code point is no surrogate
+    @pytest.mark.parametrize("body, message", [
+        (r"x\u+041y", r"bad \\u escape"), (r"x\u 041y", r"bad \\u escape"),
+        (r"x\u0_41y", r"bad \\u escape"), (r"x\U+0000041y", r"bad \\U escape"),
+        (r"a\uD800b", "surrogate"), (r"a\uD83D\uDE00b", "surrogate"),
+        ("a\udfffb", "surrogate")])
+    def test_escape_that_rdf_refuses_is_a_parse_error(self, body, message):
+        with pytest.raises(QueryParseError, match=message):
+            parse_query(f'SELECT ?s WHERE {{ ?s <http://example.org/p> "{body}" . }}')
+
+    def test_escape_beyond_the_basic_plane_is_one_character(self):
+        q = parse_query(r'SELECT ?s WHERE { ?s <http://example.org/p> "\U0001F600" . }')
+        assert q.patterns[0].object == Literal("\U0001F600")
+
     @pytest.mark.parametrize("text, message", [
         # the prefixed name expands to "urnp", which has no scheme
         ("PREFIX ex: <urn> SELECT ?s WHERE { ?s ex:p ?o }", "scheme"),
