@@ -449,13 +449,13 @@ def generate_fixtures(seed: int, out_dir) -> Path:
 
     # materialize the TSO graph exactly as the pipeline would: mapping + linking
     doc = load_mapping(out / "mappings" / "pipeline.yaml")
-    tso_graph = apply_mapping(doc).graph
+    tso_graph = apply_mapping(doc)
     link_entities(tso_graph, reference,
                   LinkingSpec(label_predicate=RDFS_LABEL,
                               reference_path=str(out / "graphs" / "reference.nt")))
     write_text(out / "graphs" / "tso.nt", serialize_ntriples(tso_graph))
 
-    capacity_only = apply_mapping(load_mapping(out / "mappings" / "capacity.yaml")).graph
+    capacity_only = apply_mapping(load_mapping(out / "mappings" / "capacity.yaml"))
     defective, manifest = _seed_defects(capacity_only)
     write_text(out / "graphs" / "capacity_defective.nt",
                serialize_ntriples(defective))

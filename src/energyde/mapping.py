@@ -20,7 +20,13 @@ predicate-object structure of the usual mapping languages:
 A source ``path`` is relative to the mapping file's directory, and is joined
 with it when the file is read, so a parsed ``LogicalSource`` names its file
 wherever the program runs.  A ``constant`` with a ``:`` is an IRI or
-prefixed name; quote it (``'"12:30"'``) to make it a literal.
+prefixed name; quote it (``'"12:30"'``) to make it a literal.  Only a
+literal object takes a ``datatype``.
+
+A template's fields are percent-encoded as they fill it, so a value adds
+neither a ``:`` nor any character an IRI forbids: the template's fixed text
+alone decides whether each rendered text is an IRI, and a template that
+renders none is refused when the mapping is read.
 """
 
 from __future__ import annotations
@@ -31,10 +37,10 @@ import re
 from dataclasses import dataclass
 from itertools import chain, compress, repeat
 from pathlib import Path
-from typing import Callable, Iterable, Optional, Union
+from typing import Callable, Iterable, Optional
 
-from .config import ConfigError, load_document, one_of, read_document
-from .rdf import _SURROGATE, Graph, IRI, Literal, RdfError, Term
+from .config import ConfigError, load_document, one_of, read_document, scalar
+from .rdf import _SURROGATE, Graph, IRI, Literal, Term
 from .vocab import PREFIXES, RDF_LANGSTRING, RDF_TYPE, XSD_STRING
 from urllib.parse import quote
 
@@ -89,12 +95,6 @@ class MappingDocument:
     maps: tuple[TripleMap, ...]
 
 
-@dataclass
-class MappingResult:
-    graph: Graph
-    errors: list  # (record index, message)
-
-
 def parse_mapping(text: str, base_dir: Path) -> MappingDocument:
     """Parse a mapping document whose source paths are relative to
     ``base_dir``.  When a source file exists, the fields the map reads are
@@ -128,19 +128,30 @@ def parse_mapping(text: str, base_dir: Path) -> MappingDocument:
             if constant is not None:
                 constant = po.term("constant", constant, prefixes,
                                    datatype or XSD_STRING)
+            template = po.get("template", _iri_template, None)
+            if datatype and (template or isinstance(constant, IRI)):
+                raise po.fail("datatype", "only a literal object has a datatype")
             spec = ObjectSpec(field=po.get("field", default=None),
-                              constant=constant,
-                              template=po.get("template", default=None),
+                              constant=constant, template=template,
                               datatype=datatype)
             pos.append((predicate, spec))
         tmap = TripleMap(source=source,
-                         subject_template=subject.get("template"),
+                         subject_template=subject.get("template", _iri_template),
                          subject_class=subject.iri("class", prefixes, None),
                          predicate_objects=tuple(pos))
         _check_fields(tmap, entry.where)
         maps.append(tmap)
     doc.done()
     return MappingDocument(maps=tuple(maps))
+
+
+def _iri_template(value) -> str:
+    """``value`` as a template, refused unless it renders an IRI: its fixed
+    text, with every field empty, must be one."""
+    template = scalar(value)
+    pattern, fields = _template_parts(template)
+    IRI(pattern.format(*[""] * len(fields)))
+    return template
 
 
 def load_mapping(path) -> MappingDocument:
@@ -258,52 +269,36 @@ class _Memo(dict):
 
 
 def apply_triple_map(tmap: TripleMap, records: Iterable[RawRecord],
-                     graph: Graph, errors: list) -> None:
+                     graph: Graph) -> None:
     """Add the triples ``tmap`` makes of ``records`` to ``graph``.  A null
-    field skips the triple it feeds (the whole record, for the subject), and
-    an invalid rendered subject or object IRI appends ``(record index,
-    message)`` to ``errors``: in record order, counted before filtering, and
-    within a record the subject before the objects, in ``po`` order.
+    field skips the triple it feeds (the whole record, for the subject).
+    Each rendered text is an IRI: ``parse_mapping`` refused any template
+    that renders none.
 
     The map runs a column at a time, not a record at a time.  Each field it
     reads is one column of every record's value, percent-encoded once per
     distinct value through a memo.  A template's texts are one C-level
     ``map`` of ``str.format`` over its fields' columns; each distinct text
-    is checked and built into an IRI once, and each distinct literal built
-    once, through a memo, so a column of terms is one ``map`` of a memo
-    over a column of values.  Nulls are found in the memos, and errors as
-    an IRI is built, once per distinct value; only a column that holds
-    either is filtered cell by cell.  The subject column and each
-    predicate's object columns, as indexes into this call's term table, go
-    to ``Graph.insert_encoded`` as one ``(predicate, subjects, objects)``
-    batch per predicate."""
+    is built into an IRI once, and each distinct literal built once,
+    through a memo, so a column of terms is one ``map`` of a memo over a
+    column of values.  Nulls are found in the memos, once per distinct
+    value; only a column that holds one is filtered cell by cell.  The
+    subject column and each predicate's object columns, as indexes into
+    this call's term table, go to ``Graph.insert_encoded`` as one
+    ``(predicate, subjects, objects)`` batch per predicate."""
     terms: list[Term] = []
 
     def add(term: Term) -> int:
         terms.append(term)
         return len(terms) - 1
 
-    failed: list = []                       # (record index, place, message)
-    invalid: list = []                      # the rendered texts no IRI accepts
-
-    def iri(text: Optional[str]) -> Union[int, str, None]:
-        if text is None:
-            return None
-        try:
-            return add(IRI(text))
-        except RdfError as exc:
-            invalid.append(text)
-            return str(exc)
-
-    iris = _Memo(iri)                       # rendered text -> index, or its error
+    iris = _Memo(lambda text: None if text is None else add(IRI(text)))
 
     rows = records if isinstance(records, list) else list(records)
-    where = range(len(rows))                # each row's index in ``records``
     source = tmap.source
     if source.filter_field is not None:
-        where = [i for i, value in enumerate(_column(rows, source.filter_field))
-                 if value == source.filter_equals]
-        rows = list(map(rows.__getitem__, where))
+        rows = [row for row in rows
+                if row.get(source.filter_field) == source.filter_equals]
 
     def encoded(name: str) -> tuple[list, bool]:
         """Each row's value of field ``name``, percent-encoded, or None; and
@@ -312,10 +307,8 @@ def apply_triple_map(tmap: TripleMap, records: Iterable[RawRecord],
         return list(map(memo.__getitem__, _column(rows, name))), None in memo
 
     def rendered(template: str) -> tuple[list, bool]:
-        """Each row's index of the IRI ``template`` renders, the text of the
-        error that IRI raises, or None when a field it needs is null; and
-        whether any may not be an index (a text of another column that no
-        IRI accepts counts too)."""
+        """Each row's index of the IRI ``template`` renders, or None when a
+        field it needs is null; and whether any is None."""
         pattern, fields = _template_parts(template)
         columns, nulls = zip(*map(encoded, fields)) if fields else ((), ())
         if any(nulls):
@@ -324,7 +317,7 @@ def apply_triple_map(tmap: TripleMap, records: Iterable[RawRecord],
         else:
             texts = list(map(pattern.format, *columns)) if fields \
                 else [pattern.format()] * len(rows)
-        return list(map(iris.__getitem__, texts)), any(nulls) or bool(invalid)
+        return list(map(iris.__getitem__, texts)), any(nulls)
 
     def literal(name: str, datatype: str) -> tuple[list, bool]:
         memo = _Memo(lambda raw: None if raw is None else add(Literal(str(raw), datatype)))
@@ -337,30 +330,19 @@ def apply_triple_map(tmap: TripleMap, records: Iterable[RawRecord],
             return literal(spec.field, spec.datatype or XSD_STRING)
         return rendered(spec.template)
 
-    def valid(cells: list, unclean: bool, place: int, what: str) -> Optional[list]:
-        """None when every one of ``cells`` is an index; otherwise which
-        are, with the errors noted as at ``place`` in their record."""
-        if not unclean:
-            return None
-        failed.extend((where[at], place, f"invalid {what} IRI: {value}")
-                      for at, value in enumerate(cells) if type(value) is str)
-        return [type(value) is int for value in cells]
-
-    subjects, unclean = rendered(tmap.subject_template)
-    keep = valid(subjects, unclean, 0, "subject")
-    if keep is not None:                    # rows with no subject drop out
-        where, rows, subjects = (list(compress(cells, keep))
-                                 for cells in (where, rows, subjects))
+    subjects, nulls = rendered(tmap.subject_template)
+    if nulls:                               # rows with no subject drop out
+        keep = [subject is not None for subject in subjects]
+        rows, subjects = list(compress(rows, keep)), list(compress(subjects, keep))
     # each predicate's object columns, each with which of its cells to keep
     by_predicate: dict[int, list] = {}
     predicates = _Memo(lambda p: add(IRI(p)))
     if tmap.subject_class:
         by_predicate[predicates[RDF_TYPE]] = [([add(IRI(tmap.subject_class))] * len(rows), None)]
-    for place, (p, spec) in enumerate(tmap.predicate_objects, 1):
-        objects, unclean = object_column(spec)
-        keep = valid(objects, unclean, place, "object")
+    for p, spec in tmap.predicate_objects:
+        objects, nulls = object_column(spec)
+        keep = [cell is not None for cell in objects] if nulls else None
         by_predicate.setdefault(predicates[p], []).append((objects, keep))
-    errors.extend((index, message) for index, _, message in sorted(failed))
 
     def interleave(parts: list) -> list:
         """The parts' cells row by row: a record's triples of one predicate
@@ -385,13 +367,10 @@ def _column(records: list, name: str) -> list:
 
 
 def apply_mapping(doc: MappingDocument,
-                  records: Optional[Iterable[RawRecord]] = None) -> MappingResult:
-    """Apply every triple map.  With ``records`` given, all maps run over that
-    stream; otherwise each map loads its own logical source."""
+                  records_of: Callable[[LogicalSource], list] = read_records) -> Graph:
+    """The graph every triple map of ``doc`` makes of the records that
+    ``records_of`` gives for its logical source."""
     graph = Graph()
-    errors: list = []
-    shared = list(records) if records is not None else None
     for tmap in doc.maps:
-        rows = shared if shared is not None else read_records(tmap.source)
-        apply_triple_map(tmap, rows, graph, errors)
-    return MappingResult(graph=graph, errors=errors)
+        apply_triple_map(tmap, records_of(tmap.source), graph)
+    return graph

@@ -14,7 +14,8 @@ from typing import Iterable, Optional
 from .config import (ConfigError, Section, load_document, one_of, read_document,
                      scalar, strings, write_text)
 from .connector.messages import format_rfc3339
-from .mapping import LogicalSource, RawRecord, load_mapping, read_records, source_format
+from .mapping import (LogicalSource, RawRecord, apply_mapping, load_mapping,
+                      read_records, source_format)
 from .rdf import (Graph, IRI, Literal, Triple, format_term, load_graph, save_graph,
                   serialize_ntriples)
 from .shapes import load_shapes, validate
@@ -291,18 +292,16 @@ def run_pipeline(config: PipelineConfig) -> dict:
         report["aborted_stage"] = "mapping"
         report["errors"].append(str(exc))
         return _finish(report, config, prov)
-    graph = Graph()
-    map_errors: list = []
-    from .mapping import apply_triple_map
-    for tmap in doc.maps:
-        rows = records_by_path.get(Path(tmap.source.path).resolve())
-        if rows is None:
-            rows = read_records(tmap.source)
-        apply_triple_map(tmap, rows, graph, map_errors)
-    report["errors"].extend(f"mapping: record {i}: {m}" for i, m in map_errors)
+
+    def records_of(source) -> list:
+        """The preprocessed records of a configured source; any other
+        source's records as read."""
+        rows = records_by_path.get(Path(source.path).resolve())
+        return read_records(source) if rows is None else rows
+
+    graph = apply_mapping(doc, records_of)
     mapped_size = len(graph)
-    report["stages"]["mapping"] = {"triples": mapped_size,
-                                   "record_errors": len(map_errors)}
+    report["stages"]["mapping"] = {"triples": mapped_size}
     mapped_text = serialize_ntriples(graph)
     mapped_digest = hashlib.sha256(mapped_text.encode()).hexdigest()
     prov.activity("mapping", used=[s["digest"] for s in staged],

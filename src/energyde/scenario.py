@@ -10,6 +10,7 @@ from typing import Optional
 
 from .config import load_document, one_of, read_document, read_text, strings, write_text
 from .connector.client import NodeClient, RejectionError
+from .connector.messages import REJECTION_REASONS
 from .connector.node import NodeServer, load_node_config, serve
 from .federation import federated_query, load_catalog
 from .rdf import load_graph
@@ -40,6 +41,9 @@ _STEP_KEYS = {"catalog": ("receiver",), "query": ("receiver", "query"),
               "federated": ("catalog", "query"), "publish": ("graph",)}
 _OPTIONAL_KEYS = ("receiver", "contract", "query", "graph", "catalog")
 _FILE_KEYS = ("query", "graph", "catalog")
+# only a step that sends a node a request can meet a rejection
+_EXPECTING_KINDS = ("catalog", "query")
+_expectation = one_of("allow", *sorted(REJECTION_REASONS))
 
 
 def parse_scenario(text: str, base_dir: Path) -> list[ScenarioStep]:
@@ -52,12 +56,14 @@ def parse_scenario(text: str, base_dir: Path) -> list[ScenarioStep]:
         for key in _STEP_KEYS[kind]:
             if key not in raw:
                 raise raw.fail(key, f"missing; a {kind} step needs it")
+        if "expect" in raw and kind not in _EXPECTING_KINDS:
+            raise raw.fail("expect", f"a {kind} step sends no request a node can reject")
         fields = {key: raw.get(key, default=None) for key in _OPTIONAL_KEYS}
         fields.update({key: str(base_dir / fields[key])
                        for key in _FILE_KEYS if fields[key] is not None})
         steps.append(ScenarioStep(
             rq=raw.get("rq"), kind=kind, sender=raw.get("sender"),
-            expect=raw.get("expect", default="allow"), **fields))
+            expect=raw.get("expect", _expectation, "allow"), **fields))
     if not steps:
         raise doc.fail("steps", "scenario has no steps")
     doc.done()

@@ -11,7 +11,7 @@ from collections import Counter
 from dataclasses import replace
 
 from energyde.mapping import _PLACEHOLDER_RE
-from energyde.rdf import (BlankNode, Graph, IRI, Literal, RdfError, Term,
+from energyde.rdf import (BlankNode, Graph, IRI, Literal, Term,
                           Triple, format_term)
 from energyde.shapes import ValidationReport, Violation
 from energyde.sparql import (Comparison, Query, SolutionSequence, TriplePattern,
@@ -181,22 +181,18 @@ def _render_oracle(template: str, record: dict):
     return rendered if ok else None
 
 
-def oracle_apply_triple_map(tmap, records, graph: Graph, errors: list) -> None:
+def oracle_apply_triple_map(tmap, records, graph: Graph) -> None:
     source = tmap.source
     rdf_type = IRI(RDF_TYPE)
     subject_class = IRI(tmap.subject_class) if tmap.subject_class else None
-    for index, record in enumerate(records):
+    for record in records:
         if (source.filter_field is not None
                 and record.get(source.filter_field) != source.filter_equals):
             continue
         rendered = _render_oracle(tmap.subject_template, record)
         if rendered is None:
             continue
-        try:
-            subject = IRI(rendered)
-        except RdfError as exc:
-            errors.append((index, f"invalid subject IRI: {exc}"))
-            continue
+        subject = IRI(rendered)
         if subject_class:
             graph.insert(Triple(subject, rdf_type, subject_class))
         for predicate, spec in tmap.predicate_objects:
@@ -212,11 +208,7 @@ def oracle_apply_triple_map(tmap, records, graph: Graph, errors: list) -> None:
                 rendered_o = _render_oracle(spec.template, record)
                 if rendered_o is None:
                     continue
-                try:
-                    obj = IRI(rendered_o)
-                except RdfError as exc:
-                    errors.append((index, f"invalid object IRI: {exc}"))
-                    continue
+                obj = IRI(rendered_o)
             graph.insert(Triple(subject, IRI(predicate), obj))
 
 

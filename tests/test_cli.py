@@ -113,7 +113,6 @@ class TestRdfize:
             "--mapping", str(workdir / "mappings" / "capacity.yaml"),
             "--output", str(out_path))
         assert code == 0
-        assert json.loads(out)["record_errors"] == 0
         assert out_path.read_text().count("\n") == json.loads(out)["triples"]
 
     @pytest.mark.parametrize("first_line", ["country,type,measure",  # a CSV file
@@ -211,7 +210,7 @@ maps:
             "--input", str(tmp_path / "other.csv"), "--output", str(out_path))
         assert code == 0
         graph = load_graph(out_path)
-        assert json.loads(out) == {"triples": len(graph), "record_errors": 0}
+        assert json.loads(out) == {"triples": len(graph)}
         assert {t.object for t in graph.match(predicate=IRI(ENERGY + "country"))} == \
             {Literal("XX"), Literal("YY")}
         assert [t.subject for t in graph.match(predicate=IRI(RDFS_LABEL))] == \
@@ -364,6 +363,11 @@ def _scenario(workdir):
             "--nodes", str(workdir / "nodes.yaml"))
 
 
+def _rdfize(workdir):
+    return ("rdfize", "--mapping", str(workdir / "mappings" / "capacity.yaml"),
+            "--output", str(workdir / "out.nt"))
+
+
 def _pipeline(workdir):
     return ("pipeline", "run", "--config", str(workdir / "pipeline.yaml"))
 
@@ -382,6 +386,9 @@ def _replace(old, new):
 
 _BAD_PREDICATE = _replace("predicate: energy:country",
                           'predicate: "energy:agg year"')
+# no record's value could fill in the space: every rendered subject is no IRI
+_BAD_TEMPLATE = _replace('template: "http://w3id.org/energy/capacity/{country}',
+                         'template: "http://w3id.org/energy/a b/{country}')
 
 
 class TestBadConfig:
@@ -423,6 +430,18 @@ class TestBadConfig:
          _scenario, r"contracts\.yaml: contracts\[0\]: unknown keys \['purpse'\]"),
         ("scenario.yaml", _replace("expect: CONTRACT_EXPIRED", "expected: CONTRACT_EXPIRED"),
          _scenario, r"scenario\.yaml: steps\[10\]: unknown keys \['expected'\]"),
+        # a reason no node gives, and an expectation no request can meet
+        ("scenario.yaml", _replace("expect: CONTRACT_EXPIRED", "expect: CONTRACT_EXPRIED"),
+         _scenario, r"scenario\.yaml: steps\[10\]\.expect: must be one of allow, "
+                    r".*got 'CONTRACT_EXPRIED'"),
+        ("scenario.yaml", _replace("graph: graphs/forecast.nt}",
+                                   "graph: graphs/forecast.nt, expect: allow}"),
+         _scenario, r"scenario\.yaml: steps\[\d+\]\.expect: a publish step sends "
+                    r"no request"),
+        # an IRI object has no datatype; it was dropped without a word
+        ("mappings/capacity.yaml", _replace('{type}"}', '{type}", datatype: xsd:string}'),
+         _rdfize, r"capacity\.yaml: maps\[0\]\.po\[0\]\.datatype: only a literal "
+                  r"object has a datatype"),
         ("nodes.yaml", lambda text: text + "start: all\n", _scenario,
          r"nodes\.yaml: top level: unknown keys \['start'\]"),
         # read as a shape without constraints, it would pass every graph
@@ -436,7 +455,8 @@ class TestBadConfig:
             "node-invalid-yaml", "node-listen-list", "contract-no-provider",
             "contract-expiry-text", "scenario-step-string", "nodes-no-nodes",
             "shape-min-count-text", "pipeline-unknown-key", "step-unknown-key",
-            "contract-unknown-key", "scenario-unknown-key", "nodes-unknown-key",
+            "contract-unknown-key", "scenario-unknown-key", "step-expect-unknown",
+            "publish-step-expect", "template-datatype", "nodes-unknown-key",
             "shape-unknown-key", "shape-in-unknown-prefix"])
     def test_exits_2_with_the_key_path(self, capsys, workdir, path, edit,
                                        argv, message):
@@ -456,6 +476,27 @@ class TestBadConfig:
         assert re.search(r"capacity\.yaml: maps\[0\]\.po\[1\]\.predicate: "
                          r"IRI contains forbidden character", err), err
         assert not (tmp_path / "out.nt").exists()
+
+    def test_template_that_renders_no_iri_is_a_config_error(self, capsys, workdir,
+                                                            tmp_path):
+        mapping = workdir / "mappings" / "capacity.yaml"
+        mapping.write_text(_BAD_TEMPLATE(mapping.read_text()))
+        code, _, err = run_cli(capsys, "rdfize", "--mapping", str(mapping),
+                               "--output", str(tmp_path / "out.nt"))
+        assert code == 2
+        assert re.search(r"capacity\.yaml: maps\[0\]\.subject\.template: "
+                         r"IRI contains forbidden character", err), err
+        assert not (tmp_path / "out.nt").exists()
+
+    def test_template_that_renders_no_iri_aborts_the_pipeline_at_mapping(
+            self, capsys, workdir):
+        mapping = workdir / "mappings" / "pipeline.yaml"
+        mapping.write_text(_BAD_TEMPLATE(mapping.read_text()))
+        code, out, _ = run_cli(capsys, *_pipeline(workdir))
+        assert code == 1
+        report = json.loads(out)
+        assert report["aborted_stage"] == "mapping"
+        assert "maps[0].subject.template" in report["errors"][-1]
 
     def test_bad_predicate_aborts_the_pipeline_at_mapping(self, capsys,
                                                           workdir):

@@ -9,6 +9,10 @@ inverse that ``serialize_ntriples`` promises.  Tests do not count: a name
 that only a test reads is dead code the test keeps alive.  Dunder names
 such as ``__all__`` or ``__post_init__`` are the language's, not the
 project's.
+
+Each name an import in a ``src/energyde`` module binds must be read in that
+module's code: an import that nothing reads is left over from code that
+went.
 """
 
 import ast
@@ -70,3 +74,19 @@ def test_every_module_level_name_is_used():
 def test_every_method_is_used():
     dead = _dead(_methods)
     assert not dead, dead
+
+
+def test_every_import_is_used():
+    unused = []
+    for path in sorted(PACKAGE.rglob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        read = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+        for stmt in ast.walk(tree):
+            if isinstance(stmt, ast.ImportFrom) and stmt.module == "__future__":
+                continue
+            if isinstance(stmt, (ast.Import, ast.ImportFrom)):
+                unused += [f"{path.relative_to(ROOT)}:{stmt.lineno}: {name}"
+                           for name in (alias.asname or alias.name.split(".")[0]
+                                        for alias in stmt.names)
+                           if name not in read]
+    assert not unused, unused

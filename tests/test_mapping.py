@@ -102,6 +102,40 @@ class TestParse:
                            match=r"maps\[0\]\.po\[0\]\.datatype: rdf:langString"):
             parse_mapping(doc, Path())
 
+    def test_subject_template_that_renders_no_iri_rejected(self):
+        # a value is percent-encoded, so no record could fill in the space
+        doc = """
+        maps:
+          - source: {path: x.csv, format: csv}
+            subject: {template: "http://example.org/a b/{id}"}
+            po:
+              - predicate: http://example.org/p
+                field: id
+        """
+        with pytest.raises(MappingError, match=r"maps\[0\]\.subject\.template: "
+                                               r"IRI contains forbidden character"):
+            parse_mapping(doc, Path())
+
+    @pytest.mark.parametrize("entry, message", [
+        # no record's value can add the scheme's ':' that the text lacks
+        ('template: "example.org/{v}"', r"template: IRI missing scheme separator"),
+        ('template: "{v}"', r"template: IRI missing scheme separator"),
+        ('template: "urn:x:{v}|"', r"template: IRI contains forbidden character"),
+        ('template: "urn:x:{}{v}"', r"template: IRI contains forbidden character"),
+        # a datatype only a literal object can carry
+        ('template: "urn:x:{v}", datatype: xsd:integer',
+         r"datatype: only a literal object has a datatype"),
+        ("constant: urn:x:c, datatype: xsd:integer",
+         r"datatype: only a literal object has a datatype"),
+    ], ids=["no-scheme", "only-a-field", "bar", "empty-braces",
+            "template-datatype", "iri-constant-datatype"])
+    def test_object_that_is_no_literal_or_no_iri_rejected(self, entry, message):
+        doc = ("maps:\n  - source: {path: x.csv, format: csv}\n"
+               '    subject: {template: "urn:x:{v}"}\n'
+               "    po:\n      - {predicate: urn:x:p, " + entry + "}\n")
+        with pytest.raises(MappingError, match=r"maps\[0\]\.po\[0\]\." + message):
+            parse_mapping(doc, Path())
+
     def test_unknown_prefix_rejected(self):
         doc = """
         maps:
@@ -120,9 +154,7 @@ class TestApply:
               "measure": "320"}
 
     def test_hand_applied_record(self, capacity_mapping):
-        result = apply_mapping(capacity_mapping, records=[self.RECORD])
-        assert not result.errors
-        g = result.graph
+        g = apply_mapping(capacity_mapping, lambda source: [self.RECORD])
         subj = IRI("http://w3id.org/energy/capacity/RS/WindPower/2020")
         assert len(g) == 6  # rdf:type + 5 property triples
         assert (subj, IRI(RDF_TYPE), IRI(GENERATION_CAPACITY)) in triples(g)
@@ -132,19 +164,14 @@ class TestApply:
 
     def test_null_field_skips_triple_not_record(self, capacity_mapping):
         record = dict(self.RECORD, measure=None)
-        result = apply_mapping(capacity_mapping, records=[record])
-        assert not result.errors
+        g = apply_mapping(capacity_mapping, lambda source: [record])
         subj = IRI("http://w3id.org/energy/capacity/RS/WindPower/2020")
-        assert not list(result.graph.match(subject=subj,
-                                           predicate=IRI(MEASURE)))
-        assert list(result.graph.match(subject=subj,
-                                       predicate=IRI(RDF_TYPE)))
+        assert not list(g.match(subject=subj, predicate=IRI(MEASURE)))
+        assert list(g.match(subject=subj, predicate=IRI(RDF_TYPE)))
 
     def test_null_subject_field_skips_record(self, capacity_mapping):
         record = dict(self.RECORD, country=None)
-        result = apply_mapping(capacity_mapping, records=[record])
-        assert not result.errors
-        assert len(result.graph) == 0
+        assert len(apply_mapping(capacity_mapping, lambda source: [record])) == 0
 
     def test_template_values_percent_encoded(self):
         doc = """
@@ -156,24 +183,8 @@ class TestApply:
                 field: id
         """
         m = parse_mapping(doc, Path())
-        result = apply_mapping(m, records=[{"id": "a b/c"}])
-        assert {t.subject.value for t in result.graph} == \
-            {"http://example.org/a%20b%2Fc"}
-
-    def test_invalid_subject_recorded_and_continues(self):
-        doc = """
-        maps:
-          - source: {path: x.csv, format: csv}
-            subject: {template: "not an iri {id}"}
-            po:
-              - predicate: http://example.org/p
-                field: id
-        """
-        m = parse_mapping(doc, Path())
-        result = apply_mapping(m, records=[{"id": "1"}, {"id": "2"}])
-        assert len(result.errors) == 2
-        assert result.errors[0][0] == 0 and result.errors[1][0] == 1
-        assert len(result.graph) == 0
+        g = apply_mapping(m, lambda source: [{"id": "a b/c"}])
+        assert {t.subject.value for t in g} == {"http://example.org/a%20b%2Fc"}
 
     def test_source_filter_selects_records(self, tmp_path):
         doc = """
@@ -187,7 +198,7 @@ class TestApply:
         """
         m = parse_mapping(doc, tmp_path)
         records = [{"id": "1", "kind": "a"}, {"id": "2", "kind": "b"}]
-        g = apply_mapping(m, records=records).graph
+        g = apply_mapping(m, lambda source: records)
         assert {t.subject.value for t in g} == {"http://example.org/1"}
 
     def test_csv_reader_blank_is_null(self, tmp_path, capacity_mapping):
@@ -228,10 +239,8 @@ class TestApply:
     def test_fixture_csv_mapping_counts(self, fixture_dir, capacity_mapping):
         source = capacity_mapping.maps[0].source
         records = read_records(source)
-        result = apply_mapping(capacity_mapping, records=records)
-        assert not result.errors
         # each record carries every field, so 6 triples apiece, all distinct
-        assert len(result.graph) == 6 * len(records)
+        assert len(apply_mapping(capacity_mapping)) == 6 * len(records)
 
 
 class TestProperties:
@@ -258,26 +267,26 @@ class TestProperties:
     def test_deterministic(self):
         m = parse_mapping(self.DOC, Path())
         records = self._random_records(random.Random(3), 50)
-        g1 = apply_mapping(m, records=records).graph
-        g2 = apply_mapping(m, records=records).graph
+        g1 = apply_mapping(m, lambda source: records)
+        g2 = apply_mapping(m, lambda source: records)
         assert triples(g1) == triples(g2)
 
     def test_monotone_in_records(self):
         m = parse_mapping(self.DOC, Path())
         records = self._random_records(random.Random(7), 40)
-        full = apply_mapping(m, records=records).graph
-        sub = apply_mapping(m, records=records[:20]).graph
+        full = apply_mapping(m, lambda source: records)
+        sub = apply_mapping(m, lambda source: records[:20])
         assert triples(sub) <= triples(full)
 
     def test_triple_count_bound(self):
         # each record yields at most one type triple plus one per po entry
         m = parse_mapping(self.DOC, Path())
         records = self._random_records(random.Random(13), 60)
-        g = apply_mapping(m, records=records).graph
+        g = apply_mapping(m, lambda source: records)
         assert len(g) <= len(records) * 3
 
     def test_serialization_round_trip(self, fixture_dir, capacity_mapping):
-        g = apply_mapping(capacity_mapping).graph
+        g = apply_mapping(capacity_mapping)
         back = parse_ntriples(serialize_ntriples(g))
         assert triples(back) == triples(g)
 
@@ -286,11 +295,12 @@ class TestProperties:
 
 from hypothesis import example, given, settings, strategies as st
 
-from energyde.mapping import LogicalSource, ObjectSpec, TripleMap, apply_triple_map
-from energyde.rdf import Graph
+from energyde.mapping import (LogicalSource, ObjectSpec, TripleMap, _iri_template,
+                              apply_triple_map)
+from energyde.rdf import Graph, RdfError
 from energyde.vocab import XSD_INTEGER
 
-from genutil import oracle_apply_triple_map
+from genutil import _render_oracle, oracle_apply_triple_map
 
 EX = "http://example.org/"
 # values that need percent-encoding, repeat across records, or are not text
@@ -300,8 +310,7 @@ _records = st.lists(st.fixed_dictionaries({"a": _values, "b": _values,
                                            "c": st.sampled_from(["k", "m", None])}),
                     max_size=25)
 _subject_templates = st.sampled_from([
-    EX + "s/{a}", EX + "s/{a}/{b}", "urn:x:{b}-{a}", EX + "fixed",
-    "not an iri {a}", "{a}{b}", EX + "{nope}"])
+    EX + "s/{a}", EX + "s/{a}/{b}", "urn:x:{b}-{a}", EX + "fixed", EX + "{nope}"])
 _object_specs = st.sampled_from([
     ObjectSpec(field="a"),
     ObjectSpec(field="a", datatype=XSD_INTEGER),
@@ -310,8 +319,6 @@ _object_specs = st.sampled_from([
     ObjectSpec(constant=Literal("7", XSD_INTEGER)),
     ObjectSpec(template=EX + "o/{b}"),
     ObjectSpec(template=EX + "s/{a}"),
-    ObjectSpec(template="bad {b}"),
-    ObjectSpec(template="{a}"),
 ])
 _triple_maps = st.builds(
     TripleMap,
@@ -347,11 +354,11 @@ def _rows(*values):
 @example(tmaps=[_tmap(EX + "s/{a}", [(EX + "p", ObjectSpec(field="b")),
                                      (EX + "q", ObjectSpec(template=EX + "o/{b}"))])],
          records=_rows(("1", None, "k"), ("2", None, None)), repeats=[0])
-# invalid IRIs between null cells, in the subject and in two object columns
-@example(tmaps=[_tmap(EX + "s/{a}", [(EX + "p", ObjectSpec(template="bad {b}")),
+# null cells between values, in the subject and in two object columns
+@example(tmaps=[_tmap(EX + "s/{a}", [(EX + "p", ObjectSpec(template=EX + "o/{b}")),
                                      (EX + "p", ObjectSpec(field="a")),
-                                     (EX + "q", ObjectSpec(template="{a}"))]),
-                _tmap("not an iri {b}", [(EX + "p", ObjectSpec(field="a"))])],
+                                     (EX + "q", ObjectSpec(template=EX + "s/{a}"))]),
+                _tmap("urn:x:{b}", [(EX + "p", ObjectSpec(field="a"))])],
          records=_rows(("1", None, None), (None, "2", None), ("3", "4", "k"),
                        ("5", None, None), (None, None, "m")), repeats=[2])
 # a filter that keeps nothing
@@ -361,14 +368,12 @@ def _rows(*values):
 def test_apply_triple_map_matches_term_level_oracle(tmaps, records, repeats):
     # duplicate records, each a fresh dict with the same content
     records = records + [dict(records[i]) for i in repeats if i < len(records)]
-    graph, errors = Graph(), []
-    expected, expected_errors = Graph(), []
+    graph, expected = Graph(), Graph()
     for tmap in tmaps:
-        apply_triple_map(tmap, records, graph, errors)
-        oracle_apply_triple_map(tmap, records, expected, expected_errors)
+        apply_triple_map(tmap, records, graph)
+        oracle_apply_triple_map(tmap, records, expected)
     assert graph == expected
     assert serialize_ntriples(graph) == serialize_ntriples(expected)
-    assert errors == expected_errors
     # a term gets an id only with a triple that uses it
     assert len(graph.terms) == len({term for triple in graph for term in triple})
 
@@ -382,8 +387,51 @@ def test_apply_triple_map_keeps_each_leaf_in_record_order(tmap, records):
     # a subject's objects of one predicate are in the order the records,
     # and within a record the po entries, give them
     graph, expected = Graph(), Graph()
-    apply_triple_map(tmap, records, graph, [])
-    oracle_apply_triple_map(tmap, records, expected, [])
+    apply_triple_map(tmap, records, graph)
+    oracle_apply_triple_map(tmap, records, expected)
     for s, p in {(t.subject, t.predicate) for t in expected}:
         assert graph.match(s, p) == expected.match(s, p)
 
+
+
+# any text but a surrogate, with the characters that decide an IRI common;
+# a fixed text is more often one that an IRI may hold, with a ':' up front
+_texts = st.text(st.one_of(st.sampled_from(":{} /%<|"),
+                           st.characters(blacklist_categories=("Cs",))), max_size=6)
+_iri_texts = st.text(st.sampled_from("x:/%-é"), max_size=4)
+_fixed_texts = st.tuples(st.one_of(st.sampled_from([EX, "urn:"]), _texts),
+                         st.lists(st.one_of(_iri_texts, _iri_texts, _texts), max_size=3)
+                         ).map(lambda parts: [parts[0], *parts[1]])
+
+
+def _is_iri(text: str) -> bool:
+    try:
+        IRI(text)
+    except RdfError:
+        return False
+    return True
+
+
+@settings(max_examples=300, deadline=None)
+@given(_fixed_texts,
+       st.lists(st.fixed_dictionaries({"a": _texts, "b": _texts, "c": _texts}),
+                min_size=1, max_size=5))
+@example(fixed=[EX, "/", ""], records=[{"a": "a b", "b": ":", "c": "}"}])
+@example(fixed=["a b:", ""], records=[{"a": "x", "b": "y", "c": "z"}])
+def test_a_template_renders_an_iri_for_every_record_or_for_none(fixed, records):
+    # the fixed texts with a field between each two; a brace in a fixed text
+    # may open another field, which no record holds
+    template = fixed[0] + "".join(f"{{{name}}}{text}" for name, text in zip("abc", fixed[1:]))
+    try:
+        _iri_template(template)
+        accepted = True
+    except RdfError:
+        accepted = False
+    rendered = [text for text in (_render_oracle(template, record) for record in records)
+                if text is not None]
+    assert {_is_iri(text) for text in rendered} <= {accepted}
+    if accepted:
+        graph = Graph()
+        apply_triple_map(_tmap(template, [(EX + "p", ObjectSpec(constant=IRI(EX + "o")))]),
+                         records, graph)
+        assert {t.subject for t in graph} == set(map(IRI, rendered))

@@ -25,7 +25,7 @@ QUERY_OUTPUT = {  # graph, query -> sha256 of what ``energyde query`` prints
         "f66523c47b603641636503793d10619d85bad170a48d76ecd3d756d11561598d",
 }
 PIPELINE_OUTPUT = "bfccc5373353475fa7af345c5dc1087e6f7fd3445d99992883defffcf7d1465d"
-PIPELINE_REPORT = "ab1183a43129e8140078d57b963ee50ff89f8affaf38e7ef85449ba8fc1ec76d"
+PIPELINE_REPORT = "c63af04621663b33334a4c118e9f3c2da63b131d77d767ece365f7c060ad3d07"
 PIPELINE_PROV = "82c09b8d183fa400df077c29e970367c0d28e8bb32241d39c874dacee6a29f93"
 VALIDATE_DEFECTIVE = "c8d105164a7323b2d95428053137027b3b718a5d8bc4ee9b63069ef39fc0ecac"
 
