@@ -117,7 +117,6 @@ def select_sources(query: Query, catalog: FederationCatalog) -> dict[int, set[st
 class Subquery:
     sources: tuple  # source ids this subquery is dispatched to (results unioned)
     query: Query
-    pattern_indexes: tuple
     join_on: tuple = ()     # the variables its answer is joined on, sorted
 
     @property
@@ -205,8 +204,7 @@ def decompose(query: Query, selection: dict[int, set[str]]) -> DecomposedQuery:
         subqueries.append(Subquery(
             sources=sources,
             query=Query(projected=projected, distinct=True, patterns=patterns,
-                        filters=pushed),
-            pattern_indexes=indexes))
+                        filters=pushed)))
     return DecomposedQuery(query=query, subqueries=subqueries,
                            order=_bind_order(subqueries, _inline(query)))
 

@@ -97,8 +97,8 @@ class MappingDocument:
 
 def parse_mapping(text: str, base_dir: Path) -> MappingDocument:
     """Parse a mapping document whose source paths are relative to
-    ``base_dir``.  When a source file exists, the fields the map reads are
-    checked against its header."""
+    ``base_dir``.  No source file is opened: ``apply_mapping`` checks a
+    map's fields against the records it is given."""
     doc = read_document(text, MappingError)
     prefixes = doc.prefixes(PREFIXES)
     maps = []
@@ -139,7 +139,6 @@ def parse_mapping(text: str, base_dir: Path) -> MappingDocument:
                          subject_template=subject.get("template", _iri_template),
                          subject_class=subject.iri("class", prefixes, None),
                          predicate_objects=tuple(pos))
-        _check_fields(tmap, entry.where)
         maps.append(tmap)
     doc.done()
     return MappingDocument(maps=tuple(maps))
@@ -158,46 +157,6 @@ def load_mapping(path) -> MappingDocument:
     return load_document(path, parse_mapping, Path(path).parent)
 
 
-def _json_object(line: str) -> Optional[dict]:
-    """The JSON object ``line`` holds, or None if it holds none."""
-    try:
-        obj = json.loads(line)
-    except (ValueError, RecursionError):
-        return None
-    return obj if isinstance(obj, dict) else None
-
-
-def _source_header(source: LogicalSource, where: str) -> Optional[set[str]]:
-    path = Path(source.path)
-    if not path.is_file():
-        return None
-    try:
-        with open(path, encoding="utf-8") as fh:
-            if source.format == "csv":
-                return set(next(csv.reader(fh), []))
-            first = fh.readline().strip()
-    except (OSError, UnicodeDecodeError) as exc:
-        raise MappingError(f"{where}.source: cannot read {path}: {exc}") from None
-    if not first:
-        return None  # an empty json-lines file has no schema to check
-    header = _json_object(first)
-    if header is None:
-        raise MappingError(f"{where}.source: first line of {path} is not a "
-                           f"JSON object")
-    return set(header)
-
-
-def _check_fields(tmap: TripleMap, where: str) -> None:
-    header = _source_header(tmap.source, where)
-    if header is None:
-        return
-    missing = tmap.referenced_fields() - header
-    if missing:
-        raise MappingError(
-            f"{where}: fields {sorted(missing)} not present in source header of "
-            f"{tmap.source.path}")
-
-
 def read_records(source: LogicalSource) -> list[RawRecord]:
     path = source.path
     records: list[RawRecord] = []
@@ -210,10 +169,19 @@ def read_records(source: LogicalSource) -> list[RawRecord]:
                     line = line.strip()
                     if not line:
                         continue
-                    obj = _json_object(line)
-                    if obj is None:
+                    try:
+                        obj = json.loads(line)
+                    except (ValueError, RecursionError):
+                        obj = None
+                    if not isinstance(obj, dict):
                         raise MappingError(f"{path}: line {number}: not a JSON object")
-                    record = {k: (None if v is None else str(v)) for k, v in obj.items()}
+                    if any(isinstance(v, (list, dict)) for v in obj.values()):
+                        raise MappingError(f"{path}: line {number}: a value is a "
+                                           f"JSON array or object")
+                    # true and false keep their JSON spelling, XSD's boolean one
+                    record = {k: (json.dumps(v) if isinstance(v, bool) else
+                                  None if v is None else str(v))
+                              for k, v in obj.items()}
                     if _SURROGATE.search("".join(chain(record, filter(None, record.values())))):
                         raise MappingError(f"{path}: line {number}: a key or value "
                                            f"holds a surrogate code point")
@@ -369,8 +337,16 @@ def _column(records: list, name: str) -> list:
 def apply_mapping(doc: MappingDocument,
                   records_of: Callable[[LogicalSource], list] = read_records) -> Graph:
     """The graph every triple map of ``doc`` makes of the records that
-    ``records_of`` gives for its logical source."""
+    ``records_of`` gives for its logical source.  Each field a map reads must
+    be a key of the first of its records (for CSV, a column of the header),
+    or ``MappingError`` names the map and the fields; a map given no
+    records makes no triples and is not checked."""
     graph = Graph()
-    for tmap in doc.maps:
-        apply_triple_map(tmap, records_of(tmap.source), graph)
+    for i, tmap in enumerate(doc.maps):
+        records = records_of(tmap.source)
+        missing = tmap.referenced_fields() - records[0].keys() if records else ()
+        if missing:
+            raise MappingError(f"maps[{i}]: fields {sorted(missing)} not in "
+                               f"the records it is given")
+        apply_triple_map(tmap, records, graph)
     return graph

@@ -51,13 +51,19 @@ class PreprocessStep:
 
 
 def _factor(value) -> Decimal:
-    try:
-        factor = Decimal(scalar(value))
-    except InvalidOperation:
-        raise ValueError(f"not a number: {value!r}") from None
-    if not factor.is_finite() or factor == 0:
-        raise ValueError("scale factor must be finite, non-zero")
+    factor = _finite(scalar(value))
+    if not factor:
+        raise ValueError(f"not a number, or zero: {value!r}")
     return factor
+
+
+def _finite(value) -> Optional[Decimal]:
+    """``value`` as a finite ``Decimal``, or None if it reads as none."""
+    try:
+        number = Decimal(str(value))
+    except InvalidOperation:
+        return None
+    return number if number.is_finite() else None
 
 
 def canonical_decimal(value: Decimal) -> str:
@@ -89,14 +95,13 @@ def preprocess(records: Iterable[RawRecord],
                 if value is None:
                     out.append(r)
                     continue
-                try:
-                    scaled = Decimal(str(value)) * factor
-                except InvalidOperation:
+                number = _finite(value)
+                if number is None:
                     errors.append(f"scale-numeric: record {i}: "
                                   f"non-numeric {fld}={value!r}")
                     continue
                 r = dict(r)
-                r[fld] = canonical_decimal(scaled)
+                r[fld] = canonical_decimal(number * factor)
                 out.append(r)
             rows = out
         elif step.kind == "aggregate":
@@ -104,9 +109,8 @@ def preprocess(records: Iterable[RawRecord],
             sums: dict[tuple, Decimal] = {}     # in the order groups first appear
             for i, r in enumerate(rows):
                 value = r.get(sum_field)
-                try:
-                    amount = Decimal(str(value))
-                except (InvalidOperation, TypeError):
+                amount = _finite(value)
+                if amount is None:
                     errors.append(f"aggregate: record {i}: "
                                   f"non-numeric {sum_field}={value!r}")
                     continue
@@ -286,12 +290,6 @@ def run_pipeline(config: PipelineConfig) -> dict:
 
     # mapping
     started = format_rfc3339()
-    try:
-        doc = load_mapping(config.mapping_path)
-    except ConfigError as exc:
-        report["aborted_stage"] = "mapping"
-        report["errors"].append(str(exc))
-        return _finish(report, config, prov)
 
     def records_of(source) -> list:
         """The preprocessed records of a configured source; any other
@@ -299,7 +297,12 @@ def run_pipeline(config: PipelineConfig) -> dict:
         rows = records_by_path.get(Path(source.path).resolve())
         return read_records(source) if rows is None else rows
 
-    graph = apply_mapping(doc, records_of)
+    try:
+        graph = apply_mapping(load_mapping(config.mapping_path), records_of)
+    except ConfigError as exc:
+        report["aborted_stage"] = "mapping"
+        report["errors"].append(str(exc))
+        return _finish(report, config, prov)
     mapped_size = len(graph)
     report["stages"]["mapping"] = {"triples": mapped_size}
     mapped_text = serialize_ntriples(graph)

@@ -499,7 +499,7 @@ _ESCAPES = {"t": "\t", "b": "\b", "n": "\n", "r": "\r", "f": "\f",
 _ESCAPE_RE = re.compile(r"\\(?:u([0-9A-Fa-f]{4})|U([0-9A-Fa-f]{8})|(.?))", re.DOTALL)
 
 
-def _unescape(raw: str, line_no: int) -> str:
+def _unescape(raw: str) -> str:
     if "\\" not in raw:
         return raw
 
@@ -509,13 +509,12 @@ def _unescape(raw: str, line_no: int) -> str:
             try:
                 return chr(int(digits, 16))
             except ValueError:      # beyond U+10FFFF
-                raise NTriplesParseError(line_no, "bad \\U escape") from None
+                raise RdfError("bad \\U escape") from None
         if e in _ESCAPES:
             return _ESCAPES[e]
         if not e:
-            raise NTriplesParseError(line_no, "dangling escape")
-        raise NTriplesParseError(line_no, f"bad \\{e} escape" if e in "uU"
-                                 else f"unknown escape \\{e}")
+            raise RdfError("dangling escape")
+        raise RdfError(f"bad \\{e} escape" if e in "uU" else f"unknown escape \\{e}")
     return _ESCAPE_RE.sub(resolve, raw)
 
 
@@ -566,7 +565,7 @@ class _LineScanner:
         end = self.line.find(">", self.pos)
         if end < 0:
             self.error("unterminated IRI")
-        value = _unescape(self.line[self.pos + 1:end], self.line_no)
+        value = _unescape(self.line[self.pos + 1:end])
         self.pos = end + 1
         return value
 
@@ -601,7 +600,7 @@ class _LineScanner:
             i += 1
         else:
             self.error("unterminated literal")
-        lexical = _unescape(self.line[self.pos + 1:i], self.line_no)
+        lexical = _unescape(self.line[self.pos + 1:i])
         self.pos = i + 1
         if self.line.startswith("^^<", self.pos):
             self.pos += 2

@@ -308,6 +308,15 @@ class _Parser:
         return IRI(self.prefixes[label] + local)
 
     def constant_term(self) -> Term:
+        """The IRI or literal at the next token.  A term ``rdf`` refuses,
+        or a bad escape, is a fault at the offset of the term's token."""
+        offset = self.peek()[2]
+        try:
+            return self._constant_term()
+        except RdfError as exc:
+            raise QueryParseError(f"at offset {offset}: {exc}") from None
+
+    def _constant_term(self) -> Term:
         kind, value, _ = self.peek()
         if kind == "IRIREF":
             self.next()
@@ -317,7 +326,7 @@ class _Parser:
             return self.expand_pname(value)
         if kind == "STRING":
             self.next()
-            lexical = _unquote(value)
+            lexical = _unescape(value[1:-1])    # the escapes N-Triples resolves
             kind2, value2, _ = self.peek()
             datatype, lang = XSD_STRING, None
             if kind2 == "DTYPE":
@@ -351,11 +360,6 @@ class _Parser:
             self.next()
             return BlankNode(value[2:])
         return self.constant_term()
-
-
-def _unquote(raw: str) -> str:
-    # raw includes the surrounding quotes; resolve the same escapes N-Triples uses
-    return _unescape(raw[1:-1], 0)
 
 
 def parse_query(text: str) -> Query:

@@ -132,8 +132,8 @@ maps:
         code, out, err = run_cli(capsys, "rdfize", "--mapping", str(mapping),
                                  "--output", str(tmp_path / "out.nt"))
         assert code == 2, (out, err)
-        assert re.search(r"^error: .*m\.yaml: maps\[0\]\.source: first line of "
-                         r".*data\.jsonl is not a JSON object", err, re.M), err
+        assert re.fullmatch(r"error: .*data\.jsonl: line 1: not a JSON object\n",
+                            err), err
         assert "Traceback" not in err
         assert not (tmp_path / "out.nt").exists()
 
@@ -142,7 +142,7 @@ maps:
                              ids=["not-json", "json-list"])
     def test_json_lines_record_not_an_object_exits_2(self, capsys, tmp_path,
                                                      bad_line):
-        # the first line passes the header check; the third does not parse
+        # the first line is an object; the third is not
         (tmp_path / "data.jsonl").write_text(
             '{"country": "RS", "type": "Wind"}\n\n' + bad_line + "\n")
         mapping = tmp_path / "m.yaml"
@@ -172,6 +172,19 @@ maps:
         assert code == 2, (out, err)
         assert re.fullmatch(r"error: .*data\.jsonl: line 2: a key or value holds "
                             r"a surrogate code point\n", err), err
+        assert not (tmp_path / "out.nt").exists()
+
+    @pytest.mark.parametrize("value", ['[1, "b"]', '{"a": 1}'], ids=["array", "object"])
+    def test_json_lines_array_or_object_value_exits_2(self, capsys, tmp_path, value):
+        (tmp_path / "data.jsonl").write_text(
+            '{"id": "ok", "flag": true}\n{"id": "x", "xs": %s}\n' % value)
+        mapping = tmp_path / "m.yaml"
+        mapping.write_text(_JSON_LINES_ID_MAPPING)
+        code, out, err = run_cli(capsys, "rdfize", "--mapping", str(mapping),
+                                 "--output", str(tmp_path / "out.nt"))
+        assert code == 2, (out, err)
+        assert re.fullmatch(r"error: .*data\.jsonl: line 2: a value is a JSON "
+                            r"array or object\n", err), err
         assert not (tmp_path / "out.nt").exists()
 
     def test_json_lines_surrogate_pair_is_one_character(self, capsys, tmp_path):
@@ -217,6 +230,18 @@ maps:
             [IRI(ENERGY + "Tidal")]
         assert len(graph) == 2 * 6 + 1
 
+    def test_input_without_a_mapped_field_exits_2(self, capsys, workdir, tmp_path):
+        # the configured file has every field; the given one has no year
+        (tmp_path / "other.csv").write_text("country,type,measure\nXX,Tidal,1.5\n")
+        code, out, err = run_cli(
+            capsys, "rdfize",
+            "--mapping", str(workdir / "mappings" / "pipeline.yaml"),
+            "--input", str(tmp_path / "other.csv"),
+            "--output", str(tmp_path / "out.nt"))
+        assert code == 2 and out == ""
+        assert err == "error: maps[0]: fields ['year'] not in the records it is given\n"
+        assert not (tmp_path / "out.nt").exists()
+
 
 class TestPipeline:
     def test_run_reports_stages(self, capsys, workdir):
@@ -225,6 +250,60 @@ class TestPipeline:
         assert code == 0
         report = json.loads(out)
         assert report["loaded"] is True
+
+    def test_renamed_field_is_mapped_under_its_new_name(self, capsys, workdir):
+        config = workdir / "pipeline.yaml"
+        config.write_text(_replace(
+            "{kind: drop-missing, field: country}",
+            "{kind: drop-missing, field: country}\n"
+            "      - {kind: rename-field, from: country, to: nation}")(config.read_text()))
+        mapping = workdir / "mappings" / "pipeline.yaml"
+        text = _replace("capacity/{country}", "capacity/{nation}")(mapping.read_text())
+        mapping.write_text(_replace("field: country}", "field: nation}")(text))
+        code, out, _ = run_cli(capsys, *_pipeline(workdir))
+        assert code == 0, out
+        report = json.loads(out)
+        assert report["aborted_stage"] is None
+        assert report["conforms"] is True and report["loaded"] is True
+        rows = (workdir / "raw" / "capacity.csv").read_text().splitlines()[1:]
+        graph = load_graph(workdir / "graphs" / "tso.nt")
+        assert {t.object.lexical for t in graph.match(predicate=IRI(ENERGY + "country"))} \
+            == {row.split(",")[0] for row in rows if row.split(",")[0]}
+
+    def _expect_mapping_aborted(self, capsys, workdir, message):
+        for written in ("report.json", "graphs/tso.prov.nt"):
+            (workdir / written).unlink(missing_ok=True)
+        code, out, _ = run_cli(capsys, *_pipeline(workdir))
+        assert code == 1
+        report = json.loads(out)
+        assert report["aborted_stage"] == "mapping" and report["loaded"] is False
+        assert re.search(message, report["errors"][-1]), report["errors"]
+        assert json.loads((workdir / "report.json").read_text()) == report
+        prov = (workdir / "graphs" / "tso.prov.nt").read_text()
+        assert "/preprocess>" in prov and "/mapping>" not in prov
+
+    def test_field_an_aggregate_dropped_aborts_the_mapping_stage(self, capsys, workdir):
+        # the aggregate keeps country, type and the measure sum; the map reads year
+        config = workdir / "pipeline.yaml"
+        config.write_text(_replace(
+            "{kind: drop-missing, field: country}",
+            "{kind: aggregate, group_by: [country, type], sum: measure}")(
+                config.read_text()))
+        self._expect_mapping_aborted(
+            capsys, workdir, r"^maps\[0\]: fields \['year'\] not in the records")
+
+    def test_unreadable_file_no_source_names_aborts_the_mapping_stage(self, capsys,
+                                                                      workdir):
+        # its header, and all of the first 8 KiB, decode; a later row does not
+        (workdir / "raw" / "extra.csv").write_bytes(b"id\n" + b"1\n" * 8192 + b"\xff\n")
+        mapping = workdir / "mappings" / "pipeline.yaml"
+        mapping.write_text(mapping.read_text() + """
+  - source: {path: ../raw/extra.csv, format: csv}
+    subject: {template: "http://example.org/{id}"}
+    po:
+      - {predicate: http://example.org/id, field: id}
+""")
+        self._expect_mapping_aborted(capsys, workdir, r"extra\.csv: cannot read: ")
 
 
 class TestFixtures:
@@ -532,7 +611,7 @@ class TestBadConfig:
         ("raw/capacity.csv",
          lambda work: ("rdfize", "--mapping", str(work / "mappings" / "capacity.yaml"),
                        "--output", str(work / "out.nt")),
-         r"capacity\.yaml: maps\[0\]\.source: cannot read .*capacity\.csv: "),
+         r"capacity\.csv: cannot read: "),
         ("raw/extra.csv",
          lambda work: ("rdfize", "--mapping", str(work / "mappings" / "capacity.yaml"),
                        "--input", str(work / "raw" / "extra.csv"),
@@ -543,7 +622,7 @@ class TestBadConfig:
          lambda work: ("query", "--graph", str(work / "graphs" / "reference.nt"),
                        "--query", str(work / "queries" / "sq2.rq")),
          r"sq2\.rq: cannot read: "),
-    ], ids=["mapping-source-header", "mapping-source-records", "graph", "query"])
+    ], ids=["mapping-source", "mapping-source-records", "graph", "query"])
     def test_input_that_is_not_utf8_exits_2(self, capsys, workdir, path, argv,
                                             message):
         source = workdir / "raw" / "capacity.csv"

@@ -60,8 +60,9 @@ class TestParse:
         with pytest.raises(MappingError, match=message):
             parse_mapping(doc, Path())
 
-    def test_template_field_checked_against_header(self, tmp_path):
-        (tmp_path / "d.csv").write_text("id,name\n1,a\n")
+    def test_no_source_file_is_opened(self, tmp_path):
+        # the fields a map reads are checked on its records, when it is applied
+        (tmp_path / "d.csv").write_bytes(b"\xff\xfeid,name\n1,a\n")
         doc = """
         maps:
           - source: {path: d.csv, format: csv}
@@ -70,8 +71,8 @@ class TestParse:
               - predicate: http://example.org/p
                 field: name
         """
-        with pytest.raises(MappingError, match="absent"):
-            parse_mapping(doc, base_dir=tmp_path)
+        m = parse_mapping(doc, base_dir=tmp_path)
+        assert m.maps[0].source.path == str(tmp_path / "d.csv")
 
     def test_po_needs_exactly_one_value_source(self):
         doc = """
@@ -172,6 +173,52 @@ class TestApply:
     def test_null_subject_field_skips_record(self, capacity_mapping):
         record = dict(self.RECORD, country=None)
         assert len(apply_mapping(capacity_mapping, lambda source: [record])) == 0
+
+    # the first record a map is given names the fields it may read: for CSV
+    # the header, for JSON-lines the first line's keys
+    @pytest.mark.parametrize("name, text, format", [
+        ("d.csv", "id,name\n1,a\n", "csv"),
+        ("d.jsonl", '{"id": "1", "name": "a"}\n{"absent": "x"}\n', "json-lines")],
+        ids=["csv", "json-lines"])
+    def test_template_field_checked_against_first_record(self, tmp_path, name,
+                                                         text, format):
+        (tmp_path / name).write_text(text)
+        doc = f"""
+        maps:
+          - source: {{path: {name}, format: {format}}}
+            subject: {{template: "http://example.org/{{id}}"}}
+            po:
+              - {{predicate: http://example.org/p, field: name}}
+          - source: {{path: {name}, format: {format}}}
+            subject: {{template: "http://example.org/{{absent}}"}}
+            po:
+              - {{predicate: http://example.org/p, field: name}}
+        """
+        m = parse_mapping(doc, base_dir=tmp_path)
+        with pytest.raises(MappingError,
+                           match=r"^maps\[1\]: fields \['absent'\] not in "):
+            apply_mapping(m)
+
+    def test_map_given_no_records_is_not_checked(self):
+        doc = """
+        maps:
+          - source: {path: x.csv, format: csv}
+            subject: {template: "http://example.org/{absent}"}
+            po:
+              - {predicate: http://example.org/p, field: name}
+        """
+        assert len(apply_mapping(parse_mapping(doc, Path()), lambda source: [])) == 0
+
+    @pytest.mark.parametrize("line, record", [
+        ('{"flag": true, "off": false, "n": 1.5, "i": 7, "s": "x", "z": null}',
+         {"flag": "true", "off": "false", "n": "1.5", "i": "7", "s": "x", "z": None}),
+        ('{"s": "true", "e": 1E+3}', {"s": "true", "e": "1000.0"})],
+        ids=["scalars", "string-and-exponent"])
+    def test_json_lines_values_keep_json_spelling(self, tmp_path, line, record):
+        from energyde.mapping import LogicalSource
+        p = tmp_path / "r.jsonl"
+        p.write_text(line + "\n", encoding="utf-8")
+        assert read_records(LogicalSource(path=str(p), format="json-lines")) == [record]
 
     def test_template_values_percent_encoded(self):
         doc = """

@@ -49,6 +49,23 @@ class TestPreprocess:
         assert rows == [{"v": "20"}]
         assert len(errors) == 1
 
+    # a value is a number when Decimal reads it and it is finite: NaN and
+    # Infinity are no xsd:decimal, and summing sNaN raises
+    @pytest.mark.parametrize("value", ["NaN", "sNaN", "-Infinity", "inf", "abc", "1,5"])
+    @pytest.mark.parametrize("made", [step("scale-numeric", field="v", factor=10),
+                                      step("aggregate", group_by=["g"], sum="v")],
+                             ids=["scale-numeric", "aggregate"])
+    def test_non_finite_value_is_non_numeric(self, made, value):
+        rows, errors = preprocess([{"g": "a", "v": value}, {"g": "a", "v": "2"}], [made])
+        assert rows == [{"g": "a", "v": "20"} if made.kind == "scale-numeric"
+                        else {"g": "a", "v": "2"}]
+        assert errors == [f"{made.kind}: record 0: non-numeric v={value!r}"]
+
+    @pytest.mark.parametrize("factor", ["NaN", "Infinity", "0", "abc"])
+    def test_scale_factor_that_is_no_finite_non_zero_number_rejected(self, factor):
+        with pytest.raises(PipelineError, match="factor: not a number, or zero"):
+            step("scale-numeric", field="v", factor=factor)
+
     def test_drop_missing_identity_on_complete_rows(self):
         records = [{"a": "1"}, {"a": "2"}]
         rows, _ = preprocess(records, [step("drop-missing", field="a")])

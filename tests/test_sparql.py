@@ -128,8 +128,17 @@ class TestParser:
         (r"a\uD800b", "surrogate"), (r"a\uD83D\uDE00b", "surrogate"),
         ("a\udfffb", "surrogate")])
     def test_escape_that_rdf_refuses_is_a_parse_error(self, body, message):
-        with pytest.raises(QueryParseError, match=message):
-            parse_query(f'SELECT ?s WHERE {{ ?s <http://example.org/p> "{body}" . }}')
+        text = f'SELECT ?s WHERE {{ ?s <http://example.org/p> "{body}" . }}'
+        with pytest.raises(QueryParseError, match=message) as exc:
+            parse_query(text)
+        # the fault is placed at the string token, as every query fault is
+        offset = text.index('"')
+        assert str(exc.value).startswith(f"at offset {offset}: ")
+
+    def test_unknown_escape_is_placed_at_its_string(self):
+        with pytest.raises(QueryParseError) as exc:
+            parse_query(r'SELECT ?s WHERE { ?s <urn:p> "a\qb" }')
+        assert str(exc.value) == r"at offset 29: unknown escape \q"
 
     def test_escape_beyond_the_basic_plane_is_one_character(self):
         q = parse_query(r'SELECT ?s WHERE { ?s <http://example.org/p> "\U0001F600" . }')
