@@ -9,9 +9,8 @@ from typing import Iterable, Optional
 from .config import ConfigError, Section, load_document, read_document, strings
 from .rdf import IRI
 from .sparql import (AnswerTerms, Query, ResultsFormatError, SolutionSequence,
-                     TriplePattern, Values, Variable, _picks, _project,
-                     apply_modifiers, format_pattern_term, format_query,
-                     parse_query)
+                     TriplePattern, Values, Variable, apply_modifiers,
+                     format_pattern_term, format_query, parse_query)
 from .vocab import PREFIXES, RDF_TYPE
 
 
@@ -241,34 +240,23 @@ def _bind_order(subqueries: list, joined: set[str]) -> list[int]:
 
 def hash_join(left: SolutionSequence, right: SolutionSequence,
               shared: Iterable[str]) -> SolutionSequence:
-    """Join two solution sequences on their shared variables; with no shared
-    variables this is the Cartesian product.  Rows stay ids: both sides
-    are put in one ``AnswerTerms``, so that equal ids are equal terms.  The
-    smaller side is the hash table; the output has ``left``'s columns, then
-    those of ``right``'s variables that ``left`` lacks."""
+    """Join two solution sequences on their shared variables.  ``left``,
+    the rows joined so far, is the hash table, keyed by its cells for the
+    sorted ``shared``, and each row of ``right`` probes it.  With no shared
+    variable every key is empty, so the join is the Cartesian product.
+    Rows stay ids: both sides are put in one ``AnswerTerms``, so that equal
+    ids are equal terms.  The output has ``left``'s columns, then those of
+    ``right``'s variables that ``left`` lacks."""
     table = AnswerTerms.common([left, right])
-    ours, theirs = table.cells_of(left), table.cells_of(right)
+    key_vars = sorted(shared)
     left_vars = list(dict.fromkeys(left.variables))
     new_vars = [v for v in dict.fromkeys(right.variables) if v not in left_vars]
-    ours = _project(ours, _picks(left.variables, left_vars))
-    extra = _project(theirs, _picks(right.variables, new_vars))
-    if not shared:
-        rows = [a + b for a in ours for b in extra]
-    else:
-        key_vars = sorted(shared)
-        our_keys = _project(ours, _picks(left_vars, key_vars))
-        their_keys = _project(theirs, _picks(right.variables, key_vars))
-        built: dict[tuple, list[tuple]] = {}
-        if len(ours) <= len(theirs):
-            for key, row in zip(our_keys, ours):
-                built.setdefault(key, []).append(row)
-            rows = [match + row for key, row in zip(their_keys, extra)
-                    for match in built.get(key, ())]
-        else:
-            for key, row in zip(their_keys, extra):
-                built.setdefault(key, []).append(row)
-            rows = [row + match for key, row in zip(our_keys, ours)
-                    for match in built.get(key, ())]
+    built: dict[tuple, list[tuple]] = {}
+    for key, row in zip(table.cells_of(left, key_vars), table.cells_of(left, left_vars)):
+        built.setdefault(key, []).append(row)
+    rows = [match + row for key, row in zip(table.cells_of(right, key_vars),
+                                            table.cells_of(right, new_vars))
+            for match in built.get(key, ())]
     return SolutionSequence(left_vars + new_vars, cells=rows, terms=table)
 
 
@@ -307,8 +295,7 @@ def execute_federated(plan: DecomposedQuery, clients: dict) -> SolutionSequence:
         # the subquery's DISTINCT makes this a union of the sources' rows
         table = AnswerTerms.common(answers)
         cells = [row for answer in answers
-                 for row in _project(table.cells_of(answer),
-                                     _picks(answer.variables, sq.query.projected))]
+                 for row in table.cells_of(answer, sq.query.projected)]
         return apply_modifiers(SolutionSequence(sq.query.projected, cells=cells,
                                                 terms=table), sq.query)
 

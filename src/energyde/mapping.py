@@ -33,6 +33,7 @@ from __future__ import annotations
 
 import csv
 import json
+import math
 import re
 from dataclasses import dataclass
 from itertools import chain, compress, repeat
@@ -178,6 +179,10 @@ def read_records(source: LogicalSource) -> list[RawRecord]:
                     if any(isinstance(v, (list, dict)) for v in obj.values()):
                         raise MappingError(f"{path}: line {number}: a value is a "
                                            f"JSON array or object")
+                    if any(isinstance(v, float) and not math.isfinite(v)
+                           for v in obj.values()):
+                        raise MappingError(f"{path}: line {number}: a value is not "
+                                           f"a finite number")
                     # true and false keep their JSON spelling, XSD's boolean one
                     record = {k: (json.dumps(v) if isinstance(v, bool) else
                                   None if v is None else str(v))

@@ -7,7 +7,7 @@ import hashlib
 import json
 import shutil
 from dataclasses import dataclass
-from decimal import Decimal, InvalidOperation
+from decimal import Context, Decimal, Inexact, InvalidOperation, localcontext
 from pathlib import Path
 from typing import Iterable, Optional
 
@@ -76,48 +76,67 @@ def canonical_decimal(value: Decimal) -> str:
 
 def preprocess(records: Iterable[RawRecord],
                steps: list) -> tuple[list[RawRecord], list[str]]:
-    """Apply steps in order; returns (records, tally of record-level errors)."""
+    """Apply steps in order; returns (records, tally of record-level errors).
+    The arithmetic is exact: a product that the 28-digit decimal context
+    would round, or that overflows, drops its record, and such a group sum
+    drops its group's row, each with an error."""
     rows = list(records)  # each step that changes a record makes a new one
     errors: list[str] = []
-    for step in steps:
-        if step.kind == "rename-field":
-            old, new = step.params
-            rows = [{(new if k == old else k): v for k, v in r.items()}
-                    for r in rows]
-        elif step.kind == "drop-missing":
-            (fld,) = step.params
-            rows = [r for r in rows if r.get(fld) is not None]
-        elif step.kind == "scale-numeric":
-            fld, factor = step.params
-            out = []
-            for i, r in enumerate(rows):
-                value = r.get(fld)
-                if value is None:
+    # Overflow is an Inexact too, so this one trap covers both
+    with localcontext(Context(traps=[Inexact])):
+        for step in steps:
+            if step.kind == "rename-field":
+                old, new = step.params
+                rows = [{(new if k == old else k): v for k, v in r.items()}
+                        for r in rows]
+            elif step.kind == "drop-missing":
+                (fld,) = step.params
+                rows = [r for r in rows if r.get(fld) is not None]
+            elif step.kind == "scale-numeric":
+                fld, factor = step.params
+                out = []
+                for i, r in enumerate(rows):
+                    value = r.get(fld)
+                    if value is None:
+                        out.append(r)
+                        continue
+                    number = _finite(value)
+                    if number is None:
+                        errors.append(f"scale-numeric: record {i}: "
+                                      f"non-numeric {fld}={value!r}")
+                        continue
+                    try:
+                        number *= factor
+                    except Inexact:
+                        errors.append(f"scale-numeric: record {i}: {fld}={value!r} "
+                                      f"scaled by {factor} is not exact")
+                        continue
+                    r = dict(r)
+                    r[fld] = canonical_decimal(number)
                     out.append(r)
-                    continue
-                number = _finite(value)
-                if number is None:
-                    errors.append(f"scale-numeric: record {i}: "
-                                  f"non-numeric {fld}={value!r}")
-                    continue
-                r = dict(r)
-                r[fld] = canonical_decimal(number * factor)
-                out.append(r)
-            rows = out
-        elif step.kind == "aggregate":
-            group_by, sum_field = step.params
-            sums: dict[tuple, Decimal] = {}     # in the order groups first appear
-            for i, r in enumerate(rows):
-                value = r.get(sum_field)
-                amount = _finite(value)
-                if amount is None:
-                    errors.append(f"aggregate: record {i}: "
-                                  f"non-numeric {sum_field}={value!r}")
-                    continue
-                key = tuple(r.get(g) for g in group_by)
-                sums[key] = sums.get(key, 0) + amount
-            rows = [{**dict(zip(group_by, key)), sum_field: canonical_decimal(total)}
-                    for key, total in sums.items()]
+                rows = out
+            elif step.kind == "aggregate":
+                group_by, sum_field = step.params
+                sums: dict[tuple, Decimal] = {}     # in the order groups first appear
+                inexact: set[tuple] = set()
+                for i, r in enumerate(rows):
+                    value = r.get(sum_field)
+                    amount = _finite(value)
+                    if amount is None:
+                        errors.append(f"aggregate: record {i}: "
+                                      f"non-numeric {sum_field}={value!r}")
+                        continue
+                    key = tuple(r.get(g) for g in group_by)
+                    if key in inexact:
+                        continue
+                    try:
+                        sums[key] = sums.get(key, 0) + amount
+                    except Inexact:
+                        inexact.add(key)
+                        errors.append(f"aggregate: group {dict(zip(group_by, key))}: "
+                                      f"the sum of {sum_field} is not exact")
+                rows = [{**dict(zip(group_by, key)), sum_field: canonical_decimal(total)}
+                        for key, total in sums.items() if key not in inexact]
     return rows, errors
 
 

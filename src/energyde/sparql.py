@@ -444,17 +444,19 @@ class AnswerTerms(TermTable):
     """The term table of answers the federator decoded, unioned and joined:
     ``table[id]`` is the term.  Each term has one id, however the answers
     spelled it, so ids compare as their terms do and the federator joins
-    and deduplicates ids.  Unlike a graph's table, the federator may add
-    the terms of other answers to it (``cells_of``), one thread at a time:
+    and deduplicates ids.  The federator picks an answer's columns into a
+    table with ``cells_of``, which adds their terms, one thread at a time:
     each answer gets its own table, and a union or join adds to the table
     of its own inputs only."""
 
     __slots__ = ()
 
-    def cells_of(self, solutions: SolutionSequence) -> list[tuple]:
-        """The cells of ``solutions`` as ids of this table, adding the terms
-        it lacks; each distinct cell is looked up once."""
-        cells, terms = solutions.cells, solutions.terms
+    def cells_of(self, solutions: SolutionSequence, variables) -> list[tuple]:
+        """The columns of ``solutions`` for ``variables``, in that order (None
+        for a variable it lacks), as ids of this table, adding the terms it
+        lacks; each distinct cell is looked up once."""
+        cells = _project(solutions.cells, _picks(solutions.variables, variables))
+        terms = solutions.terms
         if terms is self:
             return cells
         ids = {cell: self.add(terms[cell])

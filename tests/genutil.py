@@ -1,7 +1,8 @@
 """Random graph/query generation and the brute-force evaluation oracle used
-to cross-check the evaluator and the federation engine, plus Term-level
-oracles for query results, mapping, shape validation and N-Triples
-escaping, and an in-process source for the federation engine."""
+to cross-check the evaluator and the federation engine, a generator of
+hash-join inputs with its nested-loop oracle, plus Term-level oracles for
+query results, mapping, shape validation and N-Triples escaping, and an
+in-process source for the federation engine."""
 
 from __future__ import annotations
 
@@ -9,6 +10,8 @@ import json
 import random
 from collections import Counter
 from dataclasses import replace
+
+from hypothesis import strategies as st
 
 from energyde.mapping import _PLACEHOLDER_RE
 from energyde.rdf import (BlankNode, Graph, IRI, Literal, Term,
@@ -116,6 +119,50 @@ def bag(solutions) -> Counter:
     """Projected rows as a multiset of tuples (None for unbound)."""
     return Counter(tuple(row.get(v) for v in solutions.variables)
                    for row in solutions.rows)
+
+
+# one lexical form in five kinds of term: a join compares terms, not texts
+_JOIN_TERMS = [Literal("1"), Literal("1", XSD_INTEGER), Literal("1", lang="en"),
+               IRI(BASE + "1"), BlankNode("b1")]
+
+
+@st.composite
+def join_sides(draw):
+    """Two solution sequences and the variables they share, as the planner
+    hands them to ``hash_join``: a shared variable is bound in every row,
+    any other may be unbound.  Either side may be the larger, the two may
+    share no variable, and rows repeat.  Each side is built in its own
+    ``AnswerTerms``, or the right one in the left one's."""
+    names = st.lists(st.sampled_from("abcd"), max_size=3, unique=True)
+    left_vars, right_vars = draw(names), draw(names)
+    shared = set(left_vars) & set(right_vars)
+    term = st.sampled_from(_JOIN_TERMS)
+
+    def side(variables) -> SolutionSequence:
+        row = st.fixed_dictionaries({v: term if v in shared else st.none() | term
+                                     for v in variables})
+        rows = draw(st.lists(row, max_size=8))
+        if rows:
+            rows += draw(st.lists(st.sampled_from(rows), max_size=4))
+        return SolutionSequence(variables, rows=[
+            {v: t for v, t in row.items() if t is not None} for row in rows])
+
+    left, right = side(left_vars), side(right_vars)
+    if draw(st.booleans()):
+        right = SolutionSequence(right_vars, terms=left.terms,
+                                 cells=left.terms.cells_of(right, right_vars))
+    return left, right, shared
+
+
+def nested_loop_join(left: SolutionSequence, right: SolutionSequence,
+                     shared) -> Counter:
+    """Every pair of ``left``'s and ``right``'s decoded rows that agree on
+    ``shared``, merged, as ``bag`` counts them: tuples over ``left``'s
+    variables, then those of ``right`` that ``left`` lacks."""
+    variables = list(dict.fromkeys(left.variables + right.variables))
+    return Counter(tuple({**b, **a}.get(v) for v in variables)
+                   for a in left.rows for b in right.rows
+                   if all(a.get(v) == b.get(v) for v in shared))
 
 
 def brute_force(query: Query, graph: Graph) -> Counter:

@@ -187,6 +187,20 @@ maps:
                             r"array or object\n", err), err
         assert not (tmp_path / "out.nt").exists()
 
+    # Python's json reads these as floats that are no decimal number
+    @pytest.mark.parametrize("value", ["NaN", "Infinity", "-Infinity", "1e400"])
+    def test_json_lines_number_that_is_not_finite_exits_2(self, capsys, tmp_path, value):
+        (tmp_path / "data.jsonl").write_text('{"id": "ok", "m": 1.5}\n{"id": "x", "m": %s}\n'
+                                             % value)
+        mapping = tmp_path / "m.yaml"
+        mapping.write_text(_JSON_LINES_ID_MAPPING)
+        code, out, err = run_cli(capsys, "rdfize", "--mapping", str(mapping),
+                                 "--output", str(tmp_path / "out.nt"))
+        assert code == 2, (out, err)
+        assert re.fullmatch(r"error: .*data\.jsonl: line 2: a value is not a finite "
+                            r"number\n", err), err
+        assert not (tmp_path / "out.nt").exists()
+
     def test_json_lines_surrogate_pair_is_one_character(self, capsys, tmp_path):
         (tmp_path / "data.jsonl").write_text('{"id": "a\\ud83d\\ude00b"}\n')
         mapping = tmp_path / "m.yaml"
@@ -269,6 +283,35 @@ class TestPipeline:
         graph = load_graph(workdir / "graphs" / "tso.nt")
         assert {t.object.lexical for t in graph.match(predicate=IRI(ENERGY + "country"))} \
             == {row.split(",")[0] for row in rows if row.split(",")[0]}
+
+    def test_scale_that_overflows_is_a_record_error(self, capsys, workdir):
+        raw = workdir / "raw" / "capacity.csv"
+        records = raw.read_text().count("\n") - 1
+        raw.write_text(raw.read_text() + "RS,Hydro,9E999999,2021\n")
+        config = workdir / "pipeline.yaml"
+        config.write_text(_replace(
+            "{kind: drop-missing, field: country}",
+            "{kind: scale-numeric, field: measure, factor: 10}")(config.read_text()))
+        code, out, err = run_cli(capsys, *_pipeline(workdir))
+        assert code == 0 and err == "", err
+        report = json.loads(out)
+        assert report["stages"]["preprocess"] == {"records_in": records + 1,
+                                                  "records_out": records}
+        assert f"scale-numeric: record {records}: measure='9E999999' scaled by 10 " \
+               "is not exact" in report["errors"]
+
+    def test_json_lines_number_that_is_not_finite_exits_2(self, capsys, workdir):
+        (workdir / "raw" / "capacity.jsonl").write_text(
+            '{"country": "RS", "type": "Wind", "measure": 1, "year": "2020"}\n'
+            '{"country": "RS", "type": "Coal", "measure": NaN, "year": "2020"}\n')
+        config = workdir / "pipeline.yaml"
+        config.write_text(_replace("path: raw/capacity.csv\n    format: csv",
+                                   "path: raw/capacity.jsonl\n    format: json-lines")(
+            config.read_text()))
+        code, out, err = run_cli(capsys, *_pipeline(workdir))
+        assert code == 2 and out == ""
+        assert re.fullmatch(r"error: .*capacity\.jsonl: line 2: a value is not a "
+                            r"finite number\n", err), err
 
     def _expect_mapping_aborted(self, capsys, workdir, message):
         for written in ("report.json", "graphs/tso.prov.nt"):
@@ -451,6 +494,11 @@ def _pipeline(workdir):
     return ("pipeline", "run", "--config", str(workdir / "pipeline.yaml"))
 
 
+def _federate_plan(workdir):
+    return ("federate", "--plan", "--catalog", str(workdir / "catalog.yaml"),
+            "--query", str(workdir / "queries" / "bids.rq"))
+
+
 def _validate(workdir):
     return ("validate", "--graph", str(workdir / "graphs" / "tso.nt"),
             "--shapes", str(workdir / "shapes" / "capacity.yaml"))
@@ -465,6 +513,17 @@ def _replace(old, new):
 
 _BAD_PREDICATE = _replace("predicate: energy:country",
                           'predicate: "energy:agg year"')
+
+
+def _duplicate_first_contract(text):
+    start = text.index("  - id: ")
+    return text[:start] + text[start:text.index("  - id: ", start + 1)] + text[start:]
+
+
+def _empty_po(text):
+    return text[:text.index("    po:")] + "    po: []\n"
+
+
 # no record's value could fill in the space: every rendered subject is no IRI
 _BAD_TEMPLATE = _replace('template: "http://w3id.org/energy/capacity/{country}',
                          'template: "http://w3id.org/energy/a b/{country}')
@@ -530,13 +589,27 @@ class TestBadConfig:
         ("shapes/capacity.yaml", _replace("datatype: xsd:string}",
                                           'datatype: xsd:string, in: ["12:30"]}'),
          _validate, r"shapes\[0\]\.properties\[\d\]\.in: unknown prefix '12'"),
+        ("nodes/tso.yaml", _replace("port: 39471", "port: 70000"), _scenario,
+         r"nodes/tso\.yaml: listen\.port: port 70000 is outside 0-65535"),
+        ("contracts/contracts.yaml", _duplicate_first_contract, _scenario,
+         r"contracts\.yaml: duplicate contract id tso-supplier-2020"),
+        ("catalog.yaml", lambda text: "sources: []\n", _federate_plan,
+         r"catalog\.yaml: catalog must list at least one source"),
+        ("mappings/capacity.yaml", _empty_po, _rdfize,
+         r"capacity\.yaml: maps\[0\]\.po: must be a non-empty list"),
+        ("shapes/capacity.yaml", _replace("datatype: xsd:string}",
+                                          "datatype: xsd:string, in: []}"),
+         _validate, r"capacity\.yaml: shapes\[0\]\.properties\[\d\]\.in: must be a "
+                    r"non-empty list"),
     ], ids=["pipeline-no-output", "pipeline-list", "factor-abc",
             "node-invalid-yaml", "node-listen-list", "contract-no-provider",
             "contract-expiry-text", "scenario-step-string", "nodes-no-nodes",
             "shape-min-count-text", "pipeline-unknown-key", "step-unknown-key",
             "contract-unknown-key", "scenario-unknown-key", "step-expect-unknown",
             "publish-step-expect", "template-datatype", "nodes-unknown-key",
-            "shape-unknown-key", "shape-in-unknown-prefix"])
+            "shape-unknown-key", "shape-in-unknown-prefix", "node-port-70000",
+            "contract-id-twice", "catalog-no-sources", "mapping-po-empty",
+            "shape-in-empty"])
     def test_exits_2_with_the_key_path(self, capsys, workdir, path, edit,
                                        argv, message):
         target = workdir / path

@@ -517,6 +517,37 @@ class TestProvenance:
                                  r"TypeError\('consumer is not a string"):
             ProvenanceLog(path)
 
+    def test_contract_of_the_wrong_type_names_the_file_and_line(self, tmp_path):
+        path = tmp_path / "p.jsonl"
+        rec = {"id": 1, "kind": "query-served", "consumer": "fed", "contract": 5,
+               "requestDigest": "r", "resultDigest": "s", "timestamp": format_rfc3339()}
+        path.write_text("\n" + json.dumps(rec) + "\n", encoding="utf-8")
+        with pytest.raises(ProvenanceLogError) as exc:
+            read_log(path)
+        assert str(exc.value) == (f"{path}: line 2: not a provenance record: "
+                                  "TypeError('contract is neither a string nor "
+                                  "null: 5')")
+
+    def test_blank_lines_are_skipped(self, tmp_path):
+        path = tmp_path / "p.jsonl"
+        log = ProvenanceLog(path)
+        log.append(kind="query-served", consumer="fed", contract="c",
+                   request_digest="r", result_digest="s", timestamp=format_rfc3339())
+        path.write_text("\n" + path.read_text(encoding="utf-8") + "  \n\n",
+                        encoding="utf-8")
+        assert [r.id for r in read_log(path)] == [1]
+        assert ProvenanceLog(path).append(
+            kind="query-served", consumer="fed", contract="c", request_digest="r",
+            result_digest="s", timestamp=format_rfc3339()).id == 2
+
+    def test_append_refuses_an_unknown_kind(self, tmp_path):
+        log = ProvenanceLog(tmp_path / "p.jsonl")
+        with pytest.raises(ValueError) as exc:
+            log.append(kind="x", consumer="fed", contract="c", request_digest="r",
+                       result_digest="s", timestamp=format_rfc3339())
+        assert str(exc.value) == "unknown activity kind 'x'"
+        assert read_log(tmp_path / "p.jsonl") == []
+
     def test_replay_audit_clean_log(self, tmp_path):
         state = make_node(tmp_path, "tso", small_graph())
         handle(state, query_request(contract="tso-open"), now=IN_WINDOW)
@@ -598,6 +629,23 @@ class TestWire:
             raw = recv_frame(sock)
         assert raw["type"] == "Rejection"
         assert raw["body"]["reason"] == "MALFORMED"
+
+    def test_list_body_gets_rejection_and_the_next_request_is_served(
+            self, start_node, tmp_path):
+        server = start_node("tso", small_graph())
+        host, port = server.endpoint.rsplit(":", 1)
+        envelope = dict(query_request().to_dict(), body=["contractId", "tso-open"])
+        with socket.create_connection((host, int(port)), timeout=5) as sock:
+            send_frame(sock, envelope)
+            raw = recv_frame(sock)
+            send_frame(sock, query_request().to_dict())
+            served = recv_frame(sock)
+        assert raw["type"] == "Rejection"
+        assert raw["body"] == {"reason": "MALFORMED",
+                               "text": "message body must be a JSON object"}
+        assert raw["correlationId"] == envelope["correlationId"]
+        assert served["type"] == "QueryResult"
+        assert [r.kind for r in read_log(tmp_path / "tso.jsonl")] == ["query-served"]
 
     def test_unhashable_contract_id_gets_rejection(self, start_node, tmp_path):
         server = start_node("tso", small_graph())

@@ -2,11 +2,13 @@ import random
 from collections import Counter
 
 import pytest
+from hypothesis import given, settings
 
 from energyde.federation import (CatalogError, FederationCatalog,
                                  FederationError, SourceDescription,
                                  UnanswerablePatternError, build_clients,
-                                 decompose, federated_query, hash_join,
+                                 decompose, execute_federated,
+                                 federated_query, hash_join,
                                  load_catalog, parse_catalog, plan_query,
                                  select_sources)
 from energyde.rdf import Graph, IRI, Literal, Triple, parse_ntriples
@@ -255,6 +257,22 @@ class TestExecution:
         right = SolutionSequence(variables=["y"],
                                  rows=[{"y": Literal(str(i))} for i in range(4)])
         assert len(hash_join(left, right, set())) == 12
+
+    @settings(max_examples=300, deadline=None)
+    @given(genutil.join_sides())
+    def test_hash_join_is_the_nested_loop_join_as_a_bag(self, sides):
+        # the commutativity test above compares sets; this counts each row
+        left, right, shared = sides
+        joined = hash_join(left, right, shared)
+        assert joined.variables == list(dict.fromkeys(left.variables + right.variables))
+        assert genutil.bag(joined) == genutil.nested_loop_join(left, right, shared)
+
+    def test_a_source_without_a_client_is_a_federation_error(self):
+        plan = plan_query("SELECT ?s WHERE { ?s <http://example.org/r> ?o . }",
+                          parse_catalog(TWO_SOURCE_CATALOG))
+        with pytest.raises(FederationError) as exc:
+            execute_federated(plan, local_clients(left=Graph()))
+        assert str(exc.value) == "no client for source 'right'"
 
     def test_filter_pushdown_equivalent_to_mediator_filter(self):
         cat = parse_catalog(TWO_SOURCE_CATALOG)

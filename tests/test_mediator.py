@@ -287,6 +287,8 @@ _IRI_B = {"type": "uri", "value": EX + "b"}
     (_answer(_IRI, rows=[[0]]), "a row does not hold 2 cells"),
     (_answer(_IRI, rows=[{"s": 0}]), "a row is not a list"),
     ({"head": {"vars": ["s"]}, "rows": [], "terms": {}}, "terms is not a list"),
+    ({"head": {"vars": "s"}, "rows": [], "terms": []},
+     "head.vars is not a list of variable names"),
     # head.vars, as a set, must be the subquery's projection
     ({"head": {"vars": ["s", "x"]}, "rows": [[0, None]], "terms": [_IRI]},
      "head.vars ['s', 'x'] are not the projection ['o', 's']"),
@@ -295,7 +297,7 @@ _IRI_B = {"type": "uri", "value": EX + "b"}
         "iri-brace", "bnode-space", "lang-underscore", "datatype-list",
         "cell-bool", "cell-float", "cell-string", "cell-negative",
         "cell-out-of-range", "row-width", "row-object", "terms-object",
-        "head-vars"])
+        "head-vars-string", "head-vars"])
 def test_malformed_answer_exits_1_naming_the_source(odd_node, capsys, results, detail):
     code, out, err = odd_node(results, capsys)
     assert code == 1, err

@@ -117,6 +117,35 @@ class TestPreprocess:
         preprocess(records, [made[kind] for kind in kinds])
         assert records == before
 
+    # the arithmetic is exact: a result the 28-digit decimal context would
+    # round, or that overflows, is a record error, not a traceback
+    @pytest.mark.parametrize("value, factor", [
+        ("9E999999", 10), ("1234567890123456789012345678.9", 2)],
+        ids=["overflow", "rounded"])
+    def test_scale_that_is_not_exact_drops_its_record(self, value, factor):
+        rows, errors = preprocess([{"v": value}, {"v": "2"}],
+                                  [step("scale-numeric", field="v", factor=factor)])
+        assert rows == [{"v": str(2 * factor)}]
+        assert errors == [f"scale-numeric: record 0: v={value!r} scaled by "
+                          f"{factor} is not exact"]
+
+    @pytest.mark.parametrize("values", [
+        ["9E999999", "9E999999"], ["1234567890123456789012345678.9", "0.01"]],
+        ids=["overflow", "rounded"])
+    def test_aggregate_that_is_not_exact_drops_its_group(self, values):
+        records = [{"g": "a", "v": values[0]}, {"g": "b", "v": "1"},
+                   {"g": "a", "v": values[1]}, {"g": "a", "v": "5"}]
+        rows, errors = preprocess(records, [step("aggregate", group_by=["g"], sum="v")])
+        assert rows == [{"g": "b", "v": "1"}]
+        assert errors == ["aggregate: group {'g': 'a'}: the sum of v is not exact"]
+
+    def test_exact_result_of_28_digits_is_kept(self):
+        value = "1234567890123456789012345678"
+        rows, errors = preprocess([{"g": "a", "v": value}],
+                                  [step("scale-numeric", field="v", factor="1E+3"),
+                                   step("aggregate", group_by=["g"], sum="v")])
+        assert rows == [{"g": "a", "v": value + "000"}] and not errors
+
     def test_zero_scale_factor_rejected(self):
         with pytest.raises(PipelineError):
             step("scale-numeric", field="v", factor=0)
@@ -167,6 +196,15 @@ class TestLinking:
         links, ambiguous = link_entities(local, reference, self.SPEC)
         assert sorted(link.object.value for link in links) == [EX + "t1", EX + "t2"]
         assert ambiguous == ["Wind"]
+
+    def test_label_that_is_an_iri_is_skipped(self):
+        local = self.ref(("mine", "Wind"))
+        local.insert(Triple(IRI(EX + "other"), IRI(RDFS_LABEL), IRI(EX + "Wind")))
+        reference = self.ref(("theirs", "Wind"))
+        reference.insert(Triple(IRI(EX + "iri"), IRI(RDFS_LABEL), IRI(EX + "Wind")))
+        links, ambiguous = link_entities(local, reference, self.SPEC)
+        assert links == [Triple(IRI(EX + "mine"), IRI(OWL_SAMEAS), IRI(EX + "theirs"))]
+        assert not ambiguous
 
     def test_rerun_adds_nothing(self):
         local = self.ref(("mine", "Wind"))

@@ -139,6 +139,23 @@ class TestGraph:
         assert t(EX + "s1", EX + "p", "1") not in g
         assert g == Graph(reversed(triples))
 
+    def test_insert_refuses_a_tuple(self):
+        g = Graph()
+        with pytest.raises(RdfError) as exc:
+            g.insert((IRI("urn:s"), IRI("urn:p"), IRI("urn:o")))
+        assert str(exc.value) == ("not a triple: "
+                                  "(IRI('urn:s'), IRI('urn:p'), IRI('urn:o'))")
+        assert len(g) == 0
+
+    def test_format_term_refuses_a_string(self):
+        with pytest.raises(RdfError) as exc:
+            format_term("x")
+        assert str(exc.value) == "not a term: 'x'"
+
+    def test_a_graph_equals_no_other_type(self):
+        assert Graph().__eq__(5) is NotImplemented
+        assert (Graph() == 5) is False and Graph() != 5
+
     def test_match_unbound_returns_all(self):
         g = random_graph(random.Random(1), 50)
         assert len(g.match(None, None, None)) == len(g)
@@ -248,6 +265,11 @@ class TestNTriples:
         with pytest.raises(NTriplesParseError) as exc:
             parse_ntriples(text)
         assert exc.value.line_no == 1
+
+    def test_blank_node_needs_its_prefix(self):
+        with pytest.raises(NTriplesParseError) as exc:
+            parse_ntriples("_x <urn:p> <urn:o> .\n")
+        assert str(exc.value) == "line 1: expected blank node label (column 1)"
 
     def test_space_and_tab_are_whitespace(self):
         assert len(parse_ntriples(" \t\n\t# c\n<urn:s> <urn:p> <urn:o> . \t# c\n")) == 1

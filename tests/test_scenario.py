@@ -108,6 +108,29 @@ class TestRun:
         with pytest.raises(ScenarioError, match="UNKNOWN_CONTRACT"):
             run_scenario(steps, running_nodes)
 
+    def test_expected_rejection_of_a_served_step_fails_run(self, fixture_dir,
+                                                           running_nodes):
+        steps = parse_scenario("""
+        steps:
+          - {rq: RQ-1, kind: catalog, sender: tso, receiver: supplier,
+             contract: tso-supplier-2020, expect: CONTRACT_EXPIRED}
+        """, fixture_dir)
+        with pytest.raises(ScenarioError) as exc:
+            run_scenario(steps, running_nodes)
+        assert str(exc.value) == ("step 0 (RQ-1): expected rejection "
+                                  "CONTRACT_EXPIRED, got CatalogResponse")
+
+    def test_step_to_a_node_that_is_not_running_fails_run(self, fixture_dir):
+        steps = parse_scenario("""
+        steps:
+          - {rq: RQ-2, kind: query, sender: tso, receiver: supplier,
+             contract: tso-supplier-2020, query: queries/bids.rq}
+        """, fixture_dir)
+        nodes = NodeSet(fixture_dir / "nodes.yaml")     # never started
+        with pytest.raises(ScenarioError) as exc:
+            run_scenario(steps, nodes)
+        assert str(exc.value) == "no running node 'supplier'"
+
     def test_step_files_are_relative_to_the_script(self, fixture_dir, tmp_path,
                                                    running_nodes):
         # the script and its files sit apart from the nodes file, under

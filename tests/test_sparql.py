@@ -154,6 +154,32 @@ class TestParser:
         with pytest.raises(QueryParseError, match=message):
             parse_query(text)
 
+    # each thing the parser can expect, and the token it got instead
+    @pytest.mark.parametrize("text, message", [
+        ("PREFIX ex: ex SELECT ?s WHERE { ?s ?p ?o }",
+         "at offset 11: expected IRI, got 'ex'"),
+        ("SELECT WHERE { ?s ?p ?o }",
+         "at offset 7: expected projected variable or *, got 'WHERE'"),
+        ("SELECT ?s WHERE { ?s ?p ?o } LIMIT 1.5",
+         "at offset 35: expected non-negative integer, got '1.5'"),
+        ("SELECT ?s WHERE { ?s ?p ?o } ?x",
+         "at offset 29: expected end of query, got '?x'"),
+        ("SELECT ?s WHERE { ?s ?p ?o FILTER(1 > 2) }",
+         "at offset 34: expected variable, got '1'"),
+        ("SELECT ?s WHERE { ?s ?p ?o VALUES { 1 } }",
+         "at offset 34: expected variable, got '{'"),
+        ("SELECT ?s WHERE { ?s ?p ?o FILTER(?o ?x) }",
+         "at offset 37: expected comparison operator, got '?x'"),
+        ('SELECT ?s WHERE { ?s ?p "1"^^?x }',
+         "at offset 29: expected datatype IRI, got '?x'"),
+        ("SELECT ?s ?p ?o }", "at offset 16: expected '{', got '}'"),
+    ], ids=["prefix-iri", "projection", "limit", "end", "filter-variable",
+            "values-variable", "operator", "datatype", "brace"])
+    def test_parse_error_names_what_was_expected(self, text, message):
+        with pytest.raises(QueryParseError) as exc:
+            parse_query(text)
+        assert str(exc.value) == message
+
     def test_projected_variable_must_occur(self):
         with pytest.raises(QueryParseError, match="ghost"):
             parse_query("SELECT ?ghost WHERE { ?x <http://example.org/p> ?y . }")
