@@ -14,7 +14,8 @@ ACTIVITY_KINDS = {"query-served", "query-rejected", "catalog-served"}
 
 
 class ProvenanceLogError(ConfigError):
-    """A log line that is not a provenance record."""
+    """A log that cannot be read or made, or a line that is not a
+    provenance record."""
 
 
 @dataclass
@@ -62,8 +63,11 @@ class ProvenanceLog:
             for record in iter_log(self.path):
                 self._next_id = record.id + 1
         else:
-            self.path.parent.mkdir(parents=True, exist_ok=True)
-            self.path.touch()
+            try:
+                self.path.parent.mkdir(parents=True, exist_ok=True)
+                self.path.touch()
+            except OSError as exc:
+                raise ProvenanceLogError(f"{path}: cannot create: {exc}") from None
 
     def append(self, kind: str, consumer: str, contract: Optional[str],
                request_digest: str, result_digest: str, timestamp: str) -> ProvenanceRecord:

@@ -36,6 +36,7 @@ import json
 import math
 import re
 from dataclasses import dataclass
+from decimal import Decimal
 from itertools import chain, compress, repeat
 from pathlib import Path
 from typing import Callable, Iterable, Optional
@@ -183,9 +184,11 @@ def read_records(source: LogicalSource) -> list[RawRecord]:
                            for v in obj.values()):
                         raise MappingError(f"{path}: line {number}: a value is not "
                                            f"a finite number")
-                    # true and false keep their JSON spelling, XSD's boolean one
+                    # true and false keep their JSON spelling, XSD's boolean
+                    # one, and a float has no exponent, as xsd:decimal needs
                     record = {k: (json.dumps(v) if isinstance(v, bool) else
-                                  None if v is None else str(v))
+                                  format(Decimal(repr(v)), "f") if isinstance(v, float)
+                                  else None if v is None else str(v))
                               for k, v in obj.items()}
                     if _SURROGATE.search("".join(chain(record, filter(None, record.values())))):
                         raise MappingError(f"{path}: line {number}: a key or value "

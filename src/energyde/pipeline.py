@@ -16,8 +16,8 @@ from .config import (ConfigError, Section, load_document, one_of, read_document,
 from .connector.messages import format_rfc3339
 from .mapping import (LogicalSource, RawRecord, apply_mapping, load_mapping,
                       read_records, source_format)
-from .rdf import (Graph, IRI, Literal, Triple, format_term, load_graph, save_graph,
-                  serialize_ntriples)
+from .rdf import (Graph, IRI, Literal, Triple, insert_ntriples, load_graph,
+                  save_graph, serialize_ntriples)
 from .shapes import load_shapes, validate
 from .vocab import OWL_SAMEAS, PREFIXES, PROV, RDF_TYPE, XSD_DATETIME
 
@@ -278,14 +278,17 @@ def run_pipeline(config: PipelineConfig) -> dict:
 
     # staging: content-addressed copies of the raw inputs
     started = format_rfc3339()
-    config.staging_dir.mkdir(parents=True, exist_ok=True)
     staged = []
-    for source, _ in config.sources:
-        digest = _sha256_file(source.path)
-        target = config.staging_dir / f"{digest}{Path(source.path).suffix}"
-        if not target.exists():
-            shutil.copyfile(source.path, target)
-        staged.append({"source": source.path, "digest": digest})
+    try:
+        config.staging_dir.mkdir(parents=True, exist_ok=True)
+        for source, _ in config.sources:
+            digest = _sha256_file(source.path)
+            target = config.staging_dir / f"{digest}{Path(source.path).suffix}"
+            if not target.exists():
+                shutil.copyfile(source.path, target)
+            staged.append({"source": source.path, "digest": digest})
+    except OSError as exc:
+        raise PipelineError(f"{config.staging_dir}: cannot stage: {exc}") from None
     report["stages"]["staging"] = {"files": staged}
     prov.activity("staging", used=[s["digest"] for s in staged],
                   generated=[s["digest"] for s in staged],
@@ -337,15 +340,9 @@ def run_pipeline(config: PipelineConfig) -> dict:
         reference = load_graph(config.linking.reference_path)
         links, ambiguous = link_entities(graph, reference, config.linking)
     report["stages"]["linking"] = {"links": len(links), "ambiguous": ambiguous}
-    # linking only adds triples, so serialize_ntriples(graph) is the mapped
-    # lines and the links' lines, their texts off the memo, sorted together
-    # (the mapped lines are one sorted run, which the sort finds as such)
-    texts = graph.terms.texts(format_term, range(len(graph.terms)))
-    lines = mapped_text.splitlines()
-    lines += (" ".join(texts[graph.term_id(term)] for term in link) + " ."
-              for link in links)
-    lines.sort()
-    linked_text = "\n".join(lines) + "\n" if lines else ""
+    # linking only adds triples: the linked text is the mapped text with the
+    # links' lines put in place
+    linked_text = insert_ntriples(mapped_text, graph, links)
     linked_digest = hashlib.sha256(linked_text.encode()).hexdigest()
     prov.activity("linking", used=[mapped_digest], generated=[linked_digest],
                   started=started, ended=format_rfc3339())

@@ -5,6 +5,7 @@ from __future__ import annotations
 import io
 import re
 import threading
+from bisect import bisect_left
 from collections import deque
 from dataclasses import dataclass
 from functools import lru_cache
@@ -34,7 +35,7 @@ class NTriplesParseError(RdfError):
 # differ, the narrower rule holds: a blank node label has no ":" (SPARQL's
 # PN_CHARS_U), and an IRI has no whitespace at all.  So serialized text
 # holds no line break but "\n", not even one str.splitlines sees, such as
-# \x85 or \u2028: the pipeline splits serialized text with splitlines.
+# \x85 or \u2028.
 
 # the characters an IRI may not hold; for str patterns \s is exactly the
 # characters str.isspace() accepts.  No term holds a surrogate code point
@@ -520,8 +521,8 @@ def _unescape(raw: str) -> str:
 
 # exactly the characters N-Triples output escapes: the two that end or
 # start an escape, and the control and line-separator characters, so output
-# holds no line break but "\n" (the pipeline splits serialized text with
-# str.splitlines, which also breaks at \x85, \u2028 and \u2029)
+# holds no line break but "\n" (str.splitlines also breaks at \x85,
+# \u2028 and \u2029)
 _NEEDS_ESCAPE = re.compile(r'[\\"\x00-\x1f\x85\u2028\u2029]')
 _SHORT_ESCAPES = {"\\": "\\\\", '"': '\\"', "\n": "\\n", "\r": "\\r", "\t": "\\t"}
 
@@ -728,6 +729,31 @@ def serialize_ntriples(graph: Graph) -> str:
         lines = [f"{texts[s]} {texts[p]} {texts[o]} ." for s, p, o in graph._id_triples()]
     lines.sort()
     return "\n".join(lines) + "\n" if lines else ""
+
+
+def insert_ntriples(text: str, graph: Graph, triples: Iterable[Triple]) -> str:
+    """``serialize_ntriples(graph)``, given ``text``, what it returned before
+    ``triples``, none of which ``graph`` held then, went in.  Each new line
+    is put in its place by bisection over the offsets of ``text``, keyed by
+    the line holding each offset, so ``text`` is never split into lines.
+    The terms' texts come from the term table's memo."""
+    with graph._lock:
+        ids = [graph.term_id(term) for term in chain.from_iterable(triples)]
+        texts = graph._terms.texts(format_term, ids)
+    lines = sorted(" ".join(map(texts.__getitem__, ids[i:i + 3])) + " ."
+                   for i in range(0, len(ids), 3))
+
+    def line_at(offset: int) -> str:
+        return text[text.rfind("\n", 0, offset) + 1:text.find("\n", offset)]
+
+    pieces = []
+    start = 0
+    for line in lines:
+        at = bisect_left(range(len(text)), line, start, key=line_at)
+        pieces += (text[start:at], line, "\n")
+        start = at
+    pieces.append(text[start:])
+    return "".join(pieces)
 
 
 def load_graph(path) -> Graph:

@@ -149,9 +149,6 @@ _TOKEN_RE = re.compile(rf"""
   | (?P<PUNCT>[{{}}().;,*])
 """, re.VERBOSE)
 
-_KEYWORDS = {"prefix", "select", "distinct", "where", "filter", "limit", "values"}
-
-
 def _tokenize(text: str):
     pos = 0
     tokens = []
@@ -174,98 +171,77 @@ class _Parser:
         self.i = 0
         self.prefixes: dict[str, str] = {}
 
-    def peek(self):
-        return self.tokens[self.i]
+    def accept(self, kind: str, text: Optional[str] = None) -> Optional[str]:
+        """The next token's text, consumed, if the token is of ``kind`` (and
+        spells ``text``, if given); otherwise None, and nothing is consumed.
+        Every token the parser takes goes through here."""
+        token = self.tokens[self.i]
+        if token[0] == kind and (text is None or token[1] == text):
+            self.i += 1
+            return token[1]
+        return None
 
-    def next(self):
-        tok = self.tokens[self.i]
-        self.i += 1
-        return tok
+    def expect(self, kind: str, what: str, text: Optional[str] = None) -> str:
+        """``accept``, where the only alternative is the fault ``expected
+        <what>`` at the next token."""
+        value = self.accept(kind, text)
+        if value is None:
+            self.error(what)
+        return value
 
-    def error(self, expected: str):
-        kind, value, offset = self.peek()
+    def error(self, expected: str, at: Optional[int] = None):
+        """The fault ``expected <expected>, got '<token>'``, placed at the
+        next token, or at token number ``at``."""
+        _, value, offset = self.tokens[self.i if at is None else at]
         got = value if value else "end of input"
         raise QueryParseError(f"at offset {offset}: expected {expected}, got {got!r}")
 
     def keyword(self) -> Optional[str]:
-        kind, value, _ = self.peek()
-        if kind == "NAME" and value.lower() in _KEYWORDS:
-            return value.lower()
-        return None
+        """The next token's text in lower case, if it is a name."""
+        kind, value, _ = self.tokens[self.i]
+        return value.lower() if kind == "NAME" else None
 
-    def expect_keyword(self, word: str):
-        if self.keyword() != word:
-            self.error(word.upper())
-        self.next()
-
-    def expect_punct(self, ch: str):
-        kind, value, _ = self.peek()
-        if (kind in ("PUNCT", "OP") and value == ch):
-            self.next()
-            return
-        self.error(repr(ch))
+    def accept_keyword(self, word: str) -> bool:
+        """Whether the next token is the keyword ``word``, in any case; it
+        is consumed if so."""
+        return self.keyword() == word and self.accept("NAME") is not None
 
     def parse(self) -> Query:
-        while self.keyword() == "prefix":
-            self.next()
-            kind, value, _ = self.peek()
-            if kind != "PNAME" or not value.endswith(":"):
-                self.error("prefix label")
-            label = self.next()[1][:-1]
-            kind, value, _ = self.peek()
-            if kind != "IRIREF":
-                self.error("IRI")
-            self.prefixes[label] = self.next()[1][1:-1]
-        self.expect_keyword("select")
-        distinct = False
-        if self.keyword() == "distinct":
-            self.next()
-            distinct = True
-        projected = []
-        star = False
-        if self.peek()[:2] == ("PUNCT", "*"):
-            self.next()
-            star = True
-        else:
-            while self.peek()[0] == "VAR":
-                projected.append(self.next()[1][1:])
-            if not projected:
-                self.error("projected variable or *")
-        if self.keyword() == "where":
-            self.next()
-        self.expect_punct("{")
-        patterns: list[TriplePattern] = []
-        filters: list[Comparison] = []
-        values = None
-        while True:
-            kind, value, _ = self.peek()
-            if kind == "PUNCT" and value == "}":
-                self.next()
-                break
-            if self.keyword() == "filter":
-                self.next()
+        while self.accept_keyword("prefix"):
+            label = self.expect("PNAME", "prefix label")
+            if not label.endswith(":"):
+                self.error("prefix label", at=self.i - 1)
+            self.prefixes[label[:-1]] = self.expect("IRIREF", "IRI")[1:-1]
+        if not self.accept_keyword("select"):
+            self.error("SELECT")
+        distinct = self.accept_keyword("distinct")
+        star = self.accept("PUNCT", "*") is not None
+        projected = [] if star else [
+            name[1:] for name in iter(lambda: self.accept("VAR"), None)]
+        if not (star or projected):
+            self.error("projected variable or *")
+        self.accept_keyword("where")
+        self.expect("PUNCT", "'{'", "{")
+        patterns, filters, values = [], [], None
+        while self.accept("PUNCT", "}") is None:
+            if self.accept_keyword("filter"):
                 filters.append(self.parse_filter())
-            elif self.keyword() == "values":
+            elif self.accept_keyword("values"):
                 if values is not None:
-                    self.error("one VALUES block at most")
-                self.next()
+                    self.error("one VALUES block at most", at=self.i - 1)
                 values = self.parse_values()
             else:
                 patterns.append(TriplePattern(self.pattern_term(position="subject"),
                                               self.pattern_term(position="predicate"),
                                               self.pattern_term(position="object")))
-            kind, value, _ = self.peek()
-            if kind == "PUNCT" and value == ".":
-                self.next()
+            self.accept("PUNCT", ".")
         limit = None
-        if self.keyword() == "limit":
-            self.next()
-            kind, value, _ = self.peek()
-            if kind != "NUMBER" or not value.isdigit():
-                self.error("non-negative integer")
-            limit = int(self.next()[1])
-        if self.peek()[0] != "EOF":
-            self.error("end of query")
+        if self.accept_keyword("limit"):
+            digits = self.expect("NUMBER", "non-negative integer")
+            if not digits.isdigit():
+                self.error("non-negative integer", at=self.i - 1)
+            limit = int(digits)
+        self.expect("EOF", "end of query")
         if star:
             projected = sorted({v for p in patterns for v in p.variables()})
         return Query(projected=tuple(projected), distinct=distinct,
@@ -273,36 +249,33 @@ class _Parser:
                      limit=limit, values=values)
 
     def parse_filter(self) -> Comparison:
-        self.expect_punct("(")
-        kind, value, _ = self.peek()
-        if kind != "VAR":
-            self.error("variable")
-        var = Variable(self.next()[1][1:])
-        kind, value, _ = self.peek()
-        if kind != "OP" or value not in _COMPARE_OPS:
-            self.error("comparison operator")
-        op = self.next()[1]
+        self.expect("PUNCT", "'('", "(")
+        var = Variable(self.expect("VAR", "variable")[1:])
+        op = self.expect("OP", "comparison operator")
         const = self.constant_term()
-        self.expect_punct(")")
+        self.expect("PUNCT", "')'", ")")
         return Comparison(var, op, const)
 
     def parse_values(self) -> Values:
         """``?v { term ... }``: the terms are the constants a pattern may
         hold."""
-        if self.peek()[0] != "VAR":
-            self.error("variable")
-        var = Variable(self.next()[1][1:])
-        self.expect_punct("{")
+        var = Variable(self.expect("VAR", "variable")[1:])
+        self.expect("PUNCT", "'{'", "{")
         terms = []
-        while self.peek()[:2] != ("PUNCT", "}"):
-            if self.peek()[0] == "VAR":
-                self.error("RDF term")
-            terms.append(self.pattern_term(position="object"))
-        self.next()
+        while self.accept("PUNCT", "}") is None:
+            terms.append(self.pattern_term(position="value"))
         return Values(var, tuple(terms))
 
-    def expand_pname(self, pname: str) -> IRI:
-        label, _, local = pname.partition(":")
+    def iri(self) -> Optional[IRI]:
+        """The IRI at the next token, written out or as a prefixed name;
+        None if the token is neither."""
+        text = self.accept("IRIREF")
+        if text is not None:
+            return IRI(text[1:-1])
+        text = self.accept("PNAME")
+        if text is None:
+            return None
+        label, _, local = text.partition(":")
         if label not in self.prefixes:
             raise UndeclaredPrefixError(label)
         return IRI(self.prefixes[label] + local)
@@ -310,55 +283,42 @@ class _Parser:
     def constant_term(self) -> Term:
         """The IRI or literal at the next token.  A term ``rdf`` refuses,
         or a bad escape, is a fault at the offset of the term's token."""
-        offset = self.peek()[2]
+        start = self.i
         try:
             return self._constant_term()
         except RdfError as exc:
-            raise QueryParseError(f"at offset {offset}: {exc}") from None
+            raise QueryParseError(f"at offset {self.tokens[start][2]}: {exc}") from None
 
     def _constant_term(self) -> Term:
-        kind, value, _ = self.peek()
-        if kind == "IRIREF":
-            self.next()
-            return IRI(value[1:-1])
-        if kind == "PNAME":
-            self.next()
-            return self.expand_pname(value)
-        if kind == "STRING":
-            self.next()
-            lexical = _unescape(value[1:-1])    # the escapes N-Triples resolves
-            kind2, value2, _ = self.peek()
-            datatype, lang = XSD_STRING, None
-            if kind2 == "DTYPE":
-                self.next()
-                kind3, value3, _ = self.peek()
-                if kind3 == "IRIREF":
-                    datatype = value3[1:-1]
-                elif kind3 == "PNAME":
-                    datatype = self.expand_pname(value3).value
-                else:
-                    self.error("datatype IRI")
-                self.next()
-            elif kind2 == "LANGTAG":
-                self.next()
-                lang = value2[1:]
-            return Literal(lexical, datatype, lang)
-        if kind == "NUMBER":
-            self.next()
-            dt = XSD_DECIMAL if "." in value else XSD_INTEGER
-            return Literal(value, dt)
-        self.error("RDF term")
+        iri = self.iri()
+        if iri is not None:
+            return iri
+        text = self.accept("STRING")
+        if text is not None:
+            lexical = _unescape(text[1:-1])     # the escapes N-Triples resolves
+            if self.accept("DTYPE") is None:
+                lang = self.accept("LANGTAG")
+                return Literal(lexical, lang=lang and lang[1:])
+            datatype = self.iri()
+            if datatype is None:
+                self.error("datatype IRI")
+            return Literal(lexical, datatype.value)
+        text = self.expect("NUMBER", "RDF term")
+        return Literal(text, XSD_DECIMAL if "." in text else XSD_INTEGER)
 
     def pattern_term(self, position: str) -> PatternTerm:
-        kind, value, _ = self.peek()
-        if kind == "VAR":
-            return Variable(self.next()[1][1:])
-        if kind == "NAME" and value == "a" and position == "predicate":
-            self.next()
+        """The term at the next token in ``position``: "subject",
+        "predicate", "object", or "value", a VALUES term, which is no
+        variable."""
+        if position != "value":
+            name = self.accept("VAR")
+            if name is not None:
+                return Variable(name[1:])
+        if position == "predicate" and self.accept("NAME", "a") is not None:
             return IRI(RDF_TYPE)
-        if kind == "BLANK":
-            self.next()
-            return BlankNode(value[2:])
+        label = self.accept("BLANK")
+        if label is not None:
+            return BlankNode(label[2:])
         return self.constant_term()
 
 

@@ -761,6 +761,26 @@ class TestBadConfig:
         assert code == 2 and out == "", (out, err)
         assert re.fullmatch(r"error: \S*graphs\S*: cannot write: .*\n", err), err
 
+    _LOG_UNDER_A_FILE = _replace("provenance_log: ../logs/tso.jsonl",
+                                 "provenance_log: ../catalog.yaml/tso.jsonl")
+
+    @pytest.mark.parametrize("path, edit, argv, message", [
+        ("pipeline.yaml", _replace("staging: staging", "staging: pipeline.yaml"),
+         _pipeline, r"pipeline\.yaml: cannot stage: "),
+        ("nodes/tso.yaml", _LOG_UNDER_A_FILE,
+         lambda work: ("serve", "--config", str(work / "nodes" / "tso.yaml")),
+         r"tso\.jsonl: cannot create: "),
+        ("nodes/tso.yaml", _LOG_UNDER_A_FILE, _scenario, r"tso\.jsonl: cannot create: "),
+    ], ids=["pipeline-staging", "serve-provenance-log", "scenario-provenance-log"])
+    def test_a_file_where_a_directory_goes_exits_2(self, capsys, workdir, path,
+                                                   edit, argv, message):
+        target = workdir / path
+        target.write_text(edit(target.read_text()))
+        _ephemeral_ports(workdir)
+        code, out, err = run_cli(capsys, *argv(workdir))
+        assert code == 2 and out == "", (out, err)
+        assert re.fullmatch(rf"error: \S*{message}.*\n", err), err
+
     def test_scenario_rejection_mismatch_is_a_domain_failure(self, capsys,
                                                             workdir):
         script = workdir / "scenario.yaml"

@@ -212,8 +212,11 @@ class TestApply:
     @pytest.mark.parametrize("line, record", [
         ('{"flag": true, "off": false, "n": 1.5, "i": 7, "s": "x", "z": null}',
          {"flag": "true", "off": "false", "n": "1.5", "i": "7", "s": "x", "z": None}),
-        ('{"s": "true", "e": 1E+3}', {"s": "true", "e": "1000.0"})],
-        ids=["scalars", "string-and-exponent"])
+        ('{"s": "true", "e": 1E+3}', {"s": "true", "e": "1000.0"}),
+        # xsd:decimal's lexical space has no exponent
+        ('{"big": 1e20, "small": 0.00001, "n": 2.5}',
+         {"big": "100000000000000000000", "small": "0.00001", "n": "2.5"})],
+        ids=["scalars", "string-and-exponent", "floats-positional"])
     def test_json_lines_values_keep_json_spelling(self, tmp_path, line, record):
         from energyde.mapping import LogicalSource
         p = tmp_path / "r.jsonl"

@@ -12,8 +12,8 @@ from hypothesis import example, given, settings, strategies as st
 
 from energyde import rdf, sparql
 from energyde.rdf import (BlankNode, Graph, IRI, Literal, NTriplesParseError,
-                          RdfError, Triple, format_term, load_graph, parse_ntriples,
-                          save_graph, serialize_ntriples)
+                          RdfError, Triple, format_term, insert_ntriples, load_graph,
+                          parse_ntriples, save_graph, serialize_ntriples)
 from energyde.vocab import (AGG_YEAR, COUNTRY, ENERGY, GENERATION_CAPACITY, MEASURE,
                             PRODUCTION_TYPE, RDF_LANGSTRING, RDF_TYPE, XSD_DECIMAL,
                             XSD_INTEGER, XSD_STRING)
@@ -369,6 +369,28 @@ def test_round_trip_property(triples):
     g = Graph(triples)
     assert parse_ntriples(serialize_ntriples(g)) == g
     assert len(g) == len(set(triples))
+
+
+def _t(s, p, o) -> Triple:
+    """A triple over the example namespace's nodes ``n<s>`` and ``p<p>``;
+    ``o`` is a literal's text."""
+    return Triple(IRI(f"{EX}n{s}"), IRI(f"{EX}p{p}"), Literal(o))
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(_triple, max_size=30), st.lists(_triple, max_size=8))
+@example(old=[], new=[_t(2, 0, "a"), _t(1, 0, "a")])                 # empty text
+@example(old=[_t(5, 0, "a"), _t(6, 0, "a")], new=[_t(1, 0, "a")])    # sorts first
+@example(old=[_t(1, 0, "a"), _t(2, 0, "a")],                         # sorts last
+         new=[Triple(BlankNode("z"), IRI(f"{EX}p0"), Literal("a")), _t(3, 0, "a")])
+@example(old=[_t(1, 0, "a"), _t(3, 0, "a")],                         # one gap
+         new=[_t(2, 1, "a"), _t(2, 0, "b"), _t(2, 0, "a\nb")])
+def test_insert_ntriples_is_the_grown_graph_serialized(old, new):
+    graph = Graph(old)
+    text = serialize_ntriples(graph)
+    added = [t for t in dict.fromkeys(new) if t not in graph]
+    graph.update(added)
+    assert insert_ntriples(text, graph, added) == serialize_ntriples(graph)
 
 
 def assert_agrees_with_set(g: Graph, triples: set) -> None:
