@@ -636,20 +636,34 @@ def _scan_line(line: str, line_no: int) -> Optional[Triple]:
         raise NTriplesParseError(line_no, str(exc)) from None
 
 
-# The fast path: a statement with no escape, so every term is its text.  A
-# subject is an IRI or blank node, a predicate an IRI.  The tokens are those
-# of the term grammar, so the regex never splits a line where the scanner
-# would not.
+# The fast path reads a line in the canonical form of W3C RDF 1.1
+# N-Triples section 4, the form of every graph energyde writes: the three
+# terms split by one space each, and " ." at the end.  A token is read there
+# only if it is an IRIREF, a BLANK_NODE_LABEL or a literal with no escape,
+# so each term is its token's text and the fast path never reads a token
+# otherwise than the scanner would.  A subject must start as an IRI or blank
+# node does, and a predicate as an IRI does.
 _NT_LITERAL = rf'"[^"\\]*"(?:\^\^{IRIREF}|@{LANGTAG})?'
-_NT_LINE = re.compile(
-    rf"[ \t]*({IRIREF}|{BLANK_NODE_LABEL})[ \t]*({IRIREF})"
-    rf"[ \t]*({IRIREF}|{BLANK_NODE_LABEL}|{_NT_LITERAL})[ \t]*\.[ \t]*(?:#.*)?")
+_NT_TOKEN = re.compile(f"{IRIREF}|{BLANK_NODE_LABEL}|{_NT_LITERAL}")
 
 
 def _token_term(token: str) -> Term:
-    """The term a fast-path token denotes; raises RdfError when the scanner
-    would reject it."""
-    return _LineScanner(token, 0).term()
+    """The term a canonical line's token denotes, sliced from its text;
+    raises RdfError when the token is outside the fast path's grammar or
+    the term's constructor refuses it.  A token the grammar admits holds
+    no backslash, so there is nothing to unescape."""
+    if _NT_TOKEN.fullmatch(token) is None:
+        raise RdfError(f"not a fast-path token: {token!r}")
+    if token[0] == "<":
+        return IRI(token[1:-1])
+    if token[0] == "_":
+        return BlankNode(token[2:])
+    lexical, _, suffix = token[1:].partition('"')
+    if suffix.startswith("@"):
+        return Literal(lexical, lang=suffix[1:])
+    if suffix:
+        return Literal(lexical, suffix[3:-1])
+    return Literal(lexical)
 
 
 # how many token texts the parser remembers the term ids of: a token
@@ -665,36 +679,52 @@ def _parse_lines(stream) -> Graph:
     EOL, and at nothing else.  Fails fast on the first syntax error,
     reporting its line number.
 
-    Lines the fast-path regex accepts go straight to term ids: a token text
-    is turned into a term, checked and interned once while it stays in the
-    token table.  Every other line, and every error, goes through
-    ``_scan_line``."""
+    A line in canonical form, as energyde writes every graph, is split at
+    its first two spaces and before its " ." and goes straight to term ids:
+    a token already in the token table needs no check, and a new one is
+    checked and turned into a term once (``_token_term``).  A line's new
+    terms are interned only after all three of its tokens pass, so
+    ``term_id`` knows only terms some triple uses.  Every other line (a
+    tab, a double space, a comment, an escape, a refused token), and every
+    error, goes through ``_scan_line``."""
     graph = Graph()                 # no other thread sees it yet: no lock
     add = graph.terms.add
-    ids: dict[str, int] = {}        # token text -> term id, at most _TOKEN_CACHE
+    add_ids = graph._add
+    ids: dict[str, int] = {}        # token text -> term id, about _TOKEN_CACHE
+    known = ids.get
 
-    def token_id(token: str) -> int:
-        if len(ids) >= _TOKEN_CACHE:
-            ids.clear()
-        tid = ids[token] = add(_token_term(token))
-        return tid
-
-    fast_line = _NT_LINE.fullmatch
     lines = map(str.removesuffix, stream, repeat("\n"))
     for line_no, line in enumerate(lines, start=1):
-        match = fast_line(line)
-        if match is not None:
-            try:
-                s, p, o = [ids[token] if token in ids else token_id(token)
-                           for token in match.groups()]
-            except RdfError:
-                match = None
-        if match is None:
-            triple = _scan_line(line, line_no)
-            if triple is None:
+        tokens = line[:-2].split(" ", 2) if line.endswith(" .") else ()
+        # the table holds tokens read at any position, so each line's
+        # subject and predicate are checked for theirs
+        if (len(tokens) == 3 and tokens[0][:1] in ("<", "_")
+                and tokens[1][:1] == "<"):
+            s, p, o = tokens
+            si, pi, oi = known(s), known(p), known(o)
+            if si is not None and pi is not None and oi is not None:
+                add_ids(si, pi, oi)
                 continue
-            s, p, o = map(add, triple)
-        graph._add(s, p, o)
+            try:
+                s_term = _token_term(s) if si is None else None
+                p_term = _token_term(p) if pi is None else None
+                o_term = _token_term(o) if oi is None else None
+            except RdfError:
+                pass                # the scanner reads the line
+            else:
+                if len(ids) >= _TOKEN_CACHE:
+                    ids.clear()
+                if s_term is not None:
+                    si = ids[s] = add(s_term)
+                if p_term is not None:
+                    pi = ids[p] = add(p_term)
+                if o_term is not None:
+                    oi = ids[o] = add(o_term)
+                add_ids(si, pi, oi)
+                continue
+        triple = _scan_line(line, line_no)
+        if triple is not None:
+            add_ids(*map(add, triple))
     return graph
 
 

@@ -165,6 +165,13 @@ def _tokenize(text: str):
     return tokens
 
 
+# the most digits a LIMIT may have: the default of the interpreter's bound
+# on converting text to int (Python 3.10.7 and later), past which int()
+# raises a plain ValueError.  The parser refuses a longer LIMIT itself,
+# whatever that bound is set to.
+_LIMIT_DIGITS = 4300
+
+
 class _Parser:
     def __init__(self, text: str):
         self.tokens = _tokenize(text)
@@ -240,6 +247,9 @@ class _Parser:
             digits = self.expect("NUMBER", "non-negative integer")
             if not digits.isdigit():
                 self.error("non-negative integer", at=self.i - 1)
+            if len(digits) > _LIMIT_DIGITS:
+                raise QueryParseError(f"at offset {self.tokens[self.i - 1][2]}: "
+                                      f"LIMIT has more than {_LIMIT_DIGITS} digits")
             limit = int(digits)
         self.expect("EOF", "end of query")
         if star:

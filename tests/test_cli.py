@@ -60,6 +60,16 @@ class TestExitCodes:
         assert code == 2 and out == ""
         assert re.search(r"^error: line 2: ", err, re.M), err
 
+    def test_limit_of_too_many_digits_exits_2(self, capsys, tmp_path):
+        graph = tmp_path / "g.nt"
+        graph.write_text("<http://example.org/s> <http://example.org/p> \"x\" .\n")
+        (tmp_path / "q.rq").write_text("SELECT * WHERE { ?s ?p ?o } LIMIT " + "9" * 5000)
+        code, out, err = run_cli(capsys, "query", "--graph", str(graph),
+                                 "--query", str(tmp_path / "q.rq"))
+        assert code == 2 and out == ""
+        assert err.splitlines() == [
+            "error: at offset 34: LIMIT has more than 4300 digits"], err
+
     def test_nonconforming_graph_domain_failure(self, capsys, workdir):
         code, out, _ = run_cli(
             capsys, "validate",

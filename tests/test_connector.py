@@ -291,6 +291,14 @@ class TestHandle:
                                                query="SELEKT"))
         assert response.body["reason"] == "MALFORMED"
 
+    def test_limit_of_too_many_digits_is_one_logged_rejection(self, tmp_path):
+        state = make_node(tmp_path, "tso", small_graph())
+        response = handle(state, query_request(
+            contract="tso-open", query="SELECT ?s WHERE { ?s ?p ?o } LIMIT " + "9" * 5000))
+        self.assert_one_logged_rejection(tmp_path, response, "MALFORMED")
+        assert response.body["text"] == ("query does not parse: at offset 35: "
+                                         "LIMIT has more than 4300 digits")
+
     @pytest.mark.parametrize("literal", [
         '"x"^^<no-scheme>',
         '"x"^^<http://www.w3.org/1999/02/22-rdf-syntax-ns#langString>',

@@ -6,6 +6,8 @@ catches ``QueryParseError`` only, so any other exception would leave a
 request with no response and no provenance record.
 """
 
+import sys
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -22,12 +24,34 @@ from energyde.sparql import QueryParseError, parse_query
     ("SELECT ?s WHERE { ?s ?p ?o } LIMIT",
      "at offset 34: expected non-negative integer, got 'end of input'"),
     ('SELECT ?s WHERE { ?s ?p "1"^^nope:t }', "undeclared prefix: 'nope'"),
+    ("SELECT ?s WHERE { ?s ?p ?o } LIMIT " + "9" * 5000,
+     "at offset 35: LIMIT has more than 4300 digits"),
 ], ids=["select", "open-paren", "close-paren", "prefix-label-at-end",
-        "limit-at-end", "datatype-prefix"])
+        "limit-at-end", "datatype-prefix", "limit-digits"])
 def test_parse_error_text(text, message):
     with pytest.raises(QueryParseError) as exc:
         parse_query(text)
     assert str(exc.value) == message
+
+
+@pytest.mark.parametrize("max_digits", [None, 0, 10000])
+def test_limit_digits_bound_is_the_parsers(max_digits):
+    """A LIMIT of 4,300 digits parses and one of 4,301 is a parse error,
+    whatever the interpreter's bound on int conversion is set to (0 lifts
+    it)."""
+    text = "SELECT ?s WHERE { ?s ?p ?o } LIMIT "
+    before = getattr(sys, "get_int_max_str_digits", lambda: None)()
+    if max_digits is not None:
+        if before is None:
+            pytest.skip("this Python has no bound on int conversion")
+        sys.set_int_max_str_digits(max_digits)
+    try:
+        assert parse_query(text + "9" * 4300).limit == 10 ** 4300 - 1
+        with pytest.raises(QueryParseError, match="more than 4300 digits"):
+            parse_query(text + "9" * 4301)
+    finally:
+        if before is not None:
+            sys.set_int_max_str_digits(before)
 
 
 # every kind of token the tokenizer knows, a few spellings each, and

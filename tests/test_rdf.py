@@ -551,16 +551,26 @@ def test_serializer_bytes_pinned(fixture_dir):
     assert parse_ntriples(text) == tricky_graph()
 
 
+def scanner_refused():
+    """``_scan_line`` replaced by a failure: a load under it that returns
+    took every line by the split path."""
+    return mock.patch.object(rdf, "_scan_line", side_effect=AssertionError(
+        "a line went to the scanner"))
+
+
 def test_fast_path_takes_every_fixture_line(fixture_dir):
     for name in FIXTURE_DIGESTS:
-        text = (fixture_dir / "graphs" / name).read_text(encoding="utf-8")
-        assert all(rdf._NT_LINE.fullmatch(line) for line in text.splitlines())
+        path = fixture_dir / "graphs" / name
+        expected = parse_ntriples(path.read_text(encoding="utf-8"))
+        with scanner_refused() as scan:
+            assert load_graph(path) == expected
+        assert not scan.called
 
 
 def test_fast_path_regex_needs_no_python_3_11_syntax():
     # re accepts possessive quantifiers and atomic groups only from 3.11 on;
     # this holds for every regex built from the term grammar
-    for regex in (rdf._NT_LINE, rdf._IRI_FORBIDDEN, rdf._LANGTAG_RE, rdf._LABEL_RE,
+    for regex in (rdf._NT_TOKEN, rdf._IRI_FORBIDDEN, rdf._LANGTAG_RE, rdf._LABEL_RE,
                   sparql._TOKEN_RE):
         assert not re.search(r"[*+?}]\+|\(\?>", regex.pattern), regex.pattern
 
@@ -578,34 +588,40 @@ _NT_OBJECTS = [
     '"1"^^<http://www.w3.org/2001/XMLSchema#string>', '"1"^^<a b:c>',
     '"q\\"q"', '"\\u0041"', '"\\q"', '"tab\\t"', '"\u00e9"', '"unterminated',
     "<http://ex.org/\\u0041>", "<http://ex.org/\u00e9>", "<nocolon>", "<a<b:c>",
+    '"a ."', '" ."', '"a "',
 ]
 _NT_GAPS = ["", " ", "\t ", "\u00a0"]
-_NT_ENDS = [".", " .", "\t. # c", ".x", "", " . ", ". \u00a0#c", "..", " .#", ". \u00a0"]
+_NT_ENDS = [".", " .", "\t. # c", ".x", "", " . ", ". \u00a0#c", "..", " .#", ". \u00a0",
+            ' "a ." .', ' " ."', ' "a " .']
 _NT_PIECES = (_NT_SUBJECTS + _NT_PREDICATES + _NT_OBJECTS + _NT_GAPS + _NT_ENDS
               + ["<", ">", '"', "@", "^^", "#", "\\", "_:", "x", ":"])
 
 
 def assert_fast_path_agrees(line: str) -> None:
-    """A line the fast-path regex accepts, and whose tokens make terms, gives
-    the scanner's triple; parse_ntriples gives the scanner's result or error
+    """A line the split path takes, with no call to the scanner, gives the
+    scanner's triple; parse_ntriples gives the scanner's result or error
     on every line."""
+    scanner = rdf._scan_line
     try:
-        expected, error = rdf._scan_line(line, 1), None
+        expected, error = scanner(line, 1), None
     except NTriplesParseError as exc:
         expected, error = None, str(exc)
-    match = rdf._NT_LINE.fullmatch(line)
-    if match is not None:
+    scanned = []
+
+    def scan(line: str, line_no: int):
+        scanned.append(line_no)
+        return scanner(line, line_no)
+
+    with mock.patch.object(rdf, "_scan_line", scan):
         try:
-            terms = [rdf._token_term(token) for token in match.groups()]
-        except RdfError:
-            terms = None        # the fast path declines; the scanner decides
-        if terms is not None:
-            assert error is None, line
-            assert Triple(*terms) == expected, line
-    try:
-        graph = parse_ntriples(line)
-    except NTriplesParseError as exc:
-        assert str(exc) == error, line
+            graph, got = parse_ntriples(line), None
+        except NTriplesParseError as exc:
+            graph, got = None, str(exc)
+    if line and not scanned:        # the split path took the line
+        assert error is None, line
+        assert graph == Graph([expected]) and len(graph) == 1, line
+    if graph is None:
+        assert got == error, line
     else:
         assert error is None, line
         assert graph == Graph([expected] if expected is not None else []), line
@@ -621,6 +637,10 @@ _nt_line = st.one_of(
 
 @settings(max_examples=500)
 @given(_nt_line)
+@example('"lit" <urn:p> <urn:o> .')         # a literal subject
+@example("<urn:s> _:p <urn:o> .")           # a blank-node predicate
+@example('<urn:s> <urn:p> "a ." .')
+@example('<urn:s> <urn:p> "a" "b ." .')
 def test_fast_path_agrees_with_scanner(line):
     assert_fast_path_agrees(line)
 
@@ -629,6 +649,38 @@ def test_fast_path_agrees_with_scanner_on_every_combination():
     for s, p, o in itertools.product(_NT_SUBJECTS, _NT_PREDICATES, _NT_OBJECTS):
         for gap, end in [(" ", end) for end in _NT_ENDS] + [(g, ".") for g in _NT_GAPS]:
             assert_fast_path_agrees(f"{gap}{s}{gap}{p}{gap}{o}{end}")
+        for end in _NT_ENDS:            # canonical spacing: no leading gap
+            assert_fast_path_agrees(f"{s} {p} {o}{end}")
+
+
+def scanner_result(text: str):
+    """The graph, or the first error's text, that the scanner alone gives
+    for the lines of ``text``."""
+    graph = Graph()
+    for line_no, line in enumerate(text.split("\n"), start=1):
+        try:
+            triple = rdf._scan_line(line, line_no)
+        except NTriplesParseError as exc:
+            return str(exc)
+        if triple is not None:
+            graph.insert(triple)
+    return graph
+
+
+@pytest.mark.parametrize("cache", [1, 4096])
+def test_a_token_read_at_one_position_is_checked_at_another(cache):
+    """The token table holds tokens read at any position: a token first
+    read as an object is refused as a subject or predicate where the
+    scanner refuses it there."""
+    for token in _NT_SUBJECTS + _NT_PREDICATES + _NT_OBJECTS:
+        for line in [f"{token} <urn:p> <urn:o> .", f"<urn:s> {token} <urn:o> ."]:
+            text = f"<urn:s> <urn:p> {token} .\n{line}\n"
+            with mock.patch.object(rdf, "_TOKEN_CACHE", cache):
+                try:
+                    got = parse_ntriples(text)
+                except NTriplesParseError as exc:
+                    got = str(exc)
+            assert got == scanner_result(text), text
 
 
 # every character the escaper rewrites, its neighbours, and non-ASCII text
@@ -795,6 +847,18 @@ def traced_load(path) -> tuple[Graph, int, int]:
     finally:
         tracemalloc.stop()
     return graph, retained, peak
+
+
+def test_canonical_lines_never_reach_the_scanner(tmp_path):
+    """Every line ``save_graph`` writes takes the split path, also when the
+    token table is emptied many times over."""
+    path = tmp_path / "capacity.nt"
+    graph = capacity_graph(1000)
+    save_graph(graph, path)
+    with mock.patch.object(rdf, "_TOKEN_CACHE", 64), scanner_refused() as scan:
+        loaded = load_graph(path)
+    assert not scan.called
+    assert loaded == graph and len(loaded) == 6000
 
 
 def test_load_memory_is_the_graph(tmp_path):
