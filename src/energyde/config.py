@@ -168,7 +168,8 @@ class Section:
 def read_document(document: str, error: type = ConfigError) -> Section:
     try:
         doc = yaml.safe_load(document)
-    except yaml.YAMLError as exc:
+    # ValueError: a value PyYAML cannot build, such as 2035-02-30
+    except (yaml.YAMLError, ValueError, RecursionError) as exc:
         raise error(f"not valid YAML: {exc}") from None
     if not isinstance(doc, dict):
         raise error(f"top level: expected a mapping, got {type(doc).__name__}")

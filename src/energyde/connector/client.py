@@ -41,6 +41,9 @@ class NodeClient:
     def __init__(self, endpoint: str, sender_id: str, contract_id: str,
                  source_id: Optional[str] = None):
         host, _, port = endpoint.rpartition(":")
+        if not (host and port.isascii() and port.isdigit() and len(port) <= 5
+                and int(port) <= 65535):
+            raise ValueError(f"expected host:port, got {endpoint!r}")
         self.host, self.port = host, int(port)
         self.endpoint = endpoint
         self.sender_id = sender_id

@@ -217,7 +217,10 @@ class NodeServer:
 
     def __init__(self, state: NodeState, host: str = "127.0.0.1", port: int = 0):
         self.state = state
-        self._server = _Server((host, port), _Handler)
+        try:
+            self._server = _Server((host, port), _Handler)
+        except (OSError, UnicodeError) as exc:  # a port in use, a bad host
+            raise NodeConfigError(f"cannot listen on {host}:{port}: {exc}") from None
         self._server.state = state  # type: ignore[attr-defined]
         self.host, self.port = self._server.server_address[:2]
         state.endpoint = f"{self.host}:{self.port}"

@@ -28,6 +28,10 @@ class ProvenanceRecord:
     result_digest: str
     timestamp: str
 
+    def __post_init__(self):
+        if self.kind not in ACTIVITY_KINDS:
+            raise ValueError(f"unknown activity kind {self.kind!r}")
+
     def to_dict(self) -> dict:
         return {"id": self.id, "kind": self.kind, "consumer": self.consumer,
                 "contract": self.contract, "requestDigest": self.request_digest,
@@ -71,8 +75,6 @@ class ProvenanceLog:
 
     def append(self, kind: str, consumer: str, contract: Optional[str],
                request_digest: str, result_digest: str, timestamp: str) -> ProvenanceRecord:
-        if kind not in ACTIVITY_KINDS:
-            raise ValueError(f"unknown activity kind {kind!r}")
         with self._lock:
             record = ProvenanceRecord(
                 id=self._next_id, kind=kind, consumer=consumer, contract=contract,

@@ -329,13 +329,12 @@ def build_clients(catalog: FederationCatalog) -> dict:
     from .connector.client import NodeClient
     clients = {}
     for i, source in enumerate(catalog.sources):
-        host, _, port = source.endpoint.rpartition(":")
-        if not (host and port.isascii() and port.isdigit() and int(port) <= 65535):
-            raise CatalogError(f"sources[{i}].endpoint: expected host:port, "
-                               f"got {source.endpoint!r}")
-        clients[source.id] = NodeClient(
-            endpoint=source.endpoint, sender_id=catalog.client_id,
-            contract_id=source.contract or "", source_id=source.id)
+        try:
+            clients[source.id] = NodeClient(
+                endpoint=source.endpoint, sender_id=catalog.client_id,
+                contract_id=source.contract or "", source_id=source.id)
+        except ValueError as exc:
+            raise CatalogError(f"sources[{i}].endpoint: {exc}") from None
     return clients
 
 

@@ -244,40 +244,60 @@ def _sha256_file(path: Path) -> str:
     return h.hexdigest()
 
 
-class _ProvBuilder:
-    """Minimal PROV-style activity trace serialized as N-Triples."""
+class _RunRecord:
+    """What a pipeline run leaves: its report, and a PROV-O graph in which
+    each recorded stage is an ``Activity`` that used and generated content
+    digests, and began when the stage before it ended."""
 
     BASE = "http://w3id.org/energy/prov/"
 
-    def __init__(self, run_id: str):
-        self.graph = Graph()
-        self.run_id = run_id
+    def __init__(self, config: PipelineConfig):
+        self.config = config
+        self.report: dict = {"stages": {}, "errors": [], "aborted_stage": None,
+                             "conforms": None, "loaded": False}
+        self.prov = Graph()
+        self.began = format_rfc3339()
 
-    def activity(self, stage: str, used: list, generated: list,
-                 started: str, ended: str) -> None:
-        a = IRI(f"{self.BASE}{self.run_id}/{stage}")
-        self.graph.insert(Triple(a, IRI(RDF_TYPE), IRI(PROV + "Activity")))
-        self.graph.insert(Triple(a, IRI(PROV + "startedAtTime"),
-                                 Literal(started, XSD_DATETIME)))
-        self.graph.insert(Triple(a, IRI(PROV + "endedAtTime"),
-                                 Literal(ended, XSD_DATETIME)))
-        for digest in used:
-            self.graph.insert(Triple(a, IRI(PROV + "used"),
-                                     IRI(f"{self.BASE}entity/{digest}")))
-        for digest in generated:
-            self.graph.insert(Triple(a, IRI(PROV + "generated"),
-                                     IRI(f"{self.BASE}entity/{digest}")))
+    def stage(self, name: str, entry: dict, used: Optional[list] = None,
+              generated: Iterable[str] = ()) -> None:
+        """Record stage ``name`` as ended now: its report entry, and when
+        ``used`` is given, its activity."""
+        ended = format_rfc3339()
+        self.report["stages"][name] = entry
+        if used is not None:
+            a = IRI(f"{self.BASE}{self.config.run_id}/{name}")
+            entity = lambda digest: IRI(f"{self.BASE}entity/{digest}")
+            for predicate, value in [
+                    (RDF_TYPE, IRI(PROV + "Activity")),
+                    (PROV + "startedAtTime", Literal(self.began, XSD_DATETIME)),
+                    (PROV + "endedAtTime", Literal(ended, XSD_DATETIME)),
+                    *((PROV + "used", entity(d)) for d in used),
+                    *((PROV + "generated", entity(d)) for d in generated)]:
+                self.prov.insert(Triple(a, IRI(predicate), value))
+        self.began = ended
+
+    def abort(self, name: str, exc: Exception) -> dict:
+        """Stop the run at stage ``name`` with the error ``exc``."""
+        self.report["aborted_stage"] = name
+        self.report["errors"].append(str(exc))
+        return self.finish()
+
+    def finish(self) -> dict:
+        """Write the PROV graph, and the report if one is configured."""
+        save_graph(self.prov, self.config.provenance_path)
+        self.report["provenance"] = str(self.config.provenance_path)
+        if self.config.report_path is not None:
+            write_text(self.config.report_path,
+                       json.dumps(self.report, indent=2) + "\n")
+        return self.report
 
 
 def run_pipeline(config: PipelineConfig) -> dict:
     """Execute staging -> preprocessing -> mapping -> linking -> validation ->
     load.  Returns the run report (also written to ``report`` if configured)."""
-    report: dict = {"stages": {}, "errors": [], "aborted_stage": None,
-                    "conforms": None, "loaded": False}
-    prov = _ProvBuilder(config.run_id)
+    run = _RunRecord(config)
 
     # staging: content-addressed copies of the raw inputs
-    started = format_rfc3339()
     staged = []
     try:
         config.staging_dir.mkdir(parents=True, exist_ok=True)
@@ -289,30 +309,24 @@ def run_pipeline(config: PipelineConfig) -> dict:
             staged.append({"source": source.path, "digest": digest})
     except OSError as exc:
         raise PipelineError(f"{config.staging_dir}: cannot stage: {exc}") from None
-    report["stages"]["staging"] = {"files": staged}
-    prov.activity("staging", used=[s["digest"] for s in staged],
-                  generated=[s["digest"] for s in staged],
-                  started=started, ended=format_rfc3339())
+    staged_digests = [s["digest"] for s in staged]
+    run.stage("staging", {"files": staged}, used=staged_digests,
+              generated=staged_digests)
 
     # preprocessing
-    started = format_rfc3339()
     records_by_path: dict[Path, list] = {}
     total_in = total_out = 0
     for source, steps in config.sources:
         rows = read_records(source)
         total_in += len(rows)
         rows, errors = preprocess(rows, steps)
-        report["errors"].extend(errors)
+        run.report["errors"].extend(errors)
         total_out += len(rows)
         records_by_path[Path(source.path).resolve()] = rows
-    report["stages"]["preprocess"] = {"records_in": total_in,
-                                      "records_out": total_out}
-    prov.activity("preprocess", used=[s["digest"] for s in staged], generated=[],
-                  started=started, ended=format_rfc3339())
+    run.stage("preprocess", {"records_in": total_in, "records_out": total_out},
+              used=staged_digests)
 
     # mapping
-    started = format_rfc3339()
-
     def records_of(source) -> list:
         """The preprocessed records of a configured source; any other
         source's records as read."""
@@ -322,67 +336,43 @@ def run_pipeline(config: PipelineConfig) -> dict:
     try:
         graph = apply_mapping(load_mapping(config.mapping_path), records_of)
     except ConfigError as exc:
-        report["aborted_stage"] = "mapping"
-        report["errors"].append(str(exc))
-        return _finish(report, config, prov)
-    mapped_size = len(graph)
-    report["stages"]["mapping"] = {"triples": mapped_size}
+        return run.abort("mapping", exc)
     mapped_text = serialize_ntriples(graph)
     mapped_digest = hashlib.sha256(mapped_text.encode()).hexdigest()
-    prov.activity("mapping", used=[s["digest"] for s in staged],
-                  generated=[mapped_digest], started=started, ended=format_rfc3339())
+    run.stage("mapping", {"triples": len(graph)}, used=staged_digests,
+              generated=[mapped_digest])
 
     # linking / enrichment
-    started = format_rfc3339()
-    links: list = []
-    ambiguous: list = []
+    links, ambiguous = [], []
     if config.linking is not None:
         reference = load_graph(config.linking.reference_path)
         links, ambiguous = link_entities(graph, reference, config.linking)
-    report["stages"]["linking"] = {"links": len(links), "ambiguous": ambiguous}
     # linking only adds triples: the linked text is the mapped text with the
     # links' lines put in place
     linked_text = insert_ntriples(mapped_text, graph, links)
     linked_digest = hashlib.sha256(linked_text.encode()).hexdigest()
-    prov.activity("linking", used=[mapped_digest], generated=[linked_digest],
-                  started=started, ended=format_rfc3339())
+    run.stage("linking", {"links": len(links), "ambiguous": ambiguous},
+              used=[mapped_digest], generated=[linked_digest])
 
     # validation
-    started = format_rfc3339()
     try:
         shape_list = load_shapes(config.shapes_path)
     except ConfigError as exc:
-        report["aborted_stage"] = "validation"
-        report["errors"].append(str(exc))
-        return _finish(report, config, prov)
+        return run.abort("validation", exc)
     validation = validate(graph, shape_list)
-    report["conforms"] = validation.conforms
-    report["stages"]["validation"] = {
-        "conforms": validation.conforms,
-        "violations": [v.to_dict() for v in validation.violations]}
-    prov.activity("validation", used=[linked_digest], generated=[],
-                  started=started, ended=format_rfc3339())
+    run.report["conforms"] = validation.conforms
+    run.stage("validation", validation.to_dict(), used=[linked_digest])
 
     # load
-    started = format_rfc3339()
     if not validation.conforms and config.on_violation == "block":
-        report["stages"]["load"] = {"skipped": True,
-                                    "reason": "validation failed, policy=block"}
+        run.stage("load", {"skipped": True,
+                           "reason": "validation failed, policy=block"})
     else:
         # the output file holds exactly the text linked_digest was taken over
         write_text(config.output_path, linked_text)
-        report["loaded"] = True
-        report["stages"]["load"] = {"skipped": False, "triples": len(graph),
-                                    "output": str(config.output_path),
-                                    "digest": linked_digest}
-        prov.activity("load", used=[linked_digest], generated=[linked_digest],
-                      started=started, ended=format_rfc3339())
-    return _finish(report, config, prov)
-
-
-def _finish(report: dict, config: PipelineConfig, prov: _ProvBuilder) -> dict:
-    save_graph(prov.graph, config.provenance_path)
-    report["provenance"] = str(config.provenance_path)
-    if config.report_path is not None:
-        write_text(config.report_path, json.dumps(report, indent=2) + "\n")
-    return report
+        run.report["loaded"] = True
+        run.stage("load", {"skipped": False, "triples": len(graph),
+                           "output": str(config.output_path),
+                           "digest": linked_digest},
+                  used=[linked_digest], generated=[linked_digest])
+    return run.finish()

@@ -75,11 +75,12 @@ class ValidationReport:
     conforms: bool
     violations: list[Violation] = field(default_factory=list)
 
+    def to_dict(self) -> dict:
+        return {"conforms": self.conforms,
+                "violations": [v.to_dict() for v in self.violations]}
+
     def to_json(self) -> str:
-        return json.dumps({
-            "conforms": self.conforms,
-            "violations": [v.to_dict() for v in self.violations],
-        }, indent=2) + "\n"
+        return json.dumps(self.to_dict(), indent=2) + "\n"
 
 
 _RDF_TYPE = IRI(RDF_TYPE)

@@ -482,6 +482,18 @@ class TestFederate:
         assert "Traceback" not in err
 
 
+    def test_endpoint_with_a_5000_digit_port_exits_2(self, capsys, workdir):
+        endpoint = "localhost:" + "9" * 5000
+        catalog = workdir / "catalog.yaml"
+        catalog.write_text(re.sub(r"endpoint: 127\.0\.0\.1:\d+", f"endpoint: {endpoint}",
+                                  catalog.read_text(), count=1))
+        code, out, err = run_cli(
+            capsys, "federate", "--catalog", str(catalog),
+            "--query", str(workdir / "queries" / "federated.rq"))
+        assert code == 2 and out == ""
+        assert err.splitlines() == [
+            f"error: sources[0].endpoint: expected host:port, got {endpoint!r}"], err
+
 def _ephemeral_ports(workdir):
     """Point every node config at port 0, so that no run waits for a fixed
     port that a socket in TIME-WAIT still holds; the scenario run rewrites
@@ -628,6 +640,28 @@ class TestBadConfig:
         assert code == 2, (out, err)
         assert re.search(r"^error: .*" + message, err, re.M), err
         assert "Traceback" not in err
+
+    # values PyYAML parses but cannot construct, and nesting past the
+    # interpreter's recursion limit: each ended in a traceback
+    @pytest.mark.parametrize("path, edit, argv", [
+        ("shapes/capacity.yaml", _replace("min_count: 1", "min_count: " + "9" * 5000),
+         _validate),
+        ("contracts/contracts.yaml", _replace("expiry: 2035-01-01T00:00:00Z",
+                                              "expiry: 2035-02-30T00:00:00Z"), _scenario),
+        ("pipeline.yaml", _replace("on_violation: block", "on_violation: !!float abc"),
+         _pipeline),
+        ("catalog.yaml", lambda text: text + "deep: " + "[" * 2000 + "\n",
+         _federate_plan),
+    ], ids=["int-5000-digits", "february-30", "float-abc", "nested-2000"])
+    def test_yaml_that_cannot_be_constructed_exits_2(self, capsys, workdir, path,
+                                                     edit, argv):
+        _ephemeral_ports(workdir)
+        target = workdir / path
+        target.write_text(edit(target.read_text()))
+        code, out, err = run_cli(capsys, *argv(workdir))
+        assert code == 2 and out == "", (out, err)
+        [line] = err.splitlines()
+        assert re.match(rf"error: .*{re.escape(path)}: not valid YAML: ", line), err
 
     def test_bad_predicate_is_a_config_error(self, capsys, workdir, tmp_path):
         mapping = workdir / "mappings" / "capacity.yaml"
@@ -791,6 +825,36 @@ class TestBadConfig:
         assert code == 2 and out == "", (out, err)
         assert re.fullmatch(rf"error: \S*{message}.*\n", err), err
 
+    @pytest.mark.parametrize("argv, node", [
+        (lambda work: ("serve", "--config", str(work / "nodes" / "tso.yaml")), "tso"),
+        # the last node cannot listen: the scenario stops the three before it
+        (_scenario, "wiki"),
+    ], ids=["serve", "scenario"])
+    def test_a_port_in_use_exits_2(self, capsys, workdir, argv, node):
+        _ephemeral_ports(workdir)
+        before = set(threading.enumerate())
+        with socket.socket() as taken:
+            taken.bind(("127.0.0.1", 0))
+            taken.listen()
+            port = taken.getsockname()[1]
+            config = workdir / "nodes" / f"{node}.yaml"
+            config.write_text(_replace("port: 0", f"port: {port}")(config.read_text()))
+            code, out, err = run_cli(capsys, *argv(workdir))
+        assert code == 2 and out == "", (out, err)
+        assert re.fullmatch(rf"error: cannot listen on 127\.0\.0\.1:{port}: "
+                            r"\[Errno \d+\] .*\n", err), err
+        assert not [t for t in threading.enumerate()
+                    if t not in before and t.name.startswith("node-")]
+
+    def test_a_host_that_cannot_be_looked_up_exits_2(self, capsys, workdir):
+        # no DNS name has a label of more than 63 octets (RFC 1035, 2.3.4)
+        host = "a" * 64 + ".example"
+        config = workdir / "nodes" / "tso.yaml"
+        config.write_text(_replace("host: 127.0.0.1", f"host: {host}")(config.read_text()))
+        code, out, err = run_cli(capsys, "serve", "--config", str(config))
+        assert code == 2 and out == "", (out, err)
+        assert re.fullmatch(rf"error: cannot listen on {host}:\d+: .*\n", err), err
+
     def test_scenario_rejection_mismatch_is_a_domain_failure(self, capsys,
                                                             workdir):
         script = workdir / "scenario.yaml"
@@ -880,6 +944,32 @@ class TestProvenance:
         assert re.search(message, out + err, re.M), (out, err)
         assert "Traceback" not in err
 
+    @pytest.mark.parametrize("kind", ["query-served ", "served"])
+    def test_a_record_of_an_unknown_kind_exits_2(self, capsys, workdir, kind):
+        # under a catalog-only contract a served query is a finding; read as
+        # a catalog request, a record of another kind was none
+        contracts = workdir / "contracts" / "contracts.yaml"
+        contracts.write_text(_replace(
+            "resource: tso-graph\n    operations: [catalog, query]",
+            "resource: tso-graph\n    operations: [catalog]")(contracts.read_text()))
+        log = workdir / "logs" / "tso.jsonl"
+        log.parent.mkdir(exist_ok=True)
+        record = {"id": 1, "kind": "query-served", "consumer": "tso",
+                  "contract": "tso-self", "requestDigest": "0" * 64,
+                  "resultDigest": "0" * 64, "timestamp": "2024-01-01T00:00:00Z"}
+        audit = ("provenance", "audit", "--node-config",
+                 str(workdir / "nodes" / "tso.yaml"))
+        log.write_text(json.dumps(record) + "\n")
+        code, out, _ = run_cli(capsys, *audit)
+        assert code == 1 and "record 1: served query for tso" in out
+
+        log.write_text(json.dumps(record) + "\n" + json.dumps(
+            {**record, "id": 2, "kind": kind}) + "\n")
+        for argv in (audit, ("provenance", "show", "--log", str(log))):
+            code, out, err = run_cli(capsys, *argv)
+            assert code == 2 and out == "", (out, err)
+            assert re.fullmatch(rf"error: \S*tso\.jsonl: line 2: not a provenance "
+                                rf"record: .*unknown activity kind {kind!r}.*\n", err), err
 
 class TestReadme:
     README = Path(__file__).resolve().parents[1] / "README.md"

@@ -10,12 +10,13 @@ import pytest
 
 from energyde import mapping, pipeline
 from energyde.config import Section
+from energyde.connector.messages import parse_rfc3339
 from energyde.pipeline import (LinkingSpec, PipelineError, PreprocessStep,
                                canonical_decimal, link_entities,
                                load_pipeline_config, preprocess, run_pipeline)
 from energyde.rdf import (Graph, IRI, Literal, Triple, load_graph,
                           parse_ntriples)
-from energyde.vocab import OWL_SAMEAS, RDFS_LABEL
+from energyde.vocab import OWL_SAMEAS, PROV, RDFS_LABEL
 
 EX = "http://example.org/"
 
@@ -339,6 +340,21 @@ class TestRunPipeline:
         stages = {t.subject.value for t in prov
                   if t.predicate.value.endswith("startedAtTime")}
         assert len(stages) >= 5
+
+    def test_each_activity_starts_when_the_one_before_it_ended(self, workdir):
+        report = run_pipeline(load_pipeline_config(workdir / "pipeline.yaml"))
+        times = {}
+        for t in load_graph(report["provenance"]):
+            if t.predicate.value in (PROV + "startedAtTime", PROV + "endedAtTime"):
+                stage = t.subject.value.rpartition("/")[2]
+                times[stage, t.predicate.value] = parse_rfc3339(t.object.lexical)
+        order = ["staging", "preprocess", "mapping", "linking", "validation", "load"]
+        assert list(report["stages"]) == order
+        assert {stage for stage, _ in times} == set(order)
+        for stage in order:
+            assert times[stage, PROV + "startedAtTime"] <= times[stage, PROV + "endedAtTime"]
+        for before, after in zip(order, order[1:]):
+            assert times[after, PROV + "startedAtTime"] == times[before, PROV + "endedAtTime"]
 
     def test_staging_content_addressed(self, workdir):
         config = load_pipeline_config(workdir / "pipeline.yaml")

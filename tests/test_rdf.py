@@ -876,3 +876,18 @@ def test_load_memory_is_the_graph(tmp_path):
     # subject (subject-major SPO in place of one table per predicate) 145 B
     assert peak - retained < 0.3 * size, (peak - retained, size)
     assert retained / len(graph) < 135, retained / len(graph)
+
+
+def test_the_token_table_is_emptied_when_full(tmp_path, monkeypatch):
+    """A full table is emptied, so a predicate read on every line is made
+    again after each emptying: more terms made than distinct tokens."""
+    monkeypatch.setattr(rdf, "_TOKEN_CACHE", 8)
+    made = []
+    token_term = rdf._token_term
+    monkeypatch.setattr(rdf, "_token_term",
+                        lambda token: made.append(token) or token_term(token))
+    path = tmp_path / "one-predicate.nt"
+    path.write_text("".join(f'<urn:s{i}> <urn:p> "v" .\n' for i in range(100)))
+    graph = load_graph(path)
+    assert len(graph) == 100 and len(set(made)) == 102
+    assert len(made) > 102
