@@ -5,9 +5,10 @@ from __future__ import annotations
 
 import hashlib
 import json
+import re
 import shutil
 from dataclasses import dataclass
-from decimal import Context, Decimal, Inexact, InvalidOperation, localcontext
+from decimal import Context, Decimal, Inexact, localcontext
 from pathlib import Path
 from typing import Iterable, Optional
 
@@ -58,12 +59,12 @@ def _factor(value) -> Decimal:
 
 
 def _finite(value) -> Optional[Decimal]:
-    """``value`` as a finite ``Decimal``, or None if it reads as none."""
-    try:
-        number = Decimal(str(value))
-    except InvalidOperation:
-        return None
-    return number if number.is_finite() else None
+    """``value`` as a ``Decimal``, or None unless its text is a finite
+    xsd:double lexical form (XML Schema 1.1 Part 2, 3.3.5) in ASCII, with an
+    exponent of at most nine digits, so that ``Decimal`` reads it exactly."""
+    text = str(value)
+    number = re.fullmatch(r"[+-]?([0-9]+(\.[0-9]*)?|\.[0-9]+)([eE][+-]?[0-9]{1,9})?", text)
+    return Decimal(text) if number else None
 
 
 def canonical_decimal(value: Decimal) -> str:

@@ -63,16 +63,17 @@ _LANGTAG_RE = re.compile(LANGTAG)
 _LABEL_RE = re.compile(_LABEL)
 
 
-def _check_iri(value: str) -> None:
+def _check_iri(value: str) -> str:
     if ":" not in value:
         raise RdfError(f"IRI missing scheme separator: {value!r}")
     if _IRI_FORBIDDEN.search(value):
         raise RdfError(f"IRI contains forbidden character: {value!r}")
+    return value
 
 
 # a graph or an answer holds a handful of distinct datatypes, so each is
-# checked once; the bound keeps an answer's choice of datatypes from growing
-# the cache without limit
+# checked once, and every literal keeps the cache's one copy; the bound keeps
+# an answer's choice of datatypes from growing the cache without limit
 _check_datatype = lru_cache(maxsize=256)(_check_iri)
 
 
@@ -103,7 +104,7 @@ class Literal:
             object.__setattr__(self, "datatype", RDF_LANGSTRING)
         elif self.datatype == RDF_LANGSTRING:
             raise RdfError("rdf:langString literal without a language tag")
-        _check_datatype(self.datatype)
+        object.__setattr__(self, "datatype", _check_datatype(self.datatype))
         if not self.lexical.isascii() and _SURROGATE.search(self.lexical):
             raise RdfError(f"literal contains a surrogate code point: {self.lexical!r}")
 

@@ -19,8 +19,9 @@ immutable.
 
 ``solutions_to_json`` writes the one results document, which nodes send
 and the federator reads.  After HDT's dictionary plus id triples, it lists
-each distinct term's binding entry once, then the rows as indexes into that
-list: ``{"head":{"vars":[...]},"rows":[[0,1],[2,null]],"terms":[...]}``.
+each distinct term's binding entry once, ranked by N-Triples text, then the
+rows, sorted by those ranks, as indexes into that list:
+``{"head":{"vars":[...]},"rows":[[0,1],[2,null]],"terms":[...]}``.
 The W3C SPARQL JSON results that the command line prints are read off it.
 
 The federator's side is late-materializing too.  ``solutions_from_json``
@@ -688,7 +689,7 @@ def apply_modifiers(solutions: SolutionSequence, query: Query) -> SolutionSequen
     work on positional rows.  FILTER and the LIMIT sort decode each distinct
     cell they read once; DISTINCT compares cells, which are ints on the local
     path.  A LIMIT keeps the first rows in the order ``solutions_to_json``
-    sorts by, so the answer does not depend on hash order."""
+    writes, ``_sorted_rows``', so the answer does not depend on hash order."""
     rows = solutions.cells
     terms = solutions.terms
     columns = solutions.variables
@@ -727,38 +728,35 @@ def _binding_text(term: Term) -> str:
     return "{" + text + "}"
 
 
-def _sorted_rows(rows: list[tuple], terms: TermTable) -> tuple[list[tuple], set]:
-    """``rows`` sorted by their cells' N-Triples text, which comes from the
-    memo of ``terms``; an unbound cell is "", which sorts first.  Also
-    returns the distinct bound cells.  The sort keys are built a column at
-    a time."""
+def _sorted_rows(rows: list[tuple], terms: TermTable) -> tuple[list[tuple], list]:
+    """``rows`` sorted by their cells' N-Triples text, from the memo of
+    ``terms``, and the distinct bound cells in that order.  Each cell is
+    ranked once, by its place in that order, and an unbound one ranks -1,
+    first; the rows sort by their tuples of ranks, built a column at a time."""
     cells = set().union(*rows)
-    unbound = None in cells
     cells.discard(None)
-    ntriples = terms.texts(format_term, cells)
-    if unbound:
-        ntriples = {cell: ntriples[cell] for cell in cells}
-        ntriples[None] = ""
-    if not rows or not rows[0]:
-        return rows, cells
-    keys = list(zip(*[map(ntriples.__getitem__, column) for column in zip(*rows)]))
-    return [rows[i] for i in sorted(range(len(rows)), key=keys.__getitem__)], cells
+    order = sorted(cells, key=terms.texts(format_term, cells).__getitem__)
+    rank = dict(zip(order, range(len(order))))
+    rank[None] = -1
+    if rows and rows[0]:
+        keys = list(zip(*[map(rank.__getitem__, column) for column in zip(*rows)]))
+        rows = [rows[i] for i in sorted(range(len(rows)), key=keys.__getitem__)]
+    return rows, order
 
 
 def solutions_to_json(solutions: SolutionSequence) -> str:
     """The solutions as the results document, ``{"head":{"vars":[...]},
     "rows":[...],"terms":[...]}``, in canonical JSON text (sorted keys, no
     whitespace).  ``terms`` lists each distinct cell's binding entry once,
-    sorted by N-Triples text.  Each row, sorted by its cells' N-Triples
-    text, holds one index into ``terms``, or null where unbound, per
-    distinct name of ``head.vars``.  So the text does not depend on how the
-    term table numbered its terms.  Both texts of a cell come from the term
-    table's memo, and the document is joined from those fragments with no
-    JSON encoder run over the rows."""
+    and each row holds one index into ``terms``, or null where unbound, per
+    distinct name of ``head.vars``; both are in ``_sorted_rows``' order, by
+    N-Triples text.  So the text does not depend on how the term table
+    numbered its terms.  Both texts of a cell come from the term table's
+    memo, and the document is joined from those fragments with no JSON
+    encoder run over the rows."""
     variables = solutions.variables
-    rows, cells = _sorted_rows(solutions.cells, solutions.terms)
-    fragments = solutions.terms.texts(_binding_text, cells)
-    order = sorted(cells, key=solutions.terms.texts(format_term, cells).__getitem__)
+    rows, order = _sorted_rows(solutions.cells, solutions.terms)
+    fragments = solutions.terms.texts(_binding_text, order)
     index = dict(zip(order, map(str, range(len(order)))))
     index[None] = "null"
     # one column per distinct name, from its first column

@@ -50,9 +50,12 @@ class TestPreprocess:
         assert rows == [{"v": "20"}]
         assert len(errors) == 1
 
-    # a value is a number when Decimal reads it and it is finite: NaN and
-    # Infinity are no xsd:decimal, and summing sNaN raises
-    @pytest.mark.parametrize("value", ["NaN", "sNaN", "-Infinity", "inf", "abc", "1,5"])
+    # a value is a number when it is a finite xsd:double lexical form, in
+    # ASCII: NaN and Infinity are no xsd:decimal, summing sNaN raises, and
+    # Decimal alone would read underscores, spaces and non-ASCII digits
+    @pytest.mark.parametrize("value", ["NaN", "sNaN", "-Infinity", "inf", "abc", "1,5",
+                                       "1_000", " 5 ", "5\n", "１２", "١٢",
+                                       "1E" + "9" * 19])
     @pytest.mark.parametrize("made", [step("scale-numeric", field="v", factor=10),
                                       step("aggregate", group_by=["g"], sum="v")],
                              ids=["scale-numeric", "aggregate"])
@@ -62,7 +65,7 @@ class TestPreprocess:
                         else {"g": "a", "v": "2"}]
         assert errors == [f"{made.kind}: record 0: non-numeric v={value!r}"]
 
-    @pytest.mark.parametrize("factor", ["NaN", "Infinity", "0", "abc"])
+    @pytest.mark.parametrize("factor", ["NaN", "Infinity", "0", "abc", "1_0"])
     def test_scale_factor_that_is_no_finite_non_zero_number_rejected(self, factor):
         with pytest.raises(PipelineError, match="factor: not a number, or zero"):
             step("scale-numeric", field="v", factor=factor)

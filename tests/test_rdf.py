@@ -242,6 +242,18 @@ class TestNTriples:
         assert triple.object == Literal(
             "320", "http://www.w3.org/2001/XMLSchema#decimal")
 
+    def test_literals_share_one_datatype_object(self, tmp_path):
+        # each literal keeps the checked datatype's cached copy, so a graph
+        # holds a datatype IRI once, not once per literal
+        text = "".join(f'<http://example.org/s{i}> <http://example.org/p> '
+                       f'"{i}"^^<{XSD_DECIMAL}> .\n' for i in range(2))
+        path = tmp_path / "two.nt"
+        path.write_text(text, encoding="utf-8")
+        for graph in (parse_ntriples(text), load_graph(path)):
+            first, second = (t.object for t in graph)
+            assert first.lexical != second.lexical
+            assert first.datatype is second.datatype
+
     def test_missing_terminal_dot_names_line(self):
         text = ('<http://example.org/s> <http://example.org/p> "a" .\n'
                 '<http://example.org/s> <http://example.org/p> "b"\n')
